@@ -62,9 +62,12 @@ def _effective_seed(args) -> int:
 
 def _parse_floats(text: str, name: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InvalidSpec(f"--{name} must be a comma-separated list of numbers") from None
+    if not np.isfinite(values).all():
+        raise InvalidSpec(f"--{name} values must be finite")
+    return values
 
 
 def _family_state(args, validate: bool) -> LoadedState:
@@ -306,6 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not np.isfinite(args.tol):
+            raise InvalidSpec("--tol must be finite")
         return args.func(args)
     except DiscordantError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,12 +63,14 @@ def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return the array.
+    """Validate finiteness, Hermiticity, unit trace and positivity; return the array.
 
     Raises :class:`InvalidSpec` on violation and :class:`DimensionError`
     for non-square input.
     """
     rho = np.asarray(_require_square(rho, name), dtype=complex)
+    if not np.isfinite(rho).all():
+        raise InvalidSpec(f"{name} has non-finite entries")
     scale = max(1.0, frobenius(rho))
     herm_defect = frobenius(rho - rho.conj().T)
     if herm_defect > HERMITICITY_TOL * scale:

@@ -12,7 +12,8 @@ The single ingestion schema (complex numbers as [re, im] pairs):
       "a0": [[[re, im]]], "dmat": [[real]],        # commuting
       "rho": [[[re, im]]] }                        # dense d²×d²
 
-Unknown fields are rejected; numbers are parsed as 64-bit floats.
+Unknown fields are rejected; numbers are parsed as 64-bit floats and
+must be finite.
 """
 
 from __future__ import annotations
@@ -67,23 +68,30 @@ def encode_complex_matrix(M: np.ndarray) -> list:
 def decode_complex_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"field {name!r} is not a complex matrix: {exc}") from None
     if arr.shape != (*shape, 2):
         raise InvalidSpec(
             f"field {name!r} must have shape {shape} of [re, im] pairs, got {arr.shape}"
         )
+    _require_finite(arr, name)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def decode_real_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
+def decode_real_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"field {name!r} is not a real matrix: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"field {name!r} is not real-valued: {exc}") from None
     if arr.shape != shape:
         raise InvalidSpec(f"field {name!r} must have shape {shape}, got {arr.shape}")
+    _require_finite(arr, name)
     return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise InvalidSpec(f"field {name!r} has non-finite entries")
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
@@ -148,17 +156,16 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
         lam = obj["lambda"]
         if isinstance(lam, bool) or not isinstance(lam, (int, float)):
             raise InvalidSpec(f"'lambda' must be a number, got {lam!r}")
+        lam = float(decode_real_matrix(lam, (), "lambda"))
         build = werner_state if kind == "werner" else isotropic_state
-        spec = build(d, float(lam), validate=validate)
+        spec = build(d, lam, validate=validate)
         rho = circulant_state(spec, validate=False)
-        return LoadedState(kind, d, rho, spec=spec, params={"lambda": float(lam)})
+        return LoadedState(kind, d, rho, spec=spec, params={"lambda": lam})
 
     if kind == "orthogonal":
-        abc = obj["abc"]
-        if not isinstance(abc, list) or len(abc) != 3:
-            raise InvalidSpec("'abc' must be a list of three numbers")
-        rho = orthogonal_invariant_state([float(x) for x in abc], d)
-        return LoadedState("orthogonal", d, rho, params={"abc": [float(x) for x in abc]})
+        abc = [float(x) for x in decode_real_matrix(obj["abc"], (3,), "abc")]
+        rho = orthogonal_invariant_state(abc, d)
+        return LoadedState("orthogonal", d, rho, params={"abc": abc})
 
     if kind == "commuting":
         a0 = decode_complex_matrix(obj["a0"], (d, d), "a0")

@@ -190,6 +190,11 @@ def bell_diagonal_state(w) -> CirculantSpec:
     return CirculantSpec(d, tuple(mats))
 
 
+def _require_finite_lambda(lam: float) -> None:
+    if not np.isfinite(lam):
+        raise InvalidSpec(f"lambda must be finite, got {lam}")
+
+
 def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     """Flip-symmetric circulant family with mixing parameter ``lam``.
 
@@ -202,6 +207,7 @@ def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     """
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
+    _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
     mats = [np.eye(d, dtype=complex) * (lam / d + base)]
     for k in range(1, d):
@@ -220,6 +226,7 @@ def isotropic_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     """(1−λ)/d²·I⊗I + λ·(maximally entangled projector), as a circulant spec."""
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
+    _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
     a0 = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
     mats = [a0] + [np.eye(d, dtype=complex) * base for _ in range(1, d)]
@@ -237,8 +244,9 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
     trace (d(d+1)/2 − 1, d(d−1)/2 and 1 respectively).
     """
     a, b, c = (float(x) for x in abc)
-    if min(a, b, c) < -ZERO_TOL or abs(a + b + c - 1.0) > 1e-12:
-        raise InvalidSpec(f"weights ({a}, {b}, {c}) must be nonnegative and sum to 1")
+    finite = np.isfinite([a, b, c]).all()
+    if not finite or min(a, b, c) < -ZERO_TOL or abs(a + b + c - 1.0) > 1e-12:
+        raise InvalidSpec(f"weights ({a}, {b}, {c}) must be finite, nonnegative and sum to 1")
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
     F = flip_operator(d)

@@ -277,10 +277,7 @@ def o2_simplex_rows(
     from .states import orthogonal_invariant_state  # deferred: keeps import light
 
     values = np.linspace(0.0, 1.0, grid)
-    # A coarse angular grid keeps the per-point cost low; the local refine
-    # step still pins the optimum, and under-optimization can only inflate
-    # the reported discord on the nonzero side.
-    cfg = OptimizerConfig(starts=starts or 24, seed=seed, grid_shape=(37, 72))
+    cfg = OptimizerConfig(starts=starts or 24, seed=seed)
     emitted = 0
     for b in values:
         for c in values:

@@ -266,3 +266,54 @@ def test_family_flag_validation(capsys):
         capsys,
     )
     assert code == 2  # π arity mismatch
+
+
+def test_analyze_nan_dense_file_exits_2(capsys, tmp_path):
+    # the maximally mixed state with one NaN entry used to pass validation
+    # and report D = -1 with "agreement": true
+    obj = {"kind": "dense", "d": 2,
+           "rho": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
+    obj["rho"][0][0] = [float("nan"), 0.0]
+    state_path = tmp_path / "nan.json"
+    state_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["analyze", str(state_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_non_finite_lambda_flag_exits_2(capsys):
+    for value in ("nan", "inf", "-inf"):
+        for command in ("analyze", "build"):
+            code, _, err = run_cli(
+                [command, "--family", "werner", "--d", "2", f"--lambda={value}"], capsys
+            )
+            assert code == 2
+            assert "finite" in err
+
+
+def test_non_finite_tol_flag_exits_2(capsys):
+    # a NaN tolerance made every structural comparison false, so a
+    # discordant state was declared zero-discord and the run exited 3
+    for command in (["analyze", "--family", "isotropic", "--d", "2", "--lambda", "0.5"],
+                    ["verify", "--d", "2"], ["simplex"]):
+        code, _, err = run_cli(command + ["--tol", "nan"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
+def test_non_finite_abc_flag_exits_2(capsys):
+    code, _, err = run_cli(
+        ["analyze", "--family", "orthogonal", "--d", "2", "--abc", "nan,0.5,0.5"], capsys
+    )
+    assert code == 2
+    assert "finite" in err
+
+
+def test_non_finite_pi_flag_exits_2(capsys):
+    code, _, err = run_cli(
+        ["analyze", "--family", "bell", "--d", "2", "--alpha", "1", "--pi", "inf,0.5"],
+        capsys,
+    )
+    assert code == 2
+    assert "finite" in err

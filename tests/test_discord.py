@@ -3,22 +3,33 @@
 import numpy as np
 import pytest
 
+from discordant.blocks import bell_zero_discord_check, structural_discord_zero
 from discordant.discord import (
     DiscordResult,
     MeasurementBasis,
     OptimizerConfig,
+    _contraction,
+    _objective,
     classical_correlation,
     conditional_entropy,
     discord,
     mutual_information,
 )
 from discordant.errors import InvalidMeasurement
-from discordant.linalg import random_unitary
+from discordant.linalg import (
+    fourier_matrix,
+    partial_trace,
+    random_unitary,
+    von_neumann_entropy,
+)
 from discordant.states import (
+    BellWeights,
+    bell_diagonal_state,
     circulant_state,
     max_entangled_projector,
     werner_state,
 )
+from discordant.verify import random_classical_bell
 
 from test_blocks import classical_x_spec
 
@@ -153,14 +164,119 @@ def test_optimizer_config_validation():
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(f_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_shape=(1, 10))
 
 
-def test_general_path_matches_grid_at_d2():
-    rho = circulant_state(werner_state(2, 0.3), validate=True)
-    via_grid = discord(rho, 2, "A", OptimizerConfig(seed=1)).discord
-    via_general = discord(
-        rho, 2, "A", OptimizerConfig(seed=1, grid_2d=False, starts=12)
-    ).discord
-    assert abs(via_grid - via_general) <= 2e-6
+def _bloch_scan_discord(rho, side, n_theta=41, n_phi=80):
+    """Brute-force D over a (θ, φ) grid of d = 2 measurement bases."""
+    best = np.inf
+    for theta in np.linspace(0.0, np.pi, n_theta):
+        for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
+            c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+            basis = MeasurementBasis(2, np.array([[c, -s / e], [s * e, c]]))
+            best = min(best, conditional_entropy(rho, 2, basis, side))
+    s_other = von_neumann_entropy(partial_trace(rho, 2, 2, side))
+    return mutual_information(rho, 2) - (s_other - best)
+
+
+def test_optimizer_beats_bloch_scan_at_d2():
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    dense = m @ m.conj().T
+    states = [
+        circulant_state(werner_state(2, 0.3), validate=True),
+        circulant_state(classical_x_spec(), validate=True),
+        dense / np.trace(dense).real,
+    ]
+    for rho in states:
+        for side in ("A", "B"):
+            d_opt = discord(rho, 2, side, OptimizerConfig(seed=1)).discord
+            assert d_opt <= _bloch_scan_discord(rho, side) + 1e-9
+
+
+def _random_full_rank_state(d, rng):
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = m @ m.conj().T + 0.1 * np.eye(d * d)
+    return rho / np.trace(rho).real
+
+
+def _exp_skew(X):
+    """exp(X) for skew-Hermitian X, through the eigenbasis of −iX."""
+    w, V = np.linalg.eigh(-1j * X)
+    return (V * np.exp(1j * w)) @ V.conj().T
+
+
+def test_riemannian_gradient_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    h = 1e-5
+    for d in (2, 3):
+        for side in ("A", "B"):
+            for _ in range(3):
+                rho = _random_full_rank_state(d, rng)
+                R = _contraction(rho, d, side)
+                U = random_unitary(d, rng)
+                _, omega = _objective(R, U[None])
+                Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                X = (Z - Z.conj().T) / 2
+                f_plus, _ = _objective(R, (_exp_skew(h * X) @ U)[None], gradient=False)
+                f_minus, _ = _objective(R, (_exp_skew(-h * X) @ U)[None], gradient=False)
+                numeric = (f_plus[0] - f_minus[0]) / (2 * h)
+                analytic = np.trace(X @ omega[0]).real
+                assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _luo_discord(rho):
+    """Luo's closed form (PRA 77, 042303, 2008) for two-qubit Bell-diagonal ρ.
+
+    c_i = Tr ρ(σ_i⊗σ_i); I = 2 − S(ρ) since both marginals are maximally
+    mixed, and C = Σ± (1±c)/2·log₂(1±c) with c = max|c_i|.
+    """
+    corr = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULI] for a in PAULI])
+    assert np.abs(corr - np.diag(np.diag(corr))).max() <= 1e-12  # Bell-diagonal
+    c = np.abs(np.diag(corr)).max()
+    classical = sum((1 + s * c) / 2 * np.log2(1 + s * c) for s in (1, -1) if 1 + s * c > 0)
+    return 2 - von_neumann_entropy(rho) - classical
+
+
+def test_bell_diagonal_matches_luo_closed_form():
+    rng = np.random.default_rng(8)
+    states = [
+        circulant_state(bell_diagonal_state(BellWeights(2, w.reshape(2, 2))))
+        for w in rng.dirichlet(np.ones(4), size=6)
+    ]
+    # near-degenerate |c_i|: two correlations within δ of each other in
+    # modulus, so measuring along either axis is optimal to within ~δ bits
+    for delta in (0.0, 1e-12, 1e-9):
+        c1 = rng.uniform(0.2, 0.6)
+        c = rng.permutation([c1, -(c1 - delta), rng.uniform(-0.2, 0.2)])
+        states.append((np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4)
+    for n, rho in enumerate(states):
+        reference = _luo_discord(rho)
+        for side in ("A", "B"):
+            got = discord(rho, 2, side, OptimizerConfig(seed=n)).discord
+            assert got == pytest.approx(reference, abs=1e-9)
+
+
+def test_classical_bell_d3_leaves_stationary_starts():
+    # For these states the identity and Fourier bases are exact critical
+    # points (Ω = 0), so descent must start from screened, rotated bases.
+    rng = np.random.default_rng(17)
+    for alpha in range(3):
+        for seed in range(3):
+            p, _ = random_classical_bell(3, alpha, rng)
+            rho = circulant_state(bell_diagonal_state(BellWeights(3, p)))
+            assert bell_zero_discord_check(p).zero_discord
+            for side in ("A", "B"):
+                _, omega = _objective(
+                    _contraction(rho, 3, side), np.stack([np.eye(3), fourier_matrix(3)])
+                )
+                assert np.abs(omega).max() <= 1e-12
+                assert structural_discord_zero(rho, 3, side).zero_discord
+                res = discord(rho, 3, side, OptimizerConfig(starts=2, seed=seed))
+                assert res.discord == 0.0

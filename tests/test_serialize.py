@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discordant.errors import InvalidSpec
+from discordant.linalg import check_density_matrix
 from discordant.serialize import (
     bell_to_json,
     circulant_to_json,
@@ -18,6 +19,8 @@ from discordant.states import (
     CirculantSpec,
     bell_diagonal_state,
     circulant_state,
+    isotropic_state,
+    orthogonal_invariant_state,
     werner_state,
 )
 
@@ -114,3 +117,56 @@ def test_bell_weights_validated_on_parse():
     p = np.array([[0.6, 0.1], [0.3, 0.2]])  # sums to 1.2
     with pytest.raises(InvalidSpec):
         parse_state(bell_to_json(2, p))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_check_density_matrix_rejects_non_finite():
+    # NaN compares false against every bound, so without an explicit check
+    # this state passes Hermiticity, trace and positivity
+    rho = circulant_state(isotropic_state(2, 0.0)).copy()
+    rho[0, 0] = NAN
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        check_density_matrix(rho)
+
+
+def test_dense_non_finite_entry_rejected_on_parse():
+    obj = dense_to_json(circulant_state(isotropic_state(2, 0.0)), 2)
+    obj["rho"][0][0] = [NAN, 0.0]
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        parse_state(obj)
+
+
+def test_non_finite_lambda_rejected_on_parse():
+    for kind in ("werner", "isotropic"):
+        for lam in (NAN, INF, -INF):
+            with pytest.raises(InvalidSpec, match="non-finite"):
+                parse_state({"kind": kind, "d": 2, "lambda": lam})
+        # a JSON integer too large for a float
+        with pytest.raises(InvalidSpec, match="lambda"):
+            parse_state({"kind": kind, "d": 2, "lambda": 10**400})
+
+
+def test_non_finite_bell_weights_rejected_on_parse():
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        parse_state({"kind": "bell", "d": 2, "p": [[0.25, NAN], [0.25, 0.25]]})
+
+
+def test_non_finite_matrix_entries_rejected_on_parse():
+    obj = circulant_to_json(werner_state(2, 0.2))
+    obj["a"][1][0][1] = [0.1, INF]
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        parse_state(obj)
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        parse_state({"kind": "orthogonal", "d": 2, "abc": [NAN, 0.5, 0.5]})
+
+
+def test_family_constructors_reject_non_finite_parameters():
+    for build in (werner_state, isotropic_state):
+        for lam in (NAN, INF):
+            for validate in (True, False):
+                with pytest.raises(InvalidSpec, match="finite"):
+                    build(3, lam, validate=validate)
+    with pytest.raises(InvalidSpec, match="finite"):
+        orthogonal_invariant_state((NAN, 0.5, 0.5), 2)
