@@ -2,9 +2,13 @@
 
 A bipartite state decomposes as ρ = Σ_ij e_ij ⊗ B_ij (side B blocks) or
 ρ = Σ_αβ A_αβ ⊗ e_αβ (side A blocks).  Discord measured on a side vanishes
-iff that side's block family is simultaneously diagonalizable, i.e. every
-block is normal and all blocks mutually commute — the general criterion
-implemented by :func:`structural_discord_zero`.
+iff that side's blocks are normal and mutually commute, i.e. one unitary U
+diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
+(Dakić, Vedral & Brukner, PRL 105, 190502, 2010).  The general criterion,
+:func:`structural_discord_zero`, finds a candidate U once by sequential
+refinement over Hermitian combinations of the blocks and declares zero
+discord iff every U†B_ijU is diagonal within tolerance;
+:func:`classical_decomposition` turns the same U into that sum.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -22,6 +26,7 @@ discord vanishes iff p[m, n] = π_{(m + nα) mod d} for some α.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +37,7 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import EIG_FLOOR, commutator_norm, frobenius, hermitize, kron
+from .linalg import EIG_FLOOR, frobenius, hermitize
 from .states import ZERO_TOL, BellWeights, CirculantSpec, validate_bell_weights
 
 #: Default tolerance for structural checks.
@@ -41,6 +46,8 @@ DEFAULT_TOL = 1e-9
 DEGENERACY_GAP = 1e-8
 #: Reassembly residual allowed for classical decompositions.
 REASSEMBLY_TOL = 1e-8
+#: Step of the Weyl sequence that phases the generic block combination.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 CRITERION_COMMUTATION = "general-commutation"
 CRITERION_CIRCULANT = "circulant-theorem"
@@ -103,6 +110,8 @@ class StructuralVerdict:
     fitted_phases: PhaseVector | None = None
     alpha: int | None = None
     pi: np.ndarray | None = None
+    #: The basis a general-commutation verdict tested the blocks in (not serialized).
+    basis: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +169,7 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> BlockDecomposition:
 
     Side B: blocks[i, j][k, l] = ρ[i·d+k, j·d+l] (operators on the second
     factor).  Side A: blocks[α, β][i, j] = ρ[i·d+α, j·d+β] (operators on
-    the first factor).
+    the first factor).  The grid is a read-only view of ρ, not a copy.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
@@ -172,63 +181,49 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> BlockDecomposition:
         blocks = four.transpose(1, 3, 0, 2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return BlockDecomposition(side, d, np.ascontiguousarray(blocks))
+    blocks.flags.writeable = False
+    return BlockDecomposition(side, d, blocks)
 
 
 def structural_discord_zero(
     rho: np.ndarray, d: int, side: str, tol: float = DEFAULT_TOL
 ) -> StructuralVerdict:
-    """Zero discord on a side iff that side's blocks are normal and mutually commute.
+    """Zero discord on a side iff one unitary U diagonalizes all of that side's blocks.
 
-    On failure the witness names the worst offender: the first non-normal
-    block, or the pair with the largest relative commutator norm
-    (lexicographically first on ties).
+    U comes from :func:`_common_basis`.  The verdict is zero iff every
+    block satisfies ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F), which
+    holds iff the blocks are normal and mutually commute; it costs d²
+    block transforms instead of O(d⁴) commutators.  The verdict keeps U
+    in ``basis``, which :func:`classical_decomposition` reuses; on
+    failure the witness names the block with the largest relative
+    off-diagonal norm in U (lexicographically first on ties).
     """
-    dec = extract_blocks(rho, d, side)
-    blocks = dec.blocks
-    for i in range(d):
-        for j in range(d):
-            B = blocks[i, j]
-            Bd = B.conj().T
-            defect = frobenius(B @ Bd - Bd @ B)
-            if defect > tol * max(1.0, frobenius(B) ** 2):
-                return StructuralVerdict(
-                    False,
-                    side,
-                    CRITERION_COMMUTATION,
-                    witness={
-                        "kind": "non-normal-block",
-                        "block": [i, j],
-                        "defect": float(defect),
-                        "tolerance": float(tol * max(1.0, frobenius(B) ** 2)),
-                    },
-                )
-    index = [(i, j) for i in range(d) for j in range(d)]
-    worst = None  # (relative norm, pair, absolute norm, threshold)
-    for p in range(len(index)):
-        for q in range(p + 1, len(index)):
-            (i1, j1), (i2, j2) = index[p], index[q]
-            B1, B2 = blocks[i1, j1], blocks[i2, j2]
-            thr = tol * max(1.0, frobenius(B1) * frobenius(B2))
-            norm = commutator_norm(B1, B2)
-            if norm > thr:
-                rel = norm / max(1.0, frobenius(B1) * frobenius(B2))
-                if worst is None or rel > worst[0]:
-                    worst = (rel, (index[p], index[q]), norm, thr)
-    if worst is not None:
-        (i1, j1), (i2, j2) = worst[1]
-        return StructuralVerdict(
-            False,
-            side,
-            CRITERION_COMMUTATION,
-            witness={
-                "kind": "non-commuting-blocks",
-                "blocks": [[i1, j1], [i2, j2]],
-                "commutator_norm": float(worst[2]),
-                "tolerance": float(worst[3]),
-            },
-        )
-    return StructuralVerdict(True, side, CRITERION_COMMUTATION)
+    blocks = extract_blocks(rho, d, side).blocks
+    U = _common_basis(blocks, d)
+    Uh = U.conj().T
+    idx = np.arange(d)
+    off, scale = np.empty((d, d)), np.empty((d, d))
+    for i in range(d):  # one block row at a time: temporaries stay at d³ entries
+        T = Uh @ blocks[i] @ U
+        T[:, idx, idx] = 0.0
+        off[i] = np.linalg.norm(T, axis=(-2, -1))
+        scale[i] = np.linalg.norm(blocks[i], axis=(-2, -1))
+    scale = np.maximum(1.0, scale)
+    if np.all(off <= tol * scale):
+        return StructuralVerdict(True, side, CRITERION_COMMUTATION, basis=U)
+    i, j = np.unravel_index(np.argmax(off / scale), off.shape)
+    return StructuralVerdict(
+        False,
+        side,
+        CRITERION_COMMUTATION,
+        witness={
+            "kind": "off-diagonal-block",
+            "block": [int(i), int(j)],
+            "offdiagonal_norm": float(off[i, j]),
+            "tolerance": float(tol * scale[i, j]),
+        },
+        basis=U,
+    )
 
 
 def _all_diagonal(spec: CirculantSpec) -> bool:
@@ -278,33 +273,29 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
     no constraint.
     """
     d = spec.d
-    a = spec.a
-    edges: list[tuple[int, int, float]] = []
+    a = np.asarray(spec.a)
+    k = np.arange(d - 1)
+    # Edges in (entry, k) order, rows the entries of a^(0) and columns k:
+    # the breadth-first pass, and so φ, depends on this order.
     if side == "B":
-        for i in range(d):
-            for j in range(i + 1, d):
-                if abs(a[0][i, j]) <= ZERO_TOL:
-                    continue
-                for k in range(d - 1):
-                    z0, z1 = a[k][i, j], a[k + 1][i, j]
-                    if abs(z0) <= ZERO_TOL or abs(z1) <= ZERO_TOL:
-                        continue
-                    u, v = (i + k) % d, (j + k) % d
-                    edges.append((u, v, float(np.angle(z1) - np.angle(z0))))
+        i, j = np.divmod(np.arange(d * d), d)
+        upper = i < j
+        i, j = i[upper], j[upper]
+        z = a[:, i, j].T  # z[entry, k] = a^(k)_ij
+        z0, z1 = z[:, :-1], z[:, 1:]
+        us, vs = (i[:, None] + k) % d, (j[:, None] + k) % d
+        anchor = z[:, 0]
     else:
-        for m in range(d):
-            for c in range(1, d):
-                if abs(a[0][m, (m + c) % d]) <= ZERO_TOL:
-                    continue
-                for k in range(d - 1):
-                    r0, c0 = (m - k) % d, (m + c - k) % d
-                    r1, c1 = (m - k - 1) % d, (m + c - k - 1) % d
-                    z0, z1 = a[k][r0, c0], a[k + 1][r1, c1]
-                    if abs(z0) <= ZERO_TOL or abs(z1) <= ZERO_TOL:
-                        continue
-                    edges.append((r1, c1, float(np.angle(z1) - np.angle(z0))))
-    adj: dict[int, list[tuple[int, float]]] = {n: [] for n in range(d)}
-    for u, v, delta in edges:
+        m, c = np.divmod(np.arange(d * (d - 1)), d - 1)
+        c += 1
+        z0 = a[k, (m[:, None] - k) % d, (m[:, None] + c[:, None] - k) % d]
+        us, vs = (m[:, None] - k - 1) % d, (m[:, None] + c[:, None] - k - 1) % d
+        z1 = a[k + 1, us, vs]
+        anchor = a[0, m, (m + c) % d]
+    keep = (np.abs(anchor)[:, None] > ZERO_TOL) & (np.abs(z0) > ZERO_TOL) & (np.abs(z1) > ZERO_TOL)
+    deltas = np.angle(z1[keep]) - np.angle(z0[keep])
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(d)]
+    for u, v, delta in zip(us[keep].tolist(), vs[keep].tolist(), deltas.tolist()):
         adj[u].append((v, -delta))  # φ_v = φ_u − δ
         adj[v].append((u, delta))   # φ_u = φ_v + δ
     phi = np.zeros(d)
@@ -313,10 +304,9 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
         if visited[root]:
             continue
         visited[root] = True
-        phi[root] = 0.0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v, delta in adj[u]:
                 if not visited[v]:
                     visited[v] = True
@@ -550,95 +540,93 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     )
 
 
-def _hermitian_generators(blocks: np.ndarray, d: int) -> list[np.ndarray]:
-    """Hermitian spanning set of an adjoint-closed commuting block family."""
-    gens = [blocks[i, i] for i in range(d)]
+def _hermitian_generators(blocks: np.ndarray, d: int):
+    """Hermitian matrices that all commute iff the blocks (B_ji = B_ij†) are normal and commute.
+
+    First a fixed generic combination Σ W_ij B_ij (W Hermitian, with
+    Weyl-sequence phases): its eigenvalue gaps are typically as wide as
+    the whole family's, so one ``eigh`` usually separates every common
+    eigenvector, and no split rests on a single block's near-degenerate
+    pair.  Then the spanning set B_ii, B_ij + B_ji, i(B_ij − B_ji) for
+    whatever that left degenerate.
+    """
+    n = np.arange(1, d * d + 1).reshape(d, d)
+    Z = np.exp(2j * np.pi * (n * _GOLDEN % 1.0))
+    yield np.einsum("ij,ijkl->kl", Z + Z.conj().T, blocks)
+    for i in range(d):
+        yield blocks[i, i]
     for i in range(d):
         for j in range(i + 1, d):
-            gens.append(blocks[i, j] + blocks[j, i])
-            gens.append(1j * (blocks[i, j] - blocks[j, i]))
-    return [hermitize(g) for g in gens]
+            yield blocks[i, j] + blocks[j, i]
+            yield 1j * (blocks[i, j] - blocks[j, i])
 
 
-def _refine_eigenbasis(gens: list[np.ndarray], d: int) -> np.ndarray:
-    """Sequentially diagonalize commuting Hermitian generators.
+def _common_basis(blocks: np.ndarray, d: int) -> np.ndarray:
+    """Unitary whose columns diagonalize every block of a commuting normal family.
 
-    Starts from the eigenbasis of the first generator and re-diagonalizes
-    each later generator inside every remaining degenerate eigenspace.
+    Diagonalizes the Hermitian generators one after another, each inside
+    the eigenspaces (eigenvalue gaps ≤ DEGENERACY_GAP) that the earlier
+    ones left degenerate, and stops once every eigenspace is
+    one-dimensional.  Deterministic.  For any other family the result is
+    just some unitary, which the off-diagonal test then rejects.
     """
     U = np.eye(d, dtype=complex)
     groups = [list(range(d))]
-    for g in gens:
+    for g in _hermitian_generators(blocks, d):
+        if not groups:
+            break
         new_groups = []
         for grp in groups:
-            if len(grp) == 1:
-                new_groups.append(grp)
-                continue
-            sub = U[:, grp].conj().T @ g @ U[:, grp]
-            w, v = np.linalg.eigh(hermitize(sub))
-            U[:, grp] = U[:, grp] @ v
+            V = U[:, grp]
+            w, v = np.linalg.eigh(hermitize(V.conj().T @ g @ V))
+            U[:, grp] = V @ v
             start = 0
             for t in range(1, len(grp) + 1):
                 if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
-                    new_groups.append(grp[start:t])
+                    if t - start > 1:
+                        new_groups.append(grp[start:t])
                     start = t
         groups = new_groups
     return U
 
 
 def classical_decomposition(
-    rho: np.ndarray, d: int, side: str, seed: int = 0, tol: float = DEFAULT_TOL
+    rho: np.ndarray, d: int, side: str, tol: float = DEFAULT_TOL
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Decompose a zero-discord state as Σ p_k |k⟩⟨k| ⊗ ρ_k on the given side.
 
-    The common eigenbasis comes from a random Hermitian combination of the
-    commuting blocks (redrawn up to five times on spectral degeneracy,
-    then refined sequentially inside degenerate eigenspaces).  Raises
-    :class:`PreconditionError` when the structural test fails or the
-    reassembly residual exceeds 1e−8.
+    The |k⟩ are the columns of the common eigenbasis behind the
+    :func:`structural_discord_zero` verdict, so the decomposition is that
+    verdict's certificate.  Returns (p_k, |k⟩, ρ_k) triples.  Raises
+    :class:`PreconditionError` when the verdict is nonzero or the
+    reassembly residual exceeds ``REASSEMBLY_TOL``.
     """
     verdict = structural_discord_zero(rho, d, side, tol)
     if not verdict.zero_discord:
         raise PreconditionError(
             f"state has nonzero structural discord on side {side}: {verdict.witness}"
         )
-    blocks = extract_blocks(rho, d, side).blocks
-    gens = _hermitian_generators(blocks, d)
-    rng = np.random.default_rng(seed)
-    U = None
-    for _ in range(5):
-        coeffs = rng.standard_normal(len(gens))
-        M = sum(c * g for c, g in zip(coeffs, gens))
-        w, v = np.linalg.eigh(hermitize(M))
-        if d == 1 or np.diff(w).min() >= DEGENERACY_GAP:
-            U = v
-            break
-    if U is None:
-        U = _refine_eigenbasis(gens, d)
-    rho4 = np.asarray(rho, dtype=complex).reshape(d, d, d, d)
-    result = []
-    reassembled = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in range(d):
-        vec = U[:, k]
-        if side == "A":
-            sigma = np.einsum("a,abcd,c->bd", vec.conj(), rho4, vec)
-        else:
-            sigma = np.einsum("b,abcd,d->ac", vec.conj(), rho4, vec)
-        p = float(np.trace(sigma).real)
-        if p >= 1e-14:
-            cond = hermitize(sigma) / p
-        else:
-            p = max(p, 0.0)
-            cond = np.eye(d, dtype=complex) / d
-        proj = np.outer(vec, vec.conj())
-        if side == "A":
-            reassembled += kron(proj, sigma)
-        else:
-            reassembled += kron(sigma, proj)
-        result.append((p, vec, cond))
-    residual = frobenius(np.asarray(rho, dtype=complex) - reassembled)
+    U = verdict.basis
+    rho = np.asarray(rho, dtype=complex)
+    rho4 = rho.reshape(d, d, d, d)
+    if side == "A":
+        sigma = np.einsum("ak,abcd,ck->kbd", U.conj(), rho4, U, optimize=True)
+        reassembled = np.einsum("ak,ck,kbd->abcd", U, U.conj(), sigma, optimize=True)
+    else:
+        sigma = np.einsum("bk,abcd,dk->kac", U.conj(), rho4, U, optimize=True)
+        reassembled = np.einsum("bk,dk,kac->abcd", U, U.conj(), sigma, optimize=True)
+    residual = frobenius(rho - reassembled.reshape(d * d, d * d))
     if residual > REASSEMBLY_TOL:
         raise PreconditionError(
             f"classical reassembly residual {residual:.3e} exceeds {REASSEMBLY_TOL}"
         )
+    result = []
+    for k in range(d):
+        p = float(np.trace(sigma[k]).real)
+        if p >= 1e-14:
+            cond = hermitize(sigma[k]) / p
+        else:
+            p = max(p, 0.0)
+            cond = np.eye(d, dtype=complex) / d
+        result.append((p, U[:, k], cond))
     return result

@@ -311,6 +311,8 @@ def main(argv=None) -> int:
     try:
         if not np.isfinite(args.tol):
             raise InvalidSpec("--tol must be finite")
+        if args.starts < 1:
+            raise InvalidSpec("--starts must be at least 1")
         return args.func(args)
     except DiscordantError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix primitives: Kronecker products, partial traces,
-Hermitian eigendecomposition, entropies, normality and commutation tests.
+"""Dense complex-matrix primitives: density-matrix validation, partial
+traces, entropies, and the Fourier and Haar-random unitaries.
 
 All entropies are in bits (base-2 logarithms).  Tolerances are hybrid
 absolute/relative, ``tol * max(1, scale)``, so they behave uniformly
@@ -7,8 +7,6 @@ across magnitudes.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,35 +22,14 @@ EIG_FLOOR = -1e-10
 ENTROPY_CUTOFF = 1e-12
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def frobenius(M: np.ndarray) -> float:
     """Frobenius norm as a plain float."""
     return float(np.linalg.norm(M))
 
 
-def dagger(M: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return M.conj().T
-
-
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize a nearly Hermitian matrix: (M + M†)/2."""
     return (M + M.conj().T) / 2.0
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product, (A⊗B)[i·rB+k, j·cB+l] = A[i,j]·B[k,l]."""
-    return np.kron(np.asarray(A), np.asarray(B))
 
 
 def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -103,16 +80,6 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def eig_hermitian(M: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix; symmetrizes before solving.
-
-    Eigenvalues come back ascending with orthonormal eigenvector columns.
-    """
-    M = _require_square(M)
-    w, v = np.linalg.eigh(hermitize(np.asarray(M, dtype=complex)))
-    return Spectrum(w, v)
-
-
 def entropy_of_weights(w: np.ndarray) -> float:
     """Shannon entropy in bits of a nonnegative weight vector summing to 1."""
     w = np.asarray(w, dtype=float)
@@ -133,23 +100,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     if w[0] < EIG_FLOOR:
         raise InvalidSpec(f"state has negative eigenvalue {w[0]:.3e}")
     return entropy_of_weights(np.clip(w, 0.0, None))
-
-
-def is_normal(M: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff ‖MM† − M†M‖_F ≤ tol·max(1, ‖M‖_F²)."""
-    M = np.asarray(_require_square(M), dtype=complex)
-    Md = M.conj().T
-    defect = frobenius(M @ Md - Md @ M)
-    return defect <= tol * max(1.0, frobenius(M) ** 2)
-
-
-def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
-    """Frobenius norm of AB − BA."""
-    A = np.asarray(_require_square(A, "A"), dtype=complex)
-    B = np.asarray(_require_square(B, "B"), dtype=complex)
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return frobenius(A @ B - B @ A)
 
 
 def fourier_matrix(d: int) -> np.ndarray:

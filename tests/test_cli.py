@@ -317,3 +317,18 @@ def test_non_finite_pi_flag_exits_2(capsys):
     )
     assert code == 2
     assert "finite" in err
+
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "isotropic", "--d", "2", "--lambda", "0.5"],
+    ["verify", "--d", "3"],
+    ["simplex"],
+], ids=["analyze", "verify", "simplex"])
+def test_starts_below_one_exits_2(capsys, command):
+    # OptimizerConfig's ValueError used to escape as a traceback with exit 1
+    for value in ("0", "-1"):
+        code, out, err = run_cli(command + ["--starts", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--starts" in err

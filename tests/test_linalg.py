@@ -1,31 +1,19 @@
-"""Linear-algebra kernel: traces, entropies, normality, unitaries."""
+"""Linear-algebra kernel: traces, entropies, unitaries; package exports."""
 
 import numpy as np
 import pytest
 
+import discordant
 from discordant.errors import DimensionError, InvalidSpec
 from discordant.linalg import (
     check_density_matrix,
-    commutator_norm,
-    eig_hermitian,
     entropy_of_weights,
     fourier_matrix,
     hermitize,
-    is_normal,
     partial_trace,
     random_unitary,
     von_neumann_entropy,
 )
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_commutator_norm_pauli():
-    # [σx, σz] = −2iσy, whose Frobenius norm is 2·√2.
-    assert commutator_norm(SIGMA_X, SIGMA_Z) == pytest.approx(2 * np.sqrt(2), abs=1e-14)
-    assert commutator_norm(SIGMA_X, SIGMA_X) == 0.0
 
 
 def test_entropy_half_half():
@@ -84,23 +72,6 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
 
-def test_eig_hermitian_sorted_and_consistent():
-    rng = np.random.default_rng(2)
-    m = rng.random((4, 4)) + 1j * rng.random((4, 4))
-    h = hermitize(m)
-    spec = eig_hermitian(h)
-    assert np.all(np.diff(spec.eigenvalues) >= 0)
-    recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    np.testing.assert_allclose(recon, h, atol=1e-12)
-
-
-def test_is_normal():
-    assert is_normal(SIGMA_X)
-    assert is_normal(np.diag([1.0, 2.0, 3.0]).astype(complex))
-    upper = np.array([[1, 1], [0, 1]], dtype=complex)
-    assert not is_normal(upper)
-
-
 def test_fourier_matrix_unitary():
     for d in (2, 3, 5):
         F = fourier_matrix(d)
@@ -113,3 +84,8 @@ def test_random_unitary_deterministic_and_unitary():
     u2 = random_unitary(4, np.random.default_rng(7))
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_package_exports_resolve():
+    missing = [name for name in discordant.__all__ if not hasattr(discordant, name)]
+    assert missing == []
