@@ -13,6 +13,7 @@ overrides ``--seed`` everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .blocks import (
     is_prime,
     structural_discord_zero,
 )
-from .discord import OptimizerConfig, discord
+from .discord import OptimizerConfig, discord_sides
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
     LoadedState,
@@ -180,8 +181,7 @@ def cmd_analyze(args) -> int:
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 
     agreement = True
-    for side in sides:
-        result = discord(loaded.rho, d, side, cfg)
+    for side, result in zip(sides, discord_sides(loaded.rho, d, sides, cfg)):
         report["numeric"][side] = result.to_json()
         zero = structural[side].zero_discord
         if zero and result.discord > NUMERIC_NONZERO_TOL:
@@ -264,6 +264,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", help="write output to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discordant",
@@ -309,10 +310,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not np.isfinite(args.tol):
-            raise InvalidSpec("--tol must be finite")
-        if args.starts < 1:
-            raise InvalidSpec("--starts must be at least 1")
+        if not (np.isfinite(args.tol) and args.tol >= 0):
+            raise InvalidSpec("--tol must be finite and nonnegative")
+        for flag in ("starts", "draws", "grid"):
+            if getattr(args, flag, 1) < 1:
+                raise InvalidSpec(f"--{flag} must be at least 1")
         return args.func(args)
     except DiscordantError as exc:
         print(f"error: {exc}", file=sys.stderr)

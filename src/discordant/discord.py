@@ -10,10 +10,11 @@ the entropy left after measuring.  A stack of bases is scored at once:
 one contraction gives every conditional state σ_k, one batched
 eigendecomposition gives f and its closed-form Riemannian gradient on
 U(d).  A seeded screen (identity, Fourier basis, a few hundred Haar
-draws) picks the starts, and steepest descent along the geodesics
-U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen, IEEE TSP 2008) refines them
-together.  Computing discord is NP-complete (Huang, NJP 16, 033027,
-2014), so the search keeps several starts and stays heuristic: every
+draws, scored by eigenvalues alone) picks the starts, and steepest
+descent along the geodesics U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen,
+IEEE TSP 2008) refines them together, both measured sides in one stack.
+Computing discord is NP-complete (Huang, NJP 16, 033027, 2014), so the
+search keeps several starts and stays heuristic: every
 returned C is an achieved value, hence a certified lower bound on the
 supremum, and D a certified upper bound on the discord.  Zero/nonzero
 verdicts should rely on d ∈ {2, 3}, where start coverage is dense.
@@ -110,10 +111,13 @@ class DiscordResult:
         }
 
 
-def _check_bipartite(rho: np.ndarray, d: int) -> np.ndarray:
+def _check_bipartite(rho: np.ndarray, d: int, sides=()) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
+    for side in sides:
+        if side not in ("A", "B"):
+            raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return rho
 
 
@@ -138,31 +142,33 @@ def _contraction(rho: np.ndarray, d: int, side: str) -> np.ndarray:
 
 
 def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
-    """f(U) = Σ_k p_k S(σ_k/p_k) for a stack of bases U, shape (S, d, d).
+    """f(U) = Σ_k p_k S(σ_k/p_k) for stacks of S bases U, shape (..., S, d, d).
 
-    Returns f, shape (S,), and with ``gradient`` the descent direction
-    Ω = A − A†, A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
+    R, shape (..., d², d²), is one contraction per leading index (one per
+    measured side).  Returns f, shape (..., S), from eigenvalues alone, and
+    with ``gradient`` the descent direction Ω = A − A†,
+    A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
     G_k = −log₂(σ_k/p_k): along any skew-Hermitian X,
     d/dt f(exp(tX)U) at t = 0 is Tr(XΩ), and −‖Ω‖² along Ω itself.
     """
-    S, d, _ = U.shape
-    cols = U.transpose(0, 2, 1)
-    # W[s, k] = (U_k U_k†)ᵀ: the k-th projector, flattened to contract with R.
-    W = cols.conj()[:, :, :, None] * cols[:, :, None, :]
-    sigma = (W.reshape(S * d, d * d) @ R).reshape(S, d, d, d)
+    *batch, S, d, _ = U.shape
+    cols = U.swapaxes(-1, -2)
+    # W[..., s, k] = (U_k U_k†)ᵀ: the k-th projector, flattened to contract with R.
+    W = cols.conj()[..., None] * cols[..., None, :]
+    sigma = (W.reshape(*batch, S * d, d * d) @ R).reshape(*batch, S, d, d, d)
     sigma = (sigma + sigma.conj().swapaxes(-1, -2)) / 2
-    lam, V = np.linalg.eigh(sigma)
+    lam, V = np.linalg.eigh(sigma) if gradient else (np.linalg.eigvalsh(sigma), None)
     lam = np.clip(lam, 0.0, None)
-    p = np.einsum("skii->sk", sigma).real[..., None]
+    p = np.einsum("...kii->...k", sigma).real[..., None]
     logs = np.log2(np.maximum(lam, P_UNDERFLOW) / np.maximum(p, P_UNDERFLOW))
     used = (lam > P_UNDERFLOW) & (p > P_UNDERFLOW)
-    f = -np.where(used, lam * logs, 0.0).sum(axis=(1, 2))
+    f = -np.where(used, lam * logs, 0.0).sum(axis=(-2, -1))
     if not gradient:
         return f, None
     g = np.where(p > P_UNDERFLOW, -logs, 0.0)
     G = (V * g[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    M = (G.swapaxes(-1, -2).reshape(S * d, d * d) @ R.T).reshape(S, d, d, d)
-    A = (W.swapaxes(-1, -2) @ M).sum(axis=1)
+    M = G.swapaxes(-1, -2).reshape(*batch, S * d, d * d) @ R.swapaxes(-1, -2)
+    A = (W.swapaxes(-1, -2) @ M.reshape(*batch, S, d, d, d)).sum(axis=-3)
     return f, A - A.conj().swapaxes(-1, -2)
 
 
@@ -170,9 +176,7 @@ def conditional_entropy(
     rho: np.ndarray, d: int, basis: MeasurementBasis, side: str
 ) -> float:
     """Σ_k p_k S(ρ_{other|k}) for a projective measurement on ``side``."""
-    rho = _check_bipartite(rho, d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    rho = _check_bipartite(rho, d, (side,))
     basis.validate()
     f, _ = _objective(_contraction(rho, d, side), basis.vectors[None], gradient=False)
     return float(f[0])
@@ -180,14 +184,15 @@ def conditional_entropy(
 
 def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(i·t·H) for a stack of Hermitian H = V diag(w) V†, one t per matrix."""
-    return (V * np.exp(1j * t[:, None, None] * w[:, None, :])) @ V.conj().swapaxes(-1, -2)
+    return (V * np.exp(1j * t[..., None, None] * w[..., None, :])) @ V.conj().swapaxes(-1, -2)
 
 
-def _start_bases(d: int, cfg: OptimizerConfig, R: np.ndarray, rng) -> np.ndarray:
-    """The ``cfg.starts`` best of a screened candidate batch, each slightly rotated.
+def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarray:
+    """Per contraction in Rs, the ``cfg.starts`` best screened bases, slightly rotated.
 
-    The candidates are the identity, the Fourier basis and Haar draws (one
-    batched QR).  The rotation matters: for Bell-diagonal states the
+    The candidates (the identity, the Fourier basis and Haar draws from one
+    batched QR) and the rotations are drawn once for all sides; each side
+    is scored alone.  The rotation matters: for Bell-diagonal states the
     identity and Fourier bases are exact critical points, where Ω = 0 and
     descent would never leave them.
     """
@@ -197,29 +202,30 @@ def _start_bases(d: int, cfg: OptimizerConfig, R: np.ndarray, rng) -> np.ndarray
     diag = np.diagonal(T, axis1=-2, axis2=-1)
     haar = Q * (diag / np.abs(diag))[:, None, :]
     candidates = np.concatenate([np.eye(d)[None], fourier_matrix(d)[None], haar])
-    f, _ = _objective(R, candidates, gradient=False)
-    picked = candidates[np.argsort(f, kind="stable")[: cfg.starts]]
     Z = rng.standard_normal((cfg.starts, d, d)) + 1j * rng.standard_normal((cfg.starts, d, d))
     w, V = np.linalg.eigh(Z + Z.conj().swapaxes(-1, -2))
-    return _exp_i(w, V, np.full(cfg.starts, START_KICK)) @ picked
+    kick = _exp_i(w, V, np.full(cfg.starts, START_KICK))
+    scores = [_objective(R, candidates, gradient=False)[0] for R in Rs]
+    return np.stack([kick @ candidates[np.argsort(f, kind="stable")[: cfg.starts]] for f in scores])
 
 
-def _optimize(rho: np.ndarray, d: int, side: str, cfg: OptimizerConfig):
+def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     """Steepest descent of f on U(d) along geodesics U ← exp(μΩ)U, all starts at once.
 
-    Each start keeps its own Armijo step μ, doubled after an accepted step
-    and halved after a rejected one, and stops once μ‖Ω‖², the decrease a
-    step can still promise, is at most ``cfg.f_tol``.
+    The ``len(sides) × cfg.starts`` bases descend as one stack, and each
+    start follows the trajectory it would alone: it keeps its own Armijo
+    step μ, doubled after an accepted step and halved after a rejected one,
+    and stops once μ‖Ω‖², the decrease a step can still promise, is at most
+    ``cfg.f_tol``.  Returns (C, best basis, converged starts) per side.
     """
-    R = _contraction(rho, d, side)
-    s_other = von_neumann_entropy(partial_trace(rho, d, d, side))
-    rng = np.random.default_rng(cfg.seed)
-    U = _start_bases(d, cfg, R, rng)
+    cfg = cfg or OptimizerConfig()
+    R = np.stack([_contraction(rho, d, side) for side in sides])
+    U = _start_bases(d, cfg, R, np.random.default_rng(cfg.seed))
     f, omega = _objective(R, U)
-    mu = np.ones(len(U))
-    done = np.zeros(len(U), dtype=bool)
+    mu = np.ones(f.shape)
+    done = np.zeros(f.shape, dtype=bool)
     for _ in range(cfg.max_iters):
-        slope = np.sum(np.abs(omega) ** 2, axis=(1, 2))
+        slope = np.sum(np.abs(omega) ** 2, axis=(-2, -1))
         done |= mu * slope <= cfg.f_tol
         if done.all():
             break
@@ -227,12 +233,15 @@ def _optimize(rho: np.ndarray, d: int, side: str, cfg: OptimizerConfig):
         trial = _exp_i(w, V, mu) @ U
         f_trial, omega_trial = _objective(R, trial)
         ok = ~done & (f_trial <= f - ARMIJO * mu * slope)
-        U = np.where(ok[:, None, None], trial, U)
+        U = np.where(ok[..., None, None], trial, U)
         f = np.where(ok, f_trial, f)
-        omega = np.where(ok[:, None, None], omega_trial, omega)
+        omega = np.where(ok[..., None, None], omega_trial, omega)
         mu = np.where(done, mu, np.where(ok, 2 * mu, mu / 2))
-    best = int(np.argmin(f))
-    return max(s_other - float(f[best]), 0.0), MeasurementBasis(d, U[best]), int(done.sum())
+    return [
+        (max(von_neumann_entropy(partial_trace(rho, d, d, side)) - float(f[s, b]), 0.0),
+         MeasurementBasis(d, U[s, b]), int(done[s].sum()))
+        for s, (side, b) in enumerate(zip(sides, np.argmin(f, axis=-1)))
+    ]
 
 
 def classical_correlation(
@@ -243,30 +252,33 @@ def classical_correlation(
     Deterministic for a fixed ``cfg.seed``; returns the best value found
     and the maximizing basis.
     """
-    rho = _check_bipartite(rho, d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    cfg = cfg or OptimizerConfig()
-    value, basis, _ = _optimize(rho, d, side, cfg)
+    rho = _check_bipartite(rho, d, (side,))
+    value, basis, _ = _optimize(rho, d, (side,), cfg)[0]
     return value, basis
+
+
+def discord_sides(
+    rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None = None
+) -> list[DiscordResult]:
+    """D = I − C per measured side in ``sides``, all sides in one batched descent.
+
+    Each side gets the result ``discord`` gives it alone.  |D| ≤ 1e−9 is
+    clipped to exactly 0, and C is then reported as I so that D = I − C
+    holds exactly in the result.
+    """
+    rho = _check_bipartite(rho, d, sides)
+    info = mutual_information(rho, d)
+    results = []
+    for side, (value, basis, converged) in zip(sides, _optimize(rho, d, sides, cfg)):
+        dval = info - value
+        if abs(dval) <= ZERO_CLIP:
+            dval, value = 0.0, info
+        results.append(DiscordResult(side, info, value, dval, basis, converged))
+    return results
 
 
 def discord(
     rho: np.ndarray, d: int, side: str, cfg: OptimizerConfig | None = None
 ) -> DiscordResult:
-    """D = I − C for one measured side, with |D| ≤ 1e−9 clipped to exactly 0.
-
-    When the clip fires, C is reported as I so that D = I − C holds
-    exactly in the result.
-    """
-    rho = _check_bipartite(rho, d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    cfg = cfg or OptimizerConfig()
-    info = mutual_information(rho, d)
-    value, basis, converged = _optimize(rho, d, side, cfg)
-    dval = info - value
-    if abs(dval) <= ZERO_CLIP:
-        dval = 0.0
-        value = info
-    return DiscordResult(side, info, value, dval, basis, converged)
+    """D = I − C for one measured side; see ``discord_sides``."""
+    return discord_sides(rho, d, (side,), cfg)[0]

@@ -144,16 +144,12 @@ class SuiteResult:
         }
 
 
-def _numeric_cfg(seed: int, starts: int | None) -> OptimizerConfig:
-    return OptimizerConfig(starts=starts or 24, seed=seed)
-
-
 def run_verify(
     d: int,
     seed: int = 0,
     tol: float = 1e-9,
     draws: int = 20,
-    starts: int | None = None,
+    starts: int = 24,
 ) -> tuple[list[SuiteResult], bool]:
     """Run the cross-check suites for one prime dimension.
 
@@ -250,7 +246,7 @@ def run_verify(
                 kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
                 spec = perturb_spec(spec, kind, float(rng.uniform(0.05, 0.15)), rng)
             rho = circulant_state(spec)
-            dval = discord(rho, d, side, _numeric_cfg(seed + t, starts)).discord
+            dval = discord(rho, d, side, OptimizerConfig(starts=starts, seed=seed + t)).discord
             if t < 3:
                 suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
             else:
@@ -266,7 +262,7 @@ def o2_simplex_rows(
     every: int = 10,
     tol: float = 1e-9,
     seed: int = 0,
-    starts: int | None = None,
+    starts: int = 24,
 ):
     """Rows of the d=2 orthogonal-invariant simplex scan.
 
@@ -277,7 +273,7 @@ def o2_simplex_rows(
     from .states import orthogonal_invariant_state  # deferred: keeps import light
 
     values = np.linspace(0.0, 1.0, grid)
-    cfg = OptimizerConfig(starts=starts or 24, seed=seed)
+    cfg = OptimizerConfig(starts=starts, seed=seed)
     emitted = 0
     for b in values:
         for c in values:

@@ -332,3 +332,32 @@ def test_starts_below_one_exits_2(capsys, command):
         assert code == 2
         assert out == ""
         assert "--starts" in err
+
+
+def test_parser_reuse_leaks_no_values(capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not become the default of the next
+    argv = ["analyze", "--family", "werner", "--d", "2", "--lambda", "0", "--starts", "2"]
+    code, out, _ = run_cli(argv + ["--side", "A"], capsys)
+    assert code == 0 and json.loads(out)["sides"] == ["A"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["sides"] == ["A", "B"]
+    assert set(report["numeric"]) == {"A", "B"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["analyze", "--family", "isotropic", "--d", "2", "--lambda", "0", "--tol", "-1"], "--tol"),
+    (["verify", "--d", "3", "--draws", "-1"], "--draws"),
+    (["verify", "--d", "3", "--draws", "0"], "--draws"),
+    (["simplex", "--grid", "-3"], "--grid"),
+    (["simplex", "--grid", "0"], "--grid"),
+], ids=["tol-negative", "draws-negative", "draws-zero", "grid-negative", "grid-zero"])
+def test_bad_numeric_flags_exit_2(capsys, command, flag):
+    # a negative --tol gave a false disagreement (exit 3), --draws below 1
+    # ran no draws and passed, and a negative --grid raised a traceback
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err

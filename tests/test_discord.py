@@ -13,6 +13,7 @@ from discordant.discord import (
     classical_correlation,
     conditional_entropy,
     discord,
+    discord_sides,
     mutual_information,
 )
 from discordant.errors import InvalidMeasurement
@@ -29,7 +30,7 @@ from discordant.states import (
     max_entangled_projector,
     werner_state,
 )
-from discordant.verify import random_classical_bell
+from discordant.verify import perturb_spec, random_classical_bell, random_zero_discord_spec
 
 from test_blocks import classical_x_spec
 
@@ -206,22 +207,94 @@ def _exp_skew(X):
 
 
 def test_riemannian_gradient_matches_finite_differences():
+    # Both sides stacked in one call: R is (2, d², d²), U is (2, 1, d, d).
     rng = np.random.default_rng(21)
     h = 1e-5
     for d in (2, 3):
-        for side in ("A", "B"):
-            for _ in range(3):
-                rho = _random_full_rank_state(d, rng)
-                R = _contraction(rho, d, side)
-                U = random_unitary(d, rng)
-                _, omega = _objective(R, U[None])
-                Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                X = (Z - Z.conj().T) / 2
-                f_plus, _ = _objective(R, (_exp_skew(h * X) @ U)[None], gradient=False)
-                f_minus, _ = _objective(R, (_exp_skew(-h * X) @ U)[None], gradient=False)
-                numeric = (f_plus[0] - f_minus[0]) / (2 * h)
-                analytic = np.trace(X @ omega[0]).real
+        for _ in range(3):
+            rho = _random_full_rank_state(d, rng)
+            R = np.stack([_contraction(rho, d, side) for side in ("A", "B")])
+            U = np.stack([random_unitary(d, rng)[None] for _ in range(2)])
+            f, omega = _objective(R, U)
+            for s in range(2):
+                f_one, omega_one = _objective(R[s], U[s])
+                np.testing.assert_array_equal(f[s], f_one)
+                np.testing.assert_array_equal(omega[s], omega_one)
+            Z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            X = (Z - Z.conj().swapaxes(-1, -2)) / 2
+            f_plus, _ = _objective(R, np.stack([_exp_skew(h * x) @ u for x, u in zip(X, U)]),
+                                   gradient=False)
+            f_minus, _ = _objective(R, np.stack([_exp_skew(-h * x) @ u for x, u in zip(X, U)]),
+                                    gradient=False)
+            for s in range(2):
+                numeric = (f_plus[s, 0] - f_minus[s, 0]) / (2 * h)
+                analytic = np.trace(X[s] @ omega[s, 0]).real
                 assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+def _eigh_conditional_entropy(rho, d, vectors, side):
+    """Σ_k p_k S(σ_k/p_k) from explicit conditional states and a full ``eigh``."""
+    rho4 = rho.reshape(d, d, d, d)
+    total = 0.0
+    for k in range(d):
+        v = vectors[:, k]
+        if side == "A":
+            sigma = np.einsum("x,xyzw,z->yw", v.conj(), rho4, v)
+        else:
+            sigma = np.einsum("y,xyzw,w->xz", v.conj(), rho4, v)
+        lam, _ = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+        p = lam.sum()
+        lam = lam[lam > 1e-14]
+        total -= float(np.sum(lam * np.log2(lam / p)))
+    return total
+
+
+def test_conditional_entropy_matches_eigh_reference():
+    rng = np.random.default_rng(23)
+    for d in (2, 3):
+        for side in ("A", "B"):
+            for _ in range(4):
+                rho = _random_full_rank_state(d, rng)
+                basis = MeasurementBasis(d, random_unitary(d, rng))
+                got = conditional_entropy(rho, d, basis, side)
+                want = _eigh_conditional_entropy(rho, d, basis.vectors, side)
+                assert abs(got - want) <= 1e-13
+
+
+def _sides_states(d, rng):
+    zero = random_zero_discord_spec(d, "A", rng)
+    p, _ = random_classical_bell(d, 1, rng)
+    return [
+        circulant_state(zero),
+        circulant_state(perturb_spec(zero, "modulus", 0.1, rng)),
+        circulant_state(werner_state(d, 0.2)),
+        # classical Bell: Ω = 0 at the identity and Fourier bases
+        circulant_state(bell_diagonal_state(BellWeights(d, p))),
+    ]
+
+
+def test_discord_sides_equals_separate_calls():
+    rng = np.random.default_rng(29)
+    for d in (2, 3):
+        for n, rho in enumerate(_sides_states(d, rng)):
+            for starts in (1, 3):
+                cfg = OptimizerConfig(starts=starts, seed=n)
+                both = discord_sides(rho, d, ("A", "B"), cfg)
+                assert [r.side for r in both] == ["A", "B"]
+                for side, got in zip(("A", "B"), both):
+                    alone = discord(rho, d, side, cfg)
+                    assert got.classical_correlation == alone.classical_correlation
+                    assert got.discord == alone.discord
+                    assert got.mutual_information == alone.mutual_information
+                    assert got.starts_converged == alone.starts_converged
+                    np.testing.assert_array_equal(
+                        got.best_measurement.vectors, alone.best_measurement.vectors
+                    )
+
+
+def test_discord_sides_rejects_unknown_side():
+    with pytest.raises(ValueError):
+        discord_sides(np.eye(4, dtype=complex) / 4, 2, ("A", "C"))
 
 
 PAULI = (

@@ -115,3 +115,11 @@ def test_simplex_numeric_agrees_with_flags():
             assert r["numeric_discord"] <= 1e-6
         elif abs(r["b"] - r["c"]) >= 0.05:
             assert r["numeric_discord"] >= 1e-5
+
+
+def test_zero_starts_rejected_by_library():
+    # starts=0 used to be replaced by 24 starts without a word
+    with pytest.raises(ValueError):
+        run_verify(3, draws=1, starts=0)
+    with pytest.raises(ValueError):
+        list(o2_simplex_rows(grid=3, starts=0))
