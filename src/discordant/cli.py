@@ -53,12 +53,15 @@ _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
 
 def _effective_seed(args) -> int:
     env = os.environ.get("DISCORDANT_SEED")
+    seed = args.seed
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InvalidSpec(f"DISCORDANT_SEED must be an integer, got {env!r}") from None
-    return args.seed
+    if seed < 0:
+        raise InvalidSpec(f"the seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -315,6 +318,8 @@ def main(argv=None) -> int:
         for flag in ("starts", "draws", "grid"):
             if getattr(args, flag, 1) < 1:
                 raise InvalidSpec(f"--{flag} must be at least 1")
+        if getattr(args, "every", 0) < 0:
+            raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)
     except DiscordantError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,8 @@ U(d).  A seeded screen (identity, Fourier basis, a few hundred Haar
 draws, scored by eigenvalues alone) picks the starts, and steepest
 descent along the geodesics U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen,
 IEEE TSP 2008) refines them together, both measured sides in one stack.
+Each step length μ is the minimizer of a parabola fitted to the last
+trial (Nocedal & Wright, Numerical Optimization, §3.5).
 Computing discord is NP-complete (Huang, NJP 16, 033027, 2014), so the
 search keeps several starts and stays heuristic: every
 returned C is an achieved value, hence a certified lower bound on the
@@ -38,8 +40,10 @@ ZERO_CLIP = 1e-9
 SCREEN_DRAWS = 254
 #: Angle scale of the seeded rotation applied to each picked start.
 START_KICK = 0.05
-#: Armijo fraction: a step μ is accepted if it lowers f by ARMIJO·μ‖Ω‖².
-ARMIJO = 0.5
+#: Armijo fraction: a step μ is accepted if it lowers f by ARMIJO·μ‖Ω‖².  It
+#: must stay well below 1/2, where the parabola's minimizer (the next step)
+#: lies exactly on the acceptance boundary.
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.f_tol <= 0:
-            raise ValueError("f_tol must be positive")
+        if not (np.isfinite(self.f_tol) and self.f_tol > 0):
+            raise ValueError("f_tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -213,10 +219,13 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     """Steepest descent of f on U(d) along geodesics U ← exp(μΩ)U, all starts at once.
 
     The ``len(sides) × cfg.starts`` bases descend as one stack, and each
-    start follows the trajectory it would alone: it keeps its own Armijo
-    step μ, doubled after an accepted step and halved after a rejected one,
-    and stops once μ‖Ω‖², the decrease a step can still promise, is at most
-    ``cfg.f_tol``.  Returns (C, best basis, converged starts) per side.
+    start follows the trajectory it would alone.  It keeps its own step μ
+    and takes a trial step only if it passes the Armijo test.  The next μ,
+    whether or not the trial passed, minimizes the parabola through f, the
+    slope −‖Ω‖² and the trial value, within [μ/10, 4μ]; a trial that gains
+    at least the slope promises sets 4μ.  A start stops once μ‖Ω‖², the
+    decrease a step can still promise, is at most ``cfg.f_tol``.  Returns
+    (C, best basis, converged starts) per side.
     """
     cfg = cfg or OptimizerConfig()
     R = np.stack([_contraction(rho, d, side) for side in sides])
@@ -232,11 +241,15 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
         w, V = np.linalg.eigh(-1j * omega)
         trial = _exp_i(w, V, mu) @ U
         f_trial, omega_trial = _objective(R, trial)
+        # f_trial = f − μ‖Ω‖² + cμ² fixes the curvature c; the minimizer is ‖Ω‖²/2c.
+        excess = f_trial - f + mu * slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = np.where(excess > 0, mu * mu * slope / (2 * excess), 4 * mu)
         ok = ~done & (f_trial <= f - ARMIJO * mu * slope)
         U = np.where(ok[..., None, None], trial, U)
         f = np.where(ok, f_trial, f)
         omega = np.where(ok[..., None, None], omega_trial, omega)
-        mu = np.where(done, mu, np.where(ok, 2 * mu, mu / 2))
+        mu = np.where(done, mu, np.clip(fit, mu / 10, 4 * mu))
     return [
         (max(von_neumann_entropy(partial_trace(rho, d, d, side)) - float(f[s, b]), 0.0),
          MeasurementBasis(d, U[s, b]), int(done[s].sum()))

@@ -353,11 +353,30 @@ def test_parser_reuse_leaks_no_values(capsys):
     (["verify", "--d", "3", "--draws", "0"], "--draws"),
     (["simplex", "--grid", "-3"], "--grid"),
     (["simplex", "--grid", "0"], "--grid"),
-], ids=["tol-negative", "draws-negative", "draws-zero", "grid-negative", "grid-zero"])
+    (["simplex", "--grid", "3", "--every", "-5"], "--every"),
+], ids=["tol-negative", "draws-negative", "draws-zero", "grid-negative", "grid-zero",
+        "every-negative"])
 def test_bad_numeric_flags_exit_2(capsys, command, flag):
     # a negative --tol gave a false disagreement (exit 3), --draws below 1
-    # ran no draws and passed, and a negative --grid raised a traceback
+    # ran no draws and passed, a negative --grid raised a traceback, and a
+    # negative --every silently meant "never"
     code, out, err = run_cli(command, capsys)
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("command, env", [
+    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1", "--seed", "-1"], None),
+    (["verify", "--d", "2", "--draws", "1", "--seed", "-1"], None),
+    (["simplex", "--grid", "3", "--seed", "-1"], None),
+    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1"], "-3"),
+], ids=["analyze", "verify", "simplex", "env"])
+def test_negative_seed_exits_2(capsys, monkeypatch, command, env):
+    # NumPy's seeding raised "expected non-negative integer" as a traceback
+    if env is not None:
+        monkeypatch.setenv("DISCORDANT_SEED", env)
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err

@@ -165,6 +165,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(f_tol=0.0)
+    for f_tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OptimizerConfig(f_tol=f_tol)
+    with pytest.raises(ValueError):
+        OptimizerConfig(seed=-1)
 
 
 def _bloch_scan_discord(rho, side, n_theta=41, n_phi=80):
@@ -295,6 +300,25 @@ def test_discord_sides_equals_separate_calls():
 def test_discord_sides_rejects_unknown_side():
     with pytest.raises(ValueError):
         discord_sides(np.eye(4, dtype=complex) / 4, 2, ("A", "C"))
+
+
+def test_step_rule_converges_in_few_iterations():
+    # Each step length is the minimizer of the parabola through f, the slope
+    # −‖Ω‖² and the trial value.  These states need at most 12 iterations
+    # with it; doubling and halving the step needed 33 to 39 on every one.
+    max_iters = 24
+    rng = np.random.default_rng(28)
+    states = [circulant_state(werner_state(3, lam)) for lam in (0.1, 0.2)]
+    for n, kind in enumerate(("modulus", "diagonal", "phase")):
+        spec = random_zero_discord_spec(3, "AB"[n % 2], rng)
+        states.append(circulant_state(perturb_spec(spec, kind, 0.1, rng)))
+    for n, rho in enumerate(states):
+        capped = discord_sides(rho, 3, ("A", "B"),
+                               OptimizerConfig(starts=2, max_iters=max_iters, seed=n))
+        full = discord_sides(rho, 3, ("A", "B"), OptimizerConfig(starts=2, seed=n))
+        for got, want in zip(capped, full):
+            assert got.starts_converged == 2
+            assert abs(got.classical_correlation - want.classical_correlation) <= 1e-12
 
 
 PAULI = (
