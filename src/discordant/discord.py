@@ -10,7 +10,9 @@ the entropy left after measuring.  A stack of bases is scored at once:
 one contraction gives every conditional state σ_k, one batched
 eigendecomposition gives f and its closed-form Riemannian gradient on
 U(d).  A seeded screen (identity, Fourier basis, a few hundred Haar
-draws, scored by eigenvalues alone) picks the starts, and steepest
+draws) picks the starts.  It scores them from closed-form eigenvalues at
+d = 2 and 3, which are accurate enough to rank candidates but not to
+report a value: every returned number comes from LAPACK.  Steepest
 descent along the geodesics U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen,
 IEEE TSP 2008) refines them together, both measured sides in one stack.
 Each step length μ is the minimizer of a parabola fitted to the last
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidMeasurement
-from .linalg import fourier_matrix, partial_trace, von_neumann_entropy
+from .linalg import fourier_matrix, partial_trace, random_unitary, von_neumann_entropy
 
 #: Measurement outcome weights below this are treated as never occurring.
 P_UNDERFLOW = 1e-14
@@ -80,8 +82,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("starts", "max_iters", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.f_tol) and self.f_tol > 0):
             raise ValueError("f_tol must be finite and positive")
         if self.seed < 0:
@@ -147,15 +154,54 @@ def _contraction(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     return rho4.transpose(perm).reshape(d * d, d * d)
 
 
+def _small_eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian matrices, shape (..., d, d).
+
+    Closed forms at d = 2 (m ± hypot((a − b)/2, |x|)) and at d = 3 (the
+    trigonometric Cardano form: Smith, Comm. ACM 4, 168, 1961; Kopp,
+    Int. J. Mod. Phys. C 19, 523, 2008), ``np.linalg.eigvalsh`` above.
+    Per-matrix LAPACK overhead dominates a stack of tiny matrices; the
+    closed forms avoid it.  At d = 3 a near-degenerate pair is resolved
+    only to about 1e-8·‖H‖: its splitting goes as √(1 − r), and rounding
+    moves r by ~1e-16.
+    """
+    d = H.shape[-1]
+    if d == 2:
+        a, b = H[..., 0, 0].real, H[..., 1, 1].real
+        m, r = (a + b) / 2, np.hypot((a - b) / 2, np.abs(H[..., 0, 1]))
+        return np.stack([m - r, m + r], axis=-1)
+    if d != 3:
+        return np.linalg.eigvalsh(H)
+    a0, a1, a2 = (H[..., k, k].real for k in range(3))
+    q = (a0 + a1 + a2) / 3
+    a0, a1, a2 = a0 - q, a1 - q, a2 - q
+    x, y, z = H[..., 0, 1], H[..., 0, 2], H[..., 1, 2]
+    xx, yy, zz = (w.real ** 2 + w.imag ** 2 for w in (x, y, z))
+    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2 * (xx + yy + zz)) / 6)
+    det = a0 * a1 * a2 + 2 * (x * z * y.conj()).real - a0 * zz - a1 * yy - a2 * xx
+    # (H − q)/p has eigenvalues 2cos(φ + 2πj/3) with cos 3φ = det((H − q)/p)/2.
+    # Dividing by p one factor at a time: p³ itself underflows for p < 1e-103.
+    s = np.where(p > 0, p, 1.0)
+    phi = np.arccos(np.clip(det / (2 * s) / s / s, -1.0, 1.0)) / 3
+    top = q + 2 * p * np.cos(phi)
+    bottom = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    middle = np.minimum(np.maximum(3 * q - top - bottom, bottom), top)
+    return np.stack([bottom, middle, top], axis=-1)
+
+
 def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     """f(U) = Σ_k p_k S(σ_k/p_k) for stacks of S bases U, shape (..., S, d, d).
 
     R, shape (..., d², d²), is one contraction per leading index (one per
-    measured side).  Returns f, shape (..., S), from eigenvalues alone, and
-    with ``gradient`` the descent direction Ω = A − A†,
+    measured side).  Returns f, shape (..., S), and with ``gradient`` the
+    descent direction Ω = A − A†,
     A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
     G_k = −log₂(σ_k/p_k): along any skew-Hermitian X,
     d/dt f(exp(tX)U) at t = 0 is Tr(XΩ), and −‖Ω‖² along Ω itself.
+
+    Without ``gradient``, f comes from ``_small_eigvalsh``, accurate enough
+    to rank candidates but not to report a value: at d = 3 a near-degenerate
+    σ_k can shift f by ~1e-7 bits.  Callers that return f use ``gradient``.
     """
     *batch, S, d, _ = U.shape
     cols = U.swapaxes(-1, -2)
@@ -163,7 +209,7 @@ def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     W = cols.conj()[..., None] * cols[..., None, :]
     sigma = (W.reshape(*batch, S * d, d * d) @ R).reshape(*batch, S, d, d, d)
     sigma = (sigma + sigma.conj().swapaxes(-1, -2)) / 2
-    lam, V = np.linalg.eigh(sigma) if gradient else (np.linalg.eigvalsh(sigma), None)
+    lam, V = np.linalg.eigh(sigma) if gradient else (_small_eigvalsh(sigma), None)
     lam = np.clip(lam, 0.0, None)
     p = np.einsum("...kii->...k", sigma).real[..., None]
     logs = np.log2(np.maximum(lam, P_UNDERFLOW) / np.maximum(p, P_UNDERFLOW))
@@ -184,7 +230,7 @@ def conditional_entropy(
     """Σ_k p_k S(ρ_{other|k}) for a projective measurement on ``side``."""
     rho = _check_bipartite(rho, d, (side,))
     basis.validate()
-    f, _ = _objective(_contraction(rho, d, side), basis.vectors[None], gradient=False)
+    f, _ = _objective(_contraction(rho, d, side), basis.vectors[None])
     return float(f[0])
 
 
@@ -196,17 +242,13 @@ def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarray:
     """Per contraction in Rs, the ``cfg.starts`` best screened bases, slightly rotated.
 
-    The candidates (the identity, the Fourier basis and Haar draws from one
-    batched QR) and the rotations are drawn once for all sides; each side
-    is scored alone.  The rotation matters: for Bell-diagonal states the
-    identity and Fourier bases are exact critical points, where Ω = 0 and
-    descent would never leave them.
+    The candidates (the identity, the Fourier basis and Haar draws) and
+    the rotations are drawn once for all sides; each side is scored alone
+    with ``_objective``'s eigenvalue-only branch.  The rotation matters:
+    for Bell-diagonal states the identity and Fourier bases are exact
+    critical points, where Ω = 0 and descent would never leave them.
     """
-    n = max(SCREEN_DRAWS, cfg.starts)
-    Z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    Q, T = np.linalg.qr(Z)
-    diag = np.diagonal(T, axis1=-2, axis2=-1)
-    haar = Q * (diag / np.abs(diag))[:, None, :]
+    haar = random_unitary(d, rng, max(SCREEN_DRAWS, cfg.starts))
     candidates = np.concatenate([np.eye(d)[None], fourier_matrix(d)[None], haar])
     Z = rng.standard_normal((cfg.starts, d, d)) + 1j * rng.standard_normal((cfg.starts, d, d))
     w, V = np.linalg.eigh(Z + Z.conj().swapaxes(-1, -2))
@@ -233,10 +275,10 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     f, omega = _objective(R, U)
     mu = np.ones(f.shape)
     done = np.zeros(f.shape, dtype=bool)
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
         slope = np.sum(np.abs(omega) ** 2, axis=(-2, -1))
         done |= mu * slope <= cfg.f_tol
-        if done.all():
+        if done.all() or it == cfg.max_iters:  # the last pass only tests the last step
             break
         w, V = np.linalg.eigh(-1j * omega)
         trial = _exp_i(w, V, mu) @ U

@@ -110,8 +110,14 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * (j * k % d) / d) / np.sqrt(d)
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d×d unitary from the QR of a complex Gaussian matrix."""
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_unitary(d: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Haar-distributed d×d unitary from the QR of a complex Gaussian matrix.
+
+    With ``count``, a stack of that many, shape (count, d, d), from one
+    batched QR, which is bit-identical to a QR of each matrix alone.
+    """
+    shape = (d, d) if count is None else (count, d, d)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]

@@ -1,7 +1,12 @@
 """Numeric oracle: mutual information, conditional entropy, discord."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from discordant.blocks import bell_zero_discord_check, structural_discord_zero
 from discordant.discord import (
@@ -10,6 +15,7 @@ from discordant.discord import (
     OptimizerConfig,
     _contraction,
     _objective,
+    _small_eigvalsh,
     classical_correlation,
     conditional_entropy,
     discord,
@@ -30,7 +36,13 @@ from discordant.states import (
     max_entangled_projector,
     werner_state,
 )
-from discordant.verify import perturb_spec, random_classical_bell, random_zero_discord_spec
+from discordant.verify import (
+    NUMERIC_NONZERO_TOL,
+    NUMERIC_ZERO_TOL,
+    perturb_spec,
+    random_classical_bell,
+    random_zero_discord_spec,
+)
 
 from test_blocks import classical_x_spec
 
@@ -170,6 +182,12 @@ def test_optimizer_config_validation():
             OptimizerConfig(f_tol=f_tol)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
+    for max_iters in (0, -5):
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iters=max_iters)
+    for field in ("starts", "max_iters", "seed"):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{field: 2.5})
 
 
 def _bloch_scan_discord(rho, side, n_theta=41, n_phi=80):
@@ -341,8 +359,8 @@ def _luo_discord(rho):
     return 2 - von_neumann_entropy(rho) - classical
 
 
-def test_bell_diagonal_matches_luo_closed_form():
-    rng = np.random.default_rng(8)
+def _luo_states(rng):
+    """Two-qubit Bell-diagonal states: six random, three with near-degenerate |c_i|."""
     states = [
         circulant_state(bell_diagonal_state(BellWeights(2, w.reshape(2, 2))))
         for w in rng.dirichlet(np.ones(4), size=6)
@@ -353,6 +371,11 @@ def test_bell_diagonal_matches_luo_closed_form():
         c1 = rng.uniform(0.2, 0.6)
         c = rng.permutation([c1, -(c1 - delta), rng.uniform(-0.2, 0.2)])
         states.append((np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4)
+    return states
+
+
+def test_bell_diagonal_matches_luo_closed_form():
+    states = _luo_states(np.random.default_rng(8))
     for n, rho in enumerate(states):
         reference = _luo_discord(rho)
         for side in ("A", "B"):
@@ -377,3 +400,79 @@ def test_classical_bell_d3_leaves_stationary_starts():
                 assert structural_discord_zero(rho, 3, side).zero_discord
                 res = discord(rho, 3, side, OptimizerConfig(starts=2, seed=seed))
                 assert res.discord == 0.0
+
+
+def test_start_converged_on_last_allowed_step():
+    # A start that meets f_tol on its last allowed step has converged: with
+    # max_iters = 6 the first start stops where it stops with 7.
+    rho = circulant_state(werner_state(3, 0.2))
+    got = discord_sides(rho, 3, ("A",), OptimizerConfig(starts=2, max_iters=6, seed=0))[0]
+    more = discord_sides(rho, 3, ("A",), OptimizerConfig(starts=2, max_iters=7, seed=0))[0]
+    assert got.classical_correlation == more.classical_correlation
+    assert got.starts_converged == 1
+
+
+def _hermitian_stacks(d, rng, n=300):
+    """Random, rank-1, scalar, zero and doubly-degenerate stacks of d×d Hermitian matrices."""
+    Z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    V = np.linalg.qr(Z)[0]
+    w = rng.normal(size=(n, d))
+    w[:, 1] = w[:, 0]
+    return {
+        "random": Z + Z.conj().swapaxes(-1, -2),
+        "rank-1": Z[..., :, :1] @ Z[..., :, :1].conj().swapaxes(-1, -2),
+        "scalar": rng.normal(size=(n, 1, 1)) * np.eye(d),
+        "zero": np.zeros((n, d, d), dtype=complex),
+        "degenerate": (V * w[:, None, :]) @ V.conj().swapaxes(-1, -2),
+    }
+
+
+def test_small_eigvalsh_matches_lapack():
+    rng = np.random.default_rng(31)
+    for d in (2, 3):
+        for kind, H in _hermitian_stacks(d, rng).items():
+            rel = 1e-14 if d == 2 or kind == "random" else 1e-7
+            err = np.abs(_small_eigvalsh(H) - np.linalg.eigvalsh(H)).max(axis=-1)
+            assert (err <= rel * np.linalg.norm(H, axis=(-2, -1))).all(), (d, kind)
+    H = _hermitian_stacks(4, rng)["random"]
+    np.testing.assert_array_equal(_small_eigvalsh(H), np.linalg.eigvalsh(H))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda d: arrays(float, (2, d, d), elements=st.floats(-10, 10, allow_subnormal=False))
+    )
+)
+def test_small_eigvalsh_ascending_with_trace_sum(parts):
+    H = (parts[0] + parts[0].T) / 2 + 1j * (parts[1] - parts[1].T) / 2
+    w = _small_eigvalsh(H[None])[0]
+    assert (np.diff(w) >= 0).all()
+    assert abs(w.sum() - np.trace(H).real) <= 1e-12 * np.linalg.norm(H)
+
+
+def _numeric_verdict(dval):
+    return "zero" if dval <= NUMERIC_ZERO_TOL else "nonzero" if dval >= NUMERIC_NONZERO_TOL else "gap"
+
+
+def test_screen_eigenvalues_do_not_change_results(monkeypatch):
+    # The closed-form screen only ranks candidates: with LAPACK in its place
+    # every state gets the same D, verdict and converged-start count.
+    rng = np.random.default_rng(37)
+    cases = [(d, rho) for d in (2, 3) for rho in _sides_states(d, rng)]
+    cases += [(2, rho) for rho in _luo_states(rng)]
+
+    def run():
+        return [discord_sides(rho, d, ("A", "B"), OptimizerConfig(starts=4, seed=n))
+                for n, (d, rho) in enumerate(cases)]
+
+    closed = run()
+    # the package's ``discord`` function shadows the submodule of that name
+    module = importlib.import_module("discordant.discord")
+    monkeypatch.setattr(module, "_small_eigvalsh", np.linalg.eigvalsh)
+    lapack = run()
+    for got, want in zip(closed, lapack):
+        for a, b in zip(got, want):
+            assert abs(a.discord - b.discord) <= 1e-12
+            assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
+            assert a.starts_converged == b.starts_converged

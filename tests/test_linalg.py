@@ -84,6 +84,14 @@ def test_random_unitary_deterministic_and_unitary():
     u2 = random_unitary(4, np.random.default_rng(7))
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
+    # a batch is one QR of the stacked draws, bit-identical to one QR per matrix
+    stack = random_unitary(3, np.random.default_rng(7), 5)
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    for u, g in zip(stack, G):
+        Q, R = np.linalg.qr(g)
+        np.testing.assert_array_equal(u, Q * (np.diag(R) / np.abs(np.diag(R))))
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_package_exports_resolve():
