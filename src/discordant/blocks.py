@@ -21,11 +21,14 @@ with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
 fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
 witness.  Bell-diagonal states additionally admit a weight-space test:
-discord vanishes iff p[m, n] = π_{(m + nα) mod d} for some α.
+discord vanishes iff p is constant on the classes of one of the d + 1
+lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some α or
+p[m, n] = π_n.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -53,6 +56,12 @@ CRITERION_COMMUTATION = "general-commutation"
 CRITERION_CIRCULANT = "circulant-theorem"
 CRITERION_BELL = "bell-theorem"
 CRITERION_DIAGONAL = "diagonal-classical"
+
+#: Names of the (diagonal, off-diagonal) necessary conditions per side.
+_CONDITIONS = {
+    "A": ("diagonal-shift", "offdiagonal-modulus-shift"),
+    "B": ("diagonal-invariance", "offdiagonal-modulus"),
+}
 
 
 def is_prime(n: int) -> bool:
@@ -109,6 +118,8 @@ class StructuralVerdict:
     witness: dict | None = None
     fitted_phases: PhaseVector | None = None
     alpha: int | None = None
+    #: "n" when a Bell verdict rests on the line p[m, n] = π_n, else None.
+    line: str | None = None
     pi: np.ndarray | None = None
     #: The basis a general-commutation verdict tested the blocks in (not serialized).
     basis: np.ndarray | None = field(default=None, repr=False)
@@ -119,6 +130,7 @@ class StructuralVerdict:
             "zero_discord": self.zero_discord,
             "criterion": self.criterion,
             "alpha": self.alpha,
+            "line": self.line,
             "phases": None if self.fitted_phases is None else [float(x) for x in self.fitted_phases.phi],
             "pi": None if self.pi is None else [float(x) for x in self.pi],
             "witness": self.witness,
@@ -227,37 +239,46 @@ def structural_discord_zero(
 
 
 def _all_diagonal(spec: CirculantSpec) -> bool:
-    return all(
-        np.all(np.abs(m - np.diag(np.diag(m))) <= ZERO_TOL) for m in spec.a
-    )
+    off = np.abs(np.asarray(spec.a))
+    idx = np.arange(spec.d)
+    off[:, idx, idx] = 0.0
+    return bool(off.max() <= ZERO_TOL)
+
+
+@functools.cache
+def _shifts(d: int) -> np.ndarray:
+    """shifts[k, i] = (i + k) mod d (cached, read-only)."""
+    shifts = (np.arange(d)[:, None] + np.arange(d)) % d
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _reference_stack(a0: np.ndarray, side: str) -> np.ndarray:
+    """The φ = 0 family: slice k is a^(0)_{i+k, j+k} (side A) or a^(0) (side B)."""
+    d = a0.shape[0]
+    if side == "A":
+        s = _shifts(d)
+        return a0[s[:, :, None], s[:, None, :]]
+    if side == "B":
+        return np.repeat(a0[None], d, axis=0)
+    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def _psi_table(phi: np.ndarray) -> np.ndarray:
     """Window sums Ψ[k, i] = Σ_{s<k} φ_{(i+s) mod d}."""
     d = phi.shape[0]
-    psi = np.zeros((d, d))
-    for k in range(1, d):
-        psi[k] = psi[k - 1] + phi[(np.arange(d) + k - 1) % d]
-    return psi
+    return np.cumsum(np.vstack([np.zeros(d), phi[_shifts(d)[:-1]]]), axis=0)
+
+
+def _family_stack(a0: np.ndarray, phi: np.ndarray, side: str) -> np.ndarray:
+    psi = _psi_table(np.asarray(phi, dtype=float))
+    phase = np.exp(1j * (psi[:, :, None] - psi[:, None, :]))
+    return phase * _reference_stack(np.asarray(a0, dtype=complex), side)
 
 
 def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
     """Build the d sector matrices generated by a^(0) and phase angles φ."""
-    a0 = np.asarray(a0, dtype=complex)
-    d = a0.shape[0]
-    psi = _psi_table(np.asarray(phi, dtype=float))
-    idx = np.arange(d)
-    mats = []
-    for k in range(d):
-        phase = np.exp(1j * (psi[k][:, None] - psi[k][None, :]))
-        if side == "A":
-            base = a0[np.ix_((idx + k) % d, (idx + k) % d)]
-        elif side == "B":
-            base = a0
-        else:
-            raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-        mats.append(phase * base)
-    return mats
+    return list(_family_stack(a0, phi, side))
 
 
 def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
@@ -321,30 +342,29 @@ def _spec_scale(spec: CirculantSpec) -> float:
     return max(1.0, max(frobenius(m) for m in spec.a))
 
 
-def _verify_phase_family(
-    spec: CirculantSpec, phi: np.ndarray, side: str, tol: float
-):
+def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: float):
     """Compare every sector matrix against the phase-generated family.
 
     Returns None when all entries match within tol·max(1, scale), else the
-    lexicographically first violation as a witness dict.
+    lexicographically first violation (in k, i, j) as a witness dict.
     """
-    family = phase_family(spec.a[0], phi, side)
+    family = _family_stack(spec.a[0], phi, side)
+    a = np.asarray(spec.a)
+    delta = np.abs(family - a)
     thr = tol * _spec_scale(spec)
-    for k in range(spec.d):
-        delta = np.abs(family[k] - spec.a[k])
-        if np.any(delta > thr):
-            i, j = np.argwhere(delta > thr)[0]
-            return {
-                "kind": "relation-violation",
-                "k": int(k),
-                "entry": [int(i), int(j)],
-                "expected": [float(family[k][i, j].real), float(family[k][i, j].imag)],
-                "actual": [float(spec.a[k][i, j].real), float(spec.a[k][i, j].imag)],
-                "delta": float(delta[i, j]),
-                "tolerance": float(thr),
-            }
-    return None
+    bad = delta > thr
+    if not bad.any():
+        return None
+    k, i, j = np.argwhere(bad)[0]
+    return {
+        "kind": "relation-violation",
+        "k": int(k),
+        "entry": [int(i), int(j)],
+        "expected": [float(family[k, i, j].real), float(family[k, i, j].imag)],
+        "actual": [float(a[k, i, j].real), float(a[k, i, j].imag)],
+        "delta": float(delta[k, i, j]),
+        "tolerance": float(thr),
+    }
 
 
 def circulant_theorem_check(
@@ -364,12 +384,8 @@ def circulant_theorem_check(
     phi = _fit_phases(spec, side)
     phases = PhaseVector(spec.d, phi)
     witness = _verify_phase_family(spec, phi, side, tol)
-    if witness is None:
-        return StructuralVerdict(
-            True, side, CRITERION_CIRCULANT, fitted_phases=phases
-        )
     return StructuralVerdict(
-        False, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phases
+        witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phases
     )
 
 
@@ -387,32 +403,17 @@ def circulant_necessary_conditions(
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if _all_diagonal(spec):
         return NecessaryConditionsReport(side, True, True)
-    d = spec.d
-    thr = tol * _spec_scale(spec)
-    failures = []
-    for n in range(1, d):
-        for i in range(d):
-            for j in range(d):
-                if side == "B":
-                    ref = spec.a[0][i, j]
-                else:
-                    ref = spec.a[0][(i + n) % d, (j + n) % d]
-                got = spec.a[n][i, j]
-                if i == j:
-                    if abs(got - ref) > thr:
-                        failures.append(
-                            ConditionFailure(
-                                "diagonal-invariance" if side == "B" else "diagonal-shift",
-                                n, i, j, float(got.real), float(ref.real),
-                            )
-                        )
-                elif abs(abs(got) - abs(ref)) > thr:
-                    failures.append(
-                        ConditionFailure(
-                            "offdiagonal-modulus" if side == "B" else "offdiagonal-modulus-shift",
-                            n, i, j, float(abs(got)), float(abs(ref)),
-                        )
-                    )
+    a = np.asarray(spec.a)
+    got, ref = a[1:], _reference_stack(a[0], side)[1:]
+    diag = np.eye(spec.d, dtype=bool)
+    got_abs, ref_abs = np.abs(got), np.abs(ref)
+    fail = np.abs(np.where(diag, got - ref, got_abs - ref_abs)) > tol * _spec_scale(spec)
+    got, ref = np.where(diag, got.real, got_abs), np.where(diag, ref.real, ref_abs)
+    names = _CONDITIONS[side]
+    failures = [
+        ConditionFailure(names[i != j], n + 1, i, j, float(got[n, i, j]), float(ref[n, i, j]))
+        for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
+    ]
     return NecessaryConditionsReport(side, not failures, False, failures)
 
 
@@ -450,48 +451,41 @@ def completely_classical_check(
 ) -> StructuralVerdict:
     """Test whether discord vanishes on both sides simultaneously.
 
-    Requires a uniform diagonal a^(0)_{ii} = 1/d², a constant off-diagonal
-    modulus in a^(0), and a fittable side-A phase relation; all-diagonal
-    specs are classical unconditionally.
+    All-diagonal specs are classical outright.  Otherwise a^(0) must have
+    the uniform diagonal 1/d² (the side-A relation shifts every sector's
+    diagonal, the side-B relation keeps it, so both pin it to a constant),
+    and :func:`circulant_theorem_check` must pass on side A and on side B.
+    A zero verdict carries side A's phases; a nonzero one the first
+    failing side's witness (with its ``side``) and phases.
     """
     _require_prime(spec.d)
     if _all_diagonal(spec):
         return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
-    d = spec.d
-    thr = tol * _spec_scale(spec)
     diag = np.diag(spec.a[0])
-    target = 1.0 / d**2
-    for i in range(d):
-        if abs(diag[i] - target) > thr:
-            return StructuralVerdict(
-                False,
-                "both",
-                CRITERION_CIRCULANT,
-                witness={
-                    "kind": "nonuniform-diagonal",
-                    "entry": [int(i), int(i)],
-                    "got": float(diag[i].real),
-                    "want": target,
-                },
-            )
-    off = np.abs(spec.a[0][~np.eye(d, dtype=bool)])
-    if off.size and off.max() - off.min() > thr:
+    target = 1.0 / spec.d**2
+    bad = np.flatnonzero(np.abs(diag - target) > tol * _spec_scale(spec))
+    if bad.size:
+        i = int(bad[0])
         return StructuralVerdict(
             False,
             "both",
             CRITERION_CIRCULANT,
             witness={
-                "kind": "nonconstant-offdiagonal-modulus",
-                "min": float(off.min()),
-                "max": float(off.max()),
+                "kind": "nonuniform-diagonal",
+                "entry": [i, i],
+                "got": float(diag[i].real),
+                "want": target,
             },
         )
-    inner = circulant_theorem_check(spec, "A", tol)
+    side_a = circulant_theorem_check(spec, "A", tol)
+    inner = circulant_theorem_check(spec, "B", tol) if side_a.zero_discord else side_a
+    if inner.zero_discord:
+        return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
     return StructuralVerdict(
-        inner.zero_discord,
+        False,
         "both",
         inner.criterion,
-        witness=inner.witness,
+        witness={**inner.witness, "side": inner.side},
         fitted_phases=inner.fitted_phases,
     )
 
@@ -499,9 +493,12 @@ def completely_classical_check(
 def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     """Weight-space zero-discord test for Bell-diagonal states at prime d.
 
-    Discord vanishes (on both sides at once) iff p[m, n] = π_{(m+nα) mod d}
-    for some α; the smallest qualifying α is reported together with the
-    recovered π values.
+    Discord vanishes (on both sides at once) iff p is constant on the
+    classes of one of the d + 1 lines through the origin of Z_d × Z_d:
+    p[m, n] = π_{(m+nα) mod d} for some α, or p[m, n] = π_n.  The α-lines
+    are scanned first, so the smallest qualifying α is reported (``line``
+    None); the last line reports ``line`` "n" and ``alpha`` None.  The
+    recovered π values come with either.
     """
     if not isinstance(w, BellWeights):
         p = np.asarray(w, dtype=float)
@@ -511,30 +508,29 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     validate_bell_weights(w)
     d = w.d
     _require_prime(d)
-    m_idx, n_idx = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    best = None  # (max spread, alpha)
-    for alpha in range(d):
-        residue = (m_idx + n_idx * alpha) % d
-        spread = 0.0
-        pi = np.zeros(d)
-        for r in range(d):
-            vals = w.p[residue == r]
-            spread = max(spread, float(vals.max() - vals.min()))
-            pi[r] = float(vals.mean())
-        if spread <= tol:
-            return StructuralVerdict(
-                True, "both", CRITERION_BELL, alpha=alpha, pi=pi
-            )
-        if best is None or spread < best[0]:
-            best = (spread, alpha)
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    labels = (m + n * np.arange(d)[:, None, None]) % d  # labels[α, m, n]
+    labels = np.concatenate([labels, n[None]]).reshape(d + 1, d * d)
+    order = np.argsort(labels, axis=1, kind="stable")
+    classes = w.p.ravel()[order].reshape(d + 1, d, d)  # [line, class, member]
+    spread = (classes.max(axis=2) - classes.min(axis=2)).max(axis=1)
+    lines = [(alpha, None) for alpha in range(d)] + [(None, "n")]
+    ok = np.flatnonzero(spread <= tol)
+    if ok.size:
+        alpha, line = lines[ok[0]]
+        pi = classes[ok[0]].mean(axis=1)
+        return StructuralVerdict(True, "both", CRITERION_BELL, alpha=alpha, line=line, pi=pi)
+    best = int(np.argmin(spread))
+    alpha, line = lines[best]
     return StructuralVerdict(
         False,
         "both",
         CRITERION_BELL,
         witness={
             "kind": "residue-class-spread",
-            "best_alpha": int(best[1]),
-            "spread": float(best[0]),
+            "best_alpha": alpha,
+            "best_line": line,
+            "spread": float(spread[best]),
             "tolerance": float(tol),
         },
     )

@@ -36,16 +36,9 @@ from .serialize import (
     circulant_to_json,
     dense_to_json,
     load_state_file,
+    parse_state,
 )
-from .states import (
-    CirculantSpec,
-    bell_diagonal_state,
-    circulant_state,
-    isotropic_state,
-    orthogonal_invariant_state,
-    project_circulant,
-    werner_state,
-)
+from .states import CirculantSpec, project_circulant
 from .verify import NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
 
 _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
@@ -75,27 +68,23 @@ def _parse_floats(text: str, name: str) -> list[float]:
 
 
 def _family_state(args, validate: bool) -> LoadedState:
-    """Build a LoadedState from inline family flags."""
+    """Parse the schema dict that the inline family flags describe."""
     if args.d is None:
         raise InvalidSpec("--d is required with --family")
     d = args.d
     fam = args.family
+    obj = {"kind": fam, "d": d}
     if fam in ("werner", "isotropic"):
         if args.lam is None:
             raise InvalidSpec(f"--lambda is required for family {fam!r}")
-        build = werner_state if fam == "werner" else isotropic_state
-        spec = build(d, args.lam, validate=validate)
-        return LoadedState(fam, d, circulant_state(spec, validate=False), spec=spec,
-                           params={"lambda": args.lam})
-    if fam == "orthogonal":
+        obj["lambda"] = args.lam
+    elif fam == "orthogonal":
         if args.abc is None:
             raise InvalidSpec("--abc is required for family 'orthogonal'")
-        abc = _parse_floats(args.abc, "abc")
-        if len(abc) != 3:
+        obj["abc"] = _parse_floats(args.abc, "abc")
+        if len(obj["abc"]) != 3:
             raise InvalidSpec("--abc must have exactly three values")
-        rho = orthogonal_invariant_state(abc, d)
-        return LoadedState("orthogonal", d, rho, params={"abc": abc})
-    if fam == "bell":
+    elif fam == "bell":
         if args.pi is None or args.alpha is None:
             raise InvalidSpec("family 'bell' needs --alpha and --pi (π values, one per residue)")
         pi = np.asarray(_parse_floats(args.pi, "pi"), dtype=float)
@@ -108,13 +97,10 @@ def _family_state(args, validate: bool) -> LoadedState:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-6:
             raise InvalidSpec(f"π values give total weight {total:.6f}, expected 1 (Σπ = 1/d)")
-        p /= total
-        from .states import BellWeights
-
-        w = BellWeights(d, p)
-        spec = bell_diagonal_state(w)
-        return LoadedState("bell", d, circulant_state(spec, validate=False), spec=spec, weights=w)
-    raise InvalidSpec(f"unknown family {args.family!r}; expected one of {_FAMILIES}")
+        obj["p"] = (p / total).tolist()
+    else:
+        raise InvalidSpec(f"unknown family {args.family!r}; expected one of {_FAMILIES}")
+    return parse_state(obj, validate)
 
 
 def _load_input(args, validate: bool) -> LoadedState:
@@ -260,10 +246,11 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pi", help="comma-separated π values (classical Bell family)")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="optimizer seed")
-    sub.add_argument("--tol", type=float, default=1e-9, help="structural tolerance")
-    sub.add_argument("--starts", type=int, default=24, help="optimizer starts")
+def _add_common_flags(sub: argparse.ArgumentParser, numeric: bool = True) -> None:
+    if numeric:
+        sub.add_argument("--seed", type=int, default=0, help="optimizer seed")
+        sub.add_argument("--tol", type=float, default=1e-9, help="structural tolerance")
+        sub.add_argument("--starts", type=int, default=24, help="optimizer starts")
     sub.add_argument("--output", "-o", help="write output to a file instead of stdout")
 
 
@@ -287,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="state JSON path to re-emit")
     _add_family_flags(p)
     p.add_argument("--dense", action="store_true", help="emit the dense matrix form")
-    _add_common_flags(p)
+    _add_common_flags(p, numeric=False)
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("verify", help="run the cross-check suites")
@@ -313,7 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (np.isfinite(args.tol) and args.tol >= 0):
+        tol = getattr(args, "tol", 0.0)
+        if not (np.isfinite(tol) and tol >= 0):
             raise InvalidSpec("--tol must be finite and nonnegative")
         for flag in ("starts", "draws", "grid"):
             if getattr(args, flag, 1) < 1:

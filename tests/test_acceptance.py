@@ -318,6 +318,26 @@ def test_criterion_5_bell_classification():
             D = discord(rho, d, "A", _cfg(d)).discord
             if D < NUMERIC_NONZERO:
                 failures.append((d, "numeric-nonzero", D))
+
+    # the (d + 1)-th line: p[m, n] = π_n, from its own generator
+    rng_n = np.random.default_rng(55)
+    for d in (2, 3, 5):
+        for rep in range(3):
+            pi = rng_n.dirichlet(np.ones(d)) / d
+            p = np.tile(pi, (d, 1))
+            verdict = bell_zero_discord_check(p)
+            if not verdict.zero_discord or verdict.line != "n" or verdict.alpha is not None:
+                failures.append((d, "line-n-recovery", verdict.alpha, verdict.line))
+            elif np.abs(np.asarray(verdict.pi) - pi).max() > 1e-12:
+                failures.append((d, "line-n-pi-recovery"))
+            rho = circulant_state(bell_diagonal_state(BellWeights(d, p)))
+            for side in ("A", "B"):
+                if not structural_discord_zero(rho, d, side).zero_discord:
+                    failures.append((d, "line-n", side, "structural"))
+            if d in (2, 3) and rep == 0:
+                D = discord(rho, d, "A", _cfg(d)).discord
+                if D > NUMERIC_ZERO:
+                    failures.append((d, "line-n-numeric-zero", D))
     _report(5, "bell-diagonal classification", failures, time.monotonic() - t0, 120)
 
 

@@ -8,6 +8,7 @@ from discordant.blocks import (
     CRITERION_CIRCULANT,
     CRITERION_COMMUTATION,
     CRITERION_DIAGONAL,
+    DEFAULT_TOL,
     DEGENERACY_GAP,
     REASSEMBLY_TOL,
     _fit_phases,
@@ -23,7 +24,7 @@ from discordant.blocks import (
     structural_discord_zero,
 )
 from discordant.errors import InvalidSpec, PreconditionError, PrimeRequired
-from discordant.linalg import random_unitary
+from discordant.linalg import fourier_matrix, random_unitary
 from discordant.states import (
     ZERO_TOL,
     BellWeights,
@@ -38,6 +39,8 @@ from discordant.verify import (
     perturb_spec,
     random_classical_bell,
     random_nonclassical_bell,
+    random_phases,
+    random_psd,
     random_zero_discord_spec,
 )
 
@@ -280,6 +283,34 @@ def test_phase_family_relations():
             )
 
 
+def _phase_family_loop(a0, phi, side):
+    """Reference: the window sums and the sector matrices built one k at a time."""
+    d = a0.shape[0]
+    psi = np.zeros((d, d))
+    for k in range(1, d):
+        psi[k] = psi[k - 1] + phi[(np.arange(d) + k - 1) % d]
+    idx = np.arange(d)
+    mats = []
+    for k in range(d):
+        phase = np.exp(1j * (psi[k][:, None] - psi[k][None, :]))
+        base = a0[np.ix_((idx + k) % d, (idx + k) % d)] if side == "A" else a0
+        mats.append(phase * base)
+    return mats
+
+
+def test_phase_family_matches_loop_reference_exactly():
+    rng = np.random.default_rng(19)
+    for d in (2, 3, 5, 13):
+        a0 = random_psd(d, rng)
+        for phi in (random_phases(d, rng), np.zeros(d), -np.zeros(d)):
+            for side in ("A", "B"):
+                got = phase_family(a0, phi, side)
+                want = _phase_family_loop(a0, phi, side)
+                assert isinstance(got, list) and len(got) == d
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (d, side)
+
+
 def test_circulant_theorem_round_trip_both_sides():
     rng = np.random.default_rng(2)
     for d in (2, 3, 5):
@@ -432,6 +463,56 @@ def test_necessary_conditions_reports():
     assert ok.passed and not ok.failures
 
 
+def _necessary_conditions_loop(spec, side, tol=DEFAULT_TOL):
+    """Reference: every entry condition checked one entry at a time."""
+    d, a = spec.d, spec.a
+    if all(abs(m[i, j]) <= ZERO_TOL for m in a for i in range(d) for j in range(d) if i != j):
+        return []
+    thr = tol * max(1.0, max(np.linalg.norm(m) for m in a))
+    failures = []
+    for n in range(1, d):
+        for i in range(d):
+            for j in range(d):
+                ref = a[0][i, j] if side == "B" else a[0][(i + n) % d, (j + n) % d]
+                got = a[n][i, j]
+                if i == j:
+                    if abs(got - ref) > thr:
+                        name = "diagonal-invariance" if side == "B" else "diagonal-shift"
+                        failures.append((name, n, [i, j], got.real, ref.real))
+                elif abs(abs(got) - abs(ref)) > thr:
+                    name = "offdiagonal-modulus" if side == "B" else "offdiagonal-modulus-shift"
+                    failures.append((name, n, [i, j], abs(got), abs(ref)))
+    return failures
+
+
+def test_necessary_conditions_match_loop_reference():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for d in (2, 3, 5, 13):
+        specs = [werner_state(d, 0.2, validate=False)]
+        for gen_side in ("A", "B"):
+            spec = random_zero_discord_spec(d, gen_side, rng)
+            sparse = [m.copy() for m in spec.a]
+            for m in sparse:
+                m[np.abs(m) < np.median(np.abs(m))] = 0
+            specs += [spec, CirculantSpec(d, tuple(sparse))]
+            specs += [perturb_spec(spec, kind, 0.1, rng) for kind in PERTURBATION_KINDS]
+            specs.append(CirculantSpec(d, tuple(random_psd(d, rng) / d**2 for _ in range(d))))
+        for spec in specs:
+            for side in ("A", "B"):
+                report = circulant_necessary_conditions(spec, side)
+                want = _necessary_conditions_loop(spec, side)
+                assert report.passed == (not want)
+                got = [f.to_json() for f in report.failures]
+                assert [(f["condition"], f["n"], f["entry"]) for f in got] == \
+                    [w[:3] for w in want], (d, side)
+                for f, w in zip(got, want):
+                    assert abs(f["got"] - w[3]) <= 4e-16 * abs(w[3])
+                    assert abs(f["want"] - w[4]) <= 4e-16 * abs(w[4])
+                checked += len(want)
+    assert checked > 100  # the specs do exercise failing conditions
+
+
 def test_generate_zero_discord_contract():
     rng = np.random.default_rng(4)
     d = 5
@@ -498,6 +579,53 @@ def test_completely_classical_diagonal_states():
     assert verdict.witness["kind"] == "nonuniform-diagonal"
 
 
+def _constant_modulus_family(d, rng):
+    """Side-A family of a^(0) = I/d² plus constant-modulus, random-phase off-diagonals."""
+    a0 = np.eye(d, dtype=complex) / d**2
+    iu = np.triu_indices(d, 1)
+    a0[iu] = 0.9 / (d * d * (d - 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi, len(iu[0])))
+    a0 = a0 + np.triu(a0, 1).conj().T
+    return CirculantSpec(d, phase_family(a0, random_phases(d, rng), "A"))
+
+
+def _two_sided_specs(d, rng):
+    """(label, spec) pairs: Bell α-lines and π_n, circulant a^(0) families, and more."""
+    specs = []
+    for alpha in range(d):
+        p, _ = random_classical_bell(d, alpha, rng)
+        specs.append(("bell-alpha", bell_diagonal_state(BellWeights(d, p))))
+    pi_n = np.tile(rng.dirichlet(np.ones(d)) / d, (d, 1))  # p[m, n] = π_n
+    specs.append(("bell-pi-n", bell_diagonal_state(BellWeights(d, pi_n))))
+    F = fourier_matrix(d)
+    for side in ("A", "B"):
+        # a circulant a^(0): constant diagonal, moduli that depend on the offset j − i
+        a0 = (F * rng.uniform(0.2, 1.0, d)) @ F.conj().T
+        a0 /= d * np.trace(a0).real
+        specs.append(("circulant-a0", CirculantSpec(d, phase_family(a0, random_phases(d, rng), side))))
+    specs += [("constant-modulus", _constant_modulus_family(d, rng)) for _ in range(2)]
+    specs += [("zero-" + side, random_zero_discord_spec(d, side, rng)) for side in ("A", "B")]
+    specs += [("werner", werner_state(d, 0.05)), ("isotropic", isotropic_state(d, 0.3))]
+    return specs
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_completely_classical_equals_general_criterion_on_both_sides(d):
+    rng = np.random.default_rng(40 + d)
+    for label, spec in _two_sided_specs(d, rng):
+        rho = circulant_state(spec, validate=True)
+        sides = {side: structural_discord_zero(rho, d, side).zero_discord for side in ("A", "B")}
+        verdict = completely_classical_check(spec)
+        assert verdict.zero_discord == (sides["A"] and sides["B"]), (d, label, sides)
+        if label.startswith(("bell", "circulant")):
+            assert verdict.zero_discord, (d, label)
+        if label == "constant-modulus":
+            # classical on both sides at d = 2, 3; discordant on side B from d = 5
+            assert verdict.zero_discord == (d <= 3), (d, label)
+            if d > 3:
+                assert verdict.witness["side"] == "B"
+                assert verdict.witness["kind"] == "relation-violation"
+
+
 def test_bell_check_recovers_alpha_and_pi():
     rng = np.random.default_rng(6)
     for d in (2, 3, 5):
@@ -530,6 +658,32 @@ def test_bell_check_rejects_nonclassical():
     assert verdict.witness["spread"] > 0
     with pytest.raises(PrimeRequired):
         bell_zero_discord_check(np.full((4, 4), 1 / 16))
+
+
+def test_bell_check_line_n_and_best_line():
+    d = 3
+    p = np.tile([0.125, 0.0625, 0.14583333333333331], (d, 1))  # p[m, n] = π_n
+    verdict = bell_zero_discord_check(p)
+    assert verdict.zero_discord
+    assert verdict.alpha is None and verdict.line == "n"
+    np.testing.assert_allclose(verdict.pi, p[0], atol=1e-15)
+    report = verdict.to_json()
+    assert report["alpha"] is None and report["line"] == "n"
+    # the α-lines come first, so uniform weights still report α = 0 and no line
+    uniform = bell_zero_discord_check(np.full((d, d), 1 / d**2)).to_json()
+    assert uniform["alpha"] == 0 and uniform["line"] is None
+    # the spread witness names the closest line on the same terms
+    near_n = p.copy()
+    near_n[0, 0] += 0.01
+    near_n[1, 0] -= 0.01
+    witness = bell_zero_discord_check(near_n).witness
+    assert witness["best_alpha"] is None and witness["best_line"] == "n"
+    assert witness["spread"] == pytest.approx(0.02, abs=1e-12)
+    near_alpha, _ = random_classical_bell(d, 1, np.random.default_rng(9))
+    near_alpha[0, 0] += 0.01
+    near_alpha[1, 1] -= 0.01
+    witness = bell_zero_discord_check(near_alpha).witness
+    assert witness["best_alpha"] == 1 and witness["best_line"] is None
 
 
 def test_bell_classical_state_is_structurally_zero_both_sides():

@@ -380,3 +380,37 @@ def test_negative_seed_exits_2(capsys, monkeypatch, command, env):
     assert code == 2
     assert out == ""
     assert "seed" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1"), ("--seed", "3"), ("--starts", "2")])
+def test_build_rejects_numeric_flags(capsys, flag, value):
+    # build never read --seed, --tol or --starts; argparse now rejects them
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--family", "werner", "--d", "2", "--lambda", "0.1", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_family_flags_parse_like_state_json(capsys, tmp_path):
+    # the inline flags go through the same parser as the equivalent state JSON
+    cases = [
+        (["--family", "werner", "--d", "3", "--lambda", "0.2"],
+         {"kind": "werner", "d": 3, "lambda": 0.2}),
+        (["--family", "orthogonal", "--d", "2", "--abc", "0.5,0.3,0.2"],
+         {"kind": "orthogonal", "d": 2, "abc": [0.5, 0.3, 0.2]}),
+        (["--family", "bell", "--d", "2", "--alpha", "1", "--pi", "0.3,0.2"],
+         {"kind": "bell", "d": 2, "p": [[0.3, 0.2], [0.2, 0.3]]}),
+    ]
+    for flags, obj in cases:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, via_flags, _ = run_cli(["build", "--dense"] + flags, capsys)
+        assert code == 0
+        code, via_json, _ = run_cli(["build", "--dense", str(path)], capsys)
+        assert code == 0
+        assert via_flags == via_json
+    # d = 1 is rejected like the JSON schema rejects it
+    code, out, err = run_cli(
+        ["build", "--family", "bell", "--d", "1", "--alpha", "0", "--pi", "1"], capsys
+    )
+    assert code == 2 and out == ""
