@@ -41,7 +41,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import EIG_FLOOR, frobenius, hermitize
-from .states import ZERO_TOL, BellWeights, CirculantSpec, validate_bell_weights
+from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
 DEFAULT_TOL = 1e-9
@@ -181,7 +181,8 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> BlockDecomposition:
 
     Side B: blocks[i, j][k, l] = ρ[i·d+k, j·d+l] (operators on the second
     factor).  Side A: blocks[α, β][i, j] = ρ[i·d+α, j·d+β] (operators on
-    the first factor).  The grid is a read-only view of ρ, not a copy.
+    the first factor).  The grid is a read-only view of ρ, not a copy, and
+    the one place the package spells out a side's layout.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
@@ -239,7 +240,7 @@ def structural_discord_zero(
 
 
 def _all_diagonal(spec: CirculantSpec) -> bool:
-    off = np.abs(np.asarray(spec.a))
+    off = np.abs(spec.a)
     idx = np.arange(spec.d)
     off[:, idx, idx] = 0.0
     return bool(off.max() <= ZERO_TOL)
@@ -293,8 +294,7 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
     Entries with modulus below 1e−12 carry no usable phase and produce
     no constraint.
     """
-    d = spec.d
-    a = np.asarray(spec.a)
+    d, a = spec.d, spec.a
     k = np.arange(d - 1)
     # Edges in (entry, k) order, rows the entries of a^(0) and columns k:
     # the breadth-first pass, and so φ, depends on this order.
@@ -348,8 +348,8 @@ def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: f
     Returns None when all entries match within tol·max(1, scale), else the
     lexicographically first violation (in k, i, j) as a witness dict.
     """
-    family = _family_stack(spec.a[0], phi, side)
-    a = np.asarray(spec.a)
+    a = spec.a
+    family = _family_stack(a[0], phi, side)
     delta = np.abs(family - a)
     thr = tol * _spec_scale(spec)
     bad = delta > thr
@@ -403,7 +403,7 @@ def circulant_necessary_conditions(
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if _all_diagonal(spec):
         return NecessaryConditionsReport(side, True, True)
-    a = np.asarray(spec.a)
+    a = spec.a
     got, ref = a[1:], _reference_stack(a[0], side)[1:]
     diag = np.eye(spec.d, dtype=bool)
     got_abs, ref_abs = np.abs(got), np.abs(ref)
@@ -442,8 +442,7 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     phi = phases.phi if isinstance(phases, PhaseVector) else np.asarray(phases, dtype=float)
     if phi.shape != (d,):
         raise DimensionError(f"expected {d} phase angles, got shape {phi.shape}")
-    mats = phase_family(a0 / (d * tr), phi, side)
-    return CirculantSpec(d, tuple(mats))
+    return CirculantSpec(d, _family_stack(a0 / (d * tr), phi, side))
 
 
 def completely_classical_check(
@@ -500,12 +499,7 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     None); the last line reports ``line`` "n" and ``alpha`` None.  The
     recovered π values come with either.
     """
-    if not isinstance(w, BellWeights):
-        p = np.asarray(w, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionError(f"expected a square weight matrix, got {p.shape}")
-        w = BellWeights(p.shape[0], p)
-    validate_bell_weights(w)
+    w = _bell_weights(w)
     d = w.d
     _require_prime(d)
     m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -591,9 +585,12 @@ def classical_decomposition(
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Decompose a zero-discord state as Σ p_k |k⟩⟨k| ⊗ ρ_k on the given side.
 
-    The |k⟩ are the columns of the common eigenbasis behind the
+    The |k⟩ are the columns of the common eigenbasis U behind the
     :func:`structural_discord_zero` verdict, so the decomposition is that
-    verdict's certificate.  Returns (p_k, |k⟩, ρ_k) triples.  Raises
+    verdict's certificate.  On the side's block grid B (see
+    :func:`extract_blocks`), σ_k[y, y'] = (U†B_yy'U)_kk and the
+    reassembly is B_yy' = Σ_k σ_k[y, y'] |k⟩⟨k|, the same for either
+    side.  Returns (p_k, |k⟩, σ_k/p_k) triples.  Raises
     :class:`PreconditionError` when the verdict is nonzero or the
     reassembly residual exceeds ``REASSEMBLY_TOL``.
     """
@@ -603,15 +600,10 @@ def classical_decomposition(
             f"state has nonzero structural discord on side {side}: {verdict.witness}"
         )
     U = verdict.basis
-    rho = np.asarray(rho, dtype=complex)
-    rho4 = rho.reshape(d, d, d, d)
-    if side == "A":
-        sigma = np.einsum("ak,abcd,ck->kbd", U.conj(), rho4, U, optimize=True)
-        reassembled = np.einsum("ak,ck,kbd->abcd", U, U.conj(), sigma, optimize=True)
-    else:
-        sigma = np.einsum("bk,abcd,dk->kac", U.conj(), rho4, U, optimize=True)
-        reassembled = np.einsum("bk,dk,kac->abcd", U, U.conj(), sigma, optimize=True)
-    residual = frobenius(rho - reassembled.reshape(d * d, d * d))
+    blocks = extract_blocks(rho, d, side).blocks
+    sigma = np.einsum("xk,yzxw,wk->kyz", U.conj(), blocks, U, optimize=True)
+    reassembled = np.einsum("xk,wk,kyz->yzxw", U, U.conj(), sigma, optimize=True)
+    residual = frobenius(blocks - reassembled)
     if residual > REASSEMBLY_TOL:
         raise PreconditionError(
             f"classical reassembly residual {residual:.3e} exceeds {REASSEMBLY_TOL}"

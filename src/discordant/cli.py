@@ -222,8 +222,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplex(args) -> int:
-    if args.d != 2:
-        raise InvalidSpec(f"the simplex scan is defined for d=2, got d={args.d}")
     seed = _effective_seed(args)
     lines = ["b,c,separable,zero_discord,numeric_discord"]
     for row in o2_simplex_rows(
@@ -285,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("simplex", help="emit CSV for the d=2 invariant-state simplex")
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--grid", type=int, default=101, help="points per axis")
     p.add_argument(
         "--every", type=int, default=10, help="numeric discord every Nth point (0 = never)"

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
 from .linalg import fourier_matrix, partial_trace, random_unitary, von_neumann_entropy
 
@@ -46,6 +47,10 @@ START_KICK = 0.05
 #: must stay well below 1/2, where the parabola's minimizer (the next step)
 #: lies exactly on the acceptance boundary.
 ARMIJO = 1e-4
+#: Descent steps allowed per start.
+MAX_ITERS = 2000
+#: A start has converged once it can promise no decrease of more than this, in bits.
+F_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -69,28 +74,21 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-budget knobs for the classical-correlation optimizer.
+    """Search budget of the classical-correlation optimizer.
 
-    ``starts`` descents run side by side, each for at most ``max_iters``
-    steps, and a start has converged once it can promise no decrease of
-    more than ``f_tol`` bits.
+    ``starts`` descents run side by side, each for at most ``MAX_ITERS``
+    steps, from candidates screened with ``seed``.
     """
 
     starts: int = 24
-    max_iters: int = 2000
-    f_tol: float = 1e-14
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "max_iters", "seed"):
+        for name in ("starts", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (np.isfinite(self.f_tol) and self.f_tol > 0):
-            raise ValueError("f_tol must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -100,7 +98,7 @@ class DiscordResult:
     """Mutual information, classical correlation and discord for one side.
 
     ``starts_converged`` counts the optimizer starts that reached
-    ``f_tol`` within ``max_iters``.
+    ``F_TOL`` within ``MAX_ITERS`` steps.
     """
 
     side: str
@@ -145,13 +143,11 @@ def mutual_information(rho: np.ndarray, d: int) -> float:
 def _contraction(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     """ρ as a d²×d² matrix R with σ = W R and M = Gᵀ Rᵀ row by row.
 
-    Row (x, x') of R pairs the measured side's indices, column (y, y') the
-    other side's: R[(x, x'), (y, y')] = ⟨x y|ρ|x' y'⟩ for side A and
-    ⟨y x|ρ|y' x'⟩ for side B.
+    R is the side's block grid turned inside out: row (x, x') pairs the
+    measured side's indices, column (y, y') the other side's, and
+    R[(x, x'), (y, y')] = B_yy'[x, x'] with B from :func:`extract_blocks`.
     """
-    rho4 = rho.reshape(d, d, d, d)
-    perm = (0, 2, 1, 3) if side == "A" else (1, 3, 0, 2)
-    return rho4.transpose(perm).reshape(d * d, d * d)
+    return extract_blocks(rho, d, side).blocks.transpose(2, 3, 0, 1).reshape(d * d, d * d)
 
 
 def _small_eigvalsh(H: np.ndarray) -> np.ndarray:
@@ -266,7 +262,7 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     whether or not the trial passed, minimizes the parabola through f, the
     slope −‖Ω‖² and the trial value, within [μ/10, 4μ]; a trial that gains
     at least the slope promises sets 4μ.  A start stops once μ‖Ω‖², the
-    decrease a step can still promise, is at most ``cfg.f_tol``.  Returns
+    decrease a step can still promise, is at most ``F_TOL``.  Returns
     (C, best basis, converged starts) per side.
     """
     cfg = cfg or OptimizerConfig()
@@ -275,10 +271,10 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     f, omega = _objective(R, U)
     mu = np.ones(f.shape)
     done = np.zeros(f.shape, dtype=bool)
-    for it in range(cfg.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         slope = np.sum(np.abs(omega) ** 2, axis=(-2, -1))
-        done |= mu * slope <= cfg.f_tol
-        if done.all() or it == cfg.max_iters:  # the last pass only tests the last step
+        done |= mu * slope <= F_TOL
+        if done.all() or it == MAX_ITERS:  # the last pass only tests the last step
             break
         w, V = np.linalg.eigh(-1j * omega)
         trial = _exp_i(w, V, mu) @ U

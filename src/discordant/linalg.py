@@ -28,8 +28,8 @@ def frobenius(M: np.ndarray) -> float:
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Symmetrize a nearly Hermitian matrix: (M + M†)/2."""
-    return (M + M.conj().T) / 2.0
+    """Symmetrize a nearly Hermitian matrix, or a stack of them: (M + M†)/2."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -4,13 +4,15 @@ A circulant state on C^d ⊗ C^d is block diagonal over the cyclic sectors
 Σ_n = span{e_i ⊗ e_{i+n}} and is fully described by d Hermitian PSD
 matrices a^(0..d−1) whose traces sum to 1: entry a^(n)_{ij} of sector n
 sits at row i·d + (i+n mod d), column j·d + (j+n mod d) of the dense
-matrix.  This module builds those specs (and dense matrices) for the
-circulant, Bell-diagonal, Werner-type, isotropic, orthogonal-invariant
-and commuting-group-invariant families.
+matrix.  A spec holds them as one (d, d, d) stack.  This module builds
+those specs (and dense matrices) for the circulant, Bell-diagonal,
+Werner-type, isotropic, orthogonal-invariant and commuting-group-invariant
+families.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,21 +28,24 @@ CIRCULANT_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """The d sector matrices a^(0..d−1) of a circulant two-qudit state."""
+    """The sector matrices of a circulant state: ``a[n]`` = a^(n), a read-only (d, d, d) stack."""
 
     d: int
-    a: tuple
+    a: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.a)
-        if len(mats) != self.d or any(m.shape != (self.d, self.d) for m in mats):
-            raise DimensionError(
-                f"expected {self.d} matrices of shape ({self.d}, {self.d})"
-            )
-        object.__setattr__(self, "a", mats)
+        try:
+            a = np.array(self.a, dtype=complex)  # a copy, so freezing it touches no caller
+        except ValueError:  # ragged input
+            a = np.empty(0)
+        if a.shape != (self.d,) * 3:
+            raise DimensionError(f"expected {self.d} matrices of shape ({self.d}, {self.d})")
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
 
     def trace_sum(self) -> float:
-        return float(sum(np.trace(m).real for m in self.a))
+        """Σ_n tr a^(n), added left to right (NumPy would pair up the terms for d ≥ 8)."""
+        return float(sum(np.trace(self.a, axis1=1, axis2=2).real.tolist()))
 
 
 @dataclass(frozen=True)
@@ -64,22 +69,51 @@ class BellWeights:
         object.__setattr__(self, "p", p)
 
 
+@functools.cache
+def _sector_index(d: int) -> np.ndarray:
+    """flat[n, i, j]: index of a^(n)_{ij} in the raveled d²×d² matrix (cached, read-only)."""
+    i = np.arange(d)
+    pos = i * d + (i + i[:, None]) % d  # pos[n, i] = i·d + (i+n) mod d
+    flat = pos[:, :, None] * (d * d) + pos[:, None, :]
+    flat.flags.writeable = False
+    return flat
+
+
 def validate_circulant_spec(spec: CirculantSpec) -> None:
-    """Check each a^(n) is Hermitian PSD and the traces sum to 1."""
-    for n, m in enumerate(spec.a):
-        scale = max(1.0, frobenius(m))
-        if frobenius(m - m.conj().T) > 1e-12 * scale:
+    """Check each a^(n) is finite, Hermitian and PSD (naming the first that is not), Σ tr = 1."""
+    finite = np.isfinite(spec.a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], spec.a, 0.0)  # non-finite sectors fail anyway
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
+    skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), axis=(1, 2)) > 1e-12 * scale
+    w = np.linalg.eigvalsh(hermitize(a))[:, 0]
+    bad = ~finite | skew | (w < EIG_FLOOR)
+    if bad.any():
+        n = int(np.argmax(bad))
+        if not finite[n]:
+            raise InvalidSpec(f"a^({n}) has non-finite entries")
+        if skew[n]:
             raise InvalidSpec(f"a^({n}) is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(m))
-        if w.size and w[0] < EIG_FLOOR:
-            raise InvalidSpec(f"a^({n}) has negative eigenvalue {w[0]:.3e}")
+        raise InvalidSpec(f"a^({n}) has negative eigenvalue {w[n]:.3e}")
     total = spec.trace_sum()
     if abs(total - 1.0) > 1e-12:
         raise InvalidSpec(f"sector traces sum to {total}, expected 1")
 
 
+def _bell_weights(w) -> BellWeights:
+    """Coerce a square weight matrix (or :class:`BellWeights`) and validate it."""
+    if not isinstance(w, BellWeights):
+        p = np.asarray(w, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise DimensionError(f"expected a square weight matrix, got {p.shape}")
+        w = BellWeights(p.shape[0], p)
+    validate_bell_weights(w)
+    return w
+
+
 def validate_bell_weights(w: BellWeights) -> None:
-    """Check the weights are nonnegative and sum to 1."""
+    """Check the weights are finite, nonnegative and sum to 1."""
+    if not np.isfinite(w.p).all():
+        raise InvalidSpec("weights must be finite")
     if np.any(w.p < -ZERO_TOL):
         raise InvalidSpec(f"negative weight {w.p.min():.3e}")
     total = float(w.p.sum())
@@ -99,17 +133,15 @@ def shift_operator(d: int) -> np.ndarray:
 def flip_operator(d: int) -> np.ndarray:
     """Swap F of the two factors: F (x ⊗ y) = y ⊗ x."""
     F = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            F[i * d + k, k * d + i] = 1.0
+    i = np.arange(d)
+    F[i[:, None] * d + i, i * d + i[:, None]] = 1.0
     return F
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
     """Projector onto (1/√d) Σ_i e_i ⊗ e_i."""
     P = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d) * d + np.arange(d)
-    P[np.ix_(idx, idx)] = 1.0 / d
+    P.reshape(-1)[_sector_index(d)[0]] = 1.0 / d
     return P
 
 
@@ -123,10 +155,7 @@ def circulant_state(spec: CirculantSpec, validate: bool = True) -> np.ndarray:
         validate_circulant_spec(spec)
     d = spec.d
     rho = np.zeros((d * d, d * d), dtype=complex)
-    i = np.arange(d)
-    for n in range(d):
-        pos = i * d + (i + n) % d
-        rho[np.ix_(pos, pos)] = spec.a[n]
+    rho.reshape(-1)[_sector_index(d)] = spec.a
     return rho
 
 
@@ -140,18 +169,14 @@ def project_circulant(rho: np.ndarray, d: int):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
-    i = np.arange(d)
-    projected = np.zeros_like(rho)
-    mats = []
-    for n in range(d):
-        pos = i * d + (i + n) % d
-        block = rho[np.ix_(pos, pos)]
-        mats.append(block)
-        projected[np.ix_(pos, pos)] = block
+    flat = _sector_index(d)
+    a = rho.reshape(-1)[flat]
+    projected = np.zeros((d * d, d * d), dtype=complex)
+    projected.reshape(-1)[flat] = a
     residual = frobenius(rho - projected)
     if residual > CIRCULANT_RESIDUAL_TOL:
         return NotCirculant(residual)
-    return CirculantSpec(d, tuple(mats))
+    return CirculantSpec(d, a)
 
 
 def bell_projector(m: int, n: int, d: int) -> np.ndarray:
@@ -162,32 +187,20 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
     """
     if not (0 <= m < d and 0 <= n < d):
         raise IndexError(f"indices ({m}, {n}) out of range for d={d}")
-    phases = np.exp(2j * np.pi * np.arange(d) / d)
     i = np.arange(d)
-    pos = i * d + (i + n) % d
+    phases = np.exp(2j * np.pi * i / d)
     P = np.zeros((d * d, d * d), dtype=complex)
-    diff = (m * (i[:, None] - i[None, :])) % d
-    P[np.ix_(pos, pos)] = phases[diff] / d
+    P.reshape(-1)[_sector_index(d)[n]] = phases[m * (i[:, None] - i) % d] / d
     return P
 
 
 def bell_diagonal_state(w) -> CirculantSpec:
     """Circulant spec of Σ p[m,n]·(projector m,n): a^(n)_{ij} = (1/d) Σ_m p[m,n] λ^{m(i−j)}."""
-    if not isinstance(w, BellWeights):
-        p = np.asarray(w, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionError(f"expected a square weight matrix, got {p.shape}")
-        w = BellWeights(p.shape[0], p)
-    validate_bell_weights(w)
+    w = _bell_weights(w)
     d = w.d
-    phases = np.exp(2j * np.pi * np.arange(d) / d)
     i = np.arange(d)
-    diff = (i[:, None] - i[None, :]) % d
-    mats = []
-    for n in range(d):
-        amp = phases[(np.arange(d)[:, None, None] * diff[None, :, :]) % d]
-        mats.append(np.einsum("m,mij->ij", w.p[:, n], amp) / d)
-    return CirculantSpec(d, tuple(mats))
+    amp = np.exp(2j * np.pi * i / d)[i[:, None, None] * (i[:, None] - i) % d]  # λ^{m(i−j)}
+    return CirculantSpec(d, np.einsum("mn,mij->nij", w.p, amp) / d)
 
 
 def _require_finite_lambda(lam: float) -> None:
@@ -209,14 +222,11 @@ def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
         raise DimensionError(f"dimension must be at least 2, got {d}")
     _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
-    mats = [np.eye(d, dtype=complex) * (lam / d + base)]
-    for k in range(1, d):
-        m = np.eye(d, dtype=complex) * base
-        i = np.arange(d)
-        m[i, (i + k) % d] = lam / d
-        m[(i + k) % d, i] = lam / d
-        mats.append(m)
-    spec = CirculantSpec(d, tuple(mats))
+    a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
+    a[0] = np.eye(d, dtype=complex) * (lam / d + base)
+    i, k = np.arange(d), np.arange(1, d)[:, None]
+    a[k, i, (i + k) % d] = a[k, (i + k) % d, i] = lam / d
+    spec = CirculantSpec(d, a)
     if validate:
         validate_circulant_spec(spec)
     return spec
@@ -228,9 +238,9 @@ def isotropic_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
         raise DimensionError(f"dimension must be at least 2, got {d}")
     _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
-    a0 = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
-    mats = [a0] + [np.eye(d, dtype=complex) * base for _ in range(1, d)]
-    spec = CirculantSpec(d, tuple(mats))
+    a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
+    a[0] = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
+    spec = CirculantSpec(d, a)
     if validate:
         validate_circulant_spec(spec)
     return spec
@@ -287,20 +297,16 @@ def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> Circulan
     total = float(np.trace(a).real + dmat.sum())
     if abs(total - 1.0) > 1e-12:
         raise InvalidSpec(f"total trace {total}, expected 1")
-    i = np.arange(d)
-    mats = [a] + [
-        np.diag(dmat[i, (i + k) % d]).astype(complex) for k in range(1, d)
-    ]
-    return CirculantSpec(d, tuple(mats))
+    stack = np.zeros((d, d, d), dtype=complex)
+    i, k = np.arange(d), np.arange(1, d)[:, None]
+    stack[k, i, i] = dmat[i, (i + k) % d]
+    stack[0] = a
+    return CirculantSpec(d, stack)
 
 
 def ppt_check_commuting(a: np.ndarray, dmat: np.ndarray) -> bool:
     """Positivity of the partial transpose: |a_{ij}|² ≤ d_{ij}·d_{ji} for all i ≠ j."""
     a = np.asarray(a, dtype=complex)
     dmat = np.asarray(dmat, dtype=float)
-    d = a.shape[0]
-    for i in range(d):
-        for j in range(d):
-            if i != j and abs(a[i, j]) ** 2 > dmat[i, j] * dmat[j, i] + 1e-12:
-                return False
-    return True
+    off = ~np.eye(a.shape[0], dtype=bool)
+    return not np.any(off & (np.abs(a) ** 2 > dmat * dmat.T + 1e-12))

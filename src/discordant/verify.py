@@ -32,10 +32,10 @@ NUMERIC_NONZERO_TOL = 1e-5
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
 
 
-def random_psd(d: int, rng: np.random.Generator, ridge: float = 0.05) -> np.ndarray:
-    """Dense random PSD matrix G·G† + ridge·I (complex Gaussian G)."""
+def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Dense random positive definite matrix G·G† + 0.05·I (complex Gaussian G)."""
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return G @ G.conj().T + ridge * np.eye(d)
+    return G @ G.conj().T + 0.05 * np.eye(d)
 
 
 def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,18 +71,18 @@ def perturb_spec(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = spec.d
-    mats = [m.copy() for m in spec.a]
+    a = spec.a.copy()
     if kind == "phase" and d == 2:
         kind = "modulus"
     if kind == "modulus":
         k = int(rng.integers(0, d))
-        mats[k] = (1 - epsilon) * mats[k] + epsilon * np.diag(np.diag(mats[k]))
+        a[k] = (1 - epsilon) * a[k] + epsilon * np.diag(np.diag(a[k]))
     elif kind == "diagonal":
         k = int(rng.integers(0, d))
         bump = epsilon / d**2
-        mats[k][0, 0] += bump
-        mats = [m / (1 + bump) for m in mats]
-    elif kind == "phase":
+        a[k, 0, 0] += bump
+        a /= 1 + bump
+    else:
         k = int(rng.integers(1, d))
         g = rng.standard_normal(d)
         g -= g[0]
@@ -91,10 +91,8 @@ def perturb_spec(
             g = np.arange(d, dtype=float)
             peak = float(d - 1)
         w = np.exp(1j * epsilon * g / peak)
-        mats[k] = w[:, None] * mats[k] * w.conj()[None, :]
-    else:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
-    return CirculantSpec(d, tuple(mats))
+        a[k] = w[:, None] * a[k] * w.conj()[None, :]
+    return CirculantSpec(d, a)
 
 
 def random_classical_bell(
@@ -106,13 +104,11 @@ def random_classical_bell(
     return pi[(m + n * alpha) % d], pi
 
 
-def random_nonclassical_bell(
-    d: int, rng: np.random.Generator, margin: float = 0.02
-) -> np.ndarray:
-    """Random weight matrix at least ``margin`` away from every classical family."""
+def random_nonclassical_bell(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random weight matrix whose residue classes all spread by more than 0.02."""
     while True:
         p = rng.dirichlet(np.ones(d * d)).reshape(d, d)
-        if not bell_zero_discord_check(p, tol=margin).zero_discord:
+        if not bell_zero_discord_check(p, tol=0.02).zero_discord:
             return p
 
 
@@ -144,6 +140,28 @@ class SuiteResult:
         }
 
 
+def _draw(d: int, t: int, rng: np.random.Generator, perturbed: bool, low: float = 0.02):
+    """Draw ``t`` of a suite: (side, spec, kind), the side A for even ``t``, else B.
+
+    With ``perturbed`` the zero-discord spec is broken by the ``t``-th kind
+    with ε ~ U[low, 0.15); otherwise ``kind`` is None.
+    """
+    side = "AB"[t % 2]
+    spec = random_zero_discord_spec(d, side, rng)
+    kind = None
+    if perturbed:
+        kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
+        spec = perturb_spec(spec, kind, float(rng.uniform(low, 0.15)), rng)
+    return side, spec, kind
+
+
+def _theorem_and_general(spec: CirculantSpec, side: str, tol: float) -> tuple[bool, bool]:
+    """Zero-discord verdicts of the closed form and of the general criterion."""
+    theorem = circulant_theorem_check(spec, side, tol).zero_discord
+    general = structural_discord_zero(circulant_state(spec), spec.d, side, tol).zero_discord
+    return theorem, general
+
+
 def run_verify(
     d: int,
     seed: int = 0,
@@ -165,43 +183,24 @@ def run_verify(
     results = []
 
     suite = SuiteResult("generator-checker-closure")
-    rng = rngs[0]
     for t in range(draws):
-        side = "A" if t % 2 == 0 else "B"
-        spec = random_zero_discord_spec(d, side, rng)
-        ok_theorem = circulant_theorem_check(spec, side, tol).zero_discord
-        ok_general = structural_discord_zero(
-            circulant_state(spec), d, side, tol
-        ).zero_discord
-        suite.record(
-            ok_theorem and ok_general,
-            f"draw {t}: theorem={ok_theorem} general={ok_general}",
-        )
+        side, spec, _ = _draw(d, t, rngs[0], perturbed=False)
+        theorem, general = _theorem_and_general(spec, side, tol)
+        suite.record(theorem and general, f"draw {t}: theorem={theorem} general={general}")
     results.append(suite)
 
     suite = SuiteResult("criterion-equivalence")
-    rng = rngs[1]
     for t in range(draws):
-        side = "A" if t % 2 == 0 else "B"
-        spec = random_zero_discord_spec(d, side, rng)
-        if t % 2 == 1:
-            kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
-            spec = perturb_spec(spec, kind, float(rng.uniform(0.02, 0.15)), rng)
-        v_theorem = circulant_theorem_check(spec, side, tol).zero_discord
-        v_general = structural_discord_zero(
-            circulant_state(spec), d, side, tol
-        ).zero_discord
-        suite.record(
-            v_theorem == v_general, f"draw {t}: theorem={v_theorem} general={v_general}"
-        )
+        side, spec, _ = _draw(d, t, rngs[1], perturbed=t % 2 == 1)
+        theorem, general = _theorem_and_general(spec, side, tol)
+        suite.record(theorem == general, f"draw {t}: theorem={theorem} general={general}")
     results.append(suite)
 
     suite = SuiteResult("bell-classification")
-    rng = rngs[2]
     for t in range(draws):
         if t % 2 == 0:
             alpha = t // 2 % d
-            p, _ = random_classical_bell(d, alpha, rng)
+            p, _ = random_classical_bell(d, alpha, rngs[2])
             verdict = bell_zero_discord_check(p, tol)
             rho = circulant_state(bell_diagonal_state(p), validate=False)
             ok = (
@@ -211,22 +210,14 @@ def run_verify(
             )
             suite.record(ok, f"draw {t}: classical alpha={alpha} verdict={verdict.zero_discord}")
         else:
-            p = random_nonclassical_bell(d, rng)
+            p = random_nonclassical_bell(d, rngs[2])
             verdict = bell_zero_discord_check(p, tol)
             suite.record(not verdict.zero_discord, f"draw {t}: random weights accepted")
     results.append(suite)
 
     suite = SuiteResult("perturbation-sensitivity")
-    rng = rngs[3]
     for t in range(draws):
-        side = "A" if t % 2 == 0 else "B"
-        kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
-        spec = perturb_spec(
-            random_zero_discord_spec(d, side, rng),
-            kind,
-            float(rng.uniform(0.02, 0.15)),
-            rng,
-        )
+        side, spec, kind = _draw(d, t, rngs[3], perturbed=True)
         verdict = circulant_theorem_check(spec, side, tol)
         suite.record(
             not verdict.zero_discord and verdict.witness is not None,
@@ -234,23 +225,15 @@ def run_verify(
         )
     results.append(suite)
 
-    suite = SuiteResult("numeric-agreement")
-    if d >= 5:
-        suite.skipped = True
-    else:
-        rng = rngs[4]
-        for t in range(6):
-            side = "A" if t % 2 == 0 else "B"
-            spec = random_zero_discord_spec(d, side, rng)
-            if t >= 3:
-                kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
-                spec = perturb_spec(spec, kind, float(rng.uniform(0.05, 0.15)), rng)
-            rho = circulant_state(spec)
-            dval = discord(rho, d, side, OptimizerConfig(starts=starts, seed=seed + t)).discord
-            if t < 3:
-                suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
-            else:
-                suite.record(dval >= NUMERIC_NONZERO_TOL, f"draw {t}: D={dval:.2e} not >0")
+    suite = SuiteResult("numeric-agreement", skipped=d >= 5)
+    for t in range(0 if suite.skipped else 6):
+        side, spec, _ = _draw(d, t, rngs[4], perturbed=t >= 3, low=0.05)
+        cfg = OptimizerConfig(starts=starts, seed=seed + t)
+        dval = discord(circulant_state(spec), d, side, cfg).discord
+        if t < 3:
+            suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
+        else:
+            suite.record(dval >= NUMERIC_NONZERO_TOL, f"draw {t}: D={dval:.2e} not >0")
     results.append(suite)
 
     all_pass = all(r.failed == 0 for r in results)

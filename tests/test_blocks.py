@@ -262,6 +262,28 @@ def test_classical_decomposition_d13():
         _assert_decomposes(rho, 13, side)
 
 
+def test_classical_decomposition_matches_per_side_einsum():
+    # σ_k from the block view; the per-side contractions of ρ are the reference
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 5):
+        for side in ("A", "B"):
+            local = [_random_density(d, rng) for _ in range(d)]
+            weights, basis = rng.dirichlet(np.ones(d)), random_unitary(d, rng)
+            states = [circulant_state(random_zero_discord_spec(d, side, rng)),
+                      _classical_state(weights, basis, local, side)]
+            for rho in states:
+                U = structural_discord_zero(rho, d, side).basis
+                rho4 = rho.reshape(d, d, d, d)
+                if side == "A":
+                    sigma = np.einsum("ak,abcd,ck->kbd", U.conj(), rho4, U)
+                else:
+                    sigma = np.einsum("bk,abcd,dk->kac", U.conj(), rho4, U)
+                for k, (p, v, cond) in enumerate(classical_decomposition(rho, d, side)):
+                    assert np.array_equal(v, U[:, k])
+                    assert abs(p - np.trace(sigma[k]).real) <= 1e-13
+                    assert np.abs(p * cond - (sigma[k] + sigma[k].conj().T) / 2).max() <= 1e-13
+
+
 def test_phase_family_relations():
     rng = np.random.default_rng(1)
     d = 3

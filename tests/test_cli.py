@@ -202,8 +202,10 @@ def test_simplex_csv_contract(capsys, tmp_path):
 
 
 def test_simplex_rejects_other_dimensions(capsys):
-    code, _, err = run_cli(["simplex", "--d", "3"], capsys)
-    assert code == 2
+    # the scan is defined for d = 2 only, so simplex has no --d flag
+    with pytest.raises(SystemExit) as exc:
+        main(["simplex", "--d", "3"])
+    assert exc.value.code == 2
 
 
 def test_simplex_deterministic(capsys, tmp_path):

@@ -176,16 +176,8 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(f_tol=0.0)
-    for f_tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            OptimizerConfig(f_tol=f_tol)
-    with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
-    for max_iters in (0, -5):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=max_iters)
-    for field in ("starts", "max_iters", "seed"):
+    for field in ("starts", "seed"):
         with pytest.raises(ValueError):
             OptimizerConfig(**{field: 2.5})
 
@@ -320,20 +312,21 @@ def test_discord_sides_rejects_unknown_side():
         discord_sides(np.eye(4, dtype=complex) / 4, 2, ("A", "C"))
 
 
-def test_step_rule_converges_in_few_iterations():
+def test_step_rule_converges_in_few_iterations(monkeypatch):
     # Each step length is the minimizer of the parabola through f, the slope
     # −‖Ω‖² and the trial value.  These states need at most 12 iterations
     # with it; doubling and halving the step needed 33 to 39 on every one.
-    max_iters = 24
+    module = importlib.import_module("discordant.discord")
     rng = np.random.default_rng(28)
     states = [circulant_state(werner_state(3, lam)) for lam in (0.1, 0.2)]
     for n, kind in enumerate(("modulus", "diagonal", "phase")):
         spec = random_zero_discord_spec(3, "AB"[n % 2], rng)
         states.append(circulant_state(perturb_spec(spec, kind, 0.1, rng)))
     for n, rho in enumerate(states):
-        capped = discord_sides(rho, 3, ("A", "B"),
-                               OptimizerConfig(starts=2, max_iters=max_iters, seed=n))
         full = discord_sides(rho, 3, ("A", "B"), OptimizerConfig(starts=2, seed=n))
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "MAX_ITERS", 24)
+            capped = discord_sides(rho, 3, ("A", "B"), OptimizerConfig(starts=2, seed=n))
         for got, want in zip(capped, full):
             assert got.starts_converged == 2
             assert abs(got.classical_correlation - want.classical_correlation) <= 1e-12
@@ -402,12 +395,27 @@ def test_classical_bell_d3_leaves_stationary_starts():
                 assert res.discord == 0.0
 
 
-def test_start_converged_on_last_allowed_step():
-    # A start that meets f_tol on its last allowed step has converged: with
-    # max_iters = 6 the first start stops where it stops with 7.
+def test_contraction_is_the_block_view_transposed():
+    # R[(x, x'), (y, y')] = B_yy'[x, x']; the per-side transposes of ρ are the reference
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 5):
+        rho = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        for side, perm in (("A", (0, 2, 1, 3)), ("B", (1, 3, 0, 2))):
+            want = rho.reshape(d, d, d, d).transpose(perm).reshape(d * d, d * d)
+            got = _contraction(rho, d, side)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_start_converged_on_last_allowed_step(monkeypatch):
+    # A start that meets F_TOL on its last allowed step has converged: with
+    # MAX_ITERS = 6 the first start stops where it stops with 7.
+    module = importlib.import_module("discordant.discord")
     rho = circulant_state(werner_state(3, 0.2))
-    got = discord_sides(rho, 3, ("A",), OptimizerConfig(starts=2, max_iters=6, seed=0))[0]
-    more = discord_sides(rho, 3, ("A",), OptimizerConfig(starts=2, max_iters=7, seed=0))[0]
+    cfg = OptimizerConfig(starts=2, seed=0)
+    monkeypatch.setattr(module, "MAX_ITERS", 6)
+    got = discord_sides(rho, 3, ("A",), cfg)[0]
+    monkeypatch.setattr(module, "MAX_ITERS", 7)
+    more = discord_sides(rho, 3, ("A",), cfg)[0]
     assert got.classical_correlation == more.classical_correlation
     assert got.starts_converged == 1
 

@@ -1,8 +1,11 @@
 """State factory: sector placement, named families, projectors."""
 
+import re
+
 import numpy as np
 import pytest
 
+from discordant.blocks import bell_zero_discord_check
 from discordant.errors import DimensionError, InvalidSpec
 from discordant.linalg import check_density_matrix, partial_trace
 from discordant.states import (
@@ -20,6 +23,7 @@ from discordant.states import (
     ppt_check_commuting,
     project_circulant,
     shift_operator,
+    validate_bell_weights,
     validate_circulant_spec,
     werner_state,
 )
@@ -227,3 +231,118 @@ def test_spec_shape_errors():
         CirculantSpec(2, [np.eye(2)])
     with pytest.raises(DimensionError):
         CirculantSpec(2, [np.eye(3), np.eye(3)])
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _sector_positions(d, n):
+    i = np.arange(d)
+    return i * d + (i + n) % d
+
+
+def _place_loop(stack, d):
+    """Dense matrix with stack[n] placed sector by sector."""
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for n in range(d):
+        pos = _sector_positions(d, n)
+        rho[np.ix_(pos, pos)] = stack[n]
+    return rho
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_sector_layout_matches_loop_oracle(d):
+    rng = np.random.default_rng(d)
+    stack = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    rho = circulant_state(CirculantSpec(d, stack), validate=False)
+    assert _same_bits(rho, _place_loop(stack, d))
+
+    positions = [_sector_positions(d, n) for n in range(d)]
+    assert _same_bits(project_circulant(rho, d).a, [rho[np.ix_(p, p)] for p in positions])
+    noisy = rho + 1e-3 * rng.standard_normal(rho.shape)
+    sectors = [noisy[np.ix_(p, p)] for p in positions]
+    assert project_circulant(noisy, d).residual == np.linalg.norm(noisy - _place_loop(sectors, d))
+
+    i = np.arange(d)
+    phases = np.exp(2j * np.pi * i / d)
+    for m, n in [(0, 0), (1, 0), (0, d - 1), (d - 1, 1), (d // 2, d - 2)]:
+        want = np.zeros((d * d, d * d), dtype=complex)
+        pos = _sector_positions(d, n)
+        want[np.ix_(pos, pos)] = phases[(m * (i[:, None] - i[None, :])) % d] / d
+        assert _same_bits(bell_projector(m, n, d), want)
+
+    want = np.zeros((d * d, d * d), dtype=complex)
+    want[np.ix_(i * d + i, i * d + i)] = 1.0 / d
+    assert _same_bits(max_entangled_projector(d), want)
+
+
+def test_spec_stack_accepts_sequences_and_is_read_only():
+    mats = [np.eye(2) / 4, np.array([[0.25, 0.1j], [-0.1j, 0.25]])]
+    arr = np.array(mats, dtype=complex)
+    for given in (mats, tuple(mats), arr):
+        spec = CirculantSpec(2, given)
+        assert spec.a.shape == (2, 2, 2) and spec.a.dtype == complex
+        assert _same_bits(spec.a, arr)
+        with pytest.raises(ValueError):
+            spec.a[0, 0, 0] = 1.0
+    assert arr.flags.writeable  # the caller's array is copied, not frozen
+    arr[0, 0, 0] = 7.0
+    assert spec.a[0, 0, 0] == 0.25
+    with pytest.raises(DimensionError):
+        CirculantSpec(2, [np.eye(2), np.eye(3)])  # ragged
+    with pytest.raises(DimensionError):
+        CirculantSpec(2, [np.eye(2), [[1.0, 0.0], [0.0]]])
+    with pytest.raises(DimensionError):
+        CirculantSpec(2, np.eye(2))
+
+
+def _first_failure_loop(spec):
+    """The message of the first failing per-sector check, one sector at a time."""
+    for n, m in enumerate(spec.a):
+        if not np.isfinite(m).all():
+            return f"a^({n}) has non-finite entries"
+        if np.linalg.norm(m - m.conj().T) > 1e-12 * max(1.0, np.linalg.norm(m)):
+            return f"a^({n}) is not Hermitian"
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if w[0] < -1e-10:
+            return f"a^({n}) has negative eigenvalue {w[0]:.3e}"
+    return None
+
+
+def test_validate_names_first_failing_sector_like_loop():
+    rng = np.random.default_rng(17)
+    checked = set()
+    for d in (2, 3, 5):
+        for _ in range(40):
+            stack = np.array(isotropic_state(d, 0.3).a)
+            for n in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False):
+                fault = int(rng.integers(3))
+                if fault == 0:
+                    stack[n, rng.integers(d), rng.integers(d)] = [np.nan, np.inf][rng.integers(2)]
+                elif fault == 1:
+                    stack[n, 0, 1] += 0.05
+                else:
+                    stack[n] -= 0.5 * np.eye(d)
+            spec = CirculantSpec(d, stack)
+            want = _first_failure_loop(spec)
+            assert want is not None
+            checked.add(next(k for k in ("non-finite", "Hermitian", "negative") if k in want))
+            with pytest.raises(InvalidSpec, match=re.escape(want)):
+                validate_circulant_spec(spec)
+    assert checked == {"non-finite", "Hermitian", "negative"}
+
+
+def test_non_finite_weights_and_sectors_are_rejected():
+    for bad in (np.nan, np.inf):
+        p = np.full((3, 3), 1 / 9)
+        p[0, 0] = bad
+        for call in (bell_zero_discord_check, bell_diagonal_state,
+                     lambda q: validate_bell_weights(BellWeights(3, q))):
+            with pytest.raises(InvalidSpec, match="finite"):
+                call(p)
+        stack = np.array(werner_state(3, 0.2).a)
+        stack[1, 2, 2] = bad
+        with pytest.raises(InvalidSpec, match=re.escape("a^(1) has non-finite entries")):
+            circulant_state(CirculantSpec(3, stack))
