@@ -84,15 +84,6 @@ def _require_prime(d: int) -> None:
 
 
 @dataclass(frozen=True)
-class BlockDecomposition:
-    """The d×d grid of d×d blocks of a state, for one measurement side."""
-
-    side: str
-    d: int
-    blocks: np.ndarray  # shape (d, d, d, d); blocks[i, j] is one block
-
-
-@dataclass(frozen=True)
 class PhaseVector:
     """Angles of the diagonal unitary V = diag(e^{iφ_n}); φ_0 is pinned to 0."""
 
@@ -176,13 +167,15 @@ class NecessaryConditionsReport:
         }
 
 
-def extract_blocks(rho: np.ndarray, d: int, side: str) -> BlockDecomposition:
-    """Slice a d²×d² state into its side-A or side-B block grid.
+def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
+    """Slice a d²×d² state into its side-A or side-B block grid, shape (d, d, d, d).
 
     Side B: blocks[i, j][k, l] = ρ[i·d+k, j·d+l] (operators on the second
     factor).  Side A: blocks[α, β][i, j] = ρ[i·d+α, j·d+β] (operators on
     the first factor).  The grid is a read-only view of ρ, not a copy, and
-    the one place the package spells out a side's layout.
+    the one place the package spells out a side's layout.  A wrong shape
+    raises :class:`DimensionError`, a side other than "A" or "B"
+    ``ValueError``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
@@ -195,7 +188,7 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> BlockDecomposition:
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     blocks.flags.writeable = False
-    return BlockDecomposition(side, d, blocks)
+    return blocks
 
 
 def structural_discord_zero(
@@ -211,7 +204,7 @@ def structural_discord_zero(
     failure the witness names the block with the largest relative
     off-diagonal norm in U (lexicographically first on ties).
     """
-    blocks = extract_blocks(rho, d, side).blocks
+    blocks = extract_blocks(rho, d, side)
     U = _common_basis(blocks, d)
     Uh = U.conj().T
     idx = np.arange(d)
@@ -420,8 +413,8 @@ def circulant_necessary_conditions(
 def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     """Build the zero-discord circulant family seeded by a^(0) and phases.
 
-    The input matrix is symmetrized, checked PSD, and scaled so the
-    sector traces sum to 1; the output passes
+    The finite input matrix is symmetrized, checked PSD, and scaled so
+    the sector traces sum to 1; the output passes
     :func:`circulant_theorem_check` on the chosen side by construction.
     """
     a0 = np.asarray(a0, dtype=complex)
@@ -429,8 +422,11 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
         raise DimensionError(f"a0 must be square, got {a0.shape}")
     d = a0.shape[0]
     _require_prime(d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    phi = phases.phi if isinstance(phases, PhaseVector) else np.asarray(phases, dtype=float)
+    if phi.shape != (d,):
+        raise DimensionError(f"expected {d} phase angles, got shape {phi.shape}")
+    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
+        raise InvalidSpec("a0 and the phases must be finite")
     if frobenius(a0 - a0.conj().T) > 1e-10 * max(1.0, frobenius(a0)):
         raise InvalidSpec("a0 is not Hermitian")
     a0 = hermitize(a0)
@@ -439,9 +435,6 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     tr = float(np.trace(a0).real)
     if tr <= ZERO_TOL:
         raise InvalidSpec("a0 must have positive trace")
-    phi = phases.phi if isinstance(phases, PhaseVector) else np.asarray(phases, dtype=float)
-    if phi.shape != (d,):
-        raise DimensionError(f"expected {d} phase angles, got shape {phi.shape}")
     return CirculantSpec(d, _family_stack(a0 / (d * tr), phi, side))
 
 
@@ -600,7 +593,7 @@ def classical_decomposition(
             f"state has nonzero structural discord on side {side}: {verdict.witness}"
         )
     U = verdict.basis
-    blocks = extract_blocks(rho, d, side).blocks
+    blocks = extract_blocks(rho, d, side)
     sigma = np.einsum("xk,yzxw,wk->kyz", U.conj(), blocks, U, optimize=True)
     reassembled = np.einsum("xk,wk,kyz->yzxw", U, U.conj(), sigma, optimize=True)
     residual = frobenius(blocks - reassembled)

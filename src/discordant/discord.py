@@ -3,6 +3,8 @@
 Mutual information, measurement-conditioned entropies, classical
 correlation C (the supremum of extracted information over rank-1
 projective measurements on one side) and discord D = I − C, all in bits.
+The shape of ρ and the measured side are checked where ρ is first
+sliced, by ``partial_trace`` and :func:`~discordant.blocks.extract_blocks`.
 
 One optimizer serves every d.  A measurement is the column basis of a
 unitary U, and C = S(ρ_other) − min_U f(U) with f(U) = Σ_k p_k S(σ_k/p_k)
@@ -122,19 +124,8 @@ class DiscordResult:
         }
 
 
-def _check_bipartite(rho: np.ndarray, d: int, sides=()) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
-    for side in sides:
-        if side not in ("A", "B"):
-            raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return rho
-
-
 def mutual_information(rho: np.ndarray, d: int) -> float:
     """I(ρ) = S(ρ_A) + S(ρ_B) − S(ρ) in bits."""
-    rho = _check_bipartite(rho, d)
     sA = von_neumann_entropy(partial_trace(rho, d, d, "B"))
     sB = von_neumann_entropy(partial_trace(rho, d, d, "A"))
     return sA + sB - von_neumann_entropy(rho)
@@ -147,7 +138,7 @@ def _contraction(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     measured side's indices, column (y, y') the other side's, and
     R[(x, x'), (y, y')] = B_yy'[x, x'] with B from :func:`extract_blocks`.
     """
-    return extract_blocks(rho, d, side).blocks.transpose(2, 3, 0, 1).reshape(d * d, d * d)
+    return extract_blocks(rho, d, side).transpose(2, 3, 0, 1).reshape(d * d, d * d)
 
 
 def _small_eigvalsh(H: np.ndarray) -> np.ndarray:
@@ -224,7 +215,6 @@ def conditional_entropy(
     rho: np.ndarray, d: int, basis: MeasurementBasis, side: str
 ) -> float:
     """Σ_k p_k S(ρ_{other|k}) for a projective measurement on ``side``."""
-    rho = _check_bipartite(rho, d, (side,))
     basis.validate()
     f, _ = _objective(_contraction(rho, d, side), basis.vectors[None])
     return float(f[0])
@@ -295,19 +285,6 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     ]
 
 
-def classical_correlation(
-    rho: np.ndarray, d: int, side: str, cfg: OptimizerConfig | None = None
-) -> tuple[float, MeasurementBasis]:
-    """Max over measurement bases of S(ρ_other) − Σ p_k S(ρ_{other|k}).
-
-    Deterministic for a fixed ``cfg.seed``; returns the best value found
-    and the maximizing basis.
-    """
-    rho = _check_bipartite(rho, d, (side,))
-    value, basis, _ = _optimize(rho, d, (side,), cfg)[0]
-    return value, basis
-
-
 def discord_sides(
     rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None = None
 ) -> list[DiscordResult]:
@@ -317,7 +294,6 @@ def discord_sides(
     clipped to exactly 0, and C is then reported as I so that D = I − C
     holds exactly in the result.
     """
-    rho = _check_bipartite(rho, d, sides)
     info = mutual_information(rho, d)
     results = []
     for side, (value, basis, converged) in zip(sides, _optimize(rho, d, sides, cfg)):

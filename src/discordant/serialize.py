@@ -19,7 +19,7 @@ must be finite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .states import (
     commuting_group_invariant_state,
     isotropic_state,
     orthogonal_invariant_state,
-    validate_bell_weights,
     werner_state,
 )
 from .linalg import check_density_matrix
@@ -50,14 +49,17 @@ _KIND_FIELDS = {
 
 @dataclass
 class LoadedState:
-    """A parsed state: always a dense matrix, plus structure when available."""
+    """A parsed state: always the dense matrix ``rho``.
+
+    Every kind but ``orthogonal`` and ``dense`` also carries its circulant
+    ``spec``, and ``bell`` its ``weights``.
+    """
 
     kind: str
     d: int
     rho: np.ndarray
     spec: CirculantSpec | None = None
     weights: BellWeights | None = None
-    params: dict = field(default_factory=dict)
 
 
 def encode_complex_matrix(M: np.ndarray) -> list:
@@ -133,52 +135,39 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise InvalidSpec(f"'d' must be an integer ≥ 2, got {d!r}")
 
+    if kind == "orthogonal":
+        abc = decode_real_matrix(obj["abc"], (3,), "abc")
+        return LoadedState("orthogonal", d, orthogonal_invariant_state(abc, d))
+
+    if kind == "dense":
+        rho = decode_complex_matrix(obj["rho"], (d * d, d * d), "rho")
+        if validate:
+            check_density_matrix(rho)
+        return LoadedState("dense", d, rho)
+
+    # Bell and commuting specs are checked as they are built.
+    weights, check = None, validate
     if kind == "circulant":
         a_obj = obj["a"]
         if not isinstance(a_obj, list) or len(a_obj) != d:
             raise InvalidSpec(f"'a' must be a list of {d} matrices")
-        mats = tuple(
+        spec = CirculantSpec(d, [
             decode_complex_matrix(m, (d, d), f"a[{n}]") for n, m in enumerate(a_obj)
-        )
-        spec = CirculantSpec(d, mats)
-        rho = circulant_state(spec, validate=validate)
-        return LoadedState("circulant", d, rho, spec=spec)
-
-    if kind == "bell":
-        p = decode_real_matrix(obj["p"], (d, d), "p")
-        w = BellWeights(d, p)
-        validate_bell_weights(w)
-        spec = bell_diagonal_state(w)
-        rho = circulant_state(spec, validate=False)
-        return LoadedState("bell", d, rho, spec=spec, weights=w)
-
-    if kind in ("werner", "isotropic"):
+        ])
+    elif kind == "bell":
+        weights = BellWeights(d, decode_real_matrix(obj["p"], (d, d), "p"))
+        spec, check = bell_diagonal_state(weights), False
+    elif kind == "commuting":
+        a0 = decode_complex_matrix(obj["a0"], (d, d), "a0")
+        dmat = decode_real_matrix(obj["dmat"], (d, d), "dmat")
+        spec, check = commuting_group_invariant_state(a0, dmat), False
+    else:  # werner / isotropic
         lam = obj["lambda"]
         if isinstance(lam, bool) or not isinstance(lam, (int, float)):
             raise InvalidSpec(f"'lambda' must be a number, got {lam!r}")
-        lam = float(decode_real_matrix(lam, (), "lambda"))
         build = werner_state if kind == "werner" else isotropic_state
-        spec = build(d, lam, validate=validate)
-        rho = circulant_state(spec, validate=False)
-        return LoadedState(kind, d, rho, spec=spec, params={"lambda": lam})
-
-    if kind == "orthogonal":
-        abc = [float(x) for x in decode_real_matrix(obj["abc"], (3,), "abc")]
-        rho = orthogonal_invariant_state(abc, d)
-        return LoadedState("orthogonal", d, rho, params={"abc": abc})
-
-    if kind == "commuting":
-        a0 = decode_complex_matrix(obj["a0"], (d, d), "a0")
-        dmat = decode_real_matrix(obj["dmat"], (d, d), "dmat")
-        spec = commuting_group_invariant_state(a0, dmat)
-        rho = circulant_state(spec, validate=False)
-        return LoadedState("commuting", d, rho, spec=spec)
-
-    # dense
-    rho = decode_complex_matrix(obj["rho"], (d * d, d * d), "rho")
-    if validate:
-        check_density_matrix(rho)
-    return LoadedState("dense", d, rho)
+        spec = build(d, float(decode_real_matrix(lam, (), "lambda")), validate=False)
+    return LoadedState(kind, d, circulant_state(spec, validate=check), spec=spec, weights=weights)
 
 
 def load_state_file(path: str, validate: bool = True) -> LoadedState:

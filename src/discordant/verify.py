@@ -9,7 +9,7 @@ the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord
 from .errors import PrimeRequired
-from .states import CirculantSpec, bell_diagonal_state, circulant_state
+from .states import CirculantSpec, bell_diagonal_state, circulant_state, orthogonal_invariant_state
 
 #: Numeric discord at or below this confirms a structural zero verdict.
 NUMERIC_ZERO_TOL = 1e-6
@@ -131,13 +131,7 @@ class SuiteResult:
                 self.details.append(detail)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _draw(d: int, t: int, rng: np.random.Generator, perturbed: bool, low: float = 0.02):
@@ -178,6 +172,8 @@ def run_verify(
     """
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(5)]
     results = []
@@ -253,8 +249,8 @@ def o2_simplex_rows(
     (b, c ≤ 1/2), zero-discord flag (b = c within tol), and — every
     ``every``-th emitted point — the numeric discord.
     """
-    from .states import orthogonal_invariant_state  # deferred: keeps import light
-
+    if grid < 1 or every < 0:
+        raise ValueError(f"need grid ≥ 1 and every ≥ 0 (0 = never), got {grid} and {every}")
     values = np.linspace(0.0, 1.0, grid)
     cfg = OptimizerConfig(starts=starts, seed=seed)
     emitted = 0

@@ -72,11 +72,11 @@ def test_extract_blocks_product_state():
     # side-B blocks of a product state are a_{ij}·b
     for i in range(2):
         for j in range(2):
-            np.testing.assert_allclose(dec.blocks[i, j], a[i, j] * b, atol=1e-13)
+            np.testing.assert_allclose(dec[i, j], a[i, j] * b, atol=1e-13)
     dec_a = extract_blocks(rho, 2, "A")
     for k in range(2):
         for l in range(2):
-            np.testing.assert_allclose(dec_a.blocks[k, l], b[k, l] * a, atol=1e-13)
+            np.testing.assert_allclose(dec_a[k, l], b[k, l] * a, atol=1e-13)
 
 
 def test_extract_blocks_x_state_layout():
@@ -84,10 +84,10 @@ def test_extract_blocks_x_state_layout():
         x_state_spec(0.4, 0.1, 0.3, 0.2, 0.05, 0.02j), validate=True
     )
     dec = extract_blocks(rho, 2, "A")
-    np.testing.assert_allclose(dec.blocks[0, 0], np.diag([0.4, 0.2]), atol=0)
-    np.testing.assert_allclose(dec.blocks[1, 1], np.diag([0.3, 0.1]), atol=0)
+    np.testing.assert_allclose(dec[0, 0], np.diag([0.4, 0.2]), atol=0)
+    np.testing.assert_allclose(dec[1, 1], np.diag([0.3, 0.1]), atol=0)
     np.testing.assert_allclose(
-        dec.blocks[0, 1], np.array([[0, 0.05], [-0.02j, 0]]), atol=0
+        dec[0, 1], np.array([[0, 0.05], [-0.02j, 0]]), atol=0
     )
 
 
@@ -128,7 +128,7 @@ def test_structural_x_state_three_conditions():
 
 def _pairwise_oracle(rho, d, side, tol=1e-9):
     """Brute-force reference: every block normal and every pair commuting."""
-    blocks = extract_blocks(rho, d, side).blocks.reshape(d * d, d, d)
+    blocks = extract_blocks(rho, d, side).reshape(d * d, d, d)
     norms = [np.linalg.norm(B) for B in blocks]
     for B, nB in zip(blocks, norms):
         Bd = B.conj().T
@@ -244,7 +244,7 @@ def test_off_diagonal_witness_exceeds_its_tolerance():
             verdict = structural_discord_zero(rho, d, side)
             witness = verdict.witness
             assert not verdict.zero_discord and witness["kind"] == "off-diagonal-block"
-            blocks = extract_blocks(rho, d, side).blocks
+            blocks = extract_blocks(rho, d, side)
             T = verdict.basis.conj().T @ blocks @ verdict.basis
             off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
             scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
@@ -780,3 +780,20 @@ def test_isotropic_necessary_conditions_fail():
     spec = isotropic_state(3, 0.4)
     report = circulant_necessary_conditions(spec, "B")
     assert not report.passed
+
+
+def test_generate_zero_discord_rejects_unknown_side():
+    a0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        generate_zero_discord(a0, np.array([0.0, 0.4, -1.1]), "C")
+
+
+def test_generate_zero_discord_rejects_non_finite_seeds():
+    a0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    phases = np.array([0.0, 0.4, -1.1])
+    bad = a0.copy()
+    bad[0, 1] = np.nan  # used to end in LinAlgError from the eigensolver
+    with pytest.raises(InvalidSpec):
+        generate_zero_discord(bad, phases, "A")
+    with pytest.raises(InvalidSpec):  # used to return a spec with NaN entries
+        generate_zero_discord(a0, np.array([0.0, np.nan, 0.3]), "B")

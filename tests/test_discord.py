@@ -16,13 +16,12 @@ from discordant.discord import (
     _contraction,
     _objective,
     _small_eigvalsh,
-    classical_correlation,
     conditional_entropy,
     discord,
     discord_sides,
     mutual_information,
 )
-from discordant.errors import InvalidMeasurement
+from discordant.errors import DimensionError, InvalidMeasurement
 from discordant.linalg import (
     fourier_matrix,
     partial_trace,
@@ -97,14 +96,14 @@ def test_conditional_entropy_rejects_bad_basis():
 
 def test_classical_correlation_product_state():
     rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
-    value, basis = classical_correlation(rho, 2, "A", CFG2)
-    assert value == pytest.approx(0.0, abs=1e-9)
-    basis.validate()
+    res = discord(rho, 2, "A", CFG2)
+    assert res.classical_correlation == pytest.approx(0.0, abs=1e-9)
+    res.best_measurement.validate()
 
 
 def test_classical_correlation_bell_pair():
-    value, _ = classical_correlation(max_entangled_projector(2), 2, "A", CFG2)
-    assert value == pytest.approx(1.0, abs=1e-9)
+    res = discord(max_entangled_projector(2), 2, "A", CFG2)
+    assert res.classical_correlation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_classical_x_state_has_zero_discord():
@@ -487,3 +486,16 @@ def test_screen_eigenvalues_do_not_change_results(monkeypatch):
             assert abs(a.discord - b.discord) <= 1e-12
             assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
             assert a.starts_converged == b.starts_converged
+
+
+def test_wrong_shape_and_unknown_side_are_rejected():
+    rho = circulant_state(werner_state(2, 0.3))
+    basis = MeasurementBasis(2, np.eye(2))
+    with pytest.raises(DimensionError):
+        mutual_information(rho[:3, :3], 2)
+    with pytest.raises(DimensionError):
+        conditional_entropy(rho[:3, :3], 2, basis, "A")
+    with pytest.raises(DimensionError):
+        discord_sides(rho[:3, :3], 2, ("A", "B"), CFG2)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        conditional_entropy(rho, 2, basis, "C")

@@ -11,6 +11,7 @@ from discordant.serialize import (
     bell_to_json,
     circulant_to_json,
     dense_to_json,
+    encode_complex_matrix,
     load_state_file,
     parse_state,
 )
@@ -19,6 +20,7 @@ from discordant.states import (
     CirculantSpec,
     bell_diagonal_state,
     circulant_state,
+    commuting_group_invariant_state,
     isotropic_state,
     orthogonal_invariant_state,
     werner_state,
@@ -55,7 +57,7 @@ def test_named_family_parsing():
     loaded = parse_state({"kind": "werner", "d": 3, "lambda": 0.2})
     ref = circulant_state(werner_state(3, 0.2))
     np.testing.assert_allclose(loaded.rho, ref, atol=0)
-    assert loaded.params == {"lambda": 0.2}
+    np.testing.assert_array_equal(loaded.spec.a, werner_state(3, 0.2).a)
 
     loaded = parse_state({"kind": "orthogonal", "d": 2, "abc": [0.2, 0.5, 0.3]})
     assert loaded.kind == "orthogonal"
@@ -170,3 +172,16 @@ def test_family_constructors_reject_non_finite_parameters():
                     build(3, lam, validate=validate)
     with pytest.raises(InvalidSpec, match="finite"):
         orthogonal_invariant_state((NAN, 0.5, 0.5), 2)
+
+
+def test_commuting_kind_parses_to_its_circulant_state():
+    a0 = np.array([[0.1, 0.02 + 0.03j, 0.0], [0.02 - 0.03j, 0.1, 0.01], [0.0, 0.01, 0.1]])
+    dmat = np.array([[0.0, 0.1, 0.05], [0.2, 0.0, 0.1], [0.15, 0.1, 0.0]])
+    loaded = parse_state(json.loads(json.dumps({
+        "kind": "commuting", "d": 3,
+        "a0": encode_complex_matrix(a0), "dmat": dmat.tolist(),
+    })))
+    assert loaded.kind == "commuting"
+    spec = commuting_group_invariant_state(a0, dmat)
+    np.testing.assert_array_equal(loaded.rho, circulant_state(spec))
+    np.testing.assert_array_equal(loaded.spec.a, spec.a)

@@ -346,3 +346,33 @@ def test_non_finite_weights_and_sectors_are_rejected():
         stack[1, 2, 2] = bad
         with pytest.raises(InvalidSpec, match=re.escape("a^(1) has non-finite entries")):
             circulant_state(CirculantSpec(3, stack))
+
+
+def test_commuting_state_rejects_invalid_a():
+    dmat = np.array([[0.0, 0.4], [0.4, 0.0]])
+    for a in (
+        np.array([[0.1, 0.05], [0.0, 0.1]]),  # not Hermitian
+        np.array([[0.1, 0.3], [0.3, 0.1]]),  # not PSD
+        np.array([[0.2, 0.05], [0.05, 0.1]]),  # total trace 1.1
+    ):
+        with pytest.raises(InvalidSpec):
+            commuting_group_invariant_state(a, dmat)
+
+
+def test_commuting_state_rejects_non_finite_entries():
+    # each of these used to yield a spec holding NaN, or to drop the NaN
+    a, dmat = np.eye(2) * 0.1, np.array([[0.0, 0.4], [0.4, 0.0]])
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        commuting_group_invariant_state(np.array([[0.1, np.nan], [np.nan, 0.1]]), dmat)
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        commuting_group_invariant_state(a, np.array([[0.0, np.nan], [0.4, 0.0]]))
+    with pytest.raises(InvalidSpec, match="diagonal"):
+        commuting_group_invariant_state(a, np.array([[np.nan, 0.4], [0.4, 0.0]]))
+
+
+def test_project_circulant_rejects_nan_residual():
+    rho = circulant_state(werner_state(3, 0.2))
+    rho[0, 1] = np.nan  # off-sector: a NaN residual must not count as circulant
+    out = project_circulant(rho, 3)
+    assert isinstance(out, NotCirculant)
+    assert np.isnan(out.residual)

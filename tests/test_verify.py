@@ -123,3 +123,14 @@ def test_zero_starts_rejected_by_library():
         run_verify(3, draws=1, starts=0)
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, starts=0))
+
+
+def test_empty_library_runs_rejected():
+    # each of these used to pass, or yield nothing, without a single draw
+    for draws in (0, -2):
+        with pytest.raises(ValueError):
+            run_verify(3, draws=draws)
+    with pytest.raises(ValueError):
+        list(o2_simplex_rows(grid=0))
+    with pytest.raises(ValueError):
+        list(o2_simplex_rows(grid=3, every=-1))
