@@ -12,9 +12,11 @@ the entropy left after measuring.  A stack of bases is scored at once:
 one contraction gives every conditional state σ_k, one batched
 eigendecomposition gives f and its closed-form Riemannian gradient on
 U(d).  A seeded screen (identity, Fourier basis, a few hundred Haar
-draws) picks the starts.  It scores them from closed-form eigenvalues at
-d = 2 and 3, which are accurate enough to rank candidates but not to
-report a value: every returned number comes from LAPACK.  Steepest
+draws made by batched Gram–Schmidt) picks the starts, scoring every
+candidate against both measured sides in one contraction.  It scores
+them from closed-form eigenvalues at d = 2 and 3, which are accurate
+enough to rank candidates but not to report a value: every returned
+number comes from LAPACK.  Steepest
 descent along the geodesics U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen,
 IEEE TSP 2008) refines them together, both measured sides in one stack.
 Each step length μ is the minimizer of a parabola fitted to the last
@@ -124,11 +126,18 @@ class DiscordResult:
         }
 
 
+def _information(rho: np.ndarray, d: int) -> tuple[float, dict]:
+    """I(ρ) in bits and, keyed by measured side, the entropy of the other side's marginal.
+
+    ``partial_trace(…, side)`` traces ``side`` out and leaves the other one.
+    """
+    other = {side: von_neumann_entropy(partial_trace(rho, d, d, side)) for side in ("A", "B")}
+    return other["B"] + other["A"] - von_neumann_entropy(rho), other
+
+
 def mutual_information(rho: np.ndarray, d: int) -> float:
     """I(ρ) = S(ρ_A) + S(ρ_B) − S(ρ) in bits."""
-    sA = von_neumann_entropy(partial_trace(rho, d, d, "B"))
-    sB = von_neumann_entropy(partial_trace(rho, d, d, "A"))
-    return sA + sB - von_neumann_entropy(rho)
+    return _information(rho, d)[0]
 
 
 def _contraction(rho: np.ndarray, d: int, side: str) -> np.ndarray:
@@ -179,8 +188,12 @@ def _small_eigvalsh(H: np.ndarray) -> np.ndarray:
 def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     """f(U) = Σ_k p_k S(σ_k/p_k) for stacks of S bases U, shape (..., S, d, d).
 
-    R, shape (..., d², d²), is one contraction per leading index (one per
-    measured side).  Returns f, shape (..., S), and with ``gradient`` the
+    R, shape (..., d², d²), is one contraction per measured side.  The
+    leading shapes of U and R broadcast: the screen scores one stack of
+    candidates against both sides in one product.  σ_k is used as the
+    contraction leaves it, Hermitian to rounding: ``eigh`` reads its lower
+    triangle and ``_small_eigvalsh`` its upper one, and p_k its real
+    diagonal.  Returns f, shape (..., S), and with ``gradient`` the
     descent direction Ω = A − A†,
     A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
     G_k = −log₂(σ_k/p_k): along any skew-Hermitian X,
@@ -190,14 +203,14 @@ def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     to rank candidates but not to report a value: at d = 3 a near-degenerate
     σ_k can shift f by ~1e-7 bits.  Callers that return f use ``gradient``.
     """
-    *batch, S, d, _ = U.shape
+    *own, S, d, _ = U.shape
+    batch = np.broadcast_shapes(tuple(own), R.shape[:-2])
     cols = U.swapaxes(-1, -2)
     # W[..., s, k] = (U_k U_k†)ᵀ: the k-th projector, flattened to contract with R.
     W = cols.conj()[..., None] * cols[..., None, :]
-    sigma = (W.reshape(*batch, S * d, d * d) @ R).reshape(*batch, S, d, d, d)
-    sigma = (sigma + sigma.conj().swapaxes(-1, -2)) / 2
+    sigma = (W.reshape(*own, S * d, d * d) @ R).reshape(*batch, S, d, d, d)
     lam, V = np.linalg.eigh(sigma) if gradient else (_small_eigvalsh(sigma), None)
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)
     p = np.einsum("...kii->...k", sigma).real[..., None]
     logs = np.log2(np.maximum(lam, P_UNDERFLOW) / np.maximum(p, P_UNDERFLOW))
     used = (lam > P_UNDERFLOW) & (p > P_UNDERFLOW)
@@ -228,9 +241,11 @@ def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarray:
     """Per contraction in Rs, the ``cfg.starts`` best screened bases, slightly rotated.
 
-    The candidates (the identity, the Fourier basis and Haar draws) and
-    the rotations are drawn once for all sides; each side is scored alone
-    with ``_objective``'s eigenvalue-only branch.  The rotation matters:
+    The candidates (the identity, the Fourier basis and Haar draws from
+    ``random_unitary``'s Gram–Schmidt) and the rotations are drawn once for
+    all sides.  One ``_objective`` call in its eigenvalue-only branch scores
+    every candidate against every side in one contraction; each side then
+    keeps its own best ``cfg.starts``, in stable order.  The rotation matters:
     for Bell-diagonal states the identity and Fourier bases are exact
     critical points, where Ω = 0 and descent would never leave them.
     """
@@ -239,8 +254,8 @@ def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarra
     Z = rng.standard_normal((cfg.starts, d, d)) + 1j * rng.standard_normal((cfg.starts, d, d))
     w, V = np.linalg.eigh(Z + Z.conj().swapaxes(-1, -2))
     kick = _exp_i(w, V, np.full(cfg.starts, START_KICK))
-    scores = [_objective(R, candidates, gradient=False)[0] for R in Rs]
-    return np.stack([kick @ candidates[np.argsort(f, kind="stable")[: cfg.starts]] for f in scores])
+    scores, _ = _objective(Rs, candidates[None], gradient=False)
+    return kick @ candidates[np.argsort(scores, axis=-1, kind="stable")[:, : cfg.starts]]
 
 
 def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
@@ -253,7 +268,7 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     slope −‖Ω‖² and the trial value, within [μ/10, 4μ]; a trial that gains
     at least the slope promises sets 4μ.  A start stops once μ‖Ω‖², the
     decrease a step can still promise, is at most ``F_TOL``.  Returns
-    (C, best basis, converged starts) per side.
+    (min f, best basis, converged starts) per side.
     """
     cfg = cfg or OptimizerConfig()
     R = np.stack([_contraction(rho, d, side) for side in sides])
@@ -262,7 +277,7 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     mu = np.ones(f.shape)
     done = np.zeros(f.shape, dtype=bool)
     for it in range(MAX_ITERS + 1):
-        slope = np.sum(np.abs(omega) ** 2, axis=(-2, -1))
+        slope = (omega.real ** 2 + omega.imag ** 2).sum(axis=(-2, -1))
         done |= mu * slope <= F_TOL
         if done.all() or it == MAX_ITERS:  # the last pass only tests the last step
             break
@@ -277,11 +292,10 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
         U = np.where(ok[..., None, None], trial, U)
         f = np.where(ok, f_trial, f)
         omega = np.where(ok[..., None, None], omega_trial, omega)
-        mu = np.where(done, mu, np.clip(fit, mu / 10, 4 * mu))
+        mu = np.where(done, mu, np.minimum(np.maximum(fit, mu / 10), 4 * mu))
     return [
-        (max(von_neumann_entropy(partial_trace(rho, d, d, side)) - float(f[s, b]), 0.0),
-         MeasurementBasis(d, U[s, b]), int(done[s].sum()))
-        for s, (side, b) in enumerate(zip(sides, np.argmin(f, axis=-1)))
+        (float(f[s, b]), MeasurementBasis(d, U[s, b]), int(done[s].sum()))
+        for s, b in enumerate(np.argmin(f, axis=-1))
     ]
 
 
@@ -294,9 +308,10 @@ def discord_sides(
     clipped to exactly 0, and C is then reported as I so that D = I − C
     holds exactly in the result.
     """
-    info = mutual_information(rho, d)
+    info, other = _information(rho, d)
     results = []
-    for side, (value, basis, converged) in zip(sides, _optimize(rho, d, sides, cfg)):
+    for side, (f, basis, converged) in zip(sides, _optimize(rho, d, sides, cfg)):
+        value = max(other[side] - f, 0.0)
         dval = info - value
         if abs(dval) <= ZERO_CLIP:
             dval, value = 0.0, info

@@ -9,7 +9,7 @@ the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -174,6 +174,9 @@ def run_verify(
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    # made here so that a bad ``starts`` is rejected at every d, not only
+    # where the numeric suite runs
+    cfg = OptimizerConfig(starts=starts, seed=seed)
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(5)]
     results = []
@@ -224,8 +227,7 @@ def run_verify(
     suite = SuiteResult("numeric-agreement", skipped=d >= 5)
     for t in range(0 if suite.skipped else 6):
         side, spec, _ = _draw(d, t, rngs[4], perturbed=t >= 3, low=0.05)
-        cfg = OptimizerConfig(starts=starts, seed=seed + t)
-        dval = discord(circulant_state(spec), d, side, cfg).discord
+        dval = discord(circulant_state(spec), d, side, replace(cfg, seed=seed + t)).discord
         if t < 3:
             suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
         else:

@@ -16,6 +16,7 @@ from discordant.discord import (
     _contraction,
     _objective,
     _small_eigvalsh,
+    _start_bases,
     conditional_entropy,
     discord,
     discord_sides,
@@ -44,6 +45,7 @@ from discordant.verify import (
 )
 
 from test_blocks import classical_x_spec
+from test_linalg import lapack_unitary
 
 CFG2 = OptimizerConfig(seed=0)
 CFG3 = OptimizerConfig(starts=8, seed=0)
@@ -406,17 +408,28 @@ def test_contraction_is_the_block_view_transposed():
 
 
 def test_start_converged_on_last_allowed_step(monkeypatch):
-    # A start that meets F_TOL on its last allowed step has converged: with
-    # MAX_ITERS = 6 the first start stops where it stops with 7.
+    # A start that meets F_TOL on its last allowed step has converged.  The
+    # step is found by counting descent iterations (gradient evaluations
+    # after the first), independently of the converged-start count.
     module = importlib.import_module("discordant.discord")
     rho = circulant_state(werner_state(3, 0.2))
-    cfg = OptimizerConfig(starts=2, seed=0)
-    monkeypatch.setattr(module, "MAX_ITERS", 6)
+    cfg = OptimizerConfig(starts=1, seed=0)
+    objective, calls = module._objective, []
+
+    def counted(R, U, gradient=True):
+        calls.append(gradient)
+        return objective(R, U, gradient)
+
+    monkeypatch.setattr(module, "_objective", counted)
+    free = discord_sides(rho, 3, ("A",), cfg)[0]
+    steps = sum(calls) - 1
+    assert free.starts_converged == 1 and steps >= 2
+    monkeypatch.setattr(module, "MAX_ITERS", steps)
     got = discord_sides(rho, 3, ("A",), cfg)[0]
-    monkeypatch.setattr(module, "MAX_ITERS", 7)
-    more = discord_sides(rho, 3, ("A",), cfg)[0]
-    assert got.classical_correlation == more.classical_correlation
+    assert got.classical_correlation == free.classical_correlation
     assert got.starts_converged == 1
+    monkeypatch.setattr(module, "MAX_ITERS", steps - 1)
+    assert discord_sides(rho, 3, ("A",), cfg)[0].starts_converged == 0
 
 
 def _hermitian_stacks(d, rng, n=300):
@@ -486,6 +499,65 @@ def test_screen_eigenvalues_do_not_change_results(monkeypatch):
             assert abs(a.discord - b.discord) <= 1e-12
             assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
             assert a.starts_converged == b.starts_converged
+
+
+def test_joint_screen_gives_each_side_its_own_starts():
+    # Both sides are scored in one contraction; each keeps the starts it
+    # would pick alone, bit for bit.
+    rng = np.random.default_rng(43)
+    for d in (2, 3):
+        for n, rho in enumerate(_sides_states(d, rng)):
+            cfg = OptimizerConfig(starts=3, seed=n)
+            Rs = np.stack([_contraction(rho, d, side) for side in ("A", "B")])
+            both = _start_bases(d, cfg, Rs, np.random.default_rng(n))
+            for s in range(2):
+                alone = _start_bases(d, cfg, Rs[s : s + 1], np.random.default_rng(n))
+                np.testing.assert_array_equal(both[s], alone[0])
+
+
+def test_gram_schmidt_draws_do_not_change_results(monkeypatch):
+    # The screen's Haar draws agree with LAPACK QR to rounding: with QR in
+    # their place every state gets the same D and verdict.
+    rng = np.random.default_rng(47)
+    cases = [(d, rho) for d in (2, 3) for rho in _sides_states(d, rng)]
+    cases += [(2, rho) for rho in _luo_states(rng)]
+
+    def run():
+        return [discord_sides(rho, d, ("A", "B"), OptimizerConfig(starts=4, seed=n))
+                for n, (d, rho) in enumerate(cases)]
+
+    gram_schmidt = run()
+    # the package's ``discord`` function shadows the submodule of that name
+    module = importlib.import_module("discordant.discord")
+    monkeypatch.setattr(module, "random_unitary", lapack_unitary)
+    lapack = run()
+    for got, want in zip(gram_schmidt, lapack):
+        for a, b in zip(got, want):
+            assert abs(a.discord - b.discord) <= 1e-12
+            assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda d: st.tuples(st.just(d), arrays(float, (2, d * d, d * d), elements=st.floats(-1, 1)))
+    )
+)
+def test_swap_exchanges_sides_and_discord_is_bounded(case):
+    # F swaps the qudits, so D_A(ρ) = D_B(FρF); and 0 ≤ D_X ≤ S(ρ_X)
+    d, parts = case
+    G = parts[0] + 1j * parts[1]
+    rho = G @ G.conj().T + 1e-3 * np.eye(d * d)
+    rho /= np.trace(rho).real
+    F = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    cfg = OptimizerConfig(starts=2, seed=0)
+    results = discord_sides(rho, d, ("A", "B"), cfg)
+    swapped = discord_sides(F @ rho @ F, d, ("B", "A"), cfg)
+    for res, other in zip(results, swapped):
+        assert abs(res.discord - other.discord) <= 1e-12
+        # tracing out the other side leaves ρ_X
+        measured = von_neumann_entropy(partial_trace(rho, d, d, "AB".replace(res.side, "")))
+        assert 0.0 <= res.discord <= measured + 1e-9
 
 
 def test_wrong_shape_and_unknown_side_are_rejected():

@@ -79,19 +79,49 @@ def test_fourier_matrix_unitary():
         assert F[1, 1] == pytest.approx(np.exp(2j * np.pi / d) / np.sqrt(d), abs=1e-12)
 
 
+class _Replay:
+    """Stands in for a Generator: ``standard_normal`` hands out the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+def lapack_unitary(d, rng, count=None):
+    """The reference Haar draw: LAPACK QR of the same Gaussian matrix, phases fixed so that diag(R) > 0."""
+    shape = (d, d) if count is None else (count, d, d)
+    Q, R = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
+
+
 def test_random_unitary_deterministic_and_unitary():
     u1 = random_unitary(4, np.random.default_rng(7))
     u2 = random_unitary(4, np.random.default_rng(7))
     np.testing.assert_array_equal(u1, u2)
-    np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
-    # a batch is one QR of the stacked draws, bit-identical to one QR per matrix
-    stack = random_unitary(3, np.random.default_rng(7), 5)
-    rng = np.random.default_rng(7)
-    G = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    for u, g in zip(stack, G):
-        Q, R = np.linalg.qr(g)
-        np.testing.assert_array_equal(u, Q * (np.diag(R) / np.abs(np.diag(R))))
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+    for d in (1, 2, 3, 5, 13):
+        stack = random_unitary(d, np.random.default_rng(7), 40)
+        rng = np.random.default_rng(7)
+        re, im = rng.standard_normal((2, 40, d, d))
+        for u, a, b in zip(stack, re, im):
+            # a batch is bit-identical to one call per Gaussian matrix
+            np.testing.assert_array_equal(u, random_unitary(d, _Replay(a, b)))
+            assert np.abs(u - lapack_unitary(d, _Replay(a, b))).max() <= 1e-13, d
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-13, d
+
+
+def test_random_unitary_haar_moments():
+    # For Haar U(d), |U_ij|² ~ Beta(1, d − 1): E|U_ij|² = 1/d, E|U_ij|⁴ = 2/(d(d + 1))
+    n = 20000
+    for d in (2, 3):
+        x = np.abs(random_unitary(d, np.random.default_rng(41), n)) ** 2
+        for moment, want in ((x, 1 / d), (x ** 2, 2 / (d * (d + 1)))):
+            stderr = moment.std(axis=0, ddof=1) / np.sqrt(n)
+            assert (np.abs(moment.mean(axis=0) - want) <= 5 * stderr).all(), d
 
 
 def test_package_exports_resolve():

@@ -121,6 +121,9 @@ def test_zero_starts_rejected_by_library():
     # starts=0 used to be replaced by 24 starts without a word
     with pytest.raises(ValueError):
         run_verify(3, draws=1, starts=0)
+    # and at d ≥ 5, where the numeric suite is skipped, it used to pass
+    with pytest.raises(ValueError, match="starts must be at least 1"):
+        run_verify(5, draws=1, starts=0)
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, starts=0))
 
