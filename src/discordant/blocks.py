@@ -20,10 +20,12 @@ under a diagonal unitary V = diag(e^{iφ_n}) with φ_0 = 0,
 with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
 fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
-witness.  Bell-diagonal states additionally admit a weight-space test:
-discord vanishes iff p is constant on the classes of one of the d + 1
-lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some α or
-p[m, n] = π_n.
+witness.  A spec is immutable, so its scale, all-diagonal flag, φ = 0
+stacks, fitted φ and witnesses are each made once and kept with it; the
+per-d index and weight tables are cached.  Bell-diagonal states additionally
+admit a weight-space test: discord vanishes iff p is constant on the classes
+of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some
+α or p[m, n] = π_n.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import EIG_FLOOR, frobenius, hermitize
+from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -187,8 +189,7 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
         blocks = four.transpose(1, 3, 0, 2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    blocks.flags.writeable = False
-    return blocks
+    return _read_only(blocks)
 
 
 def structural_discord_zero(
@@ -232,30 +233,35 @@ def structural_discord_zero(
     )
 
 
+def _once(spec: CirculantSpec, key, make):
+    """``make()`` for this spec and key, made on first use and kept (a spec never changes)."""
+    return spec._derived[key] if key in spec._derived else spec._derived.setdefault(key, make())
+
+
 def _all_diagonal(spec: CirculantSpec) -> bool:
-    off = np.abs(spec.a)
-    idx = np.arange(spec.d)
-    off[:, idx, idx] = 0.0
-    return bool(off.max() <= ZERO_TOL)
+    return _once(spec, "all-diagonal",
+                 lambda: bool(np.abs(spec.a[:, ~np.eye(spec.d, dtype=bool)]).max() <= ZERO_TOL))
 
 
 @functools.cache
 def _shifts(d: int) -> np.ndarray:
     """shifts[k, i] = (i + k) mod d (cached, read-only)."""
-    shifts = (np.arange(d)[:, None] + np.arange(d)) % d
-    shifts.flags.writeable = False
-    return shifts
+    return _read_only((np.arange(d)[:, None] + np.arange(d)) % d)
 
 
 def _reference_stack(a0: np.ndarray, side: str) -> np.ndarray:
-    """The φ = 0 family: slice k is a^(0)_{i+k, j+k} (side A) or a^(0) (side B)."""
+    """The φ = 0 family: slice k is a^(0)_{i+k, j+k} (side A) or a^(0) (side B), read-only."""
     d = a0.shape[0]
     if side == "A":
         s = _shifts(d)
-        return a0[s[:, :, None], s[:, None, :]]
+        return _read_only(a0[s[:, :, None], s[:, None, :]])
     if side == "B":
-        return np.repeat(a0[None], d, axis=0)
+        return _read_only(np.repeat(a0[None], d, axis=0))
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def _spec_reference(spec: CirculantSpec, side: str) -> np.ndarray:
+    return _once(spec, ("reference", side), lambda: _reference_stack(spec.a[0], side))
 
 
 def _psi_table(phi: np.ndarray) -> np.ndarray:
@@ -264,15 +270,15 @@ def _psi_table(phi: np.ndarray) -> np.ndarray:
     return np.cumsum(np.vstack([np.zeros(d), phi[_shifts(d)[:-1]]]), axis=0)
 
 
-def _family_stack(a0: np.ndarray, phi: np.ndarray, side: str) -> np.ndarray:
+def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
     psi = _psi_table(np.asarray(phi, dtype=float))
     phase = np.exp(1j * (psi[:, :, None] - psi[:, None, :]))
-    return phase * _reference_stack(np.asarray(a0, dtype=complex), side)
+    return phase * ref
 
 
 def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
     """Build the d sector matrices generated by a^(0) and phase angles φ."""
-    return list(_family_stack(a0, phi, side))
+    return list(_family_stack(_reference_stack(np.asarray(a0, dtype=complex), side), phi))
 
 
 def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
@@ -332,7 +338,7 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
 
 
 def _spec_scale(spec: CirculantSpec) -> float:
-    return max(1.0, max(frobenius(m) for m in spec.a))
+    return _once(spec, "scale", lambda: max(1.0, max(frobenius(m) for m in spec.a)))
 
 
 def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: float):
@@ -342,7 +348,7 @@ def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: f
     lexicographically first violation (in k, i, j) as a witness dict.
     """
     a = spec.a
-    family = _family_stack(a[0], phi, side)
+    family = _family_stack(_spec_reference(spec, side), phi)
     delta = np.abs(family - a)
     thr = tol * _spec_scale(spec)
     bad = delta > thr
@@ -367,16 +373,19 @@ def circulant_theorem_check(
 
     Fits phase angles from the sector-matrix entries and verifies the full
     phase-and-shift relation for every sector; all-diagonal specs are
-    classical outright.
+    classical outright.  φ is fitted once per spec and side, the witness
+    found once per tol; each verdict gets φ read-only and its own witness.
     """
     _require_prime(spec.d)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if _all_diagonal(spec):
         return StructuralVerdict(True, side, CRITERION_DIAGONAL)
-    phi = _fit_phases(spec, side)
+    phi = _once(spec, ("phases", side), lambda: _read_only(_fit_phases(spec, side)))
+    witness = _once(spec, ("check", side, tol), lambda: _verify_phase_family(spec, phi, side, tol))
+    if witness is not None:  # a copy of the kept one, which holds numbers and lists of numbers
+        witness = {key: list(v) if isinstance(v, list) else v for key, v in witness.items()}
     phases = PhaseVector(spec.d, phi)
-    witness = _verify_phase_family(spec, phi, side, tol)
     return StructuralVerdict(
         witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phases
     )
@@ -390,6 +399,7 @@ def circulant_necessary_conditions(
     Side B requires |a^(n)_{ij}| = |a^(0)_{ij}| off the diagonal and
     a^(n)_{kk} = a^(0)_{kk}; side A the same with a^(0) indices shifted
     by n.  These are necessary, not sufficient (phases are not checked).
+    The spec's scale and φ = 0 stack are those the theorem uses, made once.
     """
     _require_prime(spec.d)
     if side not in ("A", "B"):
@@ -397,7 +407,7 @@ def circulant_necessary_conditions(
     if _all_diagonal(spec):
         return NecessaryConditionsReport(side, True, True)
     a = spec.a
-    got, ref = a[1:], _reference_stack(a[0], side)[1:]
+    got, ref = a[1:], _spec_reference(spec, side)[1:]
     diag = np.eye(spec.d, dtype=bool)
     got_abs, ref_abs = np.abs(got), np.abs(ref)
     fail = np.abs(np.where(diag, got - ref, got_abs - ref_abs)) > tol * _spec_scale(spec)
@@ -435,7 +445,7 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     tr = float(np.trace(a0).real)
     if tr <= ZERO_TOL:
         raise InvalidSpec("a0 must have positive trace")
-    return CirculantSpec(d, _family_stack(a0 / (d * tr), phi, side))
+    return CirculantSpec(d, _family_stack(_reference_stack(a0 / (d * tr), side), phi))
 
 
 def completely_classical_check(
@@ -448,7 +458,7 @@ def completely_classical_check(
     diagonal, the side-B relation keeps it, so both pin it to a constant),
     and :func:`circulant_theorem_check` must pass on side A and on side B.
     A zero verdict carries side A's phases; a nonzero one the first
-    failing side's witness (with its ``side``) and phases.
+    failing side's witness (with its ``side``) and phases; the theorem reuses earlier fits.
     """
     _require_prime(spec.d)
     if _all_diagonal(spec):
@@ -523,6 +533,13 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     )
 
 
+@functools.cache
+def _generic_weights(d: int) -> np.ndarray:
+    """Z + Z† for Weyl phases Z_ij = e^{2πi·frac(n·golden)}, n = 1..d² (cached, read-only)."""
+    Z = np.exp(2j * np.pi * (np.arange(1, d * d + 1).reshape(d, d) * _GOLDEN % 1.0))
+    return _read_only(Z + Z.conj().T)
+
+
 def _hermitian_generators(blocks: np.ndarray, d: int):
     """Hermitian matrices that all commute iff the blocks (B_ji = B_ij†) are normal and commute.
 
@@ -533,9 +550,7 @@ def _hermitian_generators(blocks: np.ndarray, d: int):
     pair.  Then the spanning set B_ii, B_ij + B_ji, i(B_ij − B_ji) for
     whatever that left degenerate.
     """
-    n = np.arange(1, d * d + 1).reshape(d, d)
-    Z = np.exp(2j * np.pi * (n * _GOLDEN % 1.0))
-    yield np.einsum("ij,ijkl->kl", Z + Z.conj().T, blocks)
+    yield np.einsum("ij,ijkl->kl", _generic_weights(d), blocks)
     for i in range(d):
         yield blocks[i, i]
     for i in range(d):

@@ -306,10 +306,7 @@ def main(argv=None) -> int:
         if getattr(args, "every", 0) < 0:
             raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)
-    except DiscordantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DiscordantError, OSError) as exc:  # OSError: an unreadable input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

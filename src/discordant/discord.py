@@ -30,13 +30,14 @@ verdicts should rely on d ∈ {2, 3}, where start coverage is dense.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
-from .linalg import fourier_matrix, partial_trace, random_unitary, von_neumann_entropy
+from .linalg import _read_only, fourier_matrix, partial_trace, random_unitary, von_neumann_entropy
 
 #: Measurement outcome weights below this are treated as never occurring.
 P_UNDERFLOW = 1e-14
@@ -238,6 +239,12 @@ def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * t[..., None, None] * w[..., None, :])) @ V.conj().swapaxes(-1, -2)
 
 
+@functools.cache
+def _fixed_candidates(d: int) -> np.ndarray:
+    """The identity and the Fourier basis, the first two screen candidates (cached, read-only)."""
+    return _read_only(np.stack([np.eye(d, dtype=complex), fourier_matrix(d)]))
+
+
 def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarray:
     """Per contraction in Rs, the ``cfg.starts`` best screened bases, slightly rotated.
 
@@ -250,7 +257,7 @@ def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarra
     critical points, where Ω = 0 and descent would never leave them.
     """
     haar = random_unitary(d, rng, max(SCREEN_DRAWS, cfg.starts))
-    candidates = np.concatenate([np.eye(d)[None], fourier_matrix(d)[None], haar])
+    candidates = np.concatenate([_fixed_candidates(d), haar])
     Z = rng.standard_normal((cfg.starts, d, d)) + 1j * rng.standard_normal((cfg.starts, d, d))
     w, V = np.linalg.eigh(Z + Z.conj().swapaxes(-1, -2))
     kick = _exp_i(w, V, np.full(cfg.starts, START_KICK))

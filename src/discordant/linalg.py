@@ -27,6 +27,12 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with writing turned off: for arrays that are kept and shared between calls."""
+    a.flags.writeable = False
+    return a
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize a nearly Hermitian matrix, or a stack of them: (M + M†)/2."""
     return (M + M.conj().swapaxes(-1, -2)) / 2.0

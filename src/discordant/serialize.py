@@ -175,6 +175,6 @@ def load_state_file(path: str, validate: bool = True) -> LoadedState:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
     return parse_state(obj, validate=validate)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSpec
-from .linalg import EIG_FLOOR, frobenius, hermitize
+from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
 
 #: Entries smaller than this in modulus are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -28,7 +28,12 @@ CIRCULANT_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """The sector matrices of a circulant state: ``a[n]`` = a^(n), a read-only (d, d, d) stack."""
+    """The sector matrices of a circulant state: ``a[n]`` = a^(n), a read-only (d, d, d) stack.
+
+    A spec is frozen and its stack read-only, so a value derived from it
+    never goes stale: :mod:`discordant.blocks` makes each once and keeps it
+    in ``_derived``, which is not a field, so equality and repr ignore it.
+    """
 
     d: int
     a: np.ndarray
@@ -40,8 +45,10 @@ class CirculantSpec:
             a = np.empty(0)
         if a.shape != (self.d,) * 3:
             raise DimensionError(f"expected {self.d} matrices of shape ({self.d}, {self.d})")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _read_only(a))
+
+    #: What :mod:`discordant.blocks` derives from the stack, filled on first use.
+    _derived = functools.cached_property(lambda self: {})
 
     def trace_sum(self) -> float:
         """Σ_n tr a^(n), added left to right (NumPy would pair up the terms for d ≥ 8)."""
@@ -74,9 +81,7 @@ def _sector_index(d: int) -> np.ndarray:
     """flat[n, i, j]: index of a^(n)_{ij} in the raveled d²×d² matrix (cached, read-only)."""
     i = np.arange(d)
     pos = i * d + (i + i[:, None]) % d  # pos[n, i] = i·d + (i+n) mod d
-    flat = pos[:, :, None] * (d * d) + pos[:, None, :]
-    flat.flags.writeable = False
-    return flat
+    return _read_only(pos[:, :, None] * (d * d) + pos[:, None, :])
 
 
 def validate_circulant_spec(spec: CirculantSpec) -> None:

@@ -1,5 +1,8 @@
 """Block analysis: structural criteria, theorem checkers, decomposition."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from discordant.blocks import (
     DEGENERACY_GAP,
     REASSEMBLY_TOL,
     _fit_phases,
+    _generic_weights,
+    _shifts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
     circulant_theorem_check,
@@ -23,12 +28,14 @@ from discordant.blocks import (
     phase_family,
     structural_discord_zero,
 )
+from discordant.discord import _fixed_candidates
 from discordant.errors import InvalidSpec, PreconditionError, PrimeRequired
 from discordant.linalg import fourier_matrix, random_unitary
 from discordant.states import (
     ZERO_TOL,
     BellWeights,
     CirculantSpec,
+    _sector_index,
     bell_diagonal_state,
     circulant_state,
     isotropic_state,
@@ -797,3 +804,88 @@ def test_generate_zero_discord_rejects_non_finite_seeds():
         generate_zero_discord(bad, phases, "A")
     with pytest.raises(InvalidSpec):  # used to return a spec with NaN entries
         generate_zero_discord(a0, np.array([0.0, np.nan, 0.3]), "B")
+
+
+def _memo_specs(d, rng):
+    """Zero on A and on B, one per perturbation kind, a classical Bell and an all-diagonal spec."""
+    specs = [random_zero_discord_spec(d, side, rng) for side in ("A", "B")]
+    specs += [
+        perturb_spec(random_zero_discord_spec(d, "AB"[n % 2], rng), kind, 0.1, rng)
+        for n, kind in enumerate(PERTURBATION_KINDS)
+    ]
+    specs.append(bell_diagonal_state(random_classical_bell(d, 1, rng)[0]))
+    weights = rng.dirichlet(np.ones(d * d)).reshape(d, d)
+    specs.append(CirculantSpec(d, [np.diag(w).astype(complex) for w in weights]))
+    return specs
+
+
+def _closed_forms_json(spec, tol=DEFAULT_TOL, reverse=False):
+    """The closed forms' JSON, called in the analyze command's order (or reversed)."""
+    calls = [(f"theorem-{s}", lambda s=s: circulant_theorem_check(spec, s, tol)) for s in "AB"]
+    calls += [
+        (f"necessary-{s}", lambda s=s: circulant_necessary_conditions(spec, s, tol)) for s in "AB"
+    ]
+    calls.append(("complete", lambda: completely_classical_check(spec, tol)))
+    return {name: json.dumps(call().to_json()) for name, call in calls[:: -1 if reverse else 1]}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_closed_forms_do_not_depend_on_what_the_spec_was_asked_before(d):
+    # a spec keeps its scale, φ = 0 stacks, fits and witnesses; answers must
+    # not change with call order, on repeat, or on a fresh copy of the stack
+    rng = np.random.default_rng(70 + d)
+    for spec in _memo_specs(d, rng):
+        shown = repr(spec)
+        first = _closed_forms_json(spec)
+        assert _closed_forms_json(spec) == first
+        assert _closed_forms_json(spec, reverse=True) == first
+        fresh = CirculantSpec(d, spec.a)
+        assert _closed_forms_json(fresh, reverse=True) == first
+        assert repr(spec) == shown == repr(fresh)
+        assert [f.name for f in dataclasses.fields(spec)] == ["d", "a"]
+
+
+def test_edited_verdicts_do_not_change_later_ones():
+    # the witness and φ a verdict carries are kept with the spec: a caller
+    # that edits them must not reach the next verdict
+    spec = _constant_modulus_family(5, np.random.default_rng(71))
+    checks = [lambda: circulant_theorem_check(spec, "B"), lambda: completely_classical_check(spec)]
+    for check in checks:
+        want = json.dumps(check().to_json())
+        verdict = check()
+        assert verdict.witness["kind"] == "relation-violation"
+        for key, value in list(verdict.witness.items()):
+            if isinstance(value, list):
+                value[0] = -1
+            else:
+                verdict.witness[key] = "edited"
+        verdict.witness["extra"] = True
+        with pytest.raises(ValueError):
+            verdict.fitted_phases.phi[1] = 0.0
+        assert json.dumps(check().to_json()) == want
+
+
+def test_each_tolerance_gets_its_own_verdict():
+    spec = _constant_modulus_family(5, np.random.default_rng(72))
+    for first, second in ((1e-9, 1.0), (1.0, 1e-9)):
+        spec = CirculantSpec(5, spec.a)
+        verdicts = {tol: circulant_theorem_check(spec, "B", tol) for tol in (first, second)}
+        assert not verdicts[1e-9].zero_discord and verdicts[1e-9].witness is not None
+        assert verdicts[1.0].zero_discord and verdicts[1.0].witness is None
+        np.testing.assert_array_equal(
+            verdicts[1e-9].fitted_phases.phi, verdicts[1.0].fitted_phases.phi
+        )
+        assert not completely_classical_check(spec, 1e-9).zero_discord
+        assert completely_classical_check(spec, 1.0).zero_discord
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_kept_arrays_are_read_only(d):
+    rng = np.random.default_rng(73 + d)
+    kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d)]
+    for spec in _memo_specs(d, rng):
+        _closed_forms_json(spec)  # keeps the scale, flag, φ = 0 stacks, φ and witnesses
+        kept += [v for v in spec._derived.values() if isinstance(v, np.ndarray)]
+    assert len(kept) > 4
+    for array in kept:
+        assert not array.flags.writeable

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from discordant import blocks
 from discordant.cli import main
 
 
@@ -74,6 +75,42 @@ def test_analyze_missing_input_exits_2(capsys):
 def test_analyze_nonexistent_file_exits_2(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/state.json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["directory-input", "non-utf8-input", "directory-output"])
+def test_unreadable_paths_exit_2(capsys, tmp_path, case):
+    # opening a directory raised IsADirectoryError and reading Latin-1 bytes
+    # UnicodeDecodeError; both escaped as a traceback with exit 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "werner", "d": 2, "lambda": 0.3, "note": "caf\xe9"}')
+    argv = {
+        "directory-input": ["analyze", str(tmp_path)],
+        "non-utf8-input": ["analyze", str(latin1)],
+        "directory-output": ["build", "--family", "werner", "--d", "2", "--lambda", "0.3",
+                             "-o", str(tmp_path)],
+    }[case]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_analyze_fits_each_side_once(capsys, monkeypatch):
+    # a classical Bell state has the uniform a^(0) diagonal, so the
+    # completely-classical check runs the theorem on both sides again; it
+    # must reuse the two fits the per-side theorem checks made
+    fit, sides = blocks._fit_phases, []
+    monkeypatch.setattr(
+        blocks, "_fit_phases", lambda spec, side: sides.append(side) or fit(spec, side)
+    )
+    code, out, _ = run_cli(
+        ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
+         "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["completely_classical"]["zero_discord"] is True
+    assert sorted(sides) == ["A", "B"]
 
 
 def test_analyze_disagreement_exits_3(capsys):
