@@ -85,22 +85,6 @@ def _require_prime(d: int) -> None:
         raise PrimeRequired(f"closed-form criteria require a prime dimension, got d={d}")
 
 
-@dataclass(frozen=True)
-class PhaseVector:
-    """Angles of the diagonal unitary V = diag(e^{iφ_n}); φ_0 is pinned to 0."""
-
-    d: int
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.shape != (self.d,):
-            raise DimensionError(f"expected {self.d} angles, got shape {phi.shape}")
-        if phi[0] != 0.0:
-            raise InvalidSpec("phi[0] must be exactly 0")
-        object.__setattr__(self, "phi", phi)
-
-
 @dataclass
 class StructuralVerdict:
     """Outcome of a structural zero-discord test."""
@@ -109,7 +93,8 @@ class StructuralVerdict:
     side: str  # "A", "B", or "both"
     criterion: str
     witness: dict | None = None
-    fitted_phases: PhaseVector | None = None
+    #: The fitted angles φ_n of V = diag(e^{iφ_n}), φ_0 = 0 (read-only; kept with the spec).
+    fitted_phases: np.ndarray | None = None
     alpha: int | None = None
     #: "n" when a Bell verdict rests on the line p[m, n] = π_n, else None.
     line: str | None = None
@@ -124,48 +109,9 @@ class StructuralVerdict:
             "criterion": self.criterion,
             "alpha": self.alpha,
             "line": self.line,
-            "phases": None if self.fitted_phases is None else [float(x) for x in self.fitted_phases.phi],
+            "phases": None if self.fitted_phases is None else [float(x) for x in self.fitted_phases],
             "pi": None if self.pi is None else [float(x) for x in self.pi],
             "witness": self.witness,
-        }
-
-
-@dataclass(frozen=True)
-class ConditionFailure:
-    """One violated entry condition: which relation, where, and by how much."""
-
-    condition: str
-    n: int
-    i: int
-    j: int
-    got: float
-    want: float
-
-    def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "n": self.n,
-            "entry": [self.i, self.j],
-            "got": self.got,
-            "want": self.want,
-        }
-
-
-@dataclass
-class NecessaryConditionsReport:
-    """Result of the modulus/diagonal prechecks for one side."""
-
-    side: str
-    passed: bool
-    diagonal_classical: bool
-    failures: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "passed": self.passed,
-            "diagonal_classical": self.diagonal_classical,
-            "failures": [f.to_json() for f in self.failures],
         }
 
 
@@ -270,8 +216,11 @@ def _psi_table(phi: np.ndarray) -> np.ndarray:
     return np.cumsum(np.vstack([np.zeros(d), phi[_shifts(d)[:-1]]]), axis=0)
 
 
-def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    psi = _psi_table(np.asarray(phi, dtype=float))
+def _family_stack(ref: np.ndarray, phi) -> np.ndarray:
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (ref.shape[0],):
+        raise DimensionError(f"expected {ref.shape[0]} phase angles, got shape {phi.shape}")
+    psi = _psi_table(phi)
     phase = np.exp(1j * (psi[:, :, None] - psi[:, None, :]))
     return phase * ref
 
@@ -351,7 +300,7 @@ def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: f
     family = _family_stack(_spec_reference(spec, side), phi)
     delta = np.abs(family - a)
     thr = tol * _spec_scale(spec)
-    bad = delta > thr
+    bad = ~(delta <= thr)
     if not bad.any():
         return None
     k, i, j = np.argwhere(bad)[0]
@@ -385,39 +334,42 @@ def circulant_theorem_check(
     witness = _once(spec, ("check", side, tol), lambda: _verify_phase_family(spec, phi, side, tol))
     if witness is not None:  # a copy of the kept one, which holds numbers and lists of numbers
         witness = {key: list(v) if isinstance(v, list) else v for key, v in witness.items()}
-    phases = PhaseVector(spec.d, phi)
     return StructuralVerdict(
-        witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phases
+        witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phi
     )
 
 
 def circulant_necessary_conditions(
     spec: CirculantSpec, side: str, tol: float = DEFAULT_TOL
-) -> NecessaryConditionsReport:
+) -> dict:
     """Modulus and diagonal prechecks implied by the zero-discord form.
 
     Side B requires |a^(n)_{ij}| = |a^(0)_{ij}| off the diagonal and
     a^(n)_{kk} = a^(0)_{kk}; side A the same with a^(0) indices shifted
     by n.  These are necessary, not sufficient (phases are not checked).
     The spec's scale and φ = 0 stack are those the theorem uses, made once.
+    Returns a new report ``{"side", "passed", "diagonal_classical",
+    "failures"}`` on every call; each failure is ``{"condition", "n",
+    "entry": [i, j], "got", "want"}``, in (n, i, j) order.
     """
     _require_prime(spec.d)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if _all_diagonal(spec):
-        return NecessaryConditionsReport(side, True, True)
+        return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
     a = spec.a
     got, ref = a[1:], _spec_reference(spec, side)[1:]
     diag = np.eye(spec.d, dtype=bool)
     got_abs, ref_abs = np.abs(got), np.abs(ref)
-    fail = np.abs(np.where(diag, got - ref, got_abs - ref_abs)) > tol * _spec_scale(spec)
+    fail = ~(np.abs(np.where(diag, got - ref, got_abs - ref_abs)) <= tol * _spec_scale(spec))
     got, ref = np.where(diag, got.real, got_abs), np.where(diag, ref.real, ref_abs)
     names = _CONDITIONS[side]
     failures = [
-        ConditionFailure(names[i != j], n + 1, i, j, float(got[n, i, j]), float(ref[n, i, j]))
+        {"condition": names[i != j], "n": n + 1, "entry": [i, j],
+         "got": float(got[n, i, j]), "want": float(ref[n, i, j])}
         for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
     ]
-    return NecessaryConditionsReport(side, not failures, False, failures)
+    return {"side": side, "passed": not failures, "diagonal_classical": False, "failures": failures}
 
 
 def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
@@ -432,9 +384,7 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
         raise DimensionError(f"a0 must be square, got {a0.shape}")
     d = a0.shape[0]
     _require_prime(d)
-    phi = phases.phi if isinstance(phases, PhaseVector) else np.asarray(phases, dtype=float)
-    if phi.shape != (d,):
-        raise DimensionError(f"expected {d} phase angles, got shape {phi.shape}")
+    phi = np.asarray(phases, dtype=float)
     if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
         raise InvalidSpec("a0 and the phases must be finite")
     if frobenius(a0 - a0.conj().T) > 1e-10 * max(1.0, frobenius(a0)):
@@ -465,7 +415,7 @@ def completely_classical_check(
         return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
     diag = np.diag(spec.a[0])
     target = 1.0 / spec.d**2
-    bad = np.flatnonzero(np.abs(diag - target) > tol * _spec_scale(spec))
+    bad = np.flatnonzero(~(np.abs(diag - target) <= tol * _spec_scale(spec)))
     if bad.size:
         i = int(bad[0])
         return StructuralVerdict(

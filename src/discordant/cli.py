@@ -162,8 +162,7 @@ def cmd_analyze(args) -> int:
             side: circulant_theorem_check(spec, side, args.tol).to_json() for side in sides
         }
         report["necessary_conditions"] = {
-            side: circulant_necessary_conditions(spec, side, args.tol).to_json()
-            for side in sides
+            side: circulant_necessary_conditions(spec, side, args.tol) for side in sides
         }
         report["completely_classical"] = completely_classical_check(spec, args.tol).to_json()
     if loaded.weights is not None and is_prime(d):

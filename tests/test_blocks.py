@@ -29,7 +29,7 @@ from discordant.blocks import (
     structural_discord_zero,
 )
 from discordant.discord import _fixed_candidates
-from discordant.errors import InvalidSpec, PreconditionError, PrimeRequired
+from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
 from discordant.linalg import fourier_matrix, random_unitary
 from discordant.states import (
     ZERO_TOL,
@@ -353,7 +353,7 @@ def test_circulant_theorem_round_trip_both_sides():
             assert verdict.zero_discord, (d, side)
             assert verdict.criterion == CRITERION_CIRCULANT
             np.testing.assert_allclose(
-                np.mod(verdict.fitted_phases.phi - phi, 2 * np.pi) % (2 * np.pi),
+                np.mod(verdict.fitted_phases - phi, 2 * np.pi) % (2 * np.pi),
                 0.0,
                 atol=1e-9,
             )
@@ -432,7 +432,7 @@ def test_circulant_theorem_identity_phases():
         spec = CirculantSpec(d, phase_family(a0, np.zeros(d), side))
         verdict = circulant_theorem_check(spec, side)
         assert verdict.zero_discord
-        np.testing.assert_allclose(verdict.fitted_phases.phi, 0.0, atol=1e-10)
+        np.testing.assert_allclose(verdict.fitted_phases, 0.0, atol=1e-10)
 
 
 def test_circulant_theorem_perturbation_witness():
@@ -485,11 +485,11 @@ def test_necessary_conditions_reports():
     # off-diagonal modulus pattern fails on side A at d=3.
     spec = werner_state(3, 0.2)
     report = circulant_necessary_conditions(spec, "A")
-    assert not report.passed
-    failed = {f.condition for f in report.failures}
+    assert not report["passed"]
+    failed = {f["condition"] for f in report["failures"]}
     assert failed  # at least one named condition fails
     ok = circulant_necessary_conditions(classical_x_spec(), "A")
-    assert ok.passed and not ok.failures
+    assert ok["passed"] and not ok["failures"]
 
 
 def _necessary_conditions_loop(spec, side, tol=DEFAULT_TOL):
@@ -531,8 +531,8 @@ def test_necessary_conditions_match_loop_reference():
             for side in ("A", "B"):
                 report = circulant_necessary_conditions(spec, side)
                 want = _necessary_conditions_loop(spec, side)
-                assert report.passed == (not want)
-                got = [f.to_json() for f in report.failures]
+                assert report["passed"] == (not want)
+                got = report["failures"]
                 assert [(f["condition"], f["n"], f["entry"]) for f in got] == \
                     [w[:3] for w in want], (d, side)
                 for f, w in zip(got, want):
@@ -786,7 +786,7 @@ def test_classical_decomposition_maximally_mixed():
 def test_isotropic_necessary_conditions_fail():
     spec = isotropic_state(3, 0.4)
     report = circulant_necessary_conditions(spec, "B")
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_generate_zero_discord_rejects_unknown_side():
@@ -806,6 +806,35 @@ def test_generate_zero_discord_rejects_non_finite_seeds():
         generate_zero_discord(a0, np.array([0.0, np.nan, 0.3]), "B")
 
 
+def test_phase_angles_must_match_the_dimension():
+    # a length-1 φ used to be ignored (the φ = 0 family came back), a
+    # length-2 one to end in a NumPy broadcast error
+    a0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    for phi in ([0.4], [0.0, 0.4], np.zeros(4), np.zeros((3, 1))):
+        for side in "AB":
+            with pytest.raises(DimensionError, match="expected 3 phase angles"):
+                phase_family(a0, phi, side)
+            with pytest.raises(DimensionError, match="expected 3 phase angles"):
+                generate_zero_discord(a0, phi, side)
+
+
+def test_nan_tolerance_never_reads_as_zero_discord():
+    # every closed-form threshold test must fail on a NaN tolerance, as the
+    # general criterion and the Bell test already do
+    rng = np.random.default_rng(24)
+    nan = float("nan")
+    zero = random_zero_discord_spec(3, "A", rng)
+    for spec in (zero, perturb_spec(zero, "modulus", 0.1, rng)):
+        rho = circulant_state(spec)
+        for side in "AB":
+            assert not circulant_theorem_check(spec, side, nan).zero_discord
+            assert not circulant_necessary_conditions(spec, side, nan)["passed"]
+            assert not structural_discord_zero(rho, 3, side, nan).zero_discord
+        assert not completely_classical_check(spec, nan).zero_discord
+    p, _ = random_classical_bell(3, 1, rng)
+    assert not bell_zero_discord_check(p, nan).zero_discord
+
+
 def _memo_specs(d, rng):
     """Zero on A and on B, one per perturbation kind, a classical Bell and an all-diagonal spec."""
     specs = [random_zero_discord_spec(d, side, rng) for side in ("A", "B")]
@@ -821,12 +850,14 @@ def _memo_specs(d, rng):
 
 def _closed_forms_json(spec, tol=DEFAULT_TOL, reverse=False):
     """The closed forms' JSON, called in the analyze command's order (or reversed)."""
-    calls = [(f"theorem-{s}", lambda s=s: circulant_theorem_check(spec, s, tol)) for s in "AB"]
+    calls = [
+        (f"theorem-{s}", lambda s=s: circulant_theorem_check(spec, s, tol).to_json()) for s in "AB"
+    ]
     calls += [
         (f"necessary-{s}", lambda s=s: circulant_necessary_conditions(spec, s, tol)) for s in "AB"
     ]
-    calls.append(("complete", lambda: completely_classical_check(spec, tol)))
-    return {name: json.dumps(call().to_json()) for name, call in calls[:: -1 if reverse else 1]}
+    calls.append(("complete", lambda: completely_classical_check(spec, tol).to_json()))
+    return {name: json.dumps(call()) for name, call in calls[:: -1 if reverse else 1]}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -861,8 +892,20 @@ def test_edited_verdicts_do_not_change_later_ones():
                 verdict.witness[key] = "edited"
         verdict.witness["extra"] = True
         with pytest.raises(ValueError):
-            verdict.fitted_phases.phi[1] = 0.0
+            verdict.fitted_phases[1] = 0.0
         assert json.dumps(check().to_json()) == want
+    # a necessary-conditions report is built afresh on every call
+    spec = werner_state(3, 0.2)
+    for side in "AB":
+        want = json.dumps(circulant_necessary_conditions(spec, side))
+        report = circulant_necessary_conditions(spec, side)
+        assert report["failures"]
+        for failure in report["failures"]:
+            failure["entry"][0] = -1
+            failure["got"] = "edited"
+        report["failures"].append({"condition": "extra"})
+        report["passed"] = "edited"
+        assert json.dumps(circulant_necessary_conditions(spec, side)) == want
 
 
 def test_each_tolerance_gets_its_own_verdict():
@@ -873,7 +916,7 @@ def test_each_tolerance_gets_its_own_verdict():
         assert not verdicts[1e-9].zero_discord and verdicts[1e-9].witness is not None
         assert verdicts[1.0].zero_discord and verdicts[1.0].witness is None
         np.testing.assert_array_equal(
-            verdicts[1e-9].fitted_phases.phi, verdicts[1.0].fitted_phases.phi
+            verdicts[1e-9].fitted_phases, verdicts[1.0].fitted_phases
         )
         assert not completely_classical_check(spec, 1e-9).zero_discord
         assert completely_classical_check(spec, 1.0).zero_discord
