@@ -22,7 +22,11 @@ fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
 witness.  A spec is immutable, so its scale, all-diagonal flag, φ = 0
 stacks, fitted φ and witnesses are each made once and kept with it; the
-per-d index and weight tables are cached.  Bell-diagonal states additionally
+per-d index and weight tables are cached.  So is the φ fit's breadth-first
+spanning forest, per (d, side) and pattern of usable entries: it depends
+on that pattern alone, and a fit through the kept forest adds the same
+phase differences in the same order as a fresh breadth-first pass, so φ
+comes out bit for bit the same.  Bell-diagonal states additionally
 admit a weight-space test: discord vanishes iff p is constant on the classes
 of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some
 α or p[m, n] = π_n.
@@ -31,6 +35,7 @@ of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -146,22 +151,15 @@ def structural_discord_zero(
     U comes from :func:`_common_basis`.  The verdict is zero iff every
     block satisfies ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F), which
     holds iff the blocks are normal and mutually commute; it costs d²
-    block transforms instead of O(d⁴) commutators.  The verdict keeps U
+    block transforms instead of O(d⁴) commutators, made one block row at
+    a time by :func:`_offdiagonal_norms`.  The verdict keeps U
     in ``basis``, which :func:`classical_decomposition` reuses; on
     failure the witness names the block with the largest relative
     off-diagonal norm in U (lexicographically first on ties).
     """
     blocks = extract_blocks(rho, d, side)
     U = _common_basis(blocks, d)
-    Uh = U.conj().T
-    idx = np.arange(d)
-    off, scale = np.empty((d, d)), np.empty((d, d))
-    for i in range(d):  # one block row at a time: temporaries stay at d³ entries
-        T = Uh @ blocks[i] @ U
-        T[:, idx, idx] = 0.0
-        off[i] = np.linalg.norm(T, axis=(-2, -1))
-        scale[i] = np.linalg.norm(blocks[i], axis=(-2, -1))
-    scale = np.maximum(1.0, scale)
+    off, scale = _offdiagonal_norms(blocks, U)
     if np.all(off <= tol * scale):
         return StructuralVerdict(True, side, CRITERION_COMMUTATION, basis=U)
     i, j = np.unravel_index(np.argmax(off / scale), off.shape)
@@ -177,6 +175,27 @@ def structural_discord_zero(
         },
         basis=U,
     )
+
+
+def _offdiagonal_norms(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for every block, each a (d, d) array.
+
+    One product U†B_iU per block row.  The row's diagonal is zeroed, and
+    each squared norm is the sum ``np.linalg.norm`` forms, term for term,
+    so both grids equal its values bit for bit; the square roots are
+    taken once per grid.  Work goes one block row at a time so that
+    temporaries stay at d³ entries: the norms of all blocks in one call
+    would hold two complex d⁴ temporaries (0.9 MB at d = 13).
+    """
+    d = U.shape[0]
+    Uh = U.conj().T
+    off, scale = np.empty((d, d)), np.empty((d, d))
+    for i, row in enumerate(blocks):
+        T = Uh @ row @ U  # a new C-ordered array, so the reshape below is a view
+        T.reshape(d, d * d)[:, :: d + 1] = 0.0
+        off[i] = np.add.reduce((T.conj() * T).real, axis=(-2, -1))
+        scale[i] = np.add.reduce((row.conj() * row).real, axis=(-2, -1))
+    return np.sqrt(off), np.maximum(1.0, np.sqrt(scale))
 
 
 def _once(spec: CirculantSpec, key, make):
@@ -230,6 +249,67 @@ def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]
     return list(_family_stack(_reference_stack(np.asarray(a0, dtype=complex), side), phi))
 
 
+@functools.cache
+def _phase_edges(d: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The φ-fit's constraint edges at (d, side), in (entry, k) order (cached, read-only).
+
+    Returns (u, v, z).  Edge e says φ_u − φ_v = arg z1 − arg z0 for
+    u = ``u[e]`` and v = ``v[e]``; z0, z1 and the anchor entry, which must
+    carry a phase too, sit at the flat positions ``z[:, e]`` of the
+    (d, d, d) stack.  The edge order fixes the breadth-first pass, and so φ.
+    """
+    k = np.arange(d - 1)
+    if side == "B":
+        i, j = np.divmod(np.arange(d * d), d)
+        upper = i < j
+        i, j = i[upper, None], j[upper, None]
+        u, v = (i + k) % d, (j + k) % d
+        z = (k, i, j), (k + 1, i, j), (0, i, j)
+    else:
+        m, c = np.divmod(np.arange(d * (d - 1)), d - 1)
+        m, c = m[:, None], c[:, None] + 1
+        u, v = (m - k - 1) % d, (m + c - k - 1) % d
+        z = (k, (m - k) % d, (m + c - k) % d), (k + 1, u, v), (0, m, (m + c) % d)
+    z = [np.broadcast_to(np.ravel_multi_index(at, (d, d, d)), u.shape).ravel() for at in z]
+    return _read_only(u.ravel()), _read_only(v.ravel()), _read_only(np.stack(z))
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_tree(d: int, side: str, keep: bytes):
+    """The breadth-first spanning forest of the kept edges of :func:`_phase_edges`.
+
+    ``keep`` holds one byte per edge.  Adjacency follows edge order, each
+    root is the smallest node not yet reached, and each step (v, u, sign)
+    reaches node v from u with φ_v = φ_u + sign·δ, in discovery order.
+    Returns (steps, z1, z0): the steps, and the flat positions of the
+    entries whose phase difference is each step's δ (read-only).  The
+    forest depends on nothing but (d, side, keep), so it is built once per
+    mask and kept, for the 64 masks used last.
+    """
+    u, v, z = _phase_edges(d, side)
+    kept = np.flatnonzero(np.frombuffer(keep, dtype=bool)).tolist()
+    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(d)]
+    for e, a, b in zip(kept, u[kept].tolist(), v[kept].tolist()):
+        adj[a].append((b, e, -1.0))  # φ_b = φ_a − δ
+        adj[b].append((a, e, 1.0))   # φ_a = φ_b + δ
+    steps, edges = [], []
+    visited = [False] * d
+    for root in range(d):
+        if visited[root]:
+            continue
+        visited[root] = True
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            for b, e, sign in adj[a]:
+                if not visited[b]:
+                    visited[b] = True
+                    steps.append((b, a, sign))
+                    edges.append(e)
+                    queue.append(b)
+    return tuple(steps), _read_only(z[1, edges]), _read_only(z[0, edges])
+
+
 def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
     """Fit the angles φ_n from entry phases of the sector matrices.
 
@@ -240,48 +320,20 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
     offsets drop out of every window sum the relations use, so the
     subsequent full verification is unaffected by the anchoring choice.
     Entries with modulus below 1e−12 carry no usable phase and produce
-    no constraint.
+    no constraint.  The spanning forest is a function of that mask alone,
+    so :func:`_phase_tree` builds it once per mask; a fit measures δ on
+    its d − 1 edges at most and adds them in discovery order, the same
+    additions in the same order as a fresh breadth-first pass.
     """
-    d, a = spec.d, spec.a
-    k = np.arange(d - 1)
-    # Edges in (entry, k) order, rows the entries of a^(0) and columns k:
-    # the breadth-first pass, and so φ, depends on this order.
-    if side == "B":
-        i, j = np.divmod(np.arange(d * d), d)
-        upper = i < j
-        i, j = i[upper], j[upper]
-        z = a[:, i, j].T  # z[entry, k] = a^(k)_ij
-        z0, z1 = z[:, :-1], z[:, 1:]
-        us, vs = (i[:, None] + k) % d, (j[:, None] + k) % d
-        anchor = z[:, 0]
-    else:
-        m, c = np.divmod(np.arange(d * (d - 1)), d - 1)
-        c += 1
-        z0 = a[k, (m[:, None] - k) % d, (m[:, None] + c[:, None] - k) % d]
-        us, vs = (m[:, None] - k - 1) % d, (m[:, None] + c[:, None] - k - 1) % d
-        z1 = a[k + 1, us, vs]
-        anchor = a[0, m, (m + c) % d]
-    keep = (np.abs(anchor)[:, None] > ZERO_TOL) & (np.abs(z0) > ZERO_TOL) & (np.abs(z1) > ZERO_TOL)
-    deltas = np.angle(z1[keep]) - np.angle(z0[keep])
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(d)]
-    for u, v, delta in zip(us[keep].tolist(), vs[keep].tolist(), deltas.tolist()):
-        adj[u].append((v, -delta))  # φ_v = φ_u − δ
-        adj[v].append((u, delta))   # φ_u = φ_v + δ
-    phi = np.zeros(d)
-    visited = [False] * d
-    for root in range(d):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, delta in adj[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    phi[v] = phi[u] + delta
-                    queue.append(v)
-    phi = np.angle(np.exp(1j * phi))
+    d = spec.d
+    _, _, z = _phase_edges(d, side)
+    a = spec.a.ravel()
+    keep = (np.abs(a) > ZERO_TOL)[z].all(axis=0)
+    steps, z1, z0 = _phase_tree(d, side, keep.tobytes())
+    phi = [0.0] * d
+    for (v, u, sign), delta in zip(steps, (np.angle(a[z1]) - np.angle(a[z0])).tolist()):
+        phi[v] = phi[u] + sign * delta
+    phi = np.angle(np.exp(1j * np.array(phi)))
     phi[0] = 0.0
     return phi
 
@@ -323,7 +375,8 @@ def circulant_theorem_check(
     Fits phase angles from the sector-matrix entries and verifies the full
     phase-and-shift relation for every sector; all-diagonal specs are
     classical outright.  φ is fitted once per spec and side, the witness
-    found once per tol; each verdict gets φ read-only and its own witness.
+    found once per finite tol; each verdict gets φ read-only and its own
+    witness.
     """
     _require_prime(spec.d)
     if side not in ("A", "B"):
@@ -331,7 +384,9 @@ def circulant_theorem_check(
     if _all_diagonal(spec):
         return StructuralVerdict(True, side, CRITERION_DIAGONAL)
     phi = _once(spec, ("phases", side), lambda: _read_only(_fit_phases(spec, side)))
-    witness = _once(spec, ("check", side, tol), lambda: _verify_phase_family(spec, phi, side, tol))
+    check = functools.partial(_verify_phase_family, spec, phi, side, tol)
+    # a NaN key never finds itself, so it would add a memo entry on every call
+    witness = _once(spec, ("check", side, tol), check) if math.isfinite(tol) else check()
     if witness is not None:  # a copy of the kept one, which holds numbers and lists of numbers
         witness = {key: list(v) if isinstance(v, list) else v for key, v in witness.items()}
     return StructuralVerdict(

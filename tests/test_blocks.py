@@ -16,6 +16,9 @@ from discordant.blocks import (
     REASSEMBLY_TOL,
     _fit_phases,
     _generic_weights,
+    _offdiagonal_norms,
+    _phase_edges,
+    _phase_tree,
     _shifts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
@@ -262,6 +265,70 @@ def test_off_diagonal_witness_exceeds_its_tolerance():
             assert off[i, j] / scale[i, j] == pytest.approx((off / scale).max(), rel=1e-12)
 
 
+def _offdiagonal_loop(blocks, U):
+    """Reference: the masked transform and both norms one block row at a time, by np.linalg.norm."""
+    d = U.shape[0]
+    Uh = U.conj().T
+    idx = np.arange(d)
+    off, scale = np.empty((d, d)), np.empty((d, d))
+    for i in range(d):
+        T = Uh @ blocks[i] @ U
+        T[:, idx, idx] = 0.0
+        off[i] = np.linalg.norm(T, axis=(-2, -1))
+        scale[i] = np.linalg.norm(blocks[i], axis=(-2, -1))
+    return off, np.maximum(1.0, scale)
+
+
+def _verdict_json_from(off, scale, side, tol=DEFAULT_TOL):
+    """The general criterion's verdict JSON, decided from given norm grids."""
+    witness = None
+    if not np.all(off <= tol * scale):
+        i, j = np.unravel_index(np.argmax(off / scale), off.shape)
+        witness = {"kind": "off-diagonal-block", "block": [int(i), int(j)],
+                   "offdiagonal_norm": float(off[i, j]), "tolerance": float(tol * scale[i, j])}
+    return json.dumps({"side": side, "zero_discord": witness is None,
+                       "criterion": CRITERION_COMMUTATION, "alpha": None, "line": None,
+                       "phases": None, "pi": None, "witness": witness})
+
+
+def _structural_cases(d, rng):
+    """Zero specs on each side with their three perturbations, Bell, Werner, near-degenerate."""
+    for gen_side in ("A", "B"):
+        spec = random_zero_discord_spec(d, gen_side, rng)
+        yield circulant_state(spec)
+        for kind in PERTURBATION_KINDS:
+            yield circulant_state(perturb_spec(spec, kind, float(rng.uniform(0.02, 0.15)), rng))
+    p, _ = random_classical_bell(d, 1 % d, rng)
+    yield circulant_state(bell_diagonal_state(p))
+    yield circulant_state(bell_diagonal_state(random_nonclassical_bell(d, rng)))
+    yield circulant_state(werner_state(d, 0.2 / d))
+    for gap, side in ((0.0, "A"), (1e-9, "B"), (1e-7, "A")):
+        p = rng.dirichlet(np.ones(d))
+        p[1] = p[0] + gap
+        p /= p.sum()
+        local = [_random_density(d, rng) for _ in range(d)]
+        local[1] = local[0]
+        yield _classical_state(p, random_unitary(d, rng), local, side)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_offdiagonal_norms_match_loop_reference_exactly(d):
+    rng = np.random.default_rng(40 + d)
+    zeros = nonzeros = 0
+    for rho in _structural_cases(d, rng):
+        for side in ("A", "B"):
+            verdict = structural_discord_zero(rho, d, side)
+            blocks = extract_blocks(rho, d, side)
+            got = _offdiagonal_norms(blocks, verdict.basis)
+            want = _offdiagonal_loop(blocks, verdict.basis)
+            assert got[0].tobytes() == want[0].tobytes(), side
+            assert got[1].tobytes() == want[1].tobytes(), side
+            assert json.dumps(verdict.to_json()) == _verdict_json_from(*want, side)
+            zeros += verdict.zero_discord
+            nonzeros += not verdict.zero_discord
+    assert zeros >= 6 and nonzeros >= 6  # both outcomes, witnesses included, are compared
+
+
 def test_classical_decomposition_d13():
     rng = np.random.default_rng(13)
     for side in ("A", "B"):
@@ -422,6 +489,29 @@ def test_fit_phases_matches_loop_reference_exactly():
             for s in specs:
                 for side in ("A", "B"):
                     np.testing.assert_array_equal(_fit_phases(s, side), _fit_phases_loop(s, side))
+
+
+def test_phase_tree_cache_never_mixes_masks():
+    # dense and sparse specs interleaved at one (d, side), each mask fitted on
+    # both sides and seen twice: every fit must be the fresh pass's
+    rng = np.random.default_rng(31)
+    before = _phase_tree.cache_info()
+    for d in (3, 7, 13):
+        specs = []
+        for n in range(3):
+            spec = random_zero_discord_spec(d, "AB"[n % 2], rng)
+            sparse = [m.copy() for m in spec.a]
+            for m in sparse:
+                m[np.abs(m) < np.median(np.abs(m))] = 0
+            specs += [spec, CirculantSpec(d, tuple(sparse))]
+        for n, s in enumerate(specs * 2):
+            for side in ("A", "B")[:: 1 if n % 2 else -1]:
+                fresh = CirculantSpec(d, s.a)
+                np.testing.assert_array_equal(_fit_phases(fresh, side), _fit_phases_loop(fresh, side))
+                info = _phase_tree.cache_info()
+                assert info.currsize <= info.maxsize
+    after = _phase_tree.cache_info()
+    assert after.hits - before.hits >= 3 * 12  # the repeats were served from the cache
 
 
 def test_circulant_theorem_identity_phases():
@@ -835,6 +925,18 @@ def test_nan_tolerance_never_reads_as_zero_discord():
     assert not bell_zero_discord_check(p, nan).zero_discord
 
 
+def test_nan_tolerance_keeps_the_memo_bounded():
+    # NaN never equals itself: keyed by tol, every NaN call used to add a memo entry
+    rng = np.random.default_rng(25)
+    spec = perturb_spec(random_zero_discord_spec(5, "B", rng), "phase", 0.1, rng)
+    for side in "AB":
+        assert not circulant_theorem_check(spec, side, float("nan")).zero_discord
+    size = len(spec._derived)
+    for n in range(100):
+        assert not circulant_theorem_check(spec, "AB"[n % 2], float("nan")).zero_discord
+    assert len(spec._derived) == size
+
+
 def _memo_specs(d, rng):
     """Zero on A and on B, one per perturbation kind, a classical Bell and an all-diagonal spec."""
     specs = [random_zero_discord_spec(d, side, rng) for side in ("A", "B")]
@@ -926,6 +1028,9 @@ def test_each_tolerance_gets_its_own_verdict():
 def test_kept_arrays_are_read_only(d):
     rng = np.random.default_rng(73 + d)
     kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d)]
+    for side in ("A", "B"):
+        edges = _phase_edges(d, side)
+        kept += [*edges, *_phase_tree(d, side, np.ones(edges[0].size, dtype=bool).tobytes())[1:]]
     for spec in _memo_specs(d, rng):
         _closed_forms_json(spec)  # keeps the scale, flag, φ = 0 stacks, φ and witnesses
         kept += [v for v in spec._derived.values() if isinstance(v, np.ndarray)]

@@ -77,6 +77,17 @@ def test_run_verify_d5_skips_numeric():
     assert numeric[0].skipped
 
 
+@pytest.mark.parametrize("d", [7, 11, 13])
+def test_run_verify_large_d_passes(d):
+    results, all_pass = run_verify(d, seed=7, draws=2)
+    assert all_pass
+    for r in results:
+        if r.name == "numeric-agreement":
+            assert r.skipped and r.passed == r.failed == 0
+        else:
+            assert not r.skipped and (r.passed, r.failed) == (2, 0), r.name
+
+
 def test_run_verify_requires_prime():
     with pytest.raises(PrimeRequired):
         run_verify(4)
