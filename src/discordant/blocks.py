@@ -5,9 +5,10 @@ A bipartite state decomposes as ρ = Σ_ij e_ij ⊗ B_ij (side B blocks) or
 iff that side's blocks are normal and mutually commute, i.e. one unitary U
 diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 (Dakić, Vedral & Brukner, PRL 105, 190502, 2010).  The general criterion,
-:func:`structural_discord_zero`, finds a candidate U once by sequential
-refinement over Hermitian combinations of the blocks and declares zero
-discord iff every U†B_ijU is diagonal within tolerance;
+:func:`structural_verdicts`, decides stacks of (state, side) pairs: one
+batched ``eigh`` finds every candidate U, sequential refinement over
+Hermitian combinations of the blocks goes on where it left a degeneracy,
+and zero discord holds iff every U†B_ijU is diagonal within tolerance;
 :func:`classical_decomposition` turns the same U into that sum.
 
 For circulant states at prime local dimension the same question has a
@@ -58,6 +59,9 @@ DEGENERACY_GAP = 1e-8
 REASSEMBLY_TOL = 1e-8
 #: Step of the Weyl sequence that phases the generic block combination.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: Complex entries one stack of the batched general criterion may span: 8192
+#: holds 13 dense states at d = 5, 3 at d = 7, and one block row's transforms at d = 13.
+_CHUNK_ENTRIES = 8192
 
 CRITERION_COMMUTATION = "general-commutation"
 CRITERION_CIRCULANT = "circulant-theorem"
@@ -125,77 +129,101 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
 
     Side B: blocks[i, j][k, l] = ρ[i·d+k, j·d+l] (operators on the second
     factor).  Side A: blocks[α, β][i, j] = ρ[i·d+α, j·d+β] (operators on
-    the first factor).  The grid is a read-only view of ρ, not a copy, and
+    the first factor).  A stack of states, shape (..., d², d²), gives a
+    stack of grids.  The grid is a read-only view of ρ, not a copy, and
     the one place the package spells out a side's layout.  A wrong shape
     raises :class:`DimensionError`, a side other than "A" or "B"
     ``ValueError``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
+    if rho.shape[-2:] != (d * d, d * d):
         raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
-    four = rho.reshape(d, d, d, d)
+    four = rho.reshape(rho.shape[:-2] + (d, d, d, d))  # [..., i, k, j, l] = ρ[i·d+k, j·d+l]
     if side == "B":
-        blocks = four.transpose(0, 2, 1, 3)
+        blocks = four.swapaxes(-3, -2)
     elif side == "A":
-        blocks = four.transpose(1, 3, 0, 2)
+        blocks = np.moveaxis(four, (-3, -1), (-4, -3))
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return _read_only(blocks)
 
 
+def _chunks(d: int, count: int):
+    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds (≥ 1)."""
+    step = max(1, _CHUNK_ENTRIES // d**4)
+    return (range(t, min(t + step, count)) for t in range(0, count, step))
+
+
+def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
+    """The general criterion for each (state, side) pair of ``zip(rhos, sides)``, in order.
+
+    Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
+    the U of :func:`_common_bases`, i.e. iff the blocks are normal and
+    commute.  Pairs go in stacks of one side and at most ``_CHUNK_ENTRIES``
+    dense entries (one state if larger), with results equal to those of one
+    pair at a time, bit for bit.  Each verdict keeps U in ``basis``; a
+    nonzero one's witness is the block of largest relative off-diagonal norm.
+    """
+    if len(rhos) != len(sides):
+        raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
+    verdicts: list = [None] * len(sides)
+    for side in dict.fromkeys(sides):  # extract_blocks rejects any side but "A" and "B"
+        todo = [n for n, s in enumerate(sides) if s == side]
+        for at in (todo[r.start : r.stop] for r in _chunks(d, len(todo))):
+            states = [np.asarray(rhos[n], dtype=complex) for n in at]
+            blocks = (extract_blocks(np.stack(states), d, side) if len(at) > 1
+                      else extract_blocks(states[0], d, side)[None])  # a lone state is not copied
+            U = _common_bases(blocks, d)
+            off, scale = _norm_grids(blocks, U)
+            thr = tol * scale
+            zero = (off <= thr).all(axis=(-2, -1))
+            worst = (off / scale).reshape(len(at), -1).argmax(axis=-1).tolist()
+            for i, n in enumerate(at):
+                b = divmod(worst[i], d)
+                witness = None if zero[i] else {
+                    "kind": "off-diagonal-block", "block": list(b),
+                    "offdiagonal_norm": float(off[i][b]), "tolerance": float(thr[i][b]),
+                }
+                verdicts[n] = StructuralVerdict(
+                    bool(zero[i]), side, CRITERION_COMMUTATION, witness=witness, basis=U[i]
+                )
+    return verdicts
+
+
 def structural_discord_zero(
     rho: np.ndarray, d: int, side: str, tol: float = DEFAULT_TOL
 ) -> StructuralVerdict:
-    """Zero discord on a side iff one unitary U diagonalizes all of that side's blocks.
+    """The general criterion for one state and side: :func:`structural_verdicts` of one."""
+    return structural_verdicts([rho], d, [side], tol)[0]
 
-    U comes from :func:`_common_basis`.  The verdict is zero iff every
-    block satisfies ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F), which
-    holds iff the blocks are normal and mutually commute; it costs d²
-    block transforms instead of O(d⁴) commutators, made one block row at
-    a time by :func:`_offdiagonal_norms`.  The verdict keeps U
-    in ``basis``, which :func:`classical_decomposition` reuses; on
-    failure the witness names the block with the largest relative
-    off-diagonal norm in U (lexicographically first on ties).
+
+def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for (n, d, d, d, d) grids and (n, d, d) U.
+
+    Block rows go through one broadcast U†B_iU ``matmul`` as many at a time
+    as keep two temporaries within ``_CHUNK_ENTRIES`` (at least one row),
+    each product the one a lone block gets; both grids equal the values
+    ``np.linalg.norm`` forms block by block, bit for bit.
     """
-    blocks = extract_blocks(rho, d, side)
-    U = _common_basis(blocks, d)
-    off, scale = _offdiagonal_norms(blocks, U)
-    if np.all(off <= tol * scale):
-        return StructuralVerdict(True, side, CRITERION_COMMUTATION, basis=U)
-    i, j = np.unravel_index(np.argmax(off / scale), off.shape)
-    return StructuralVerdict(
-        False,
-        side,
-        CRITERION_COMMUTATION,
-        witness={
-            "kind": "off-diagonal-block",
-            "block": [int(i), int(j)],
-            "offdiagonal_norm": float(off[i, j]),
-            "tolerance": float(tol * scale[i, j]),
-        },
-        basis=U,
-    )
-
-
-def _offdiagonal_norms(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for every block, each a (d, d) array.
-
-    One product U†B_iU per block row.  The row's diagonal is zeroed, and
-    each squared norm is the sum ``np.linalg.norm`` forms, term for term,
-    so both grids equal its values bit for bit; the square roots are
-    taken once per grid.  Work goes one block row at a time so that
-    temporaries stay at d³ entries: the norms of all blocks in one call
-    would hold two complex d⁴ temporaries (0.9 MB at d = 13).
-    """
-    d = U.shape[0]
-    Uh = U.conj().T
-    off, scale = np.empty((d, d)), np.empty((d, d))
-    for i, row in enumerate(blocks):
-        T = Uh @ row @ U  # a new C-ordered array, so the reshape below is a view
-        T.reshape(d, d * d)[:, :: d + 1] = 0.0
-        off[i] = np.add.reduce((T.conj() * T).real, axis=(-2, -1))
-        scale[i] = np.add.reduce((row.conj() * row).real, axis=(-2, -1))
+    n, d = U.shape[:2]
+    Uh, U = U.conj().swapaxes(-1, -2)[:, None, None], U[:, None, None]
+    off, scale = np.empty((n, d, d)), np.empty((n, d, d))
+    rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # two temporaries of n·rows·d³
+    for i in range(0, d, rows):
+        B = blocks[:, i : i + rows]
+        scale[:, i : i + rows] = _squared_norms(B)
+        T = Uh @ B @ U  # a new C-ordered array, so the reshape below is a view
+        T.reshape(-1, d * d)[:, :: d + 1] = 0.0
+        off[:, i : i + rows] = _squared_norms(T)
+        del T  # freed before the next rows' temporaries are made
     return np.sqrt(off), np.maximum(1.0, np.sqrt(scale))
+
+
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """Σ |x|² over the last two axes: the sum of conj(x)·x that ``np.linalg.norm`` forms."""
+    Y = X.conj()
+    Y *= X  # in place, so no second temporary of X's size
+    return np.add.reduce(Y.real, axis=(-2, -1))
 
 
 def _once(spec: CirculantSpec, key, make):
@@ -546,16 +574,7 @@ def _generic_weights(d: int) -> np.ndarray:
 
 
 def _hermitian_generators(blocks: np.ndarray, d: int):
-    """Hermitian matrices that all commute iff the blocks (B_ji = B_ij†) are normal and commute.
-
-    First a fixed generic combination Σ W_ij B_ij (W Hermitian, with
-    Weyl-sequence phases): its eigenvalue gaps are typically as wide as
-    the whole family's, so one ``eigh`` usually separates every common
-    eigenvector, and no split rests on a single block's near-degenerate
-    pair.  Then the spanning set B_ii, B_ij + B_ji, i(B_ij − B_ji) for
-    whatever that left degenerate.
-    """
-    yield np.einsum("ij,ijkl->kl", _generic_weights(d), blocks)
+    """B_ii, B_ij + B_ji, i(B_ij − B_ji): all commute iff the blocks are normal and commute."""
     for i in range(d):
         yield blocks[i, i]
     for i in range(d):
@@ -564,17 +583,42 @@ def _hermitian_generators(blocks: np.ndarray, d: int):
             yield 1j * (blocks[i, j] - blocks[j, i])
 
 
-def _common_basis(blocks: np.ndarray, d: int) -> np.ndarray:
-    """Unitary whose columns diagonalize every block of a commuting normal family.
+def _degenerate_runs(grp: list, w: np.ndarray) -> list:
+    """The runs of ``grp`` longer than one whose sorted eigenvalues w lie within DEGENERACY_GAP."""
+    runs, start = [], 0
+    for t in range(1, len(grp) + 1):
+        if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
+            if t - start > 1:
+                runs.append(grp[start:t])
+            start = t
+    return runs
 
-    Diagonalizes the Hermitian generators one after another, each inside
-    the eigenspaces (eigenvalue gaps ≤ DEGENERACY_GAP) that the earlier
-    ones left degenerate, and stops once every eigenspace is
-    one-dimensional.  Deterministic.  For any other family the result is
-    just some unitary, which the off-diagonal test then rejects.
+
+def _common_bases(blocks: np.ndarray, d: int) -> np.ndarray:
+    """A candidate common eigenbasis U per grid of a (n, d, d, d, d) stack, shape (n, d, d).
+
+    One batched ``eigh`` of the generic combinations Σ W_ij B_ij (W
+    Hermitian, Weyl-sequence phases), whose gaps are typically as wide as
+    the whole family's, so no split rests on one block's near-degenerate
+    pair; a grid left with a gap ≤ DEGENERACY_GAP goes on to :func:`_common_basis`.
     """
-    U = np.eye(d, dtype=complex)
-    groups = [list(range(d))]
+    E = np.eye(d, dtype=complex)
+    G = np.einsum("ij,nijkl->nkl", _generic_weights(d), blocks)
+    # the identity products keep the signed zeros a one-grid refinement step gives
+    w, v = np.linalg.eigh(hermitize(E.conj().T @ G @ E))
+    U = E @ v
+    for n in np.flatnonzero(~(np.diff(w, axis=-1) > DEGENERACY_GAP).all(axis=-1)):
+        _common_basis(blocks[n], d, U[n], _degenerate_runs(list(range(d)), w[n]))
+    return U
+
+
+def _common_basis(blocks: np.ndarray, d: int, U: np.ndarray, groups: list) -> None:
+    """Refine U in place until its columns diagonalize every block of a commuting normal family.
+
+    Diagonalizes the Hermitian generators in turn inside the eigenspaces
+    ``groups`` (column lists) that earlier steps left degenerate, until none
+    is; deterministic.  For any other family U is just some unitary.
+    """
     for g in _hermitian_generators(blocks, d):
         if not groups:
             break
@@ -583,14 +627,8 @@ def _common_basis(blocks: np.ndarray, d: int) -> np.ndarray:
             V = U[:, grp]
             w, v = np.linalg.eigh(hermitize(V.conj().T @ g @ V))
             U[:, grp] = V @ v
-            start = 0
-            for t in range(1, len(grp) + 1):
-                if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
-                    if t - start > 1:
-                        new_groups.append(grp[start:t])
-                    start = t
+            new_groups += _degenerate_runs(grp, w)
         groups = new_groups
-    return U
 
 
 def classical_decomposition(

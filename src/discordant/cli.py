@@ -5,9 +5,9 @@ the structural checkers and the numeric oracle on a state and reports
 their agreement, ``verify`` batch-runs the cross-check suites, and
 ``simplex`` emits CSV data for the d=2 orthogonal-invariant simplex.
 
-Exit codes: 0 success/agreement, 2 input error, 3 structural/numeric
-disagreement beyond tolerance.  The environment variable DISCORDANT_SEED
-overrides ``--seed`` everywhere.
+Exit codes: 0 success/agreement, 1 a ``verify`` suite failed, 2 input
+error, 3 structural/numeric disagreement beyond tolerance.  The
+environment variable DISCORDANT_SEED overrides ``--seed`` everywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .blocks import (
     circulant_theorem_check,
     completely_classical_check,
     is_prime,
-    structural_discord_zero,
+    structural_verdicts,
 )
 from .discord import OptimizerConfig, discord_sides
 from .errors import DiscordantError, InvalidSpec
@@ -152,10 +152,8 @@ def cmd_analyze(args) -> int:
         "bell_theorem": None,
     }
 
-    structural = {}
-    for side in sides:
-        structural[side] = structural_discord_zero(loaded.rho, d, side, args.tol)
-        report["structural"][side] = structural[side].to_json()
+    structural = structural_verdicts([loaded.rho] * len(sides), d, sides, args.tol)
+    report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
 
     if spec is not None and is_prime(d):
         report["circulant_theorem"] = {
@@ -169,9 +167,9 @@ def cmd_analyze(args) -> int:
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 
     agreement = True
-    for side, result in zip(sides, discord_sides(loaded.rho, d, sides, cfg)):
+    for side, verdict, result in zip(sides, structural, discord_sides(loaded.rho, d, sides, cfg)):
         report["numeric"][side] = result.to_json()
-        zero = structural[side].zero_discord
+        zero = verdict.zero_discord
         if zero and result.discord > NUMERIC_NONZERO_TOL:
             agreement = False
         if not zero and result.discord < NUMERIC_ZERO_TOL:

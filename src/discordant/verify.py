@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .blocks import (
+    _chunks,
     bell_zero_discord_check,
     circulant_theorem_check,
     generate_zero_discord,
     is_prime,
-    structural_discord_zero,
+    structural_verdicts,
 )
 from .discord import OptimizerConfig, discord
 from .errors import PrimeRequired
@@ -149,11 +150,18 @@ def _draw(d: int, t: int, rng: np.random.Generator, perturbed: bool, low: float 
     return side, spec, kind
 
 
-def _theorem_and_general(spec: CirculantSpec, side: str, tol: float) -> tuple[bool, bool]:
-    """Zero-discord verdicts of the closed form and of the general criterion."""
-    theorem = circulant_theorem_check(spec, side, tol).zero_discord
-    general = structural_discord_zero(circulant_state(spec), spec.d, side, tol).zero_discord
-    return theorem, general
+def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
+    """(t, closed-form zero, general zero) per draw t, one stacked general call per chunk.
+
+    A chunk's draws make the rng calls that draws one at a time make, in order.
+    """
+    for chunk in _chunks(d, draws):
+        drawn = [_draw(d, t, rng, perturbed(t)) for t in chunk]
+        general = structural_verdicts(
+            [circulant_state(spec) for _, spec, _ in drawn], d, [side for side, _, _ in drawn], tol
+        )
+        for t, (side, spec, _), verdict in zip(chunk, drawn, general):
+            yield t, circulant_theorem_check(spec, side, tol).zero_discord, verdict.zero_discord
 
 
 def run_verify(
@@ -182,36 +190,31 @@ def run_verify(
     results = []
 
     suite = SuiteResult("generator-checker-closure")
-    for t in range(draws):
-        side, spec, _ = _draw(d, t, rngs[0], perturbed=False)
-        theorem, general = _theorem_and_general(spec, side, tol)
+    for t, theorem, general in _theorem_and_general(d, draws, rngs[0], tol, lambda t: False):
         suite.record(theorem and general, f"draw {t}: theorem={theorem} general={general}")
     results.append(suite)
 
     suite = SuiteResult("criterion-equivalence")
-    for t in range(draws):
-        side, spec, _ = _draw(d, t, rngs[1], perturbed=t % 2 == 1)
-        theorem, general = _theorem_and_general(spec, side, tol)
+    for t, theorem, general in _theorem_and_general(d, draws, rngs[1], tol, lambda t: t % 2 == 1):
         suite.record(theorem == general, f"draw {t}: theorem={theorem} general={general}")
     results.append(suite)
 
     suite = SuiteResult("bell-classification")
-    for t in range(draws):
-        if t % 2 == 0:
-            alpha = t // 2 % d
-            p, _ = random_classical_bell(d, alpha, rngs[2])
-            verdict = bell_zero_discord_check(p, tol)
-            rho = circulant_state(bell_diagonal_state(p), validate=False)
-            ok = (
-                verdict.zero_discord
-                and structural_discord_zero(rho, d, "A", tol).zero_discord
-                and structural_discord_zero(rho, d, "B", tol).zero_discord
-            )
-            suite.record(ok, f"draw {t}: classical alpha={alpha} verdict={verdict.zero_discord}")
-        else:
-            p = random_nonclassical_bell(d, rngs[2])
-            verdict = bell_zero_discord_check(p, tol)
-            suite.record(not verdict.zero_discord, f"draw {t}: random weights accepted")
+    for chunk in _chunks(d, draws):  # even draws are classical on the line alpha = t // 2 mod d
+        weights = [random_nonclassical_bell(d, rngs[2]) if t % 2
+                   else random_classical_bell(d, t // 2 % d, rngs[2])[0] for t in chunk]
+        rhos = [circulant_state(bell_diagonal_state(p), validate=False)
+                for t, p in zip(chunk, weights) if t % 2 == 0]
+        general = structural_verdicts([rho for rho in rhos for _ in "AB"], d, "AB" * len(rhos), tol)
+        pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
+        for t, p in zip(chunk, weights):
+            zero = bell_zero_discord_check(p, tol).zero_discord
+            if t % 2:
+                suite.record(not zero, f"draw {t}: random weights accepted")
+            else:
+                a, b = next(pairs)
+                ok = zero and a.zero_discord and b.zero_discord
+                suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
     results.append(suite)
 
     suite = SuiteResult("perturbation-sensitivity")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from discordant import blocks as blocks_module
 from discordant.blocks import (
     CRITERION_BELL,
     CRITERION_CIRCULANT,
@@ -16,7 +17,7 @@ from discordant.blocks import (
     REASSEMBLY_TOL,
     _fit_phases,
     _generic_weights,
-    _offdiagonal_norms,
+    _norm_grids,
     _phase_edges,
     _phase_tree,
     _shifts,
@@ -30,10 +31,11 @@ from discordant.blocks import (
     is_prime,
     phase_family,
     structural_discord_zero,
+    structural_verdicts,
 )
 from discordant.discord import _fixed_candidates
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
-from discordant.linalg import fourier_matrix, random_unitary
+from discordant.linalg import fourier_matrix, hermitize, random_unitary
 from discordant.states import (
     ZERO_TOL,
     BellWeights,
@@ -319,14 +321,93 @@ def test_offdiagonal_norms_match_loop_reference_exactly(d):
         for side in ("A", "B"):
             verdict = structural_discord_zero(rho, d, side)
             blocks = extract_blocks(rho, d, side)
-            got = _offdiagonal_norms(blocks, verdict.basis)
+            got = _norm_grids(blocks[None], verdict.basis[None])
             want = _offdiagonal_loop(blocks, verdict.basis)
-            assert got[0].tobytes() == want[0].tobytes(), side
-            assert got[1].tobytes() == want[1].tobytes(), side
+            assert got[0][0].tobytes() == want[0].tobytes(), side
+            assert got[1][0].tobytes() == want[1].tobytes(), side
             assert json.dumps(verdict.to_json()) == _verdict_json_from(*want, side)
             zeros += verdict.zero_discord
             nonzeros += not verdict.zero_discord
     assert zeros >= 6 and nonzeros >= 6  # both outcomes, witnesses included, are compared
+
+
+def _common_basis_reference(blocks, d):
+    """The candidate basis one pair at a time, as found before stacks: generic combination first."""
+    generators = [np.einsum("ij,ijkl->kl", _generic_weights(d), blocks)]
+    generators += [blocks[i, i] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            generators += [blocks[i, j] + blocks[j, i], 1j * (blocks[i, j] - blocks[j, i])]
+    U = np.eye(d, dtype=complex)
+    groups = [list(range(d))]
+    for g in generators:
+        if not groups:
+            break
+        new_groups = []
+        for grp in groups:
+            V = U[:, grp]
+            w, v = np.linalg.eigh(hermitize(V.conj().T @ g @ V))
+            U[:, grp] = V @ v
+            start = 0
+            for t in range(1, len(grp) + 1):
+                if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
+                    if t - start > 1:
+                        new_groups.append(grp[start:t])
+                    start = t
+        groups = new_groups
+    return U
+
+
+def _stack_cases(d, rng):
+    """_structural_cases plus perturbations down to ε = 1e-5, isotropic and maximally mixed states."""
+    yield from _structural_cases(d, rng)
+    for n, eps in enumerate((1e-3, 1e-4, 1e-5)):
+        spec = random_zero_discord_spec(d, "AB"[n % 2], rng)
+        for kind in PERTURBATION_KINDS:
+            yield circulant_state(perturb_spec(spec, kind, eps, rng))
+    yield circulant_state(isotropic_state(d, 0.3))
+    yield circulant_state(isotropic_state(d, 0.0))  # every block a multiple of I
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
+    rng = np.random.default_rng(60 + d)
+    pairs = [(rho, side) for rho in _stack_cases(d, rng) for side in "AB"]
+    pairs = [pairs[n] for n in rng.permutation(len(pairs))]  # sides mixed in one call
+    rhos, sides = [rho for rho, _ in pairs], "".join(side for _, side in pairs)
+    references = []
+    for rho, side in pairs:
+        blocks = extract_blocks(rho, d, side)
+        U = _common_basis_reference(blocks, d)
+        references.append((U, _offdiagonal_loop(blocks, U)))
+    refine = blocks_module._common_basis
+    refined = []
+    monkeypatch.setattr(blocks_module, "_common_basis", lambda *a: refined.append(1) or refine(*a))
+    for tol in (1e-9, 1e-3, float("nan")):
+        want = [_verdict_json_from(*grids, side, tol) for (_, grids), side in zip(references, sides)]
+        for chunk in (1, d**4 - 1, 10**9):  # one row, a state split into rows, the whole stack
+            monkeypatch.setattr(blocks_module, "_CHUNK_ENTRIES", chunk)
+            got = structural_verdicts(rhos, d, sides, tol)
+            assert [json.dumps(v.to_json()) for v in got] == want, (tol, chunk)
+            for verdict, (U, _) in zip(got, references):
+                assert verdict.basis.tobytes() == U.tobytes(), (tol, chunk)
+        zeros = sum(v.zero_discord for v in got)
+        if tol != tol:
+            assert zeros == 0  # a NaN tolerance never reads as zero discord
+        else:
+            assert zeros >= 6 and len(got) - zeros >= 6
+    assert refined  # the maximally mixed state, at least, needs the sequential refinement
+    assert structural_verdicts([], d, [], 1e-9) == []
+
+
+def test_structural_verdicts_rejects_bad_pairs():
+    rho = circulant_state(werner_state(3, 0.1))
+    with pytest.raises(ValueError, match="2 states and 1 sides"):
+        structural_verdicts([rho, rho], 3, "A")
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        structural_verdicts([rho, rho], 3, ["A", "C"])
+    with pytest.raises(DimensionError):
+        structural_verdicts([rho[:4, :4]], 3, "B")
 
 
 def test_classical_decomposition_d13():

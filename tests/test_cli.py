@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from discordant import blocks
+from discordant import blocks, cli
 from discordant.cli import main
+from discordant.verify import SuiteResult
 
 
 def run_cli(args, capsys):
@@ -220,6 +221,21 @@ def test_verify_json_format(capsys):
     report = json.loads(out)
     assert report["pass"] is True
     assert len(report["suites"]) == 5
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_failure_exits_1(capsys, monkeypatch, fmt):
+    suite = SuiteResult("generator-checker-closure", passed=1, failed=1,
+                        details=["draw 1: theorem=False general=False"])
+    monkeypatch.setattr(cli, "run_verify", lambda *args, **kwargs: ([suite], False))
+    code, out, err = run_cli(["verify", "--d", "3", "--format", fmt], capsys)
+    assert code == 1 and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["suites"][0]["details"] == ["draw 1: theorem=False general=False"]
+    else:
+        assert "draw 1: theorem=False general=False" in out and "overall: FAIL" in out
 
 
 def test_simplex_csv_contract(capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Cross-check suites and the d=2 simplex scan."""
 
+import json
+
 import numpy as np
 import pytest
 
+from discordant import blocks, verify
 from discordant.blocks import circulant_theorem_check
 from discordant.errors import PrimeRequired
 from discordant.states import circulant_state, validate_circulant_spec
@@ -86,6 +89,34 @@ def test_run_verify_large_d_passes(d):
             assert r.skipped and r.passed == r.failed == 0
         else:
             assert not r.skipped and (r.passed, r.failed) == (2, 0), r.name
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_stacked_draws_keep_draw_order(d, monkeypatch):
+    # one draw a chunk and the default chunks give the same report, and the
+    # general criterion sees the same states in the same order; at a negative
+    # tolerance closure and Bell draws fail, so their details count too
+    failures = 0
+    for tol in (1e-9, -1.0):
+        for seed in range(3):
+            reports, seen = [], []
+            for chunk in (1, blocks._CHUNK_ENTRIES):
+                states = []
+
+                def recorded(rhos, d, sides, tol, states=states):
+                    states += [(np.asarray(rho).tobytes(), side) for rho, side in zip(rhos, sides)]
+                    return blocks.structural_verdicts(rhos, d, sides, tol)
+
+                with monkeypatch.context() as m:
+                    m.setattr(blocks, "_CHUNK_ENTRIES", chunk)
+                    m.setattr(verify, "structural_verdicts", recorded)
+                    results, all_pass = run_verify(d, seed=seed, tol=tol, starts=2)
+                reports.append(json.dumps([all_pass] + [r.to_json() for r in results]))
+                seen.append(states)
+            assert reports[0] == reports[1], (tol, seed)
+            assert seen[0] == seen[1] and len(seen[0]) == 60, (tol, seed)
+            failures += sum(len(r.details) for r in results)
+    assert failures >= 3 * 20  # every closure draw fails at tol = -1.0
 
 
 def test_run_verify_requires_prime():
