@@ -22,21 +22,21 @@ with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
 fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
 witness.  A spec is immutable, so its scale, all-diagonal flag, φ = 0
-stacks, fitted φ and witnesses are each made once and kept with it; the
-per-d index and weight tables are cached.  So is the φ fit's breadth-first
-spanning forest, per (d, side) and pattern of usable entries: it depends
-on that pattern alone, and a fit through the kept forest adds the same
-phase differences in the same order as a fresh breadth-first pass, so φ
-comes out bit for bit the same.  Bell-diagonal states additionally
-admit a weight-space test: discord vanishes iff p is constant on the classes
-of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d} for some
-α or p[m, n] = π_n.
+stacks and fitted φ, none of which depends on a tolerance, are each made
+once and kept with it; the relations are checked afresh on every call.
+The per-d index and weight tables are cached, and so is the φ fit's
+breadth-first spanning forest, per (d, side) and pattern of usable
+entries: it depends on that pattern alone, and a fit through the kept
+forest adds the same phase differences in the same order as a fresh
+breadth-first pass, so φ comes out bit for bit the same.  Bell-diagonal
+states additionally admit a weight-space test: discord vanishes iff p is
+constant on the classes of one of the d + 1 lines of Z_d × Z_d,
+p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -402,9 +402,9 @@ def circulant_theorem_check(
 
     Fits phase angles from the sector-matrix entries and verifies the full
     phase-and-shift relation for every sector; all-diagonal specs are
-    classical outright.  φ is fitted once per spec and side, the witness
-    found once per finite tol; each verdict gets φ read-only and its own
-    witness.
+    classical outright.  φ is fitted once per spec and side and handed to
+    each verdict read-only; the relations, and so the witness, are checked
+    on every call, for whatever tol it brings.
     """
     _require_prime(spec.d)
     if side not in ("A", "B"):
@@ -412,11 +412,7 @@ def circulant_theorem_check(
     if _all_diagonal(spec):
         return StructuralVerdict(True, side, CRITERION_DIAGONAL)
     phi = _once(spec, ("phases", side), lambda: _read_only(_fit_phases(spec, side)))
-    check = functools.partial(_verify_phase_family, spec, phi, side, tol)
-    # a NaN key never finds itself, so it would add a memo entry on every call
-    witness = _once(spec, ("check", side, tol), check) if math.isfinite(tol) else check()
-    if witness is not None:  # a copy of the kept one, which holds numbers and lists of numbers
-        witness = {key: list(v) if isinstance(v, list) else v for key, v in witness.items()}
+    witness = _verify_phase_family(spec, phi, side, tol)
     return StructuralVerdict(
         witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phi
     )

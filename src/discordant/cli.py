@@ -98,8 +98,6 @@ def _family_state(args, validate: bool) -> LoadedState:
         if abs(total - 1.0) > 1e-6:
             raise InvalidSpec(f"π values give total weight {total:.6f}, expected 1 (Σπ = 1/d)")
         obj["p"] = (p / total).tolist()
-    else:
-        raise InvalidSpec(f"unknown family {args.family!r}; expected one of {_FAMILIES}")
     return parse_state(obj, validate)
 
 

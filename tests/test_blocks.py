@@ -1045,7 +1045,7 @@ def _closed_forms_json(spec, tol=DEFAULT_TOL, reverse=False):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_closed_forms_do_not_depend_on_what_the_spec_was_asked_before(d):
-    # a spec keeps its scale, φ = 0 stacks, fits and witnesses; answers must
+    # a spec keeps its flag, scale, φ = 0 stacks and fits; answers must
     # not change with call order, on repeat, or on a fresh copy of the stack
     rng = np.random.default_rng(70 + d)
     for spec in _memo_specs(d, rng):
@@ -1113,8 +1113,28 @@ def test_kept_arrays_are_read_only(d):
         edges = _phase_edges(d, side)
         kept += [*edges, *_phase_tree(d, side, np.ones(edges[0].size, dtype=bool).tobytes())[1:]]
     for spec in _memo_specs(d, rng):
-        _closed_forms_json(spec)  # keeps the scale, flag, φ = 0 stacks, φ and witnesses
+        _closed_forms_json(spec)  # keeps the scale, flag, φ = 0 stacks and φ
         kept += [v for v in spec._derived.values() if isinstance(v, np.ndarray)]
     assert len(kept) > 4
     for array in kept:
         assert not array.flags.writeable
+
+
+def test_tolerance_sweep_keeps_the_memo_bounded():
+    # the memo holds tolerance-free facts only; it used to keep one witness
+    # per (side, tol), so every new tolerance added a key
+    rng = np.random.default_rng(26)
+    spec = perturb_spec(random_zero_discord_spec(5, "B", rng), "phase", 0.1, rng)
+    tols = np.geomspace(1e-12, 1.0, 100).tolist()
+    verdicts = {tols[0]: _closed_forms_json(spec, tols[0])}
+    size = len(spec._derived)
+    verdicts.update((tol, _closed_forms_json(spec, tol)) for tol in tols[1:])
+    assert len(spec._derived) == size <= 6
+    per_side = [(key, side) for key in ("reference", "phases") for side in "AB"]
+    assert set(spec._derived) <= {"all-diagonal", "scale", *per_side}
+    for value in spec._derived.values():
+        assert type(value) in (bool, float) or not value.flags.writeable
+    for tol, want in verdicts.items():
+        assert _closed_forms_json(CirculantSpec(5, spec.a), tol) == want, tol
+    zeros = {json.loads(v["theorem-B"])["zero_discord"] for v in verdicts.values()}
+    assert zeros == {False, True}  # the sweep crosses the verdict's threshold

@@ -261,6 +261,16 @@ def test_simplex_rejects_other_dimensions(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["analyze", "--family", "bogus", "--d", "3"],
+                                     ["build", "--family", "bogus"]])
+def test_unknown_family_exits_2(capsys, command):
+    # argparse's choices reject the family before any state is parsed
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_simplex_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["simplex", "--grid", "6", "--every", "3", "-o", str(p1)])

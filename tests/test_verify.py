@@ -10,6 +10,7 @@ from discordant.blocks import circulant_theorem_check
 from discordant.errors import PrimeRequired
 from discordant.states import circulant_state, validate_circulant_spec
 from discordant.verify import (
+    PERTURBATION_KINDS,
     o2_simplex_rows,
     perturb_spec,
     random_classical_bell,
@@ -19,23 +20,30 @@ from discordant.verify import (
 )
 
 
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def test_random_zero_discord_spec_valid_and_zero():
+    # verify builds its states from these specs without validating them again
     rng = np.random.default_rng(0)
-    for d in (2, 3, 5):
+    for d in PRIMES:
         for side in ("A", "B"):
             spec = random_zero_discord_spec(d, side, rng)
             validate_circulant_spec(spec)
-            assert circulant_theorem_check(spec, side).zero_discord
+            assert circulant_theorem_check(spec, side).zero_discord, (d, side)
 
 
 def test_perturbations_stay_valid_and_break_zero():
     rng = np.random.default_rng(1)
-    for d in (2, 3):
-        for kind in ("modulus", "diagonal", "phase"):
-            spec = random_zero_discord_spec(d, "A", rng)
-            pert = perturb_spec(spec, kind, 0.1, rng)
-            validate_circulant_spec(pert)
-            assert not circulant_theorem_check(pert, "A").zero_discord
+    for epsilon in (0.02, 0.149):  # the ends of verify's ε ~ U[0.02, 0.15)
+        for d in PRIMES:
+            for side in ("A", "B"):
+                for kind in PERTURBATION_KINDS:
+                    spec = random_zero_discord_spec(d, side, rng)
+                    pert = perturb_spec(spec, kind, epsilon, rng)
+                    validate_circulant_spec(pert)
+                    case = (epsilon, d, side, kind)
+                    assert not circulant_theorem_check(pert, side).zero_discord, case
 
 
 def test_perturb_epsilon_bounds():
