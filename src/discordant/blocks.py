@@ -21,22 +21,28 @@ under a diagonal unitary V = diag(e^{iφ_n}) with φ_0 = 0,
 with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
 fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
-witness.  A spec is immutable, so its scale, all-diagonal flag, φ = 0
-stacks and fitted φ, none of which depends on a tolerance, are each made
-once and kept with it; the relations are checked afresh on every call.
-The per-d index and weight tables are cached, and so is the φ fit's
-breadth-first spanning forest, per (d, side) and pattern of usable
-entries: it depends on that pattern alone, and a fit through the kept
-forest adds the same phase differences in the same order as a fresh
-breadth-first pass, so φ comes out bit for bit the same.  Bell-diagonal
-states additionally admit a weight-space test: discord vanishes iff p is
-constant on the classes of one of the d + 1 lines of Z_d × Z_d,
-p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n.
+witness.  :func:`circulant_theorem_verdicts` decides stacks of (spec,
+side) pairs, each verdict equal to the one-pair call.  A spec is
+immutable, so its all-diagonal flag and, per side, its φ = 0 stack and
+fitted φ, none of which depends on a tolerance, are made once (for a
+whole stack at a time) and kept with it; the scale is taken per stack,
+and the relations checked afresh, on every call.  The per-d index and
+weight tables are cached, and so is the φ fit's breadth-first spanning
+forest, per (d, side) and pattern of usable entries: it depends on that
+pattern alone, and a fit through the kept forest adds the same phase
+differences in the same order as a fresh breadth-first pass, so φ comes
+out bit for bit the same.  Bell-diagonal
+states additionally admit a weight-space test, :func:`bell_verdicts` for
+a stack of weight matrices: discord vanishes iff p is constant on the
+classes of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d}
+for some α or p[m, n] = π_n.  Every criterion rejects a non-finite
+tolerance with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -94,6 +100,11 @@ def _require_prime(d: int) -> None:
         raise PrimeRequired(f"closed-form criteria require a prime dimension, got d={d}")
 
 
+def _require_finite_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+
+
 @dataclass
 class StructuralVerdict:
     """Outcome of a structural zero-discord test."""
@@ -148,9 +159,12 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     return _read_only(blocks)
 
 
-def _chunks(d: int, count: int):
-    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds (≥ 1)."""
-    step = max(1, _CHUNK_ENTRIES // d**4)
+def _chunks(d: int, count: int, stacks: int = 1):
+    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as ``stacks`` stacks hold.
+
+    A stack holds at least one state.
+    """
+    step = stacks * max(1, _CHUNK_ENTRIES // d**4)
     return (range(t, min(t + step, count)) for t in range(0, count, step))
 
 
@@ -164,6 +178,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     pair at a time, bit for bit.  Each verdict keeps U in ``basis``; a
     nonzero one's witness is the block of largest relative off-diagonal norm.
     """
+    _require_finite_tol(tol)
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts: list = [None] * len(sides)
@@ -226,14 +241,25 @@ def _squared_norms(X: np.ndarray) -> np.ndarray:
     return np.add.reduce(Y.real, axis=(-2, -1))
 
 
-def _once(spec: CirculantSpec, key, make):
-    """``make()`` for this spec and key, made on first use and kept (a spec never changes)."""
-    return spec._derived[key] if key in spec._derived else spec._derived.setdefault(key, make())
+@functools.cache
+def _off_diagonal(d: int) -> np.ndarray:
+    """Flat positions of the off-diagonal entries of a d×d matrix (cached, read-only)."""
+    return _read_only(np.flatnonzero(~np.eye(d, dtype=bool)))
 
 
-def _all_diagonal(spec: CirculantSpec) -> bool:
-    return _once(spec, "all-diagonal",
-                 lambda: bool(np.abs(spec.a[:, ~np.eye(spec.d, dtype=bool)]).max() <= ZERO_TOL))
+def _diagonal_flags(a: np.ndarray) -> np.ndarray:
+    """Whether each (…, d, d, d) sector stack has all off-diagonal entries within ZERO_TOL of 0."""
+    d = a.shape[-1]
+    off = a.reshape(a.shape[:-2] + (d * d,))[..., _off_diagonal(d)]
+    return np.abs(off).max(axis=(-2, -1)) <= ZERO_TOL
+
+
+def _scales(a: np.ndarray) -> np.ndarray:
+    """max(1, maxₙ ‖a^(n)‖_F) per (…, d, d, d) sector stack.
+
+    Each sector's norm is the one ``np.linalg.norm`` forms over the last two axes, bit for bit.
+    """
+    return np.maximum(1.0, np.sqrt(_squared_norms(a).max(axis=-1)))
 
 
 @functools.cache
@@ -242,39 +268,52 @@ def _shifts(d: int) -> np.ndarray:
     return _read_only((np.arange(d)[:, None] + np.arange(d)) % d)
 
 
-def _reference_stack(a0: np.ndarray, side: str) -> np.ndarray:
-    """The φ = 0 family: slice k is a^(0)_{i+k, j+k} (side A) or a^(0) (side B), read-only."""
-    d = a0.shape[0]
-    if side == "A":
-        s = _shifts(d)
-        return _read_only(a0[s[:, :, None], s[:, None, :]])
-    if side == "B":
-        return _read_only(np.repeat(a0[None], d, axis=0))
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+def _side_codes(sides) -> list[int]:
+    """0 for each side "A" and 1 for each "B"; any other side raises ``ValueError``."""
+    codes = [{"A": 0, "B": 1}.get(side) for side in sides]
+    if None in codes:
+        raise ValueError(f"side must be 'A' or 'B', got {sides[codes.index(None)]!r}")
+    return codes
 
 
-def _spec_reference(spec: CirculantSpec, side: str) -> np.ndarray:
-    return _once(spec, ("reference", side), lambda: _reference_stack(spec.a[0], side))
+@functools.cache
+def _sector_rows(d: int) -> np.ndarray:
+    """rows[c, k, i] = (i + k) mod d for side code c = 0 (A), i for c = 1 (B) (cached, read-only).
+
+    Row i of slice k of a side's φ = 0 family reads row rows[c, k, i] of
+    a^(0), and column j reads column rows[c, k, j].
+    """
+    return _read_only(np.stack([_shifts(d), np.tile(np.arange(d), (d, 1))]))
 
 
-def _psi_table(phi: np.ndarray) -> np.ndarray:
-    """Window sums Ψ[k, i] = Σ_{s<k} φ_{(i+s) mod d}."""
-    d = phi.shape[0]
-    return np.cumsum(np.vstack([np.zeros(d), phi[_shifts(d)[:-1]]]), axis=0)
+def _reference_stack(a0: np.ndarray, codes: list) -> np.ndarray:
+    """The φ = 0 family of each seed of a0 (n, d, d) on its side (see :func:`_side_codes`).
+
+    Shape (n, d, d, d); slice k is a^(0)_{i+k, j+k} on side A and a^(0) on side B.
+    """
+    rows = _sector_rows(a0.shape[-1])[codes]
+    return a0[np.arange(len(codes))[:, None, None, None], rows[..., None], rows[..., None, :]]
 
 
-def _family_stack(ref: np.ndarray, phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (ref.shape[0],):
-        raise DimensionError(f"expected {ref.shape[0]} phase angles, got shape {phi.shape}")
-    psi = _psi_table(phi)
-    phase = np.exp(1j * (psi[:, :, None] - psi[:, None, :]))
-    return phase * ref
+def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The phase families of the φ = 0 stacks ``ref`` (…, d, d, d) and angles φ (…, d).
+
+    Slice k of each stack is multiplied by e^{i(Ψ_k(i) − Ψ_k(j))}, with the
+    window sums Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d}; each stack of a broadcast
+    gets the values it gets alone.
+    """
+    lead, d = ref.shape[:-3], ref.shape[-1]
+    if phi.shape != lead + (d,):
+        raise DimensionError(f"expected {d} phase angles, got shape {phi.shape[len(lead):]}")
+    windows = np.concatenate([np.zeros(lead + (1, d)), phi[..., _shifts(d)[:-1]]], axis=-2)
+    psi = np.cumsum(windows, axis=-2)
+    return np.exp(1j * (psi[..., :, None] - psi[..., None, :])) * ref
 
 
 def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
     """Build the d sector matrices generated by a^(0) and phase angles φ."""
-    return list(_family_stack(_reference_stack(np.asarray(a0, dtype=complex), side), phi))
+    ref = _reference_stack(np.asarray(a0, dtype=complex)[None], _side_codes([side]))[0]
+    return list(_family_stack(ref, np.asarray(phi, dtype=float)))
 
 
 @functools.cache
@@ -309,10 +348,11 @@ def _phase_tree(d: int, side: str, keep: bytes):
     ``keep`` holds one byte per edge.  Adjacency follows edge order, each
     root is the smallest node not yet reached, and each step (v, u, sign)
     reaches node v from u with φ_v = φ_u + sign·δ, in discovery order.
-    Returns (steps, z1, z0): the steps, and the flat positions of the
-    entries whose phase difference is each step's δ (read-only).  The
-    forest depends on nothing but (d, side, keep), so it is built once per
-    mask and kept, for the 64 masks used last.
+    Returns (steps, z): the steps, and the flat positions of the entries
+    z1 of every step, then of the entries z0, whose phase difference
+    z1 − z0 is its δ (read-only).  The forest depends on nothing but
+    (d, side, keep), so it is built once per mask and kept, for the 64
+    masks used last.
     """
     u, v, z = _phase_edges(d, side)
     kept = np.flatnonzero(np.frombuffer(keep, dtype=bool)).tolist()
@@ -335,11 +375,11 @@ def _phase_tree(d: int, side: str, keep: bytes):
                     steps.append((b, a, sign))
                     edges.append(e)
                     queue.append(b)
-    return tuple(steps), _read_only(z[1, edges]), _read_only(z[0, edges])
+    return tuple(steps), _read_only(np.concatenate([z[1, edges], z[0, edges]]))
 
 
-def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
-    """Fit the angles φ_n from entry phases of the sector matrices.
+def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
+    """Fit the angles φ_n (n, d) of each sector stack of ``a`` (n, d, d, d) from its entry phases.
 
     Every consecutive pair of sector matrices supplies pure difference
     constraints φ_u − φ_v = δ between two indices; these are propagated
@@ -348,51 +388,132 @@ def _fit_phases(spec: CirculantSpec, side: str) -> np.ndarray:
     offsets drop out of every window sum the relations use, so the
     subsequent full verification is unaffected by the anchoring choice.
     Entries with modulus below 1e−12 carry no usable phase and produce
-    no constraint.  The spanning forest is a function of that mask alone,
-    so :func:`_phase_tree` builds it once per mask; a fit measures δ on
-    its d − 1 edges at most and adds them in discovery order, the same
-    additions in the same order as a fresh breadth-first pass.
+    no constraint.  The spanning forest is a function of the side and
+    that mask alone, so :func:`_phase_tree` builds it once per mask, and
+    the stacks that share both go through it together, one vectorised
+    step per tree edge: each adds the δ of its d − 1 edges at most in
+    discovery order, the same additions in the same order as a fresh
+    breadth-first pass.
     """
-    d = spec.d
-    _, _, z = _phase_edges(d, side)
-    a = spec.a.ravel()
-    keep = (np.abs(a) > ZERO_TOL)[z].all(axis=0)
-    steps, z1, z0 = _phase_tree(d, side, keep.tobytes())
-    phi = [0.0] * d
-    for (v, u, sign), delta in zip(steps, (np.angle(a[z1]) - np.angle(a[z0])).tolist()):
-        phi[v] = phi[u] + sign * delta
-    phi = np.angle(np.exp(1j * np.array(phi)))
-    phi[0] = 0.0
+    n, d = a.shape[:2]
+    flat = a.reshape(n, -1)
+    usable = np.abs(flat) > ZERO_TOL
+    groups: dict = {}
+    for side in dict.fromkeys(sides):
+        keeps = usable[:, _phase_edges(d, side)[2]].all(axis=1)
+        for row, s in enumerate(sides):
+            if s == side:
+                groups.setdefault((side, keeps[row].tobytes()), []).append(row)
+    phi = np.zeros((n, d))
+    for (side, keep), rows in groups.items():
+        steps, z = _phase_tree(d, side, keep)
+        entries = flat[rows][:, z]
+        angles = np.arctan2(entries.imag, entries.real)
+        delta = angles[:, : len(steps)] - angles[:, len(steps) :]
+        fit = np.zeros((len(rows), d))
+        for e, (v, u, sign) in enumerate(steps):
+            fit[:, v] = fit[:, u] + sign * delta[:, e]
+        phi[rows] = fit
+    phi = np.exp(1j * phi)
+    phi = np.arctan2(phi.imag, phi.real)
+    phi[:, 0] = 0.0
     return phi
 
 
-def _spec_scale(spec: CirculantSpec) -> float:
-    return _once(spec, "scale", lambda: max(1.0, max(frobenius(m) for m in spec.a)))
+def _kept(specs: list, keys: list, make) -> list:
+    """Each spec's fact under its key, made on first use and kept (a spec never changes).
 
-
-def _verify_phase_family(spec: CirculantSpec, phi: np.ndarray, side: str, tol: float):
-    """Compare every sector matrix against the phase-generated family.
-
-    Returns None when all entries match within tol·max(1, scale), else the
-    lexicographically first violation (in k, i, j) as a witness dict.
+    The facts missing for several specs are made by one call ``make(rows)``,
+    ``rows`` their positions in ``specs``.
     """
-    a = spec.a
-    family = _family_stack(_spec_reference(spec, side), phi)
+    facts = [spec._derived.get(key) for spec, key in zip(specs, keys)]
+    missing = [i for i, fact in enumerate(facts) if fact is None]
+    if missing:
+        for i, fact in zip(missing, make(missing)):
+            facts[i] = specs[i]._derived.setdefault(keys[i], fact)
+    return facts
+
+
+def _all_diagonal(specs: list, a: np.ndarray) -> list[bool]:
+    """Each spec's all-diagonal flag; ``a`` stacks the specs' sectors."""
+    keys = ["all-diagonal"] * len(specs)
+    return _kept(specs, keys, lambda rows: _diagonal_flags(a[rows]).tolist())
+
+
+def _references(specs: list, a: np.ndarray, sides) -> list[np.ndarray]:
+    """Each spec's φ = 0 family on its side (read-only); ``a`` stacks the specs' sectors."""
+    def make(rows):
+        return _read_only(_reference_stack(a[rows, 0], _side_codes([sides[i] for i in rows])))
+    return _kept(specs, [("reference", side) for side in sides], make)
+
+
+def _relation_witnesses(a: np.ndarray, ref: np.ndarray, phi: np.ndarray, tol: float) -> list:
+    """Compare each (m, d, d, d) sector stack against the family of its φ = 0 stack and φ (m, d).
+
+    Per stack: None when all entries match within tol·max(1, scale), else
+    the lexicographically first violation (in k, i, j) as a witness dict.
+    """
+    family = _family_stack(ref, phi)
     delta = np.abs(family - a)
-    thr = tol * _spec_scale(spec)
-    bad = ~(delta <= thr)
-    if not bad.any():
-        return None
-    k, i, j = np.argwhere(bad)[0]
-    return {
-        "kind": "relation-violation",
-        "k": int(k),
-        "entry": [int(i), int(j)],
-        "expected": [float(family[k, i, j].real), float(family[k, i, j].imag)],
-        "actual": [float(a[k, i, j].real), float(a[k, i, j].imag)],
-        "delta": float(delta[k, i, j]),
-        "tolerance": float(thr),
-    }
+    thr = tol * _scales(a)
+    bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
+    witnesses = []
+    for m, first in enumerate(bad.argmax(axis=1).tolist()):
+        if not bad[m, first]:
+            witnesses.append(None)
+            continue
+        at = (m, *np.unravel_index(first, a.shape[1:]))
+        witnesses.append({
+            "kind": "relation-violation",
+            "k": int(at[1]),
+            "entry": [int(at[2]), int(at[3])],
+            "expected": [float(family[at].real), float(family[at].imag)],
+            "actual": [float(a[at].real), float(a[at].imag)],
+            "delta": float(delta[at]),
+            "tolerance": float(thr[m]),
+        })
+    return witnesses
+
+
+def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
+    """:func:`circulant_theorem_check` for each pair of ``zip(specs, sides)``, in order.
+
+    The specs share one prime d and go in one stack, sides mixed.  The
+    all-diagonal flags, φ = 0 stacks and fitted φ, which depend on no
+    tolerance, are kept with each spec; those missing are made for all
+    the specs at once (one reduce, one gather, one fit per keep-mask).
+    The relations are checked in one broadcast on every call, and
+    witnesses are built for the failing specs alone.  Each verdict equals
+    the one-pair call, bit for bit.
+    """
+    _require_finite_tol(tol)
+    if len(specs) != len(sides):
+        raise ValueError(f"got {len(specs)} specs and {len(sides)} sides")
+    if not specs:
+        return []
+    d = specs[0].d
+    if any(spec.d != d for spec in specs):
+        raise DimensionError("the specs must share one dimension")
+    _require_prime(d)
+    _side_codes(sides)  # rejects any side but "A" and "B"
+    a = np.array([spec.a for spec in specs])
+    diagonal = _all_diagonal(specs, a)
+    verdicts = [StructuralVerdict(True, side, CRITERION_DIAGONAL) if flag else None
+                for side, flag in zip(sides, diagonal)]
+    rest = [n for n, flag in enumerate(diagonal) if not flag]
+    if rest:
+        a = a[rest] if len(rest) < len(a) else a
+        specs, sides = [specs[n] for n in rest], [sides[n] for n in rest]
+        ref = np.array(_references(specs, a, sides))
+        phis = _kept(specs, [("phases", side) for side in sides],
+                     lambda rows: _read_only(_fit_phases(a[rows], [sides[i] for i in rows])))
+        for n, side, phi, witness in zip(
+            rest, sides, phis, _relation_witnesses(a, ref, np.array(phis), tol)
+        ):
+            verdicts[n] = StructuralVerdict(
+                witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phi
+            )
+    return verdicts
 
 
 def circulant_theorem_check(
@@ -404,18 +525,10 @@ def circulant_theorem_check(
     phase-and-shift relation for every sector; all-diagonal specs are
     classical outright.  φ is fitted once per spec and side and handed to
     each verdict read-only; the relations, and so the witness, are checked
-    on every call, for whatever tol it brings.
+    on every call, for whatever tol it brings.  This is
+    :func:`circulant_theorem_verdicts` of one pair.
     """
-    _require_prime(spec.d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if _all_diagonal(spec):
-        return StructuralVerdict(True, side, CRITERION_DIAGONAL)
-    phi = _once(spec, ("phases", side), lambda: _read_only(_fit_phases(spec, side)))
-    witness = _verify_phase_family(spec, phi, side, tol)
-    return StructuralVerdict(
-        witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phi
-    )
+    return circulant_theorem_verdicts([spec], [side], tol)[0]
 
 
 def circulant_necessary_conditions(
@@ -426,21 +539,22 @@ def circulant_necessary_conditions(
     Side B requires |a^(n)_{ij}| = |a^(0)_{ij}| off the diagonal and
     a^(n)_{kk} = a^(0)_{kk}; side A the same with a^(0) indices shifted
     by n.  These are necessary, not sufficient (phases are not checked).
-    The spec's scale and φ = 0 stack are those the theorem uses, made once.
+    The scale and φ = 0 stack are those the theorem uses.
     Returns a new report ``{"side", "passed", "diagonal_classical",
     "failures"}`` on every call; each failure is ``{"condition", "n",
     "entry": [i, j], "got", "want"}``, in (n, i, j) order.
     """
+    _require_finite_tol(tol)
     _require_prime(spec.d)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if _all_diagonal(spec):
-        return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
     a = spec.a
-    got, ref = a[1:], _spec_reference(spec, side)[1:]
+    if _all_diagonal([spec], a[None])[0]:
+        return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
+    got, ref = a[1:], _references([spec], a[None], [side])[0][1:]
     diag = np.eye(spec.d, dtype=bool)
     got_abs, ref_abs = np.abs(got), np.abs(ref)
-    fail = ~(np.abs(np.where(diag, got - ref, got_abs - ref_abs)) <= tol * _spec_scale(spec))
+    fail = ~(np.abs(np.where(diag, got - ref, got_abs - ref_abs)) <= tol * _scales(a))
     got, ref = np.where(diag, got.real, got_abs), np.where(diag, ref.real, ref_abs)
     names = _CONDITIONS[side]
     failures = [
@@ -449,6 +563,31 @@ def circulant_necessary_conditions(
         for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
     ]
     return {"side": side, "passed": not failures, "diagonal_classical": False, "failures": failures}
+
+
+def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
+    """The sector stacks (n, d, d, d) of :func:`generate_zero_discord` for n seeds at once.
+
+    Stack i comes from the seed a0[i] (a0 is (n, d, d)), the angles φ[i]
+    (φ is (n, d)) and ``sides[i]``.  The seeds are checked together
+    (finite, Hermitian, PSD by one batched ``eigvalsh``, positive trace),
+    and the error a one-seed call raises is raised if any fails; the
+    families are then built in one broadcast, each bit for bit the one a
+    lone seed gives.
+    """
+    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
+        raise InvalidSpec("a0 and the phases must be finite")
+    skew = np.sqrt(_squared_norms(a0 - a0.conj().swapaxes(-1, -2)))
+    if (skew > 1e-10 * np.maximum(1.0, np.sqrt(_squared_norms(a0)))).any():
+        raise InvalidSpec("a0 is not Hermitian")
+    a0 = hermitize(a0)
+    if (np.linalg.eigvalsh(a0)[:, 0] < EIG_FLOOR).any():
+        raise InvalidSpec("a0 is not positive semidefinite")
+    tr = np.trace(a0, axis1=-2, axis2=-1).real
+    if (tr <= ZERO_TOL).any():
+        raise InvalidSpec("a0 must have positive trace")
+    d = a0.shape[-1]
+    return _family_stack(_reference_stack(a0 / (d * tr)[:, None, None], _side_codes(sides)), phi)
 
 
 def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
@@ -464,17 +603,7 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     d = a0.shape[0]
     _require_prime(d)
     phi = np.asarray(phases, dtype=float)
-    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
-        raise InvalidSpec("a0 and the phases must be finite")
-    if frobenius(a0 - a0.conj().T) > 1e-10 * max(1.0, frobenius(a0)):
-        raise InvalidSpec("a0 is not Hermitian")
-    a0 = hermitize(a0)
-    if np.linalg.eigvalsh(a0)[0] < EIG_FLOOR:
-        raise InvalidSpec("a0 is not positive semidefinite")
-    tr = float(np.trace(a0).real)
-    if tr <= ZERO_TOL:
-        raise InvalidSpec("a0 must have positive trace")
-    return CirculantSpec(d, _family_stack(_reference_stack(a0 / (d * tr), side), phi))
+    return CirculantSpec(d, _zero_discord_stacks(a0[None], phi[None], [side])[0])
 
 
 def completely_classical_check(
@@ -485,16 +614,18 @@ def completely_classical_check(
     All-diagonal specs are classical outright.  Otherwise a^(0) must have
     the uniform diagonal 1/d² (the side-A relation shifts every sector's
     diagonal, the side-B relation keeps it, so both pin it to a constant),
-    and :func:`circulant_theorem_check` must pass on side A and on side B.
-    A zero verdict carries side A's phases; a nonzero one the first
-    failing side's witness (with its ``side``) and phases; the theorem reuses earlier fits.
+    and the theorem must pass on side A and on side B, both decided in one
+    :func:`circulant_theorem_verdicts` stack that reuses earlier fits.  A
+    zero verdict carries side A's phases; a nonzero one the first failing
+    side's witness (with its ``side``) and phases.
     """
+    _require_finite_tol(tol)
     _require_prime(spec.d)
-    if _all_diagonal(spec):
+    if _all_diagonal([spec], spec.a[None])[0]:
         return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
     diag = np.diag(spec.a[0])
     target = 1.0 / spec.d**2
-    bad = np.flatnonzero(~(np.abs(diag - target) <= tol * _spec_scale(spec)))
+    bad = np.flatnonzero(~(np.abs(diag - target) <= tol * _scales(spec.a)))
     if bad.size:
         i = int(bad[0])
         return StructuralVerdict(
@@ -508,8 +639,8 @@ def completely_classical_check(
                 "want": target,
             },
         )
-    side_a = circulant_theorem_check(spec, "A", tol)
-    inner = circulant_theorem_check(spec, "B", tol) if side_a.zero_discord else side_a
+    side_a, side_b = circulant_theorem_verdicts([spec, spec], "AB", tol)
+    inner = side_b if side_a.zero_discord else side_a
     if inner.zero_discord:
         return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
     return StructuralVerdict(
@@ -521,6 +652,54 @@ def completely_classical_check(
     )
 
 
+@functools.cache
+def _bell_classes(d: int) -> np.ndarray:
+    """Flat positions in p of each line's classes, shape (d + 1, d²) (cached, read-only).
+
+    Row α < d groups the positions (m, n) by (m + nα) mod d, row d by n.
+    """
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    labels = (m + n * np.arange(d)[:, None, None]) % d  # labels[α, m, n]
+    labels = np.concatenate([labels, n[None]]).reshape(d + 1, d * d)
+    return _read_only(np.argsort(labels, axis=1, kind="stable"))
+
+
+def bell_verdicts(weights, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
+    """:func:`bell_zero_discord_check` for each weight matrix of ``weights``, in order.
+
+    The matrices share one prime d.  One residue-class test covers them
+    all through the class order cached per d, and each verdict equals the
+    one-matrix call, bit for bit.
+    """
+    _require_finite_tol(tol)
+    ws = [_bell_weights(w) for w in weights]
+    if not ws:
+        return []
+    d = ws[0].d
+    if any(w.d != d for w in ws):
+        raise DimensionError("the weight matrices must share one dimension")
+    _require_prime(d)
+    p = np.array([w.p.ravel() for w in ws])
+    classes = p[:, _bell_classes(d)].reshape(len(ws), d + 1, d, d)  # [item, line, class, member]
+    spread = (classes.max(axis=-1) - classes.min(axis=-1)).max(axis=-1)
+    ok = spread <= tol
+    zero = ok.any(axis=1)
+    named = np.where(zero, ok.argmax(axis=1), spread.argmin(axis=1))  # first zero line, else best
+    lines = [(alpha, None) for alpha in range(d)] + [(None, "n")]
+    verdicts = []
+    for i, (z, at) in enumerate(zip(zero.tolist(), named.tolist())):
+        alpha, line = lines[at]
+        if z:
+            pi = classes[i, at].mean(axis=1)
+            verdict = StructuralVerdict(True, "both", CRITERION_BELL, alpha=alpha, line=line, pi=pi)
+            verdicts.append(verdict)
+            continue
+        witness = {"kind": "residue-class-spread", "best_alpha": alpha, "best_line": line,
+                   "spread": float(spread[i, at]), "tolerance": float(tol)}
+        verdicts.append(StructuralVerdict(False, "both", CRITERION_BELL, witness=witness))
+    return verdicts
+
+
 def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     """Weight-space zero-discord test for Bell-diagonal states at prime d.
 
@@ -529,37 +708,10 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     p[m, n] = π_{(m+nα) mod d} for some α, or p[m, n] = π_n.  The α-lines
     are scanned first, so the smallest qualifying α is reported (``line``
     None); the last line reports ``line`` "n" and ``alpha`` None.  The
-    recovered π values come with either.
+    recovered π values come with either.  This is :func:`bell_verdicts`
+    of one matrix.
     """
-    w = _bell_weights(w)
-    d = w.d
-    _require_prime(d)
-    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    labels = (m + n * np.arange(d)[:, None, None]) % d  # labels[α, m, n]
-    labels = np.concatenate([labels, n[None]]).reshape(d + 1, d * d)
-    order = np.argsort(labels, axis=1, kind="stable")
-    classes = w.p.ravel()[order].reshape(d + 1, d, d)  # [line, class, member]
-    spread = (classes.max(axis=2) - classes.min(axis=2)).max(axis=1)
-    lines = [(alpha, None) for alpha in range(d)] + [(None, "n")]
-    ok = np.flatnonzero(spread <= tol)
-    if ok.size:
-        alpha, line = lines[ok[0]]
-        pi = classes[ok[0]].mean(axis=1)
-        return StructuralVerdict(True, "both", CRITERION_BELL, alpha=alpha, line=line, pi=pi)
-    best = int(np.argmin(spread))
-    alpha, line = lines[best]
-    return StructuralVerdict(
-        False,
-        "both",
-        CRITERION_BELL,
-        witness={
-            "kind": "residue-class-spread",
-            "best_alpha": alpha,
-            "best_line": line,
-            "spread": float(spread[best]),
-            "tolerance": float(tol),
-        },
-    )
+    return bell_verdicts([w], tol)[0]
 
 
 @functools.cache

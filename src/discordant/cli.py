@@ -23,7 +23,7 @@ import numpy as np
 from .blocks import (
     bell_zero_discord_check,
     circulant_necessary_conditions,
-    circulant_theorem_check,
+    circulant_theorem_verdicts,
     completely_classical_check,
     is_prime,
     structural_verdicts,
@@ -154,9 +154,8 @@ def cmd_analyze(args) -> int:
     report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
 
     if spec is not None and is_prime(d):
-        report["circulant_theorem"] = {
-            side: circulant_theorem_check(spec, side, args.tol).to_json() for side in sides
-        }
+        theorem = circulant_theorem_verdicts([spec] * len(sides), sides, args.tol)
+        report["circulant_theorem"] = {side: v.to_json() for side, v in zip(sides, theorem)}
         report["necessary_conditions"] = {
             side: circulant_necessary_conditions(spec, side, args.tol) for side in sides
         }

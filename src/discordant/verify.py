@@ -15,8 +15,11 @@ import numpy as np
 
 from .blocks import (
     _chunks,
+    _require_finite_tol,
+    _zero_discord_stacks,
+    bell_verdicts,
     bell_zero_discord_check,
-    circulant_theorem_check,
+    circulant_theorem_verdicts,
     generate_zero_discord,
     is_prime,
     structural_verdicts,
@@ -33,10 +36,19 @@ NUMERIC_NONZERO_TOL = 1e-5
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
 
 
+def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian d×d matrix, its real part drawn first."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _psd(G: np.ndarray) -> np.ndarray:
+    """G·G† + 0.05·I for a matrix G or a stack of them, each product the one a lone G gets."""
+    return G @ G.conj().swapaxes(-1, -2) + 0.05 * np.eye(G.shape[-1])
+
+
 def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
     """Dense random positive definite matrix G·G† + 0.05·I (complex Gaussian G)."""
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return G @ G.conj().T + 0.05 * np.eye(d)
+    return _psd(_gaussian(d, rng))
 
 
 def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,6 +63,50 @@ def random_zero_discord_spec(
 ) -> CirculantSpec:
     """Random valid circulant spec with vanishing discord on ``side``."""
     return generate_zero_discord(random_psd(d, rng), random_phases(d, rng), side)
+
+
+def _perturbation(d: int, kind: str, rng: np.random.Generator) -> tuple:
+    """The rng draws of one ``kind`` perturbation: (kind applied, sector k, angles g or None)."""
+    if kind == "phase" and d == 2:
+        kind = "modulus"
+    if kind == "phase":
+        return kind, int(rng.integers(1, d)), rng.standard_normal(d)
+    return kind, int(rng.integers(0, d)), None
+
+
+def _perturb(a: np.ndarray, cuts: list) -> None:
+    """Apply drawn perturbations to a stack of sector stacks (n, d, d, d) in place.
+
+    ``cuts`` holds one (row, ε, kind, k, g) per perturbed row, the last
+    three from :func:`_perturbation`; each kind acts on all its rows in one
+    broadcast, and each row gets the values a lone perturbation gives.
+    """
+    d = a.shape[-1]
+    i = np.arange(d)
+    for kind in PERTURBATION_KINDS:
+        group = [cut for cut in cuts if cut[2] == kind]
+        if not group:
+            continue
+        rows, eps, _, k, g = zip(*group)
+        rows, k, eps = list(rows), list(k), np.array(eps)
+        e = eps[:, None, None]
+        if kind == "modulus":
+            s = a[rows, k]
+            diag = np.zeros_like(s)
+            diag[:, i, i] = s[:, i, i]
+            a[rows, k] = (1 - e) * s + e * diag
+        elif kind == "diagonal":
+            bump = eps / d**2
+            a[rows, k, 0, 0] += bump
+            a[rows] /= 1 + bump[:, None, None, None]
+        else:
+            g = np.array(g)
+            g = g - g[:, :1]
+            peak = np.abs(g).max(axis=1)
+            flat = peak <= 1e-12
+            g[flat], peak[flat] = np.arange(d, dtype=float), float(d - 1)
+            w = np.exp(1j * e[:, 0] * g / peak[:, None])
+            a[rows, k] = w[:, :, None] * a[rows, k] * w.conj()[:, None, :]
 
 
 def perturb_spec(
@@ -71,29 +127,9 @@ def perturb_spec(
         raise ValueError(f"kind must be one of {PERTURBATION_KINDS}, got {kind!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = spec.d
-    a = spec.a.copy()
-    if kind == "phase" and d == 2:
-        kind = "modulus"
-    if kind == "modulus":
-        k = int(rng.integers(0, d))
-        a[k] = (1 - epsilon) * a[k] + epsilon * np.diag(np.diag(a[k]))
-    elif kind == "diagonal":
-        k = int(rng.integers(0, d))
-        bump = epsilon / d**2
-        a[k, 0, 0] += bump
-        a /= 1 + bump
-    else:
-        k = int(rng.integers(1, d))
-        g = rng.standard_normal(d)
-        g -= g[0]
-        peak = np.abs(g).max()
-        if peak <= 1e-12:
-            g = np.arange(d, dtype=float)
-            peak = float(d - 1)
-        w = np.exp(1j * epsilon * g / peak)
-        a[k] = w[:, None] * a[k] * w.conj()[None, :]
-    return CirculantSpec(d, a)
+    a = spec.a[None].copy()
+    _perturb(a, [(0, epsilon, *_perturbation(spec.d, kind, rng))])
+    return CirculantSpec(spec.d, a[0])
 
 
 def random_classical_bell(
@@ -135,34 +171,46 @@ class SuiteResult:
         return asdict(self)
 
 
-def _draw(d: int, t: int, rng: np.random.Generator, perturbed: bool, low: float = 0.02):
-    """Draw ``t`` of a suite: (side, spec, kind), the side A for even ``t``, else B.
+def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
+    """Draws ``ts`` of a suite: (sides, specs, kinds), side A for even t, else B.
 
-    With ``perturbed`` the zero-discord spec is broken by the ``t``-th kind
-    with ε ~ U[low, 0.15); otherwise ``kind`` is None.
+    Draw t makes the rng calls of a lone draw, in order: the seed's
+    Gaussian G, the phases and, if ``perturbed(t)``, ε ~ U[low, 0.15) and
+    those of the t-th kind's perturbation (kind None otherwise).  The
+    specs are then built in one stack by the core of
+    :func:`generate_zero_discord` and perturbed in place, each bit for bit
+    the spec :func:`random_zero_discord_spec` and :func:`perturb_spec`
+    make from the same draws.
     """
-    side = "AB"[t % 2]
-    spec = random_zero_discord_spec(d, side, rng)
-    kind = None
-    if perturbed:
-        kind = PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)]
-        spec = perturb_spec(spec, kind, float(rng.uniform(low, 0.15)), rng)
-    return side, spec, kind
+    sides, G, phi, kinds, cuts = [], [], [], [], []
+    for row, t in enumerate(ts):
+        sides.append("AB"[t % 2])
+        G.append(_gaussian(d, rng))
+        phi.append(random_phases(d, rng))
+        kinds.append(PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)] if perturbed(t) else None)
+        if kinds[-1]:
+            cuts.append((row, float(rng.uniform(low, 0.15)), *_perturbation(d, kinds[-1], rng)))
+    a = _zero_discord_stacks(_psd(np.array(G)), np.array(phi), sides)
+    _perturb(a, cuts)
+    return sides, [CirculantSpec(d, x) for x in a], kinds
 
 
 def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
-    """(t, closed-form zero, general zero) per draw t, one stacked general call per chunk.
+    """(t, closed-form zero, general zero) per draw t, both criteria decided per chunk.
 
-    A chunk's draws make the rng calls that draws one at a time make, in order.
-    Their states are not re-validated: :func:`generate_zero_discord` and
-    :func:`perturb_spec` make valid specs by construction, as the tests pin.
+    A chunk's draws are made by :func:`_draws`; its specs go to one
+    :func:`circulant_theorem_verdicts` call and its states to one
+    :func:`structural_verdicts` call.  The states are not re-validated:
+    :func:`generate_zero_discord` and :func:`perturb_spec` make valid specs
+    by construction, as the tests pin.
     """
-    for chunk in _chunks(d, draws):
-        drawn = [_draw(d, t, rng, perturbed(t)) for t in chunk]
-        rhos = [circulant_state(spec, validate=False) for _, spec, _ in drawn]
-        general = structural_verdicts(rhos, d, [side for side, _, _ in drawn], tol)
-        for t, (side, spec, _), verdict in zip(chunk, drawn, general):
-            yield t, circulant_theorem_check(spec, side, tol).zero_discord, verdict.zero_discord
+    for chunk in _chunks(d, draws, 2):
+        sides, specs, _ = _draws(d, chunk, rng, perturbed)
+        theorem = circulant_theorem_verdicts(specs, sides, tol)
+        rhos = [circulant_state(spec, validate=False) for spec in specs]
+        general = structural_verdicts(rhos, d, sides, tol)
+        for t, closed, verdict in zip(chunk, theorem, general):
+            yield t, closed.zero_discord, verdict.zero_discord
 
 
 def run_verify(
@@ -177,12 +225,18 @@ def run_verify(
     Suites: generator/checker closure, closed-form vs general-criterion
     equivalence (on valid and perturbed families), Bell weight-space
     classification, perturbation sensitivity, and (for d < 5) numeric
-    agreement on a small subsample.
+    agreement on a small subsample.  The structural suites go in chunks
+    of as many draws as two stacks of the general criterion hold, since
+    their draws alternate sides (or give both): each chunk's specs are
+    drawn and built in one stack, and each criterion decides the whole
+    chunk in one call, with the report a draw-at-a-time run gives.  A
+    non-finite ``tol`` raises ``ValueError``.
     """
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    _require_finite_tol(tol)
     # made here so that a bad ``starts`` is rejected at every d, not only
     # where the numeric suite runs
     cfg = OptimizerConfig(starts=starts, seed=seed)
@@ -201,15 +255,15 @@ def run_verify(
     results.append(suite)
 
     suite = SuiteResult("bell-classification")
-    for chunk in _chunks(d, draws):  # even draws are classical on the line alpha = t // 2 mod d
+    for chunk in _chunks(d, draws, 2):  # even draws are classical on the line alpha = t // 2 mod d
         weights = [random_nonclassical_bell(d, rngs[2]) if t % 2
                    else random_classical_bell(d, t // 2 % d, rngs[2])[0] for t in chunk]
         rhos = [circulant_state(bell_diagonal_state(p), validate=False)
                 for t, p in zip(chunk, weights) if t % 2 == 0]
         general = structural_verdicts([rho for rho in rhos for _ in "AB"], d, "AB" * len(rhos), tol)
         pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
-        for t, p in zip(chunk, weights):
-            zero = bell_zero_discord_check(p, tol).zero_discord
+        for t, verdict in zip(chunk, bell_verdicts(weights, tol)):
+            zero = verdict.zero_discord
             if t % 2:
                 suite.record(not zero, f"draw {t}: random weights accepted")
             else:
@@ -219,24 +273,25 @@ def run_verify(
     results.append(suite)
 
     suite = SuiteResult("perturbation-sensitivity")
-    for t in range(draws):
-        side, spec, kind = _draw(d, t, rngs[3], perturbed=True)
-        verdict = circulant_theorem_check(spec, side, tol)
-        suite.record(
-            not verdict.zero_discord and verdict.witness is not None,
-            f"draw {t}: kind={kind} verdict={verdict.zero_discord}",
-        )
+    for chunk in _chunks(d, draws, 2):
+        sides, specs, kinds = _draws(d, chunk, rngs[3], lambda t: True)
+        for t, kind, verdict in zip(chunk, kinds, circulant_theorem_verdicts(specs, sides, tol)):
+            suite.record(
+                not verdict.zero_discord and verdict.witness is not None,
+                f"draw {t}: kind={kind} verdict={verdict.zero_discord}",
+            )
     results.append(suite)
 
     suite = SuiteResult("numeric-agreement", skipped=d >= 5)
-    for t in range(0 if suite.skipped else 6):
-        side, spec, _ = _draw(d, t, rngs[4], perturbed=t >= 3, low=0.05)
-        rho = circulant_state(spec, validate=False)
-        dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
-        if t < 3:
-            suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
-        else:
-            suite.record(dval >= NUMERIC_NONZERO_TOL, f"draw {t}: D={dval:.2e} not >0")
+    if not suite.skipped:
+        sides, specs, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
+        for t, (side, spec) in enumerate(zip(sides, specs)):
+            rho = circulant_state(spec, validate=False)
+            dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
+            if t < 3:
+                suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
+            else:
+                suite.record(dval >= NUMERIC_NONZERO_TOL, f"draw {t}: D={dval:.2e} not >0")
     results.append(suite)
 
     all_pass = all(r.failed == 0 for r in results)

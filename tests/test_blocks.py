@@ -21,9 +21,11 @@ from discordant.blocks import (
     _phase_edges,
     _phase_tree,
     _shifts,
+    bell_verdicts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
     circulant_theorem_check,
+    circulant_theorem_verdicts,
     classical_decomposition,
     completely_classical_check,
     extract_blocks,
@@ -54,6 +56,7 @@ from discordant.verify import (
     random_phases,
     random_psd,
     random_zero_discord_spec,
+    run_verify,
 )
 
 from test_states import x_state_spec
@@ -383,7 +386,7 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
     refine = blocks_module._common_basis
     refined = []
     monkeypatch.setattr(blocks_module, "_common_basis", lambda *a: refined.append(1) or refine(*a))
-    for tol in (1e-9, 1e-3, float("nan")):
+    for tol in (1e-9, 1e-3):
         want = [_verdict_json_from(*grids, side, tol) for (_, grids), side in zip(references, sides)]
         for chunk in (1, d**4 - 1, 10**9):  # one row, a state split into rows, the whole stack
             monkeypatch.setattr(blocks_module, "_CHUNK_ENTRIES", chunk)
@@ -392,10 +395,7 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
             for verdict, (U, _) in zip(got, references):
                 assert verdict.basis.tobytes() == U.tobytes(), (tol, chunk)
         zeros = sum(v.zero_discord for v in got)
-        if tol != tol:
-            assert zeros == 0  # a NaN tolerance never reads as zero discord
-        else:
-            assert zeros >= 6 and len(got) - zeros >= 6
+        assert zeros >= 6 and len(got) - zeros >= 6
     assert refined  # the maximally mixed state, at least, needs the sequential refinement
     assert structural_verdicts([], d, [], 1e-9) == []
 
@@ -569,7 +569,9 @@ def test_fit_phases_matches_loop_reference_exactly():
             specs += [perturb_spec(spec, kind, 0.1, rng) for kind in PERTURBATION_KINDS]
             for s in specs:
                 for side in ("A", "B"):
-                    np.testing.assert_array_equal(_fit_phases(s, side), _fit_phases_loop(s, side))
+                    np.testing.assert_array_equal(
+                        _fit_phases(s.a[None], [side])[0], _fit_phases_loop(s, side)
+                    )
 
 
 def test_phase_tree_cache_never_mixes_masks():
@@ -588,7 +590,9 @@ def test_phase_tree_cache_never_mixes_masks():
         for n, s in enumerate(specs * 2):
             for side in ("A", "B")[:: 1 if n % 2 else -1]:
                 fresh = CirculantSpec(d, s.a)
-                np.testing.assert_array_equal(_fit_phases(fresh, side), _fit_phases_loop(fresh, side))
+                np.testing.assert_array_equal(
+                    _fit_phases(fresh.a[None], [side])[0], _fit_phases_loop(fresh, side)
+                )
                 info = _phase_tree.cache_info()
                 assert info.currsize <= info.maxsize
     after = _phase_tree.cache_info()
@@ -989,32 +993,48 @@ def test_phase_angles_must_match_the_dimension():
                 generate_zero_discord(a0, phi, side)
 
 
-def test_nan_tolerance_never_reads_as_zero_discord():
-    # every closed-form threshold test must fail on a NaN tolerance, as the
-    # general criterion and the Bell test already do
+_TOL_ENTRY_POINTS = {
+    "structural_verdicts": lambda spec, p, tol: structural_verdicts(
+        [circulant_state(spec)] * 2, spec.d, "AB", tol),
+    "structural_discord_zero": lambda spec, p, tol: structural_discord_zero(
+        circulant_state(spec), spec.d, "A", tol),
+    "circulant_theorem_verdicts": lambda spec, p, tol: circulant_theorem_verdicts(
+        [spec, spec], "AB", tol),
+    "circulant_theorem_check": lambda spec, p, tol: circulant_theorem_check(spec, "B", tol),
+    "circulant_necessary_conditions": lambda spec, p, tol: circulant_necessary_conditions(
+        spec, "A", tol),
+    "completely_classical_check": lambda spec, p, tol: completely_classical_check(spec, tol),
+    "bell_verdicts": lambda spec, p, tol: bell_verdicts([p, p], tol),
+    "bell_zero_discord_check": lambda spec, p, tol: bell_zero_discord_check(p, tol),
+    "run_verify": lambda spec, p, tol: run_verify(3, draws=1, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", list(_TOL_ENTRY_POINTS))
+def test_nonfinite_tolerance_is_rejected(entry, tol):
+    # a NaN tolerance used to put the invalid JSON token NaN into witnesses,
+    # and an infinite one called every state zero-discord; a negative one stays allowed
     rng = np.random.default_rng(24)
-    nan = float("nan")
-    zero = random_zero_discord_spec(3, "A", rng)
-    for spec in (zero, perturb_spec(zero, "modulus", 0.1, rng)):
-        rho = circulant_state(spec)
-        for side in "AB":
-            assert not circulant_theorem_check(spec, side, nan).zero_discord
-            assert not circulant_necessary_conditions(spec, side, nan)["passed"]
-            assert not structural_discord_zero(rho, 3, side, nan).zero_discord
-        assert not completely_classical_check(spec, nan).zero_discord
+    spec = perturb_spec(random_zero_discord_spec(3, "A", rng), "modulus", 0.1, rng)
     p, _ = random_classical_bell(3, 1, rng)
-    assert not bell_zero_discord_check(p, nan).zero_discord
+    call = _TOL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="tol must be finite"):
+        call(spec, p, tol)
+    call(spec, p, -1.0)
 
 
 def test_nan_tolerance_keeps_the_memo_bounded():
-    # NaN never equals itself: keyed by tol, every NaN call used to add a memo entry
+    # NaN never equals itself: keyed by tol, every NaN call used to add a memo
+    # entry; a rejected call must leave the memo as it was
     rng = np.random.default_rng(25)
     spec = perturb_spec(random_zero_discord_spec(5, "B", rng), "phase", 0.1, rng)
     for side in "AB":
-        assert not circulant_theorem_check(spec, side, float("nan")).zero_discord
+        assert not circulant_theorem_check(spec, side).zero_discord
     size = len(spec._derived)
     for n in range(100):
-        assert not circulant_theorem_check(spec, "AB"[n % 2], float("nan")).zero_discord
+        with pytest.raises(ValueError):
+            circulant_theorem_check(spec, "AB"[n % 2], float("nan"))
     assert len(spec._derived) == size
 
 
@@ -1138,3 +1158,77 @@ def test_tolerance_sweep_keeps_the_memo_bounded():
         assert _closed_forms_json(CirculantSpec(5, spec.a), tol) == want, tol
     zeros = {json.loads(v["theorem-B"])["zero_discord"] for v in verdicts.values()}
     assert zeros == {False, True}  # the sweep crosses the verdict's threshold
+
+
+def _batch_specs(d, rng):
+    """Mixed specs: zero on each side, each perturbation kind, all-diagonal,
+    zeroed off-diagonal pairs (keep-masks differ), classical Bell, unnormalized."""
+    specs = [random_zero_discord_spec(d, side, rng) for side in "AB"]
+    specs += [perturb_spec(random_zero_discord_spec(d, "AB"[n % 2], rng), kind, 0.05, rng)
+              for n, kind in enumerate(PERTURBATION_KINDS)]
+    weights = rng.dirichlet(np.ones(d * d)).reshape(d, d)
+    specs.append(CirculantSpec(d, [np.diag(w).astype(complex) for w in weights]))
+    for side in "AB":
+        sparse = random_zero_discord_spec(d, side, rng).a.copy()
+        sparse[:, 0, 1] = sparse[:, 1, 0] = 0.0  # a zero pair: no usable phase there
+        specs.append(CirculantSpec(d, sparse))
+    specs.append(bell_diagonal_state(random_classical_bell(d, 1 % d, rng)[0]))
+    specs += [CirculantSpec(d, 40.0 * spec.a) for spec in specs[:3]]  # scales above 1
+    return specs
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_batched_closed_forms_equal_lone_calls(d):
+    # each verdict of a mixed stack, witness and phases included, is the JSON
+    # of the one-pair call on a fresh spec, byte for byte
+    rng = np.random.default_rng(80 + d)
+    specs = _batch_specs(d, rng)
+    pairs = [(spec, side) for spec in specs for side in "AB"]
+    pairs = [pairs[n] for n in rng.permutation(len(pairs))]
+    for tol in (DEFAULT_TOL, 1e-3, -1.0):
+        stacked = circulant_theorem_verdicts([s for s, _ in pairs], [s for _, s in pairs], tol)
+        for (spec, side), verdict in zip(pairs, stacked):
+            lone = circulant_theorem_check(CirculantSpec(d, spec.a), side, tol)
+            assert json.dumps(verdict.to_json()) == json.dumps(lone.to_json()), (side, tol)
+            if lone.fitted_phases is not None:
+                assert verdict.fitted_phases.tobytes() == lone.fitted_phases.tobytes()
+        kinds = {(v.criterion, v.zero_discord) for v in stacked}
+        if tol == DEFAULT_TOL:
+            assert {(CRITERION_DIAGONAL, True), (CRITERION_CIRCULANT, True),
+                    (CRITERION_CIRCULANT, False)} <= kinds
+    weights = [random_classical_bell(d, alpha, rng)[0] for alpha in range(d)]
+    weights += [random_nonclassical_bell(d, rng) for _ in range(3)]
+    weights.append(np.full((d, d), 1.0 / d**2))
+    weights = [weights[n] for n in rng.permutation(len(weights))]
+    for tol in (DEFAULT_TOL, 1e-2, -1.0):
+        stacked = bell_verdicts(weights, tol)
+        lone = [bell_zero_discord_check(p, tol) for p in weights]
+        assert [json.dumps(v.to_json()) for v in stacked] == [json.dumps(v.to_json()) for v in lone]
+        if tol == DEFAULT_TOL:
+            assert {v.zero_discord for v in stacked} == {True, False}
+    assert circulant_theorem_verdicts([], [], DEFAULT_TOL) == bell_verdicts([], DEFAULT_TOL) == []
+
+
+def test_batched_closed_forms_reject_bad_stacks():
+    spec3, spec5 = werner_state(3, 0.1), random_zero_discord_spec(5, "A", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2 specs and 1 sides"):
+        circulant_theorem_verdicts([spec3, spec3], "A")
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        circulant_theorem_verdicts([spec3, spec3], ["A", "C"])
+    with pytest.raises(DimensionError):
+        circulant_theorem_verdicts([spec3, spec5], "AB")
+    with pytest.raises(DimensionError):
+        bell_verdicts([np.full((3, 3), 1 / 9), np.full((5, 5), 1 / 25)])
+    with pytest.raises(PrimeRequired):
+        bell_verdicts([np.full((4, 4), 1 / 16)])
+
+
+def test_closed_form_scale_is_the_sector_norms():
+    # max(1, maxₙ ‖a^(n)‖_F), each norm the one np.linalg.norm forms over a sector
+    rng = np.random.default_rng(81)
+    for d in (2, 3, 5, 7, 13):
+        for factor in (1.0, 3.0, 40.0):
+            a = factor * random_zero_discord_spec(d, "AB"[d % 2], rng).a
+            want = max(1.0, float(np.linalg.norm(a, axis=(1, 2)).max()))
+            assert blocks_module._scales(a) == want
+            assert blocks_module._scales(a[None])[0] == want

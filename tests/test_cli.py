@@ -99,11 +99,11 @@ def test_unreadable_paths_exit_2(capsys, tmp_path, case):
 def test_analyze_fits_each_side_once(capsys, monkeypatch):
     # a classical Bell state has the uniform a^(0) diagonal, so the
     # completely-classical check runs the theorem on both sides again; it
-    # must reuse the two fits the per-side theorem checks made
+    # must reuse the two fits the per-side theorem checks made.  The fit
+    # takes a stack of sector stacks and their sides: count the (spec, side)
+    # pairs it fits
     fit, sides = blocks._fit_phases, []
-    monkeypatch.setattr(
-        blocks, "_fit_phases", lambda spec, side: sides.append(side) or fit(spec, side)
-    )
+    monkeypatch.setattr(blocks, "_fit_phases", lambda a, s: sides.extend(s) or fit(a, s))
     code, out, _ = run_cli(
         ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
          "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"],

@@ -101,30 +101,61 @@ def test_run_verify_large_d_passes(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_stacked_draws_keep_draw_order(d, monkeypatch):
-    # one draw a chunk and the default chunks give the same report, and the
-    # general criterion sees the same states in the same order; at a negative
-    # tolerance closure and Bell draws fail, so their details count too
+    # the smallest chunks and the default chunks give the same report, and
+    # each criterion sees the same states, specs and weights in the same
+    # order, bit for bit; at a negative tolerance closure and Bell draws
+    # fail, so their details count too
     failures = 0
     for tol in (1e-9, -1.0):
         for seed in range(3):
             reports, seen = [], []
             for chunk in (1, blocks._CHUNK_ENTRIES):
-                states = []
+                inputs = {"general": [], "theorem": [], "bell": []}
 
-                def recorded(rhos, d, sides, tol, states=states):
-                    states += [(np.asarray(rho).tobytes(), side) for rho, side in zip(rhos, sides)]
+                def general(rhos, d, sides, tol):
+                    inputs["general"] += [(np.asarray(r).tobytes(), s) for r, s in zip(rhos, sides)]
                     return blocks.structural_verdicts(rhos, d, sides, tol)
+
+                def theorem(specs, sides, tol):
+                    inputs["theorem"] += [(spec.a.tobytes(), s) for spec, s in zip(specs, sides)]
+                    return blocks.circulant_theorem_verdicts(specs, sides, tol)
+
+                def bell(weights, tol):
+                    inputs["bell"] += [np.asarray(p).tobytes() for p in weights]
+                    return blocks.bell_verdicts(weights, tol)
 
                 with monkeypatch.context() as m:
                     m.setattr(blocks, "_CHUNK_ENTRIES", chunk)
-                    m.setattr(verify, "structural_verdicts", recorded)
+                    m.setattr(verify, "structural_verdicts", general)
+                    m.setattr(verify, "circulant_theorem_verdicts", theorem)
+                    m.setattr(verify, "bell_verdicts", bell)
                     results, all_pass = run_verify(d, seed=seed, tol=tol, starts=2)
                 reports.append(json.dumps([all_pass] + [r.to_json() for r in results]))
-                seen.append(states)
+                seen.append(inputs)
             assert reports[0] == reports[1], (tol, seed)
-            assert seen[0] == seen[1] and len(seen[0]) == 60, (tol, seed)
+            assert seen[0] == seen[1], (tol, seed)
+            assert [len(seen[0][k]) for k in ("general", "theorem", "bell")] == [60, 60, 20]
             failures += sum(len(r.details) for r in results)
     assert failures >= 3 * 20  # every closure draw fails at tol = -1.0
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_stacked_draws_equal_lone_draws(d):
+    # a stack of draws makes the rng calls of lone draws, in order, and each
+    # spec is bit for bit the one random_zero_discord_spec and perturb_spec make
+    patterns = {"none": lambda t: False, "odd": lambda t: t % 2 == 1, "all": lambda t: True}
+    for name, perturbed in patterns.items():
+        stacked_rng, lone_rng = np.random.default_rng(90 + d), np.random.default_rng(90 + d)
+        sides, specs, kinds = verify._draws(d, range(9), stacked_rng, perturbed, low=0.05)
+        for t, (side, spec, kind) in enumerate(zip(sides, specs, kinds)):
+            lone = random_zero_discord_spec(d, "AB"[t % 2], lone_rng)
+            if perturbed(t):
+                epsilon = float(lone_rng.uniform(0.05, 0.15))
+                lone = perturb_spec(lone, PERTURBATION_KINDS[t % 3], epsilon, lone_rng)
+            want = PERTURBATION_KINDS[t % 3] if perturbed(t) else None
+            assert (side, kind) == ("AB"[t % 2], want)
+            assert spec.a.tobytes() == lone.a.tobytes(), (name, t)
+        assert stacked_rng.bytes(16) == lone_rng.bytes(16), name
 
 
 def test_run_verify_requires_prime():
