@@ -65,9 +65,14 @@ DEGENERACY_GAP = 1e-8
 REASSEMBLY_TOL = 1e-8
 #: Step of the Weyl sequence that phases the generic block combination.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-#: Complex entries one stack of the batched general criterion may span: 8192
-#: holds 13 dense states at d = 5, 3 at d = 7, and one block row's transforms at d = 13.
-_CHUNK_ENTRIES = 8192
+#: Complex entries one stack of the batched general criterion may span, sides
+#: mixed: 32768 holds 52 dense states at d = 5, 13 at d = 7, 2 at d = 11 and one
+#: at d = 13.  In verify-large-d benchmark runs (seed 1, 15 s, one BLAS thread,
+#: shared 2-core Xeon, budgets alternating) it read 0.0159–0.0163 items per ref,
+#: against 0.0150 for 24576, 0.0147 for 49152 (whose stacks leave small remainders
+#: of the benchmark's draw counts), 0.0157 for 65536 (at a peak RSS 1.6 MB higher)
+#: and 0.0134 for the earlier stacks of one side and 8192 entries.
+_CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
 CRITERION_CIRCULANT = "circulant-theorem"
@@ -159,12 +164,12 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     return _read_only(blocks)
 
 
-def _chunks(d: int, count: int, stacks: int = 1):
-    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as ``stacks`` stacks hold.
+def _chunks(d: int, count: int):
+    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds.
 
     A stack holds at least one state.
     """
-    step = stacks * max(1, _CHUNK_ENTRIES // d**4)
+    step = max(1, _CHUNK_ENTRIES // d**4)
     return (range(t, min(t + step, count)) for t in range(0, count, step))
 
 
@@ -173,35 +178,39 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
 
     Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
     the U of :func:`_common_bases`, i.e. iff the blocks are normal and
-    commute.  Pairs go in stacks of one side and at most ``_CHUNK_ENTRIES``
-    dense entries (one state if larger), with results equal to those of one
-    pair at a time, bit for bit.  Each verdict keeps U in ``basis``; a
-    nonzero one's witness is the block of largest relative off-diagonal norm.
+    commute.  Pairs go in input order, sides mixed, in stacks of at most
+    ``_CHUNK_ENTRIES`` dense entries (one state if larger): each pair's
+    grid is the :func:`extract_blocks` of its own side, and results equal
+    those of one pair at a time, bit for bit.  Each verdict keeps U in
+    ``basis``; a nonzero one's witness is the block of largest relative
+    off-diagonal norm.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
-    verdicts: list = [None] * len(sides)
-    for side in dict.fromkeys(sides):  # extract_blocks rejects any side but "A" and "B"
-        todo = [n for n, s in enumerate(sides) if s == side]
-        for at in (todo[r.start : r.stop] for r in _chunks(d, len(todo))):
-            states = [np.asarray(rhos[n], dtype=complex) for n in at]
-            blocks = (extract_blocks(np.stack(states), d, side) if len(at) > 1
-                      else extract_blocks(states[0], d, side)[None])  # a lone state is not copied
-            U = _common_bases(blocks, d)
-            off, scale = _norm_grids(blocks, U)
-            thr = tol * scale
-            zero = (off <= thr).all(axis=(-2, -1))
-            worst = (off / scale).reshape(len(at), -1).argmax(axis=-1).tolist()
-            for i, n in enumerate(at):
-                b = divmod(worst[i], d)
-                witness = None if zero[i] else {
-                    "kind": "off-diagonal-block", "block": list(b),
-                    "offdiagonal_norm": float(off[i][b]), "tolerance": float(thr[i][b]),
-                }
-                verdicts[n] = StructuralVerdict(
-                    bool(zero[i]), side, CRITERION_COMMUTATION, witness=witness, basis=U[i]
-                )
+    verdicts = []
+    for chunk in _chunks(d, len(sides)):
+        at, part = sides[chunk.start : chunk.stop], rhos[chunk.start : chunk.stop]
+        # in C order, which the products of _norm_grids rely on; a slice of a
+        # C-ordered stack and a lone C-ordered state are views, not copies
+        states = (np.ascontiguousarray(part, dtype=complex) if len(at) > 1
+                  else np.ascontiguousarray(part[0], dtype=complex)[None])
+        U = _common_bases(states, d, at)
+        grids = [extract_blocks(rho, d, side) for rho, side in zip(states, at)]
+        blocks = np.stack(grids) if len(at) > 1 else grids[0][None]
+        off, scale = _norm_grids(blocks, U)
+        thr = tol * scale
+        zero = (off <= thr).all(axis=(-2, -1)).tolist()
+        worst = (off / scale).reshape(len(at), -1).argmax(axis=-1).tolist()
+        for i, side in enumerate(at):
+            b = divmod(worst[i], d)
+            witness = None if zero[i] else {
+                "kind": "off-diagonal-block", "block": list(b),
+                "offdiagonal_norm": float(off[i][b]), "tolerance": float(thr[i][b]),
+            }
+            verdicts.append(StructuralVerdict(
+                zero[i], side, CRITERION_COMMUTATION, witness=witness, basis=U[i]
+            ))
     return verdicts
 
 
@@ -214,6 +223,8 @@ def structural_discord_zero(
 
 def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for (n, d, d, d, d) grids and (n, d, d) U.
+
+    The grids are block views of C-ordered states, or a C-ordered stack.
 
     Block rows go through one broadcast U†B_iU ``matmul`` as many at a time
     as keep two temporaries within ``_CHUNK_ENTRIES`` (at least one row),
@@ -548,21 +559,36 @@ def circulant_necessary_conditions(
     _require_prime(spec.d)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return _necessary_conditions(spec, [side], tol)[0]
+
+
+def _necessary_conditions(spec: CirculantSpec, sides, tol: float) -> list[dict]:
+    """:func:`circulant_necessary_conditions` of one spec on each of ``sides`` (checked by the caller).
+
+    The sides share one gather of their φ = 0 stacks and one scale.
+    """
     a = spec.a
     if _all_diagonal([spec], a[None])[0]:
-        return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
-    got, ref = a[1:], _references([spec], a[None], [side])[0][1:]
+        return [{"side": side, "passed": True, "diagonal_classical": True, "failures": []}
+                for side in sides]
+    got = a[1:]
+    ref = np.array(_references([spec] * len(sides), np.broadcast_to(a, (len(sides), *a.shape)), sides))
+    ref = ref[:, 1:]
     diag = np.eye(spec.d, dtype=bool)
     got_abs, ref_abs = np.abs(got), np.abs(ref)
     fail = ~(np.abs(np.where(diag, got - ref, got_abs - ref_abs)) <= tol * _scales(a))
     got, ref = np.where(diag, got.real, got_abs), np.where(diag, ref.real, ref_abs)
-    names = _CONDITIONS[side]
-    failures = [
-        {"condition": names[i != j], "n": n + 1, "entry": [i, j],
-         "got": float(got[n, i, j]), "want": float(ref[n, i, j])}
-        for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
-    ]
-    return {"side": side, "passed": not failures, "diagonal_classical": False, "failures": failures}
+    reports = []
+    for s, side in enumerate(sides):
+        names = _CONDITIONS[side]
+        failures = [
+            {"condition": names[i != j], "n": n + 1, "entry": [i, j],
+             "got": float(got[n, i, j]), "want": float(ref[s, n, i, j])}
+            for n, i, j in zip(*(idx.tolist() for idx in fail[s].nonzero()))
+        ]
+        reports.append({"side": side, "passed": not failures, "diagonal_classical": False,
+                        "failures": failures})
+    return reports
 
 
 def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
@@ -621,6 +647,15 @@ def completely_classical_check(
     """
     _require_finite_tol(tol)
     _require_prime(spec.d)
+    return _completely_classical(spec, tol)
+
+
+def _completely_classical(spec: CirculantSpec, tol: float, pair=None) -> StructuralVerdict:
+    """:func:`completely_classical_check` from the theorem's side A and B verdicts ``pair``.
+
+    A caller that holds the pair passes it; without it, the pair is
+    decided once the prechecks pass.
+    """
     if _all_diagonal([spec], spec.a[None])[0]:
         return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
     diag = np.diag(spec.a[0])
@@ -639,7 +674,7 @@ def completely_classical_check(
                 "want": target,
             },
         )
-    side_a, side_b = circulant_theorem_verdicts([spec, spec], "AB", tol)
+    side_a, side_b = pair if pair is not None else circulant_theorem_verdicts([spec, spec], "AB", tol)
     inner = side_b if side_a.zero_discord else side_a
     if inner.zero_discord:
         return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
@@ -653,14 +688,19 @@ def completely_classical_check(
 
 
 @functools.cache
-def _bell_classes(d: int) -> np.ndarray:
-    """Flat positions in p of each line's classes, shape (d + 1, d²) (cached, read-only).
+def _bell_labels(d: int) -> np.ndarray:
+    """labels[α, m, n]: the class of (m, n) on each line, shape (d + 1, d, d) (cached, read-only).
 
-    Row α < d groups the positions (m, n) by (m + nα) mod d, row d by n.
+    Line α < d labels (m, n) by (m + nα) mod d, line d by n.
     """
     m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    labels = (m + n * np.arange(d)[:, None, None]) % d  # labels[α, m, n]
-    labels = np.concatenate([labels, n[None]]).reshape(d + 1, d * d)
+    return _read_only(np.concatenate([(m + n * np.arange(d)[:, None, None]) % d, n[None]]))
+
+
+@functools.cache
+def _bell_classes(d: int) -> np.ndarray:
+    """Flat positions in p of each line's classes, shape (d + 1, d²) (cached, read-only)."""
+    labels = _bell_labels(d).reshape(d + 1, d * d)
     return _read_only(np.argsort(labels, axis=1, kind="stable"))
 
 
@@ -742,21 +782,29 @@ def _degenerate_runs(grp: list, w: np.ndarray) -> list:
     return runs
 
 
-def _common_bases(blocks: np.ndarray, d: int) -> np.ndarray:
-    """A candidate common eigenbasis U per grid of a (n, d, d, d, d) stack, shape (n, d, d).
+def _common_bases(states: np.ndarray, d: int, sides) -> np.ndarray:
+    """A candidate common eigenbasis U per (state, side) pair of a (n, d², d²) stack, shape (n, d, d).
 
     One batched ``eigh`` of the generic combinations Σ W_ij B_ij (W
     Hermitian, Weyl-sequence phases), whose gaps are typically as wide as
     the whole family's, so no split rests on one block's near-degenerate
     pair; a grid left with a gap ≤ DEGENERACY_GAP goes on to :func:`_common_basis`.
+    The combinations are summed by one ``einsum`` over every state per
+    side present, in that side's :func:`extract_blocks` view, whose layout
+    fixes the order of summation, so each U is bit for bit the one a lone
+    pair gets.
     """
+    combos = {side: np.einsum("ij,nijkl->nkl", _generic_weights(d), extract_blocks(states, d, side))
+              for side in dict.fromkeys(sides)}
+    on_a = np.array([side == "A" for side in sides])[:, None, None]
+    G = np.where(on_a, combos.get("A", 0), combos.get("B", 0))
     E = np.eye(d, dtype=complex)
-    G = np.einsum("ij,nijkl->nkl", _generic_weights(d), blocks)
     # the identity products keep the signed zeros a one-grid refinement step gives
     w, v = np.linalg.eigh(hermitize(E.conj().T @ G @ E))
     U = E @ v
     for n in np.flatnonzero(~(np.diff(w, axis=-1) > DEGENERACY_GAP).all(axis=-1)):
-        _common_basis(blocks[n], d, U[n], _degenerate_runs(list(range(d)), w[n]))
+        runs = _degenerate_runs(list(range(d)), w[n])
+        _common_basis(extract_blocks(states[n], d, sides[n]), d, U[n], runs)
     return U
 
 

@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from .blocks import (
+    _completely_classical,
+    _necessary_conditions,
     bell_zero_discord_check,
-    circulant_necessary_conditions,
     circulant_theorem_verdicts,
-    completely_classical_check,
     is_prime,
     structural_verdicts,
 )
@@ -156,10 +156,9 @@ def cmd_analyze(args) -> int:
     if spec is not None and is_prime(d):
         theorem = circulant_theorem_verdicts([spec] * len(sides), sides, args.tol)
         report["circulant_theorem"] = {side: v.to_json() for side, v in zip(sides, theorem)}
-        report["necessary_conditions"] = {
-            side: circulant_necessary_conditions(spec, side, args.tol) for side in sides
-        }
-        report["completely_classical"] = completely_classical_check(spec, args.tol).to_json()
+        report["necessary_conditions"] = dict(zip(sides, _necessary_conditions(spec, sides, args.tol)))
+        pair = theorem if len(sides) == 2 else None  # both sides already decided: reuse them
+        report["completely_classical"] = _completely_classical(spec, args.tol, pair).to_json()
     if loaded.weights is not None and is_prime(d):
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 

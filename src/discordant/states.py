@@ -158,10 +158,15 @@ def circulant_state(spec: CirculantSpec, validate: bool = True) -> np.ndarray:
     """
     if validate:
         validate_circulant_spec(spec)
-    d = spec.d
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    rho.reshape(-1)[_sector_index(d)] = spec.a
-    return rho
+    return _dense_states(spec.a[None])[0]
+
+
+def _dense_states(a: np.ndarray) -> np.ndarray:
+    """The dense d²×d² matrices of a stack of sector stacks (n, d, d, d), by one scatter."""
+    n, d = a.shape[:2]
+    rho = np.zeros((n, d**4), dtype=complex)
+    rho[:, _sector_index(d)] = a
+    return rho.reshape(n, d * d, d * d)
 
 
 def project_circulant(rho: np.ndarray, d: int):
@@ -202,10 +207,14 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
 def bell_diagonal_state(w) -> CirculantSpec:
     """Circulant spec of Σ p[m,n]·(projector m,n): a^(n)_{ij} = (1/d) Σ_m p[m,n] λ^{m(i−j)}."""
     w = _bell_weights(w)
-    d = w.d
+    return CirculantSpec(w.d, np.einsum("mn,mij->nij", w.p, _bell_amplitudes(w.d)) / w.d)
+
+
+@functools.cache
+def _bell_amplitudes(d: int) -> np.ndarray:
+    """amp[m, i, j] = λ^{m(i−j)} with λ = e^{2πi/d} (cached, read-only)."""
     i = np.arange(d)
-    amp = np.exp(2j * np.pi * i / d)[i[:, None, None] * (i[:, None] - i) % d]  # λ^{m(i−j)}
-    return CirculantSpec(d, np.einsum("mn,mij->nij", w.p, amp) / d)
+    return _read_only(np.exp(2j * np.pi * i / d)[i[:, None, None] * (i[:, None] - i) % d])
 
 
 def _require_finite_lambda(lam: float) -> None:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .blocks import (
+    _bell_labels,
     _chunks,
     _require_finite_tol,
     _zero_discord_stacks,
@@ -26,7 +27,13 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord
 from .errors import PrimeRequired
-from .states import CirculantSpec, bell_diagonal_state, circulant_state, orthogonal_invariant_state
+from .states import (
+    CirculantSpec,
+    _bell_amplitudes,
+    _dense_states,
+    circulant_state,
+    orthogonal_invariant_state,
+)
 
 #: Numeric discord at or below this confirms a structural zero verdict.
 NUMERIC_ZERO_TOL = 1e-6
@@ -34,6 +41,8 @@ NUMERIC_ZERO_TOL = 1e-6
 NUMERIC_NONZERO_TOL = 1e-5
 
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
+#: Every residue class of a nonclassical Bell draw spreads by more than this.
+_NONCLASSICAL_SPREAD = 0.02
 
 
 def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,15 +146,14 @@ def random_classical_bell(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights p[m, n] = π_{(m+nα) mod d} for a random π summing to 1/d."""
     pi = rng.dirichlet(np.ones(d)) / d
-    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return pi[(m + n * alpha) % d], pi
+    return pi[_bell_labels(d)[alpha % d]], pi
 
 
 def random_nonclassical_bell(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random weight matrix whose residue classes all spread by more than 0.02."""
     while True:
         p = rng.dirichlet(np.ones(d * d)).reshape(d, d)
-        if not bell_zero_discord_check(p, tol=0.02).zero_discord:
+        if not bell_zero_discord_check(p, tol=_NONCLASSICAL_SPREAD).zero_discord:
             return p
 
 
@@ -198,19 +206,71 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
 def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
     """(t, closed-form zero, general zero) per draw t, both criteria decided per chunk.
 
-    A chunk's draws are made by :func:`_draws`; its specs go to one
-    :func:`circulant_theorem_verdicts` call and its states to one
-    :func:`structural_verdicts` call.  The states are not re-validated:
-    :func:`generate_zero_discord` and :func:`perturb_spec` make valid specs
-    by construction, as the tests pin.
+    A chunk holds as many draws as one stack of the general criterion
+    holds states, sides mixed.  Its draws are made by :func:`_draws`; its
+    specs go to one :func:`circulant_theorem_verdicts` call, and its dense
+    states, assembled by one scatter, to one :func:`structural_verdicts`
+    call.  The states are not re-validated: :func:`generate_zero_discord`
+    and :func:`perturb_spec` make valid specs by construction, as the
+    tests pin.
     """
-    for chunk in _chunks(d, draws, 2):
+    for chunk in _chunks(d, draws):
         sides, specs, _ = _draws(d, chunk, rng, perturbed)
         theorem = circulant_theorem_verdicts(specs, sides, tol)
-        rhos = [circulant_state(spec, validate=False) for spec in specs]
+        rhos = _dense_states(np.array([spec.a for spec in specs]))
         general = structural_verdicts(rhos, d, sides, tol)
         for t, closed, verdict in zip(chunk, theorem, general):
             yield t, closed.zero_discord, verdict.zero_discord
+
+
+def _bell_draws(d: int, ts, rng: np.random.Generator) -> list[np.ndarray]:
+    """Weights of the Bell-suite draws ``ts``: odd t nonclassical, even t classical on α = t // 2 mod d.
+
+    The weights, and the rng calls in their order, are those of
+    :func:`random_nonclassical_bell` and :func:`random_classical_bell`
+    draw by draw.  Each nonclassical draw takes its first candidate, all
+    candidates decided in one :func:`bell_verdicts` stack; if any is
+    rejected, the generator goes back to its state at the start and those
+    two functions make the draws again, one at a time.
+    """
+    start = rng.bit_generator.state
+    draws = [rng.dirichlet(np.ones(d * d)).reshape(d, d) if t % 2
+             else rng.dirichlet(np.ones(d)) / d for t in ts]
+    candidates = [p for t, p in zip(ts, draws) if t % 2]
+    if any(v.zero_discord for v in bell_verdicts(candidates, _NONCLASSICAL_SPREAD)):
+        rng.bit_generator.state = start
+        return [random_nonclassical_bell(d, rng) if t % 2
+                else random_classical_bell(d, t // 2 % d, rng)[0] for t in ts]
+    return [p if t % 2 else p[_bell_labels(d)[t // 2 % d]] for t, p in zip(ts, draws)]
+
+
+def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
+    """The Bell weight-space suite: odd draws must be rejected, even draws classical.
+
+    A chunk holds as many draws as one stack of the general criterion
+    holds states.  Its weights come from :func:`_bell_draws` and go to one
+    :func:`bell_verdicts` call; the classical draws' states, built by one
+    ``einsum`` over the cached λ^{m(i−j)} table and one scatter (each the
+    ``circulant_state(bell_diagonal_state(p))`` of its weights), go to one
+    :func:`structural_verdicts` call on both sides.
+    """
+    suite = SuiteResult("bell-classification")
+    for chunk in _chunks(d, draws):
+        weights = _bell_draws(d, chunk, rng)
+        classical = np.array([p for t, p in zip(chunk, weights) if t % 2 == 0]).reshape(-1, d, d)
+        sectors = np.einsum("kmn,mij->knij", classical, _bell_amplitudes(d)) / d
+        rhos = np.repeat(_dense_states(sectors), 2, axis=0)
+        general = structural_verdicts(rhos, d, "AB" * len(classical), tol)
+        pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
+        for t, verdict in zip(chunk, bell_verdicts(weights, tol)):
+            zero = verdict.zero_discord
+            if t % 2:
+                suite.record(not zero, f"draw {t}: random weights accepted")
+            else:
+                a, b = next(pairs)
+                ok = zero and a.zero_discord and b.zero_discord
+                suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
+    return suite
 
 
 def run_verify(
@@ -226,11 +286,11 @@ def run_verify(
     equivalence (on valid and perturbed families), Bell weight-space
     classification, perturbation sensitivity, and (for d < 5) numeric
     agreement on a small subsample.  The structural suites go in chunks
-    of as many draws as two stacks of the general criterion hold, since
-    their draws alternate sides (or give both): each chunk's specs are
-    drawn and built in one stack, and each criterion decides the whole
-    chunk in one call, with the report a draw-at-a-time run gives.  A
-    non-finite ``tol`` raises ``ValueError``.
+    of as many draws as one stack of the general criterion holds, sides
+    mixed: each chunk's specs or weights are drawn and its states built in
+    one stack, and each criterion decides the whole chunk in one call,
+    with the report, and the generator states, a draw-at-a-time run
+    gives.  A non-finite ``tol`` raises ``ValueError``.
     """
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
@@ -254,26 +314,10 @@ def run_verify(
         suite.record(theorem == general, f"draw {t}: theorem={theorem} general={general}")
     results.append(suite)
 
-    suite = SuiteResult("bell-classification")
-    for chunk in _chunks(d, draws, 2):  # even draws are classical on the line alpha = t // 2 mod d
-        weights = [random_nonclassical_bell(d, rngs[2]) if t % 2
-                   else random_classical_bell(d, t // 2 % d, rngs[2])[0] for t in chunk]
-        rhos = [circulant_state(bell_diagonal_state(p), validate=False)
-                for t, p in zip(chunk, weights) if t % 2 == 0]
-        general = structural_verdicts([rho for rho in rhos for _ in "AB"], d, "AB" * len(rhos), tol)
-        pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
-        for t, verdict in zip(chunk, bell_verdicts(weights, tol)):
-            zero = verdict.zero_discord
-            if t % 2:
-                suite.record(not zero, f"draw {t}: random weights accepted")
-            else:
-                a, b = next(pairs)
-                ok = zero and a.zero_discord and b.zero_discord
-                suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
-    results.append(suite)
+    results.append(_bell_classification(d, draws, rngs[2], tol))
 
     suite = SuiteResult("perturbation-sensitivity")
-    for chunk in _chunks(d, draws, 2):
+    for chunk in _chunks(d, draws):
         sides, specs, kinds = _draws(d, chunk, rngs[3], lambda t: True)
         for t, kind, verdict in zip(chunk, kinds, circulant_theorem_verdicts(specs, sides, tol)):
             suite.record(

@@ -400,6 +400,29 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
     assert structural_verdicts([], d, [], 1e-9) == []
 
 
+def test_structural_verdicts_ignore_memory_layout():
+    # a Fortran-ordered or strided copy of a state gets the verdicts, witnesses
+    # and bases of the C-ordered state; the norm grids once kept the diagonal
+    # of such a state's transformed blocks and read zero-discord states as nonzero
+    rng = np.random.default_rng(33)
+
+    def strided(rho):
+        wide = np.zeros((rho.shape[0], 2 * rho.shape[1]), dtype=complex)
+        wide[:, ::2] = rho
+        return wide[:, ::2]
+
+    for d in (3, 5):
+        rhos = list(_stack_cases(d, rng))
+        for side in "AB":
+            want = structural_verdicts(rhos, d, side * len(rhos))
+            assert any(v.zero_discord for v in want)
+            for layout in (np.asfortranarray, strided):
+                for got in (structural_verdicts([layout(r) for r in rhos], d, side * len(rhos)),
+                            [structural_discord_zero(layout(r), d, side) for r in rhos]):
+                    assert [v.to_json() for v in got] == [v.to_json() for v in want]
+                    assert [v.basis.tobytes() for v in got] == [v.basis.tobytes() for v in want]
+
+
 def test_structural_verdicts_rejects_bad_pairs():
     rho = circulant_state(werner_state(3, 0.1))
     with pytest.raises(ValueError, match="2 states and 1 sides"):
@@ -828,6 +851,26 @@ def test_completely_classical_equals_general_criterion_on_both_sides(d):
             if d > 3:
                 assert verdict.witness["side"] == "B"
                 assert verdict.witness["kind"] == "relation-violation"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_closed_form_reports_from_one_pass_equal_the_public_calls(d):
+    # analyze takes both sides' necessary conditions from one pass and the
+    # completely-classical verdict from the theorem pair it already holds;
+    # each report equals the public per-spec call on a fresh spec
+    rng = np.random.default_rng(70 + d)
+    specs = [spec for _, spec in _two_sided_specs(d, rng)]
+    zeros = specs[-4:-2]  # zero on side A, then on side B
+    specs += [perturb_spec(spec, kind, 0.05, rng) for spec in zeros for kind in PERTURBATION_KINDS]
+    for tol in (1e-9, 1e-3, -1.0):
+        for spec in specs:
+            pair = circulant_theorem_verdicts([spec, spec], "AB", tol)
+            fresh = CirculantSpec(d, spec.a)
+            got = blocks_module._completely_classical(spec, tol, pair).to_json()
+            assert got == completely_classical_check(fresh, tol).to_json()
+            want = [circulant_necessary_conditions(CirculantSpec(d, spec.a), s, tol) for s in "AB"]
+            assert blocks_module._necessary_conditions(spec, "AB", tol) == want
+            assert blocks_module._necessary_conditions(fresh, "B", tol) == want[1:]
 
 
 def test_bell_check_recovers_alpha_and_pi():

@@ -114,6 +114,23 @@ def test_analyze_fits_each_side_once(capsys, monkeypatch):
     assert sorted(sides) == ["A", "B"]
 
 
+def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
+    # with both sides analyzed, the completely-classical verdict comes from
+    # the theorem pair analyze already holds; with one side, the check
+    # decides both sides itself
+    calls = []
+    theorem = blocks.circulant_theorem_verdicts
+    monkeypatch.setattr(blocks, "circulant_theorem_verdicts",
+                        lambda *a: calls.append(a[1]) or theorem(*a))
+    argv = ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
+            "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"]
+    for side, want in (("both", []), ("B", ["AB"])):
+        calls.clear()
+        code, out, _ = run_cli(argv + ["--side", side], capsys)
+        assert code == 0 and json.loads(out)["completely_classical"]["zero_discord"] is True
+        assert calls == want, side
+
+
 def test_analyze_disagreement_exits_3(capsys):
     # an absurd structural tolerance declares everything zero-discord while
     # the numeric oracle still sees a discordant state

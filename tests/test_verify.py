@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from discordant import blocks, verify
-from discordant.blocks import circulant_theorem_check
+from discordant.blocks import (
+    bell_zero_discord_check,
+    circulant_theorem_check,
+    generate_zero_discord,
+    structural_discord_zero,
+)
 from discordant.errors import PrimeRequired
-from discordant.states import circulant_state, validate_circulant_spec
+from discordant.states import bell_diagonal_state, circulant_state, validate_circulant_spec
 from discordant.verify import (
     PERTURBATION_KINDS,
     o2_simplex_rows,
@@ -99,17 +104,17 @@ def test_run_verify_large_d_passes(d):
             assert not r.skipped and (r.passed, r.failed) == (2, 0), r.name
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", PRIMES)
 def test_stacked_draws_keep_draw_order(d, monkeypatch):
-    # the smallest chunks and the default chunks give the same report, and
-    # each criterion sees the same states, specs and weights in the same
-    # order, bit for bit; at a negative tolerance closure and Bell draws
-    # fail, so their details count too
+    # one-state stacks, the default stacks and one stack for everything give
+    # the same report, and each criterion sees the same states, specs and
+    # weights in the same order, bit for bit; at a negative tolerance closure
+    # and Bell draws fail, so their details count too
     failures = 0
     for tol in (1e-9, -1.0):
         for seed in range(3):
             reports, seen = [], []
-            for chunk in (1, blocks._CHUNK_ENTRIES):
+            for chunk in (1, blocks._CHUNK_ENTRIES, 10**9):
                 inputs = {"general": [], "theorem": [], "bell": []}
 
                 def general(rhos, d, sides, tol):
@@ -121,7 +126,8 @@ def test_stacked_draws_keep_draw_order(d, monkeypatch):
                     return blocks.circulant_theorem_verdicts(specs, sides, tol)
 
                 def bell(weights, tol):
-                    inputs["bell"] += [np.asarray(p).tobytes() for p in weights]
+                    if tol != 0.02:  # not the candidates' rejection test, which a replay repeats
+                        inputs["bell"] += [np.asarray(p).tobytes() for p in weights]
                     return blocks.bell_verdicts(weights, tol)
 
                 with monkeypatch.context() as m:
@@ -132,11 +138,138 @@ def test_stacked_draws_keep_draw_order(d, monkeypatch):
                     results, all_pass = run_verify(d, seed=seed, tol=tol, starts=2)
                 reports.append(json.dumps([all_pass] + [r.to_json() for r in results]))
                 seen.append(inputs)
-            assert reports[0] == reports[1], (tol, seed)
-            assert seen[0] == seen[1], (tol, seed)
+            assert reports[0] == reports[1] == reports[2], (tol, seed)
+            assert seen[0] == seen[1] == seen[2], (tol, seed)
             assert [len(seen[0][k]) for k in ("general", "theorem", "bell")] == [60, 60, 20]
             failures += sum(len(r.details) for r in results)
     assert failures >= 3 * 20  # every closure draw fails at tol = -1.0
+
+
+def _bell_suite_by_draw(d, draws, rng, tol):
+    """The Bell suite one draw at a time through the public generators and criteria."""
+    suite, states = verify.SuiteResult("bell-classification"), []
+    for t in range(draws):
+        if t % 2:
+            p = random_nonclassical_bell(d, rng)
+            suite.record(not bell_zero_discord_check(p, tol).zero_discord,
+                         f"draw {t}: random weights accepted")
+            continue
+        p = random_classical_bell(d, t // 2 % d, rng)[0]
+        rho = circulant_state(bell_diagonal_state(p), validate=False)
+        states.append(rho.tobytes())
+        zero = bell_zero_discord_check(p, tol).zero_discord
+        ok = zero and all(structural_discord_zero(rho, d, side, tol).zero_discord for side in "AB")
+        suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
+    return suite, states
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_bell_suite_equals_draw_by_draw_run(d, monkeypatch):
+    # the stacked Bell suite gives the report, the states and the generator
+    # state after the suite of a run that draws, builds and decides one draw
+    # at a time; at d = 2, seed 13, the first candidates of draws 11 and 19
+    # are rejected inside one stack, so the stack is drawn again draw by draw
+    seed, draws = 13 if d == 2 else 0, 20
+    candidates, states = [], []
+
+    def bell(weights, tol):
+        verdicts = blocks.bell_verdicts(weights, tol)
+        if tol == 0.02:
+            candidates.extend(v.zero_discord for v in verdicts)
+        return verdicts
+
+    def general(rhos, d, sides, tol):
+        states.extend(np.asarray(r).tobytes() for r in rhos[::2])  # each state's side A
+        return blocks.structural_verdicts(rhos, d, sides, tol)
+
+    monkeypatch.setattr(verify, "bell_verdicts", bell)
+    monkeypatch.setattr(verify, "structural_verdicts", general)
+    stream = np.random.SeedSequence(seed).spawn(5)[2]  # the Bell suite's stream in run_verify
+    for tol in (1e-9, -1.0):
+        stacked, lone = np.random.default_rng(stream), np.random.default_rng(stream)
+        candidates.clear(), states.clear()
+        suite = verify._bell_classification(d, draws, stacked, tol)
+        want, want_states = _bell_suite_by_draw(d, draws, lone, tol)
+        assert suite.to_json() == want.to_json(), tol
+        assert states == want_states, tol
+        assert stacked.bit_generator.state == lone.bit_generator.state, tol
+        assert sum(candidates) >= (d == 2)  # a candidate was rejected: the stack was drawn again
+
+        candidates.clear()
+        results, all_pass = run_verify(d, seed=seed, tol=tol, draws=draws, starts=2)
+        assert sum(candidates) >= (d == 2), tol
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_bell_classification", lambda *a: _bell_suite_by_draw(*a)[0])
+            want, want_pass = run_verify(d, seed=seed, tol=tol, draws=draws, starts=2)
+        assert [r.to_json() for r in results] == [r.to_json() for r in want], tol
+        assert all_pass == want_pass == (tol > 0)
+
+
+def _lone_zero_discord_spec(d, side, rng):
+    """random_zero_discord_spec by its rng calls: a complex Gaussian seed, then the phases."""
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    phi = rng.uniform(-np.pi, np.pi, size=d)
+    phi[0] = 0.0
+    return generate_zero_discord(G @ G.conj().T + 0.05 * np.eye(d), phi, side)
+
+
+def _lone_perturbation(spec, kind, epsilon, rng):
+    """perturb_spec by its rng calls: the sector k, then (phase kind) the angles g."""
+    d, a = spec.d, spec.a.copy()
+    if kind == "phase" and d == 2:
+        kind = "modulus"
+    k = int(rng.integers(1, d)) if kind == "phase" else int(rng.integers(0, d))
+    if kind == "modulus":
+        a[k] = (1 - epsilon) * a[k] + epsilon * np.diag(np.diag(a[k]))
+    elif kind == "diagonal":
+        bump = epsilon / d**2
+        a[k, 0, 0] += bump
+        a /= 1 + bump
+    else:
+        g = rng.standard_normal(d)
+        g = g - g[0]
+        peak = np.abs(g).max()
+        if peak <= 1e-12:
+            g, peak = np.arange(d, dtype=float), float(d - 1)
+        w = np.exp(1j * epsilon * g / peak)
+        a[k] = w[:, None] * a[k] * w.conj()[None, :]
+    return a
+
+
+def _spread_exceeds(p, d, tol):
+    """Whether every line's residue classes of p spread by more than tol."""
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    lines = [(m + n * alpha) % d for alpha in range(d)] + [n]
+    return all(max(np.ptp(p[labels == c]) for c in range(d)) > tol for labels in lines)
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_public_generators_keep_rng_contract(d):
+    # the generators the benchmark pools are built with return what their
+    # rng calls, made one at a time, give, and leave the generator where
+    # those calls leave it
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for alpha in (0, 1, d + 1):
+            p, pi = random_classical_bell(d, alpha, rng)
+            want_pi = ref.dirichlet(np.ones(d)) / d
+            m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+            assert pi.tobytes() == want_pi.tobytes()
+            assert p.tobytes() == want_pi[(m + n * alpha) % d].tobytes()
+        for _ in range(3):
+            while True:
+                want = ref.dirichlet(np.ones(d * d)).reshape(d, d)
+                if _spread_exceeds(want, d, 0.02):
+                    break
+            assert random_nonclassical_bell(d, rng).tobytes() == want.tobytes()
+        for t, kind in enumerate(PERTURBATION_KINDS * 2):
+            side, epsilon = "AB"[t % 2], 0.02 + 0.02 * t
+            spec = random_zero_discord_spec(d, side, rng)
+            want = _lone_zero_discord_spec(d, side, ref)
+            assert spec.a.tobytes() == want.a.tobytes()
+            got = perturb_spec(spec, kind, epsilon, rng)
+            assert got.a.tobytes() == _lone_perturbation(want, kind, epsilon, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
 @pytest.mark.parametrize("d", PRIMES)
