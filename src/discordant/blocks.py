@@ -22,20 +22,18 @@ with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
 fit the φ_n from the entry phases and then verify every relation, so a
 valid family is always recognized and any violation yields a concrete
 witness.  :func:`circulant_theorem_verdicts` decides stacks of (spec,
-side) pairs, each verdict equal to the one-pair call.  A spec is
-immutable, so its all-diagonal flag and, per side, its φ = 0 stack and
-fitted φ, none of which depends on a tolerance, are made once (for a
-whole stack at a time) and kept with it; the scale is taken per stack,
-and the relations checked afresh, on every call.  The per-d index and
-weight tables are cached, and so is the φ fit's breadth-first spanning
-forest, per (d, side) and pattern of usable entries: it depends on that
-pattern alone, and a fit through the kept forest adds the same phase
-differences in the same order as a fresh breadth-first pass, so φ comes
-out bit for bit the same.  Bell-diagonal
-states additionally admit a weight-space test, :func:`bell_verdicts` for
-a stack of weight matrices: discord vanishes iff p is constant on the
-classes of one of the d + 1 lines of Z_d × Z_d, p[m, n] = π_{(m + nα) mod d}
-for some α or p[m, n] = π_n.  Every criterion rejects a non-finite
+side) pairs, each verdict equal to the one-pair call.  Nothing is kept
+per spec: each call takes the all-diagonal flags, φ = 0 stacks, scales
+and fitted φ of what it is given, and one pass per spec decides the
+theorem, the necessary conditions and complete classicality together.
+What is kept depends on d alone: the index and weight tables, and the φ
+fit's breadth-first spanning forest per (d, side) and pattern of usable
+entries; a fit through a kept forest adds the same phase differences in
+the same order as a fresh pass, so φ comes out bit for bit the same.
+Bell-diagonal states additionally admit a weight-space test,
+:func:`bell_verdicts` for a stack of weight matrices: discord vanishes
+iff p is constant on the classes of one of the d + 1 lines of Z_d × Z_d,
+p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n.  Every criterion rejects a non-finite
 tolerance with ``ValueError``.
 """
 
@@ -118,7 +116,7 @@ class StructuralVerdict:
     side: str  # "A", "B", or "both"
     criterion: str
     witness: dict | None = None
-    #: The fitted angles φ_n of V = diag(e^{iφ_n}), φ_0 = 0 (read-only; kept with the spec).
+    #: The fitted angles φ_n of V = diag(e^{iφ_n}), φ_0 = 0 (fitted afresh for each call).
     fitted_phases: np.ndarray | None = None
     alpha: int | None = None
     #: "n" when a Bell verdict rests on the line p[m, n] = π_n, else None.
@@ -431,71 +429,45 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     return phi
 
 
-def _kept(specs: list, keys: list, make) -> list:
-    """Each spec's fact under its key, made on first use and kept (a spec never changes).
+def _phase_verdicts(a: np.ndarray, sides, ref: np.ndarray, thr: np.ndarray) -> list:
+    """The theorem's verdicts for (n, d, d, d) sector stacks that are not all-diagonal.
 
-    The facts missing for several specs are made by one call ``make(rows)``,
-    ``rows`` their positions in ``specs``.
+    ``ref`` holds each stack's φ = 0 stack on its side and ``thr`` (n,) its
+    tolerance tol·max(1, scale).  φ comes from one :func:`_fit_phases` call
+    and the relations are checked in one broadcast; a failing stack's
+    witness is its lexicographically first violation (in k, i, j).
     """
-    facts = [spec._derived.get(key) for spec, key in zip(specs, keys)]
-    missing = [i for i, fact in enumerate(facts) if fact is None]
-    if missing:
-        for i, fact in zip(missing, make(missing)):
-            facts[i] = specs[i]._derived.setdefault(keys[i], fact)
-    return facts
-
-
-def _all_diagonal(specs: list, a: np.ndarray) -> list[bool]:
-    """Each spec's all-diagonal flag; ``a`` stacks the specs' sectors."""
-    keys = ["all-diagonal"] * len(specs)
-    return _kept(specs, keys, lambda rows: _diagonal_flags(a[rows]).tolist())
-
-
-def _references(specs: list, a: np.ndarray, sides) -> list[np.ndarray]:
-    """Each spec's φ = 0 family on its side (read-only); ``a`` stacks the specs' sectors."""
-    def make(rows):
-        return _read_only(_reference_stack(a[rows, 0], _side_codes([sides[i] for i in rows])))
-    return _kept(specs, [("reference", side) for side in sides], make)
-
-
-def _relation_witnesses(a: np.ndarray, ref: np.ndarray, phi: np.ndarray, tol: float) -> list:
-    """Compare each (m, d, d, d) sector stack against the family of its φ = 0 stack and φ (m, d).
-
-    Per stack: None when all entries match within tol·max(1, scale), else
-    the lexicographically first violation (in k, i, j) as a witness dict.
-    """
-    family = _family_stack(ref, phi)
+    phis = _fit_phases(a, sides)
+    family = _family_stack(ref, phis)
     delta = np.abs(family - a)
-    thr = tol * _scales(a)
     bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
-    witnesses = []
-    for m, first in enumerate(bad.argmax(axis=1).tolist()):
-        if not bad[m, first]:
-            witnesses.append(None)
-            continue
-        at = (m, *np.unravel_index(first, a.shape[1:]))
-        witnesses.append({
-            "kind": "relation-violation",
-            "k": int(at[1]),
-            "entry": [int(at[2]), int(at[3])],
-            "expected": [float(family[at].real), float(family[at].imag)],
-            "actual": [float(a[at].real), float(a[at].imag)],
-            "delta": float(delta[at]),
-            "tolerance": float(thr[m]),
-        })
-    return witnesses
+    verdicts = []
+    for m, (side, first) in enumerate(zip(sides, bad.argmax(axis=1).tolist())):
+        witness = None
+        if bad[m, first]:
+            at = (m, *np.unravel_index(first, a.shape[1:]))
+            witness = {
+                "kind": "relation-violation",
+                "k": int(at[1]),
+                "entry": [int(at[2]), int(at[3])],
+                "expected": [float(family[at].real), float(family[at].imag)],
+                "actual": [float(a[at].real), float(a[at].imag)],
+                "delta": float(delta[at]),
+                "tolerance": float(thr[m]),
+            }
+        verdicts.append(StructuralVerdict(
+            witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[m]
+        ))
+    return verdicts
 
 
 def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
     """:func:`circulant_theorem_check` for each pair of ``zip(specs, sides)``, in order.
 
-    The specs share one prime d and go in one stack, sides mixed.  The
-    all-diagonal flags, φ = 0 stacks and fitted φ, which depend on no
-    tolerance, are kept with each spec; those missing are made for all
-    the specs at once (one reduce, one gather, one fit per keep-mask).
-    The relations are checked in one broadcast on every call, and
-    witnesses are built for the failing specs alone.  Each verdict equals
-    the one-pair call, bit for bit.
+    The specs share one prime d and go in one stack, sides mixed: one
+    reduce finds the all-diagonal ones, and the rest take one gather of
+    their φ = 0 stacks, one scale per stack and one φ fit, on every call.
+    Each verdict equals the one-pair call, bit for bit.
     """
     _require_finite_tol(tol)
     if len(specs) != len(sides):
@@ -506,24 +478,18 @@ def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[S
     if any(spec.d != d for spec in specs):
         raise DimensionError("the specs must share one dimension")
     _require_prime(d)
-    _side_codes(sides)  # rejects any side but "A" and "B"
+    codes = _side_codes(sides)
     a = np.array([spec.a for spec in specs])
-    diagonal = _all_diagonal(specs, a)
+    diagonal = _diagonal_flags(a).tolist()
     verdicts = [StructuralVerdict(True, side, CRITERION_DIAGONAL) if flag else None
                 for side, flag in zip(sides, diagonal)]
     rest = [n for n, flag in enumerate(diagonal) if not flag]
     if rest:
         a = a[rest] if len(rest) < len(a) else a
-        specs, sides = [specs[n] for n in rest], [sides[n] for n in rest]
-        ref = np.array(_references(specs, a, sides))
-        phis = _kept(specs, [("phases", side) for side in sides],
-                     lambda rows: _read_only(_fit_phases(a[rows], [sides[i] for i in rows])))
-        for n, side, phi, witness in zip(
-            rest, sides, phis, _relation_witnesses(a, ref, np.array(phis), tol)
-        ):
-            verdicts[n] = StructuralVerdict(
-                witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phi
-            )
+        ref = _reference_stack(a[:, 0], [codes[n] for n in rest])
+        theorem = _phase_verdicts(a, [sides[n] for n in rest], ref, tol * _scales(a))
+        for n, verdict in zip(rest, theorem):
+            verdicts[n] = verdict
     return verdicts
 
 
@@ -534,12 +500,67 @@ def circulant_theorem_check(
 
     Fits phase angles from the sector-matrix entries and verifies the full
     phase-and-shift relation for every sector; all-diagonal specs are
-    classical outright.  φ is fitted once per spec and side and handed to
-    each verdict read-only; the relations, and so the witness, are checked
-    on every call, for whatever tol it brings.  This is
-    :func:`circulant_theorem_verdicts` of one pair.
+    classical outright.  φ is fitted afresh on every call, so the verdict's
+    array is its own.  This is :func:`circulant_theorem_verdicts` of one pair.
     """
     return circulant_theorem_verdicts([spec], [side], tol)[0]
+
+
+def _closed_forms(spec: CirculantSpec, sides, tol: float) -> tuple[list, list, StructuralVerdict]:
+    """Every closed form of one spec in one pass: (theorem, necessary, complete).
+
+    The theorem verdicts and necessary-conditions reports are one per
+    side of ``sides``, in order, and the completely-classical verdict
+    covers both sides; each equals its public call.  The pass takes one
+    all-diagonal flag, one scale, one gather of the φ = 0 stacks of sides
+    A and B, and one φ fit: of ``sides``, or of both sides once a^(0)
+    passes the uniform-diagonal precheck.
+    """
+    _require_finite_tol(tol)
+    _require_prime(spec.d)
+    codes = _side_codes(sides)
+    a, d = spec.a, spec.d
+    if _diagonal_flags(a):
+        reports = [{"side": side, "passed": True, "diagonal_classical": True, "failures": []}
+                   for side in sides]
+        theorem = [StructuralVerdict(True, side, CRITERION_DIAGONAL) for side in sides]
+        return theorem, reports, StructuralVerdict(True, "both", CRITERION_DIAGONAL)
+    thr = tol * _scales(a)
+    ref = _reference_stack(np.broadcast_to(a[0], (2, d, d)), [0, 1])  # sides A and B
+    # completely classical needs the uniform diagonal 1/d², then the theorem on both sides
+    diag, target = np.diag(a[0]), 1.0 / d**2
+    uneven = np.flatnonzero(~(np.abs(diag - target) <= thr))
+    fit, fit_codes = (list(sides), codes) if uneven.size else (["A", "B"], [0, 1])
+    decided = dict(zip(fit, _phase_verdicts(
+        np.broadcast_to(a, (len(fit), d, d, d)), fit, ref[fit_codes], np.full(len(fit), thr)
+    ))) if fit else {}
+    if uneven.size:
+        i = int(uneven[0])
+        witness = {"kind": "nonuniform-diagonal", "entry": [i, i],
+                   "got": float(diag[i].real), "want": target}
+        complete = StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
+    else:
+        failing = [decided[side] for side in "AB" if not decided[side].zero_discord]
+        first = failing[0] if failing else decided["A"]
+        witness = {**first.witness, "side": first.side} if failing else None
+        complete = StructuralVerdict(not failing, "both", CRITERION_CIRCULANT, witness=witness,
+                                     fitted_phases=first.fitted_phases)
+    got, want = a[1:], ref[codes, 1:]
+    eye = np.eye(d, dtype=bool)
+    got_abs, want_abs = np.abs(got), np.abs(want)
+    fail = ~(np.abs(np.where(eye, got - want, got_abs - want_abs)) <= thr)
+    got, want = np.where(eye, got.real, got_abs), np.where(eye, want.real, want_abs)
+    reports = []
+    for s, side in enumerate(sides):
+        names = _CONDITIONS[side]
+        failures = [
+            {"condition": names[i != j], "n": n + 1, "entry": [i, j],
+             "got": float(got[n, i, j]), "want": float(want[s, n, i, j])}
+            for n, i, j in zip(*(idx.tolist() for idx in fail[s].nonzero()))
+        ]
+        reports.append({"side": side, "passed": not failures, "diagonal_classical": False,
+                        "failures": failures})
+    return [decided[side] for side in sides], reports, complete
 
 
 def circulant_necessary_conditions(
@@ -553,42 +574,26 @@ def circulant_necessary_conditions(
     The scale and φ = 0 stack are those the theorem uses.
     Returns a new report ``{"side", "passed", "diagonal_classical",
     "failures"}`` on every call; each failure is ``{"condition", "n",
-    "entry": [i, j], "got", "want"}``, in (n, i, j) order.
+    "entry": [i, j], "got", "want"}``, in (n, i, j) order.  This is the
+    report of :func:`_closed_forms`.
     """
-    _require_finite_tol(tol)
-    _require_prime(spec.d)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return _necessary_conditions(spec, [side], tol)[0]
+    return _closed_forms(spec, [side], tol)[1][0]
 
 
-def _necessary_conditions(spec: CirculantSpec, sides, tol: float) -> list[dict]:
-    """:func:`circulant_necessary_conditions` of one spec on each of ``sides`` (checked by the caller).
+def completely_classical_check(
+    spec: CirculantSpec, tol: float = DEFAULT_TOL
+) -> StructuralVerdict:
+    """Test whether discord vanishes on both sides simultaneously.
 
-    The sides share one gather of their φ = 0 stacks and one scale.
+    All-diagonal specs are classical outright.  Otherwise a^(0) must have
+    the uniform diagonal 1/d² (the side-A relation shifts every sector's
+    diagonal, the side-B relation keeps it, so both pin it to a constant),
+    and the theorem must pass on side A and on side B, both decided by
+    one φ fit.  A zero verdict carries side A's phases; a nonzero one the
+    first failing side's witness (with its ``side``) and phases.  This is
+    the verdict of :func:`_closed_forms`.
     """
-    a = spec.a
-    if _all_diagonal([spec], a[None])[0]:
-        return [{"side": side, "passed": True, "diagonal_classical": True, "failures": []}
-                for side in sides]
-    got = a[1:]
-    ref = np.array(_references([spec] * len(sides), np.broadcast_to(a, (len(sides), *a.shape)), sides))
-    ref = ref[:, 1:]
-    diag = np.eye(spec.d, dtype=bool)
-    got_abs, ref_abs = np.abs(got), np.abs(ref)
-    fail = ~(np.abs(np.where(diag, got - ref, got_abs - ref_abs)) <= tol * _scales(a))
-    got, ref = np.where(diag, got.real, got_abs), np.where(diag, ref.real, ref_abs)
-    reports = []
-    for s, side in enumerate(sides):
-        names = _CONDITIONS[side]
-        failures = [
-            {"condition": names[i != j], "n": n + 1, "entry": [i, j],
-             "got": float(got[n, i, j]), "want": float(ref[s, n, i, j])}
-            for n, i, j in zip(*(idx.tolist() for idx in fail[s].nonzero()))
-        ]
-        reports.append({"side": side, "passed": not failures, "diagonal_classical": False,
-                        "failures": failures})
-    return reports
+    return _closed_forms(spec, [], tol)[2]
 
 
 def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
@@ -630,61 +635,6 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     _require_prime(d)
     phi = np.asarray(phases, dtype=float)
     return CirculantSpec(d, _zero_discord_stacks(a0[None], phi[None], [side])[0])
-
-
-def completely_classical_check(
-    spec: CirculantSpec, tol: float = DEFAULT_TOL
-) -> StructuralVerdict:
-    """Test whether discord vanishes on both sides simultaneously.
-
-    All-diagonal specs are classical outright.  Otherwise a^(0) must have
-    the uniform diagonal 1/d² (the side-A relation shifts every sector's
-    diagonal, the side-B relation keeps it, so both pin it to a constant),
-    and the theorem must pass on side A and on side B, both decided in one
-    :func:`circulant_theorem_verdicts` stack that reuses earlier fits.  A
-    zero verdict carries side A's phases; a nonzero one the first failing
-    side's witness (with its ``side``) and phases.
-    """
-    _require_finite_tol(tol)
-    _require_prime(spec.d)
-    return _completely_classical(spec, tol)
-
-
-def _completely_classical(spec: CirculantSpec, tol: float, pair=None) -> StructuralVerdict:
-    """:func:`completely_classical_check` from the theorem's side A and B verdicts ``pair``.
-
-    A caller that holds the pair passes it; without it, the pair is
-    decided once the prechecks pass.
-    """
-    if _all_diagonal([spec], spec.a[None])[0]:
-        return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
-    diag = np.diag(spec.a[0])
-    target = 1.0 / spec.d**2
-    bad = np.flatnonzero(~(np.abs(diag - target) <= tol * _scales(spec.a)))
-    if bad.size:
-        i = int(bad[0])
-        return StructuralVerdict(
-            False,
-            "both",
-            CRITERION_CIRCULANT,
-            witness={
-                "kind": "nonuniform-diagonal",
-                "entry": [i, i],
-                "got": float(diag[i].real),
-                "want": target,
-            },
-        )
-    side_a, side_b = pair if pair is not None else circulant_theorem_verdicts([spec, spec], "AB", tol)
-    inner = side_b if side_a.zero_discord else side_a
-    if inner.zero_discord:
-        return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
-    return StructuralVerdict(
-        False,
-        "both",
-        inner.criterion,
-        witness={**inner.witness, "side": inner.side},
-        fitted_phases=inner.fitted_phases,
-    )
 
 
 @functools.cache

@@ -20,14 +20,7 @@ import sys
 
 import numpy as np
 
-from .blocks import (
-    _completely_classical,
-    _necessary_conditions,
-    bell_zero_discord_check,
-    circulant_theorem_verdicts,
-    is_prime,
-    structural_verdicts,
-)
+from .blocks import _closed_forms, bell_zero_discord_check, is_prime, structural_verdicts
 from .discord import OptimizerConfig, discord_sides
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
@@ -154,11 +147,10 @@ def cmd_analyze(args) -> int:
     report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
 
     if spec is not None and is_prime(d):
-        theorem = circulant_theorem_verdicts([spec] * len(sides), sides, args.tol)
+        theorem, necessary, complete = _closed_forms(spec, sides, args.tol)
         report["circulant_theorem"] = {side: v.to_json() for side, v in zip(sides, theorem)}
-        report["necessary_conditions"] = dict(zip(sides, _necessary_conditions(spec, sides, args.tol)))
-        pair = theorem if len(sides) == 2 else None  # both sides already decided: reuse them
-        report["completely_classical"] = _completely_classical(spec, args.tol, pair).to_json()
+        report["necessary_conditions"] = dict(zip(sides, necessary))
+        report["completely_classical"] = complete.to_json()
     if loaded.weights is not None and is_prime(d):
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 

@@ -30,9 +30,8 @@ CIRCULANT_RESIDUAL_TOL = 1e-10
 class CirculantSpec:
     """The sector matrices of a circulant state: ``a[n]`` = a^(n), a read-only (d, d, d) stack.
 
-    A spec is frozen and its stack read-only, so a value derived from it
-    never goes stale: :mod:`discordant.blocks` makes each once and keeps it
-    in ``_derived``, which is not a field, so equality and repr ignore it.
+    A spec is frozen and keeps nothing but its stack: every closed form of
+    :mod:`discordant.blocks` is decided afresh from it on each call.
     """
 
     d: int
@@ -46,9 +45,6 @@ class CirculantSpec:
         if a.shape != (self.d,) * 3:
             raise DimensionError(f"expected {self.d} matrices of shape ({self.d}, {self.d})")
         object.__setattr__(self, "a", _read_only(a))
-
-    #: What :mod:`discordant.blocks` derives from the stack, filled on first use.
-    _derived = functools.cached_property(lambda self: {})
 
     def trace_sum(self) -> float:
         """Σ_n tr a^(n), added left to right (NumPy would pair up the terms for d ≥ 8)."""

@@ -15,6 +15,7 @@ from discordant.blocks import (
     DEFAULT_TOL,
     DEGENERACY_GAP,
     REASSEMBLY_TOL,
+    StructuralVerdict,
     _fit_phases,
     _generic_weights,
     _norm_grids,
@@ -853,24 +854,55 @@ def test_completely_classical_equals_general_criterion_on_both_sides(d):
                 assert verdict.witness["kind"] == "relation-violation"
 
 
+def _complete_from_theorem(spec, tol):
+    """Complete classicality composed from the public theorem: the uniform-diagonal
+    precheck, then the side A and B verdicts of one stack."""
+    if (np.abs(spec.a[:, ~np.eye(spec.d, dtype=bool)]) <= ZERO_TOL).all():
+        return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
+    diag, want = np.diag(spec.a[0]), 1.0 / spec.d**2
+    scale = max(1.0, *(np.linalg.norm(m) for m in spec.a))
+    for i, x in enumerate(diag):
+        if not abs(x - want) <= tol * scale:
+            witness = {"kind": "nonuniform-diagonal", "entry": [i, i], "got": float(x.real), "want": want}
+            return StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
+    side_a, side_b = circulant_theorem_verdicts([spec, spec], "AB", tol)
+    inner = side_b if side_a.zero_discord else side_a
+    if inner.zero_discord:
+        return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
+    witness = {**inner.witness, "side": inner.side}
+    return StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness,
+                             fitted_phases=inner.fitted_phases)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_closed_form_reports_from_one_pass_equal_the_public_calls(d):
-    # analyze takes both sides' necessary conditions from one pass and the
-    # completely-classical verdict from the theorem pair it already holds;
-    # each report equals the public per-spec call on a fresh spec
+    # analyze takes every closed form of its spec from one pass; each part
+    # equals the public call on a fresh spec, and the completely-classical
+    # verdict equals the one composed from the public theorem
     rng = np.random.default_rng(70 + d)
     specs = [spec for _, spec in _two_sided_specs(d, rng)]
     zeros = specs[-4:-2]  # zero on side A, then on side B
     specs += [perturb_spec(spec, kind, 0.05, rng) for spec in zeros for kind in PERTURBATION_KINDS]
+    weights = rng.dirichlet(np.ones(d * d)).reshape(d, d)
+    specs.append(CirculantSpec(d, [np.diag(w).astype(complex) for w in weights]))
+    specs += [CirculantSpec(d, 40.0 * spec.a) for spec in specs[:2]]  # scales above 1
     for tol in (1e-9, 1e-3, -1.0):
         for spec in specs:
-            pair = circulant_theorem_verdicts([spec, spec], "AB", tol)
-            fresh = CirculantSpec(d, spec.a)
-            got = blocks_module._completely_classical(spec, tol, pair).to_json()
-            assert got == completely_classical_check(fresh, tol).to_json()
-            want = [circulant_necessary_conditions(CirculantSpec(d, spec.a), s, tol) for s in "AB"]
-            assert blocks_module._necessary_conditions(spec, "AB", tol) == want
-            assert blocks_module._necessary_conditions(fresh, "B", tol) == want[1:]
+            complete = json.dumps(_complete_from_theorem(CirculantSpec(d, spec.a), tol).to_json())
+            for sides in (["A", "B"], ["A"], ["B"], ["B", "A"], []):
+                theorem, necessary, verdict = blocks_module._closed_forms(spec, sides, tol)
+                assert json.dumps(verdict.to_json()) == complete
+                assert [v.side for v in theorem] == [r["side"] for r in necessary] == sides
+                for side, got, report in zip(sides, theorem, necessary):
+                    fresh = CirculantSpec(d, spec.a)
+                    want = circulant_theorem_check(fresh, side, tol)
+                    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                    if want.fitted_phases is not None:
+                        assert got.fitted_phases.tobytes() == want.fitted_phases.tobytes()
+                    assert report == circulant_necessary_conditions(fresh, side, tol)
+                    loop = _necessary_conditions_loop(fresh, side, tol)
+                    assert [(f["condition"], f["n"], f["entry"]) for f in report["failures"]] == \
+                        [w[:3] for w in loop]
 
 
 def test_bell_check_recovers_alpha_and_pi():
@@ -1067,21 +1099,7 @@ def test_nonfinite_tolerance_is_rejected(entry, tol):
     call(spec, p, -1.0)
 
 
-def test_nan_tolerance_keeps_the_memo_bounded():
-    # NaN never equals itself: keyed by tol, every NaN call used to add a memo
-    # entry; a rejected call must leave the memo as it was
-    rng = np.random.default_rng(25)
-    spec = perturb_spec(random_zero_discord_spec(5, "B", rng), "phase", 0.1, rng)
-    for side in "AB":
-        assert not circulant_theorem_check(spec, side).zero_discord
-    size = len(spec._derived)
-    for n in range(100):
-        with pytest.raises(ValueError):
-            circulant_theorem_check(spec, "AB"[n % 2], float("nan"))
-    assert len(spec._derived) == size
-
-
-def _memo_specs(d, rng):
+def _closed_form_specs(d, rng):
     """Zero on A and on B, one per perturbation kind, a classical Bell and an all-diagonal spec."""
     specs = [random_zero_discord_spec(d, side, rng) for side in ("A", "B")]
     specs += [
@@ -1108,10 +1126,10 @@ def _closed_forms_json(spec, tol=DEFAULT_TOL, reverse=False):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_closed_forms_do_not_depend_on_what_the_spec_was_asked_before(d):
-    # a spec keeps its flag, scale, φ = 0 stacks and fits; answers must
-    # not change with call order, on repeat, or on a fresh copy of the stack
+    # answers must not change with call order, on repeat, or on a fresh
+    # copy of the stack, and a spec's fields stay its dimension and stack
     rng = np.random.default_rng(70 + d)
-    for spec in _memo_specs(d, rng):
+    for spec in _closed_form_specs(d, rng):
         shown = repr(spec)
         first = _closed_forms_json(spec)
         assert _closed_forms_json(spec) == first
@@ -1123,8 +1141,8 @@ def test_closed_forms_do_not_depend_on_what_the_spec_was_asked_before(d):
 
 
 def test_edited_verdicts_do_not_change_later_ones():
-    # the witness and φ a verdict carries are kept with the spec: a caller
-    # that edits them must not reach the next verdict
+    # a caller that edits the witness or φ a verdict carries must not reach
+    # the next verdict: each verdict's φ is a new array of its own
     spec = _constant_modulus_family(5, np.random.default_rng(71))
     checks = [lambda: circulant_theorem_check(spec, "B"), lambda: completely_classical_check(spec)]
     for check in checks:
@@ -1137,8 +1155,7 @@ def test_edited_verdicts_do_not_change_later_ones():
             else:
                 verdict.witness[key] = "edited"
         verdict.witness["extra"] = True
-        with pytest.raises(ValueError):
-            verdict.fitted_phases[1] = 0.0
+        verdict.fitted_phases[1:] = -7.0
         assert json.dumps(check().to_json()) == want
     # a necessary-conditions report is built afresh on every call
     spec = werner_state(3, 0.2)
@@ -1170,33 +1187,21 @@ def test_each_tolerance_gets_its_own_verdict():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_kept_arrays_are_read_only(d):
-    rng = np.random.default_rng(73 + d)
     kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d)]
     for side in ("A", "B"):
         edges = _phase_edges(d, side)
         kept += [*edges, *_phase_tree(d, side, np.ones(edges[0].size, dtype=bool).tobytes())[1:]]
-    for spec in _memo_specs(d, rng):
-        _closed_forms_json(spec)  # keeps the scale, flag, φ = 0 stacks and φ
-        kept += [v for v in spec._derived.values() if isinstance(v, np.ndarray)]
     assert len(kept) > 4
     for array in kept:
         assert not array.flags.writeable
 
 
-def test_tolerance_sweep_keeps_the_memo_bounded():
-    # the memo holds tolerance-free facts only; it used to keep one witness
-    # per (side, tol), so every new tolerance added a key
+def test_tolerance_sweep_answers_as_a_fresh_spec():
+    # one spec asked at 100 tolerances in turn answers each as a fresh copy does
     rng = np.random.default_rng(26)
     spec = perturb_spec(random_zero_discord_spec(5, "B", rng), "phase", 0.1, rng)
     tols = np.geomspace(1e-12, 1.0, 100).tolist()
-    verdicts = {tols[0]: _closed_forms_json(spec, tols[0])}
-    size = len(spec._derived)
-    verdicts.update((tol, _closed_forms_json(spec, tol)) for tol in tols[1:])
-    assert len(spec._derived) == size <= 6
-    per_side = [(key, side) for key in ("reference", "phases") for side in "AB"]
-    assert set(spec._derived) <= {"all-diagonal", "scale", *per_side}
-    for value in spec._derived.values():
-        assert type(value) in (bool, float) or not value.flags.writeable
+    verdicts = {tol: _closed_forms_json(spec, tol) for tol in tols}
     for tol, want in verdicts.items():
         assert _closed_forms_json(CirculantSpec(5, spec.a), tol) == want, tol
     zeros = {json.loads(v["theorem-B"])["zero_discord"] for v in verdicts.values()}

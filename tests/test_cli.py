@@ -96,39 +96,38 @@ def test_unreadable_paths_exit_2(capsys, tmp_path, case):
     assert err.startswith("error: ")
 
 
+_BELL_ARGV = ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
+              "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"]
+
+
 def test_analyze_fits_each_side_once(capsys, monkeypatch):
     # a classical Bell state has the uniform a^(0) diagonal, so the
-    # completely-classical check runs the theorem on both sides again; it
-    # must reuse the two fits the per-side theorem checks made.  The fit
-    # takes a stack of sector stacks and their sides: count the (spec, side)
-    # pairs it fits
-    fit, sides = blocks._fit_phases, []
-    monkeypatch.setattr(blocks, "_fit_phases", lambda a, s: sides.extend(s) or fit(a, s))
-    code, out, _ = run_cli(
-        ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
-         "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["completely_classical"]["zero_discord"] is True
-    assert sorted(sides) == ["A", "B"]
+    # completely-classical verdict needs the theorem on both sides, whatever
+    # side is analyzed: one φ fit covers side A and side B once each.  The
+    # fit takes a stack of sector stacks and their sides
+    fit, calls = blocks._fit_phases, []
+    monkeypatch.setattr(blocks, "_fit_phases", lambda a, s: calls.append(list(s)) or fit(a, s))
+    for side in ("both", "A", "B"):
+        calls.clear()
+        code, out, _ = run_cli(_BELL_ARGV + ["--side", side], capsys)
+        report = json.loads(out)
+        assert code == 0 and report["completely_classical"]["zero_discord"] is True
+        assert [sorted(c) for c in calls] == [["A", "B"]], side
+        asked = ["A", "B"] if side == "both" else [side]
+        assert list(report["circulant_theorem"]) == list(report["necessary_conditions"]) == asked
 
 
 def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
-    # with both sides analyzed, the completely-classical verdict comes from
-    # the theorem pair analyze already holds; with one side, the check
-    # decides both sides itself
+    # the theorem, the necessary conditions and complete classicality come
+    # from one closed-form pass over the analyzed sides
     calls = []
-    theorem = blocks.circulant_theorem_verdicts
-    monkeypatch.setattr(blocks, "circulant_theorem_verdicts",
-                        lambda *a: calls.append(a[1]) or theorem(*a))
-    argv = ["analyze", "--family", "bell", "--d", "3", "--alpha", "1",
-            "--pi", "0.2,0.1,0.033333333333333", "--starts", "2"]
-    for side, want in (("both", []), ("B", ["AB"])):
+    closed_forms = cli._closed_forms
+    monkeypatch.setattr(cli, "_closed_forms", lambda *a: calls.append(list(a[1])) or closed_forms(*a))
+    for side in ("both", "A", "B"):
         calls.clear()
-        code, out, _ = run_cli(argv + ["--side", side], capsys)
+        code, out, _ = run_cli(_BELL_ARGV + ["--side", side], capsys)
         assert code == 0 and json.loads(out)["completely_classical"]["zero_discord"] is True
-        assert calls == want, side
+        assert calls == [["A", "B"] if side == "both" else [side]], side
 
 
 def test_analyze_disagreement_exits_3(capsys):
