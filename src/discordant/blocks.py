@@ -53,7 +53,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
-from .states import ZERO_TOL, CirculantSpec, _bell_weights
+from .states import ZERO_TOL, BellWeights, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
 DEFAULT_TOL = 1e-9
@@ -193,9 +193,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
         # C-ordered stack and a lone C-ordered state are views, not copies
         states = (np.ascontiguousarray(part, dtype=complex) if len(at) > 1
                   else np.ascontiguousarray(part[0], dtype=complex)[None])
-        U = _common_bases(states, d, at)
-        grids = [extract_blocks(rho, d, side) for rho, side in zip(states, at)]
-        blocks = np.stack(grids) if len(at) > 1 else grids[0][None]
+        U, blocks = _common_bases(states, d, at)
         off, scale = _norm_grids(blocks, U)
         thr = tol * scale
         zero = (off <= thr).all(axis=(-2, -1)).tolist()
@@ -464,22 +462,34 @@ def _phase_verdicts(a: np.ndarray, sides, ref: np.ndarray, thr: np.ndarray) -> l
 def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
     """:func:`circulant_theorem_check` for each pair of ``zip(specs, sides)``, in order.
 
-    The specs share one prime d and go in one stack, sides mixed: one
-    reduce finds the all-diagonal ones, and the rest take one gather of
-    their φ = 0 stacks, one scale per stack and one φ fit, on every call.
-    Each verdict equals the one-pair call, bit for bit.
+    The specs share one prime d (a list of several d raises
+    :class:`DimensionError` before any other check) and go in one stack,
+    sides mixed, to :func:`_theorem_verdicts`.  Each verdict equals the
+    one-pair call, bit for bit.
+    """
+    if len({spec.d for spec in specs}) > 1:
+        raise DimensionError("the specs must share one dimension")
+    return _theorem_verdicts(np.array([spec.a for spec in specs]), sides, tol)
+
+
+def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdict]:
+    """The theorem for each pair of ``zip(a, sides)``, ``a`` a (n, d, d, d) stack of sector stacks.
+
+    Checks the tolerance (finite), the lengths (equal), the stack's shape
+    and that d is prime.  One reduce finds the all-diagonal stacks, and the
+    rest take one gather of their φ = 0 stacks, one scale per stack and one
+    φ fit, on every call.
     """
     _require_finite_tol(tol)
-    if len(specs) != len(sides):
-        raise ValueError(f"got {len(specs)} specs and {len(sides)} sides")
-    if not specs:
+    if len(a) != len(sides):
+        raise ValueError(f"got {len(a)} specs and {len(sides)} sides")
+    if not len(a):
         return []
-    d = specs[0].d
-    if any(spec.d != d for spec in specs):
-        raise DimensionError("the specs must share one dimension")
+    d = a.shape[-1]
+    if a.shape[1:] != (d, d, d):
+        raise DimensionError(f"expected a stack of ({d}, {d}, {d}) sector stacks, got {a.shape}")
     _require_prime(d)
     codes = _side_codes(sides)
-    a = np.array([spec.a for spec in specs])
     diagonal = _diagonal_flags(a).tolist()
     verdicts = [StructuralVerdict(True, side, CRITERION_DIAGONAL) if flag else None
                 for side, flag in zip(sides, diagonal)]
@@ -521,8 +531,7 @@ def _closed_forms(spec: CirculantSpec, sides, tol: float) -> tuple[list, list, S
     codes = _side_codes(sides)
     a, d = spec.a, spec.d
     if _diagonal_flags(a):
-        reports = [{"side": side, "passed": True, "diagonal_classical": True, "failures": []}
-                   for side in sides]
+        reports = [_diagonal_report(side) for side in sides]
         theorem = [StructuralVerdict(True, side, CRITERION_DIAGONAL) for side in sides]
         return theorem, reports, StructuralVerdict(True, "both", CRITERION_DIAGONAL)
     thr = tol * _scales(a)
@@ -545,7 +554,22 @@ def _closed_forms(spec: CirculantSpec, sides, tol: float) -> tuple[list, list, S
         witness = {**first.witness, "side": first.side} if failing else None
         complete = StructuralVerdict(not failing, "both", CRITERION_CIRCULANT, witness=witness,
                                      fitted_phases=first.fitted_phases)
-    got, want = a[1:], ref[codes, 1:]
+    reports = _necessary_reports(a, sides, ref[codes], thr)
+    return [decided[side] for side in sides], reports, complete
+
+
+def _diagonal_report(side: str) -> dict:
+    """The necessary-conditions report of an all-diagonal spec."""
+    return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
+
+
+def _necessary_reports(a: np.ndarray, sides, ref: np.ndarray, thr) -> list[dict]:
+    """The necessary-conditions report of the sector stack ``a`` per side of ``sides``.
+
+    ``ref`` holds each side's φ = 0 stack and ``thr`` is tol·max(1, scale).
+    """
+    d = a.shape[-1]
+    got, want = a[1:], ref[:, 1:]
     eye = np.eye(d, dtype=bool)
     got_abs, want_abs = np.abs(got), np.abs(want)
     fail = ~(np.abs(np.where(eye, got - want, got_abs - want_abs)) <= thr)
@@ -560,7 +584,7 @@ def _closed_forms(spec: CirculantSpec, sides, tol: float) -> tuple[list, list, S
         ]
         reports.append({"side": side, "passed": not failures, "diagonal_classical": False,
                         "failures": failures})
-    return [decided[side] for side in sides], reports, complete
+    return reports
 
 
 def circulant_necessary_conditions(
@@ -570,14 +594,20 @@ def circulant_necessary_conditions(
 
     Side B requires |a^(n)_{ij}| = |a^(0)_{ij}| off the diagonal and
     a^(n)_{kk} = a^(0)_{kk}; side A the same with a^(0) indices shifted
-    by n.  These are necessary, not sufficient (phases are not checked).
-    The scale and φ = 0 stack are those the theorem uses.
-    Returns a new report ``{"side", "passed", "diagonal_classical",
+    by n.  These are necessary, not sufficient (phases are not checked,
+    and no φ is fitted).  The scale and φ = 0 stack are those the theorem
+    uses.  Returns a new report ``{"side", "passed", "diagonal_classical",
     "failures"}`` on every call; each failure is ``{"condition", "n",
     "entry": [i, j], "got", "want"}``, in (n, i, j) order.  This is the
-    report of :func:`_closed_forms`.
+    report :func:`_closed_forms` gives.
     """
-    return _closed_forms(spec, [side], tol)[1][0]
+    _require_finite_tol(tol)
+    _require_prime(spec.d)
+    codes = _side_codes([side])
+    a = spec.a
+    if _diagonal_flags(a):
+        return _diagonal_report(side)
+    return _necessary_reports(a, [side], _reference_stack(a[None, 0], codes), tol * _scales(a))[0]
 
 
 def completely_classical_check(
@@ -654,23 +684,48 @@ def _bell_classes(d: int) -> np.ndarray:
     return _read_only(np.argsort(labels, axis=1, kind="stable"))
 
 
+def _bell_stack(weights) -> np.ndarray:
+    """The weight matrices of ``weights`` as one (n, d, d) stack, validated in one pass.
+
+    Each matrix is checked as :func:`_bell_weights` checks it, and the
+    first that fails raises that function's error.  Matrices that do not
+    stack into one (n, d, d) array go through it one at a time, and
+    valid ones of several d raise :class:`DimensionError`.
+    """
+    weights = list(weights)
+    try:
+        p = np.array([w.p if isinstance(w, BellWeights) else w for w in weights], dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        p = np.empty(0)
+    if p.ndim != 3 or p.shape[1] != p.shape[2]:
+        ws = [_bell_weights(w) for w in weights]
+        if any(w.d != ws[0].d for w in ws):
+            raise DimensionError("the weight matrices must share one dimension")
+        return np.array([w.p for w in ws])
+    flat = p.reshape(len(p), -1)
+    bad = ~np.isfinite(flat).all(axis=1) | (flat < -ZERO_TOL).any(axis=1)
+    bad |= np.abs(flat.sum(axis=1) - 1.0) > 1e-12
+    if bad.any():
+        _bell_weights(weights[int(bad.argmax())])
+    return p
+
+
 def bell_verdicts(weights, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
     """:func:`bell_zero_discord_check` for each weight matrix of ``weights``, in order.
 
-    The matrices share one prime d.  One residue-class test covers them
-    all through the class order cached per d, and each verdict equals the
-    one-matrix call, bit for bit.
+    The matrices share one prime d and are validated in one pass by
+    :func:`_bell_stack`.  One residue-class test covers them all through
+    the class order cached per d, and each verdict equals the one-matrix
+    call, bit for bit.
     """
     _require_finite_tol(tol)
-    ws = [_bell_weights(w) for w in weights]
-    if not ws:
+    p = _bell_stack(weights)
+    if not len(p):
         return []
-    d = ws[0].d
-    if any(w.d != d for w in ws):
-        raise DimensionError("the weight matrices must share one dimension")
+    n, d = p.shape[:2]
     _require_prime(d)
-    p = np.array([w.p.ravel() for w in ws])
-    classes = p[:, _bell_classes(d)].reshape(len(ws), d + 1, d, d)  # [item, line, class, member]
+    # classes[item, line, class, member]
+    classes = p.reshape(n, d * d)[:, _bell_classes(d)].reshape(n, d + 1, d, d)
     spread = (classes.max(axis=-1) - classes.min(axis=-1)).max(axis=-1)
     ok = spread <= tol
     zero = ok.any(axis=1)
@@ -732,30 +787,36 @@ def _degenerate_runs(grp: list, w: np.ndarray) -> list:
     return runs
 
 
-def _common_bases(states: np.ndarray, d: int, sides) -> np.ndarray:
+def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.ndarray]:
     """A candidate common eigenbasis U per (state, side) pair of a (n, d², d²) stack, shape (n, d, d).
 
     One batched ``eigh`` of the generic combinations Σ W_ij B_ij (W
     Hermitian, Weyl-sequence phases), whose gaps are typically as wide as
     the whole family's, so no split rests on one block's near-degenerate
     pair; a grid left with a gap ≤ DEGENERACY_GAP goes on to :func:`_common_basis`.
-    The combinations are summed by one ``einsum`` over every state per
-    side present, in that side's :func:`extract_blocks` view, whose layout
+    Each side's combinations are summed by one ``einsum`` over the states
+    on that side only, in its :func:`extract_blocks` view, whose layout
     fixes the order of summation, so each U is bit for bit the one a lone
-    pair gets.
+    pair gets.  Returns U and the pairs' block grids (n, d, d, d, d): for
+    one pair the view itself, for more a C-ordered stack filled side by side.
     """
-    combos = {side: np.einsum("ij,nijkl->nkl", _generic_weights(d), extract_blocks(states, d, side))
-              for side in dict.fromkeys(sides)}
-    on_a = np.array([side == "A" for side in sides])[:, None, None]
-    G = np.where(on_a, combos.get("A", 0), combos.get("B", 0))
+    n = len(sides)
+    G = np.empty((n, d, d), dtype=complex)
+    blocks = np.empty((n, d, d, d, d), dtype=complex) if n > 1 else None
+    for side in dict.fromkeys(sides):
+        rows = [i for i, s in enumerate(sides) if s == side]
+        grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
+        G[rows] = np.einsum("ij,nijkl->nkl", _generic_weights(d), grid)
+        if blocks is not None:
+            blocks[rows] = grid
     E = np.eye(d, dtype=complex)
     # the identity products keep the signed zeros a one-grid refinement step gives
     w, v = np.linalg.eigh(hermitize(E.conj().T @ G @ E))
     U = E @ v
-    for n in np.flatnonzero(~(np.diff(w, axis=-1) > DEGENERACY_GAP).all(axis=-1)):
-        runs = _degenerate_runs(list(range(d)), w[n])
-        _common_basis(extract_blocks(states[n], d, sides[n]), d, U[n], runs)
-    return U
+    for m in np.flatnonzero(~(np.diff(w, axis=-1) > DEGENERACY_GAP).all(axis=-1)):
+        runs = _degenerate_runs(list(range(d)), w[m])
+        _common_basis(extract_blocks(states[m], d, sides[m]), d, U[m], runs)
+    return U, grid if blocks is None else blocks
 
 
 def _common_basis(blocks: np.ndarray, d: int, U: np.ndarray, groups: list) -> None:

@@ -20,7 +20,13 @@ import sys
 
 import numpy as np
 
-from .blocks import _closed_forms, bell_zero_discord_check, is_prime, structural_verdicts
+from .blocks import (
+    _bell_labels,
+    _closed_forms,
+    bell_zero_discord_check,
+    is_prime,
+    structural_verdicts,
+)
 from .discord import OptimizerConfig, discord_sides
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
@@ -85,8 +91,7 @@ def _family_state(args, validate: bool) -> LoadedState:
             raise InvalidSpec(f"--pi must list exactly {d} values")
         if np.any(pi < 0):
             raise InvalidSpec("--pi values must be nonnegative")
-        m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        p = pi[(m + n * args.alpha) % d]
+        p = pi[_bell_labels(d)[args.alpha % max(d, 1)]]  # d = 0 leaves p empty
         total = float(p.sum())
         if abs(total - 1.0) > 1e-6:
             raise InvalidSpec(f"π values give total weight {total:.6f}, expected 1 (Σπ = 1/d)")

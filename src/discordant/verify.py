@@ -17,10 +17,10 @@ from .blocks import (
     _bell_labels,
     _chunks,
     _require_finite_tol,
+    _theorem_verdicts,
     _zero_discord_stacks,
     bell_verdicts,
     bell_zero_discord_check,
-    circulant_theorem_verdicts,
     generate_zero_discord,
     is_prime,
     structural_verdicts,
@@ -31,7 +31,6 @@ from .states import (
     CirculantSpec,
     _bell_amplitudes,
     _dense_states,
-    circulant_state,
     orthogonal_invariant_state,
 )
 
@@ -46,8 +45,9 @@ _NONCLASSICAL_SPREAD = 0.02
 
 
 def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian d×d matrix, its real part drawn first."""
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """Complex Gaussian d×d matrix, its real part drawn first (one call draws both parts)."""
+    g = rng.standard_normal((2, d, d))
+    return g[0] + 1j * g[1]
 
 
 def _psd(G: np.ndarray) -> np.ndarray:
@@ -180,15 +180,16 @@ class SuiteResult:
 
 
 def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
-    """Draws ``ts`` of a suite: (sides, specs, kinds), side A for even t, else B.
+    """Draws ``ts`` of a suite: (sides, a, kinds), side A for even t, else B.
 
     Draw t makes the rng calls of a lone draw, in order: the seed's
     Gaussian G, the phases and, if ``perturbed(t)``, ε ~ U[low, 0.15) and
     those of the t-th kind's perturbation (kind None otherwise).  The
-    specs are then built in one stack by the core of
-    :func:`generate_zero_discord` and perturbed in place, each bit for bit
-    the spec :func:`random_zero_discord_spec` and :func:`perturb_spec`
-    make from the same draws.
+    sector stacks are then built in one (len(ts), d, d, d) stack ``a`` by
+    the core of :func:`generate_zero_discord`, which checks the seeds, and
+    perturbed in place; row t is bit for bit the ``a`` of the spec
+    :func:`random_zero_discord_spec` and :func:`perturb_spec` make from
+    the same draws.  No :class:`CirculantSpec` is made.
     """
     sides, G, phi, kinds, cuts = [], [], [], [], []
     for row, t in enumerate(ts):
@@ -200,25 +201,24 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
             cuts.append((row, float(rng.uniform(low, 0.15)), *_perturbation(d, kinds[-1], rng)))
     a = _zero_discord_stacks(_psd(np.array(G)), np.array(phi), sides)
     _perturb(a, cuts)
-    return sides, [CirculantSpec(d, x) for x in a], kinds
+    return sides, a, kinds
 
 
 def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
     """(t, closed-form zero, general zero) per draw t, both criteria decided per chunk.
 
     A chunk holds as many draws as one stack of the general criterion
-    holds states, sides mixed.  Its draws are made by :func:`_draws`; its
-    specs go to one :func:`circulant_theorem_verdicts` call, and its dense
-    states, assembled by one scatter, to one :func:`structural_verdicts`
-    call.  The states are not re-validated: :func:`generate_zero_discord`
-    and :func:`perturb_spec` make valid specs by construction, as the
-    tests pin.
+    holds states, sides mixed.  Its draws are made by :func:`_draws` as
+    one sector array, which goes as it is to one :func:`_theorem_verdicts`
+    call and, assembled into dense states by one scatter, to one
+    :func:`structural_verdicts` call.  The states are not re-validated
+    (their seeds are): :func:`generate_zero_discord` and
+    :func:`perturb_spec` make valid specs by construction, as the tests pin.
     """
     for chunk in _chunks(d, draws):
-        sides, specs, _ = _draws(d, chunk, rng, perturbed)
-        theorem = circulant_theorem_verdicts(specs, sides, tol)
-        rhos = _dense_states(np.array([spec.a for spec in specs]))
-        general = structural_verdicts(rhos, d, sides, tol)
+        sides, a, _ = _draws(d, chunk, rng, perturbed)
+        theorem = _theorem_verdicts(a, sides, tol)
+        general = structural_verdicts(_dense_states(a), d, sides, tol)
         for t, closed, verdict in zip(chunk, theorem, general):
             yield t, closed.zero_discord, verdict.zero_discord
 
@@ -287,10 +287,11 @@ def run_verify(
     classification, perturbation sensitivity, and (for d < 5) numeric
     agreement on a small subsample.  The structural suites go in chunks
     of as many draws as one stack of the general criterion holds, sides
-    mixed: each chunk's specs or weights are drawn and its states built in
-    one stack, and each criterion decides the whole chunk in one call,
-    with the report, and the generator states, a draw-at-a-time run
-    gives.  A non-finite ``tol`` raises ``ValueError``.
+    mixed: each chunk's draws become one (n, d, d, d) sector array (or
+    one stack of Bell weights), its dense states are built from that
+    array by one scatter, and each criterion decides the whole chunk in
+    one call, with the report, and the generator states, a draw-at-a-time
+    run gives.  A non-finite ``tol`` raises ``ValueError``.
     """
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
@@ -318,8 +319,8 @@ def run_verify(
 
     suite = SuiteResult("perturbation-sensitivity")
     for chunk in _chunks(d, draws):
-        sides, specs, kinds = _draws(d, chunk, rngs[3], lambda t: True)
-        for t, kind, verdict in zip(chunk, kinds, circulant_theorem_verdicts(specs, sides, tol)):
+        sides, a, kinds = _draws(d, chunk, rngs[3], lambda t: True)
+        for t, kind, verdict in zip(chunk, kinds, _theorem_verdicts(a, sides, tol)):
             suite.record(
                 not verdict.zero_discord and verdict.witness is not None,
                 f"draw {t}: kind={kind} verdict={verdict.zero_discord}",
@@ -328,9 +329,8 @@ def run_verify(
 
     suite = SuiteResult("numeric-agreement", skipped=d >= 5)
     if not suite.skipped:
-        sides, specs, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
-        for t, (side, spec) in enumerate(zip(sides, specs)):
-            rho = circulant_state(spec, validate=False)
+        sides, a, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
+        for t, (side, rho) in enumerate(zip(sides, _dense_states(a))):
             dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
             if t < 3:
                 suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")

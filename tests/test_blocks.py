@@ -1271,6 +1271,89 @@ def test_batched_closed_forms_reject_bad_stacks():
         bell_verdicts([np.full((4, 4), 1 / 16)])
 
 
+def test_theorem_core_checks_its_stack():
+    # the stacked core that verify calls keeps the public function's checks
+    a = random_zero_discord_spec(3, "A", np.random.default_rng(1)).a[None]
+    core = blocks_module._theorem_verdicts
+    with pytest.raises(ValueError, match="tol must be finite"):
+        core(a, "A", float("nan"))
+    with pytest.raises(ValueError, match="1 specs and 2 sides"):
+        core(a, "AB", DEFAULT_TOL)
+    with pytest.raises(DimensionError):
+        core(a[:, :2], "A", DEFAULT_TOL)
+    with pytest.raises(DimensionError):
+        core(a[0], "ABC", DEFAULT_TOL)
+    with pytest.raises(PrimeRequired):
+        core(np.zeros((1, 4, 4, 4), dtype=complex), "A", DEFAULT_TOL)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        core(a, "C", DEFAULT_TOL)
+    assert core(a[:0], "", DEFAULT_TOL) == []
+    want = circulant_theorem_check(CirculantSpec(3, a[0]), "A")
+    assert json.dumps(core(a, "A", DEFAULT_TOL)[0].to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_necessary_conditions_fit_no_phases(d, monkeypatch):
+    # the prechecks never read φ, so they do not fit it, and report what the
+    # one pass of every closed form reports
+    rng = np.random.default_rng(60 + d)
+    specs = [spec for _, spec in _two_sided_specs(d, rng)] + _batch_specs(d, rng)
+    specs.append(isotropic_state(d, 0.3))
+    for tol in (1e-9, 1e-3, -1.0):
+        for spec in specs:
+            for side in "AB":
+                want = blocks_module._closed_forms(spec, [side], tol)[1][0]
+                with monkeypatch.context() as m:
+                    m.setattr(blocks_module, "_fit_phases", _no_call)
+                    got = circulant_necessary_conditions(spec, side, tol)
+                assert json.dumps(got) == json.dumps(want), (side, tol)
+
+
+def _no_call(*args):
+    raise AssertionError("called")
+
+
+def _bell_error(w):
+    """(type, message) of what bell_zero_discord_check raises on ``w`` alone."""
+    with pytest.raises(Exception) as exc:
+        bell_zero_discord_check(w)
+    return type(exc.value), str(exc.value)
+
+
+def test_bell_stack_raises_the_first_bad_matrix_error():
+    # one pass validates the whole stack and raises exactly what the first
+    # bad matrix raises alone, wherever it sits; weights of several d raise
+    # only once every matrix has passed
+    rng = np.random.default_rng(5)
+    good = [random_classical_bell(3, alpha, rng)[0] for alpha in range(3)]
+    good += [random_nonclassical_bell(3, rng) for _ in range(3)]
+    nan, neg, heavy = good[0].copy(), good[1].copy(), 1.5 * good[2]
+    nan[1, 2] = np.nan
+    neg[0, 0], neg[0, 1] = -0.01, neg[0, 1] + neg[0, 0] + 0.01
+    bad = {"non-finite": nan, "negative": neg, "wrong sum": heavy,
+           "non-square": np.full((3, 4), 1 / 12), "flat": np.full(9, 1 / 9)}
+    for kind, w in bad.items():
+        want = _bell_error(w)
+        forms = [w] if w.shape != (3, 3) else [w, BellWeights(3, w)]  # BellWeights holds d×d
+        for at in (0, 3, len(good)):
+            for form in forms:
+                with pytest.raises(want[0]) as exc:
+                    bell_verdicts(good[:at] + [form] + good[at:])
+                assert str(exc.value) == want[1], (kind, at)
+        later = good[:2] + [w, heavy]  # the first bad matrix decides
+        with pytest.raises(want[0]) as exc:
+            bell_verdicts(later)
+        assert str(exc.value) == want[1], kind
+    other = np.full((5, 5), 1 / 25)
+    for at in (0, 3, len(good)):
+        with pytest.raises(DimensionError, match="must share one dimension"):
+            bell_verdicts(good[:at] + [other] + good[at:])
+        with pytest.raises(InvalidSpec, match="negative weight"):
+            bell_verdicts(good[:at] + [other] + good[at:] + [neg])
+    as_objects = bell_verdicts([BellWeights(3, w) for w in good])
+    assert [v.to_json() for v in as_objects] == [v.to_json() for v in bell_verdicts(np.array(good))]
+
+
 def test_closed_form_scale_is_the_sector_norms():
     # max(1, maxₙ ‖a^(n)‖_F), each norm the one np.linalg.norm forms over a sector
     rng = np.random.default_rng(81)

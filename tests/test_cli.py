@@ -495,3 +495,22 @@ def test_family_flags_parse_like_state_json(capsys, tmp_path):
         ["build", "--family", "bell", "--d", "1", "--alpha", "0", "--pi", "1"], capsys
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_bell_family_flags_take_the_line_labels(d, capsys):
+    # build --family bell labels p[m, n] = π_{(m + nα) mod d} as the Bell
+    # generators do, for any integer α
+    from discordant.blocks import _bell_labels
+    from discordant.verify import random_classical_bell
+
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    for alpha in (-1, 0, 1, d, 2 * d + 1):
+        p, pi = random_classical_bell(d, alpha, np.random.default_rng(d + alpha + 10))
+        assert p.tobytes() == pi[(m + n * alpha) % d].tobytes()
+        assert p.tobytes() == pi[_bell_labels(d)[alpha % d]].tobytes()
+        code, out, _ = run_cli(["build", "--family", "bell", "--d", str(d), "--alpha", str(alpha),
+                                "--pi", ",".join(repr(float(x)) for x in pi)], capsys)
+        assert code == 0
+        want = {"kind": "bell", "d": d, "p": (p / float(p.sum())).tolist()}
+        assert out == json.dumps(want, indent=2) + "\n"

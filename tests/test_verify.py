@@ -121,9 +121,9 @@ def test_stacked_draws_keep_draw_order(d, monkeypatch):
                     inputs["general"] += [(np.asarray(r).tobytes(), s) for r, s in zip(rhos, sides)]
                     return blocks.structural_verdicts(rhos, d, sides, tol)
 
-                def theorem(specs, sides, tol):
-                    inputs["theorem"] += [(spec.a.tobytes(), s) for spec, s in zip(specs, sides)]
-                    return blocks.circulant_theorem_verdicts(specs, sides, tol)
+                def theorem(a, sides, tol):
+                    inputs["theorem"] += [(row.tobytes(), s) for row, s in zip(a, sides)]
+                    return blocks._theorem_verdicts(a, sides, tol)
 
                 def bell(weights, tol):
                     if tol != 0.02:  # not the candidates' rejection test, which a replay repeats
@@ -133,7 +133,7 @@ def test_stacked_draws_keep_draw_order(d, monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(blocks, "_CHUNK_ENTRIES", chunk)
                     m.setattr(verify, "structural_verdicts", general)
-                    m.setattr(verify, "circulant_theorem_verdicts", theorem)
+                    m.setattr(verify, "_theorem_verdicts", theorem)
                     m.setattr(verify, "bell_verdicts", bell)
                     results, all_pass = run_verify(d, seed=seed, tol=tol, starts=2)
                 reports.append(json.dumps([all_pass] + [r.to_json() for r in results]))
@@ -272,22 +272,33 @@ def test_public_generators_keep_rng_contract(d):
         assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_gaussian_draws_both_parts_in_one_call(d):
+    # one (2, d, d) draw is the stream of a real d×d draw, then an imaginary one
+    rng, ref = np.random.default_rng(40 + d), np.random.default_rng(40 + d)
+    for _ in range(3):
+        want = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
+        assert verify._gaussian(d, rng).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("d", PRIMES)
 def test_stacked_draws_equal_lone_draws(d):
     # a stack of draws makes the rng calls of lone draws, in order, and each
-    # spec is bit for bit the one random_zero_discord_spec and perturb_spec make
+    # row is bit for bit the spec random_zero_discord_spec and perturb_spec make
     patterns = {"none": lambda t: False, "odd": lambda t: t % 2 == 1, "all": lambda t: True}
     for name, perturbed in patterns.items():
         stacked_rng, lone_rng = np.random.default_rng(90 + d), np.random.default_rng(90 + d)
-        sides, specs, kinds = verify._draws(d, range(9), stacked_rng, perturbed, low=0.05)
-        for t, (side, spec, kind) in enumerate(zip(sides, specs, kinds)):
+        sides, a, kinds = verify._draws(d, range(9), stacked_rng, perturbed, low=0.05)
+        assert a.shape == (9, d, d, d)
+        for t, (side, row, kind) in enumerate(zip(sides, a, kinds)):
             lone = random_zero_discord_spec(d, "AB"[t % 2], lone_rng)
             if perturbed(t):
                 epsilon = float(lone_rng.uniform(0.05, 0.15))
                 lone = perturb_spec(lone, PERTURBATION_KINDS[t % 3], epsilon, lone_rng)
             want = PERTURBATION_KINDS[t % 3] if perturbed(t) else None
             assert (side, kind) == ("AB"[t % 2], want)
-            assert spec.a.tobytes() == lone.a.tobytes(), (name, t)
+            assert row.tobytes() == lone.a.tobytes(), (name, t)
         assert stacked_rng.bytes(16) == lone_rng.bytes(16), name
 
 
