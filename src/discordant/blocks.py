@@ -33,8 +33,9 @@ the same order as a fresh pass, so φ comes out bit for bit the same.
 Bell-diagonal states additionally admit a weight-space test,
 :func:`bell_verdicts` for a stack of weight matrices: discord vanishes
 iff p is constant on the classes of one of the d + 1 lines of Z_d × Z_d,
-p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n.  Every criterion rejects a non-finite
-tolerance with ``ValueError``.
+p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n; its core takes
+the weights ``verify`` draws unchecked.  Every criterion rejects a
+non-finite tolerance with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
-from .states import ZERO_TOL, BellWeights, CirculantSpec, _bell_weights
+from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
 DEFAULT_TOL = 1e-9
@@ -684,49 +685,32 @@ def _bell_classes(d: int) -> np.ndarray:
     return _read_only(np.argsort(labels, axis=1, kind="stable"))
 
 
-def _bell_stack(weights) -> np.ndarray:
-    """The weight matrices of ``weights`` as one (n, d, d) stack, validated in one pass.
-
-    Each matrix is checked as :func:`_bell_weights` checks it, and the
-    first that fails raises that function's error.  Matrices that do not
-    stack into one (n, d, d) array go through it one at a time, and
-    valid ones of several d raise :class:`DimensionError`.
-    """
-    weights = list(weights)
-    try:
-        p = np.array([w.p if isinstance(w, BellWeights) else w for w in weights], dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        p = np.empty(0)
-    if p.ndim != 3 or p.shape[1] != p.shape[2]:
-        ws = [_bell_weights(w) for w in weights]
-        if any(w.d != ws[0].d for w in ws):
-            raise DimensionError("the weight matrices must share one dimension")
-        return np.array([w.p for w in ws])
-    flat = p.reshape(len(p), -1)
-    bad = ~np.isfinite(flat).all(axis=1) | (flat < -ZERO_TOL).any(axis=1)
-    bad |= np.abs(flat.sum(axis=1) - 1.0) > 1e-12
-    if bad.any():
-        _bell_weights(weights[int(bad.argmax())])
-    return p
-
-
 def bell_verdicts(weights, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
     """:func:`bell_zero_discord_check` for each weight matrix of ``weights``, in order.
 
-    The matrices share one prime d and are validated in one pass by
-    :func:`_bell_stack`.  One residue-class test covers them all through
-    the class order cached per d, and each verdict equals the one-matrix
-    call, bit for bit.
+    The matrices are checked in order, the first invalid one raising what
+    it raises alone, and must then share one prime d.  Each verdict equals
+    the one-matrix call, bit for bit.
     """
     _require_finite_tol(tol)
-    p = _bell_stack(weights)
-    if not len(p):
-        return []
+    ws = [_bell_weights(w) for w in weights]
+    if any(w.d != ws[0].d for w in ws):
+        raise DimensionError("the weight matrices must share one dimension")
+    return _bell_verdicts(np.array([w.p for w in ws]), tol) if ws else []
+
+
+def _bell_spreads(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """classes[item, line, class, member] of a prime-d (n, d, d) stack, and each line's spread."""
     n, d = p.shape[:2]
     _require_prime(d)
-    # classes[item, line, class, member]
     classes = p.reshape(n, d * d)[:, _bell_classes(d)].reshape(n, d + 1, d, d)
-    spread = (classes.max(axis=-1) - classes.min(axis=-1)).max(axis=-1)
+    return classes, (classes.max(axis=-1) - classes.min(axis=-1)).max(axis=-1)
+
+
+def _bell_verdicts(p: np.ndarray, tol: float) -> list[StructuralVerdict]:
+    """:func:`bell_verdicts` of a nonempty (n, d, d) stack of weights, not checked again."""
+    classes, spread = _bell_spreads(p)
+    d = p.shape[1]
     ok = spread <= tol
     zero = ok.any(axis=1)
     named = np.where(zero, ok.argmax(axis=1), spread.argmin(axis=1))  # first zero line, else best

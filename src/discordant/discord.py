@@ -72,6 +72,8 @@ class MeasurementBasis:
         object.__setattr__(self, "vectors", v)
 
     def validate(self) -> None:
+        if not np.isfinite(self.vectors).all():
+            raise InvalidMeasurement("basis vectors must be finite")
         gram = self.vectors.conj().T @ self.vectors
         if np.abs(gram - np.eye(self.d)).max() > 1e-10:
             raise InvalidMeasurement("basis vectors are not orthonormal")

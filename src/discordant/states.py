@@ -203,7 +203,13 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
 def bell_diagonal_state(w) -> CirculantSpec:
     """Circulant spec of Σ p[m,n]·(projector m,n): a^(n)_{ij} = (1/d) Σ_m p[m,n] λ^{m(i−j)}."""
     w = _bell_weights(w)
-    return CirculantSpec(w.d, np.einsum("mn,mij->nij", w.p, _bell_amplitudes(w.d)) / w.d)
+    return CirculantSpec(w.d, _bell_sectors(w.p))
+
+
+def _bell_sectors(p: np.ndarray) -> np.ndarray:
+    """The sector stacks of Bell weights p, (d, d) or a stack (…, d, d), unchecked."""
+    d = p.shape[-1]
+    return np.einsum("...mn,mij->...nij", p, _bell_amplitudes(d)) / d
 
 
 @functools.cache

@@ -15,12 +15,12 @@ import numpy as np
 
 from .blocks import (
     _bell_labels,
+    _bell_spreads,
+    _bell_verdicts,
     _chunks,
     _require_finite_tol,
     _theorem_verdicts,
     _zero_discord_stacks,
-    bell_verdicts,
-    bell_zero_discord_check,
     generate_zero_discord,
     is_prime,
     structural_verdicts,
@@ -29,7 +29,7 @@ from .discord import OptimizerConfig, discord
 from .errors import PrimeRequired
 from .states import (
     CirculantSpec,
-    _bell_amplitudes,
+    _bell_sectors,
     _dense_states,
     orthogonal_invariant_state,
 )
@@ -153,7 +153,7 @@ def random_nonclassical_bell(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random weight matrix whose residue classes all spread by more than 0.02."""
     while True:
         p = rng.dirichlet(np.ones(d * d)).reshape(d, d)
-        if not bell_zero_discord_check(p, tol=_NONCLASSICAL_SPREAD).zero_discord:
+        if (_bell_spreads(p[None])[1] > _NONCLASSICAL_SPREAD).all():
             return p
 
 
@@ -223,46 +223,26 @@ def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
             yield t, closed.zero_discord, verdict.zero_discord
 
 
-def _bell_draws(d: int, ts, rng: np.random.Generator) -> list[np.ndarray]:
-    """Weights of the Bell-suite draws ``ts``: odd t nonclassical, even t classical on α = t // 2 mod d.
-
-    The weights, and the rng calls in their order, are those of
-    :func:`random_nonclassical_bell` and :func:`random_classical_bell`
-    draw by draw.  Each nonclassical draw takes its first candidate, all
-    candidates decided in one :func:`bell_verdicts` stack; if any is
-    rejected, the generator goes back to its state at the start and those
-    two functions make the draws again, one at a time.
-    """
-    start = rng.bit_generator.state
-    draws = [rng.dirichlet(np.ones(d * d)).reshape(d, d) if t % 2
-             else rng.dirichlet(np.ones(d)) / d for t in ts]
-    candidates = [p for t, p in zip(ts, draws) if t % 2]
-    if any(v.zero_discord for v in bell_verdicts(candidates, _NONCLASSICAL_SPREAD)):
-        rng.bit_generator.state = start
-        return [random_nonclassical_bell(d, rng) if t % 2
-                else random_classical_bell(d, t // 2 % d, rng)[0] for t in ts]
-    return [p if t % 2 else p[_bell_labels(d)[t // 2 % d]] for t, p in zip(ts, draws)]
-
-
 def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
     """The Bell weight-space suite: odd draws must be rejected, even draws classical.
 
     A chunk holds as many draws as one stack of the general criterion
-    holds states.  Its weights come from :func:`_bell_draws` and go to one
-    :func:`bell_verdicts` call; the classical draws' states, built by one
-    ``einsum`` over the cached λ^{m(i−j)} table and one scatter (each the
-    ``circulant_state(bell_diagonal_state(p))`` of its weights), go to one
-    :func:`structural_verdicts` call on both sides.
+    holds states.  Its draws come from :func:`random_nonclassical_bell`
+    and :func:`random_classical_bell`, whose weights are valid by
+    construction, and go unchecked to one :func:`_bell_verdicts` call; the
+    classical draws' states, built by :func:`_bell_sectors` and one scatter
+    (each the ``circulant_state(bell_diagonal_state(p))`` of its weights),
+    go to one :func:`structural_verdicts` call on both sides.
     """
     suite = SuiteResult("bell-classification")
     for chunk in _chunks(d, draws):
-        weights = _bell_draws(d, chunk, rng)
-        classical = np.array([p for t, p in zip(chunk, weights) if t % 2 == 0]).reshape(-1, d, d)
-        sectors = np.einsum("kmn,mij->knij", classical, _bell_amplitudes(d)) / d
-        rhos = np.repeat(_dense_states(sectors), 2, axis=0)
+        weights = np.array([random_nonclassical_bell(d, rng) if t % 2
+                            else random_classical_bell(d, t // 2 % d, rng)[0] for t in chunk])
+        classical = weights[np.array(chunk) % 2 == 0]
+        rhos = np.repeat(_dense_states(_bell_sectors(classical)), 2, axis=0)
         general = structural_verdicts(rhos, d, "AB" * len(classical), tol)
         pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
-        for t, verdict in zip(chunk, bell_verdicts(weights, tol)):
+        for t, verdict in zip(chunk, _bell_verdicts(weights, tol)):
             zero = verdict.zero_discord
             if t % 2:
                 suite.record(not zero, f"draw {t}: random weights accepted")
@@ -353,10 +333,12 @@ def o2_simplex_rows(
 
     Yields dicts over the (b, c) grid (a = 1−b−c ≥ 0): separability flag
     (b, c ≤ 1/2), zero-discord flag (b = c within tol), and — every
-    ``every``-th emitted point — the numeric discord.
+    ``every``-th emitted point — the numeric discord.  A non-finite
+    ``tol`` raises ``ValueError``.
     """
     if grid < 1 or every < 0:
         raise ValueError(f"need grid ≥ 1 and every ≥ 0 (0 = never), got {grid} and {every}")
+    _require_finite_tol(tol)
     values = np.linspace(0.0, 1.0, grid)
     cfg = OptimizerConfig(starts=starts, seed=seed)
     emitted = 0

@@ -1321,9 +1321,9 @@ def _bell_error(w):
 
 
 def test_bell_stack_raises_the_first_bad_matrix_error():
-    # one pass validates the whole stack and raises exactly what the first
-    # bad matrix raises alone, wherever it sits; weights of several d raise
-    # only once every matrix has passed
+    # the matrices are checked in order, so the first bad one raises exactly
+    # what it raises alone, wherever it sits; weights of several d raise only
+    # once every matrix has passed
     rng = np.random.default_rng(5)
     good = [random_classical_bell(3, alpha, rng)[0] for alpha in range(3)]
     good += [random_nonclassical_bell(3, rng) for _ in range(3)]

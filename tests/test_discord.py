@@ -33,6 +33,7 @@ from discordant.states import (
     BellWeights,
     bell_diagonal_state,
     circulant_state,
+    isotropic_state,
     max_entangled_projector,
     werner_state,
 )
@@ -94,6 +95,11 @@ def test_conditional_entropy_rejects_bad_basis():
     skew = MeasurementBasis(2, np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(InvalidMeasurement):
         conditional_entropy(np.eye(4, dtype=complex) / 4, 2, skew, "A")
+    # a NaN Gram residual compares False against the orthonormality bound
+    rho = circulant_state(isotropic_state(2, 0.5))
+    for vectors in (np.full((2, 2), np.nan), np.array([[1, np.inf], [0, 1]])):
+        with pytest.raises(InvalidMeasurement, match="finite"):
+            conditional_entropy(rho, 2, MeasurementBasis(2, vectors), "A")
 
 
 def test_classical_correlation_product_state():

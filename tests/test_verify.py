@@ -13,7 +13,13 @@ from discordant.blocks import (
     structural_discord_zero,
 )
 from discordant.errors import PrimeRequired
-from discordant.states import bell_diagonal_state, circulant_state, validate_circulant_spec
+from discordant.states import (
+    BellWeights,
+    bell_diagonal_state,
+    circulant_state,
+    validate_bell_weights,
+    validate_circulant_spec,
+)
 from discordant.verify import (
     PERTURBATION_KINDS,
     o2_simplex_rows,
@@ -61,13 +67,18 @@ def test_perturb_epsilon_bounds():
 
 
 def test_random_bell_families():
-    rng = np.random.default_rng(3)
-    p, pi = random_classical_bell(3, 1, rng)
-    assert p.shape == (3, 3)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert pi.sum() == pytest.approx(1 / 3, abs=1e-12)
-    q = random_nonclassical_bell(3, rng)
-    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    # the Bell suite decides these weights without checking them again
+    for d in PRIMES:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for alpha in (-1, 0, 1, d):
+                p, pi = random_classical_bell(d, alpha, rng)
+                assert p.shape == (d, d)
+                validate_bell_weights(BellWeights(d, p))
+                assert pi.sum() == pytest.approx(1 / d, abs=1e-12)
+                q = random_nonclassical_bell(d, rng)
+                assert q.shape == (d, d)
+                validate_bell_weights(BellWeights(d, q))
 
 
 def test_run_verify_d2_passes():
@@ -125,16 +136,15 @@ def test_stacked_draws_keep_draw_order(d, monkeypatch):
                     inputs["theorem"] += [(row.tobytes(), s) for row, s in zip(a, sides)]
                     return blocks._theorem_verdicts(a, sides, tol)
 
-                def bell(weights, tol):
-                    if tol != 0.02:  # not the candidates' rejection test, which a replay repeats
-                        inputs["bell"] += [np.asarray(p).tobytes() for p in weights]
-                    return blocks.bell_verdicts(weights, tol)
+                def bell(p, tol):
+                    inputs["bell"] += [row.tobytes() for row in p]
+                    return blocks._bell_verdicts(p, tol)
 
                 with monkeypatch.context() as m:
                     m.setattr(blocks, "_CHUNK_ENTRIES", chunk)
                     m.setattr(verify, "structural_verdicts", general)
                     m.setattr(verify, "_theorem_verdicts", theorem)
-                    m.setattr(verify, "bell_verdicts", bell)
+                    m.setattr(verify, "_bell_verdicts", bell)
                     results, all_pass = run_verify(d, seed=seed, tol=tol, starts=2)
                 reports.append(json.dumps([all_pass] + [r.to_json() for r in results]))
                 seen.append(inputs)
@@ -167,37 +177,36 @@ def _bell_suite_by_draw(d, draws, rng, tol):
 def test_bell_suite_equals_draw_by_draw_run(d, monkeypatch):
     # the stacked Bell suite gives the report, the states and the generator
     # state after the suite of a run that draws, builds and decides one draw
-    # at a time; at d = 2, seed 13, the first candidates of draws 11 and 19
-    # are rejected inside one stack, so the stack is drawn again draw by draw
+    # at a time; at d = 2, seed 13, random_nonclassical_bell rejects the
+    # first candidates of draws 11 and 19 inside one chunk
     seed, draws = 13 if d == 2 else 0, 20
-    candidates, states = [], []
+    rejected, states = [], []
 
-    def bell(weights, tol):
-        verdicts = blocks.bell_verdicts(weights, tol)
-        if tol == 0.02:
-            candidates.extend(v.zero_discord for v in verdicts)
-        return verdicts
+    def spreads(p):
+        classes, spread = blocks._bell_spreads(p)
+        rejected.extend((spread <= verify._NONCLASSICAL_SPREAD).any(axis=1).tolist())
+        return classes, spread
 
     def general(rhos, d, sides, tol):
         states.extend(np.asarray(r).tobytes() for r in rhos[::2])  # each state's side A
         return blocks.structural_verdicts(rhos, d, sides, tol)
 
-    monkeypatch.setattr(verify, "bell_verdicts", bell)
+    monkeypatch.setattr(verify, "_bell_spreads", spreads)
     monkeypatch.setattr(verify, "structural_verdicts", general)
     stream = np.random.SeedSequence(seed).spawn(5)[2]  # the Bell suite's stream in run_verify
     for tol in (1e-9, -1.0):
         stacked, lone = np.random.default_rng(stream), np.random.default_rng(stream)
-        candidates.clear(), states.clear()
+        rejected.clear(), states.clear()
         suite = verify._bell_classification(d, draws, stacked, tol)
+        assert sum(rejected) >= (d == 2), tol
         want, want_states = _bell_suite_by_draw(d, draws, lone, tol)
         assert suite.to_json() == want.to_json(), tol
         assert states == want_states, tol
         assert stacked.bit_generator.state == lone.bit_generator.state, tol
-        assert sum(candidates) >= (d == 2)  # a candidate was rejected: the stack was drawn again
 
-        candidates.clear()
+        rejected.clear()
         results, all_pass = run_verify(d, seed=seed, tol=tol, draws=draws, starts=2)
-        assert sum(candidates) >= (d == 2), tol
+        assert sum(rejected) >= (d == 2), tol
         with monkeypatch.context() as m:
             m.setattr(verify, "_bell_classification", lambda *a: _bell_suite_by_draw(*a)[0])
             want, want_pass = run_verify(d, seed=seed, tol=tol, draws=draws, starts=2)
@@ -330,6 +339,11 @@ def test_simplex_rows_small_grid():
     for r in rows:
         assert r["separable"] == int(r["b"] <= 0.5 + 1e-12 and r["c"] <= 0.5 + 1e-12)
         assert r["zero_discord"] == int(abs(r["b"] - r["c"]) <= 1e-9)
+
+
+def test_simplex_rows_reject_non_finite_tol():
+    with pytest.raises(ValueError, match="tol must be finite"):
+        next(o2_simplex_rows(grid=3, every=0, tol=float("nan")))
 
 
 def test_simplex_numeric_agrees_with_flags():
