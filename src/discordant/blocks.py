@@ -26,10 +26,12 @@ side) pairs, each verdict equal to the one-pair call.  Nothing is kept
 per spec: each call takes the all-diagonal flags, φ = 0 stacks, scales
 and fitted φ of what it is given, and one pass per spec decides the
 theorem, the necessary conditions and complete classicality together.
-What is kept depends on d alone: the index and weight tables, and the φ
-fit's breadth-first spanning forest per (d, side) and pattern of usable
-entries; a fit through a kept forest adds the same phase differences in
-the same order as a fresh pass, so φ comes out bit for bit the same.
+What is kept depends on d alone: the index and weight tables, and the
+path along which each off-diagonal entry of a^(0) relates the φ_n.  At
+prime d one entry's path visits every n once, so it spans on its own;
+the fit reads φ along the path of the entry whose smallest modulus over
+the sectors is largest, so that no tiny entry sets a phase, and a path
+is still a spanning tree, so the fit stays free of 2π wraps.
 Bell-diagonal states additionally admit a weight-space test,
 :func:`bell_verdicts` for a stack of weight matrices: discord vanishes
 iff p is constant on the classes of one of the d + 1 lines of Z_d × Z_d,
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
+from .linalg import EIG_FLOOR, _read_only, _require_finite, frobenius, hermitize
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -182,7 +183,8 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     grid is the :func:`extract_blocks` of its own side, and results equal
     those of one pair at a time, bit for bit.  Each verdict keeps U in
     ``basis``; a nonzero one's witness is the block of largest relative
-    off-diagonal norm.
+    off-diagonal norm.  A state with a non-finite entry raises
+    :class:`InvalidSpec`.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
@@ -325,107 +327,56 @@ def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]
 
 
 @functools.cache
-def _phase_edges(d: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The φ-fit's constraint edges at (d, side), in (entry, k) order (cached, read-only).
+def _phase_paths(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The path of each off-diagonal entry (i, j), i < j, of a^(0) through the φ_n (cached, read-only).
 
-    Returns (u, v, z).  Edge e says φ_u − φ_v = arg z1 − arg z0 for
-    u = ``u[e]`` and v = ``v[e]``; z0, z1 and the anchor entry, which must
-    carry a phase too, sit at the flat positions ``z[:, e]`` of the
-    (d, d, d) stack.  The edge order fixes the breadth-first pass, and so φ.
+    The entry's copies z_k in sectors k = 0 … d − 1 (a^(k)_{ij} on side B,
+    a^(k)_{i−k, j−k} on side A, indices mod d) give φ_u − φ_{u+s} =
+    arg z_{k+1} − arg z_k with s = j − i and u = i + k (side B) or
+    u = i − k − 1 (side A).  At prime d these d − 1 edges are a cycle of
+    step s less one edge, so they form a path through all d nodes, walked
+    from node j − 1 (side B) or j (side A) in steps of s.  Returns, with a
+    leading side-code axis (see :func:`_side_codes`): the flat positions of
+    the z_k in a (d, d, d) stack (2, E, d), the nodes in walk order
+    (2, E, d), and the edge k each step of the walk takes (2, E, d − 1).
     """
-    k = np.arange(d - 1)
-    if side == "B":
-        i, j = np.divmod(np.arange(d * d), d)
-        upper = i < j
-        i, j = i[upper, None], j[upper, None]
-        u, v = (i + k) % d, (j + k) % d
-        z = (k, i, j), (k + 1, i, j), (0, i, j)
-    else:
-        m, c = np.divmod(np.arange(d * (d - 1)), d - 1)
-        m, c = m[:, None], c[:, None] + 1
-        u, v = (m - k - 1) % d, (m + c - k - 1) % d
-        z = (k, (m - k) % d, (m + c - k) % d), (k + 1, u, v), (0, m, (m + c) % d)
-    z = [np.broadcast_to(np.ravel_multi_index(at, (d, d, d)), u.shape).ravel() for at in z]
-    return _read_only(u.ravel()), _read_only(v.ravel()), _read_only(np.stack(z))
-
-
-@functools.lru_cache(maxsize=64)
-def _phase_tree(d: int, side: str, keep: bytes):
-    """The breadth-first spanning forest of the kept edges of :func:`_phase_edges`.
-
-    ``keep`` holds one byte per edge.  Adjacency follows edge order, each
-    root is the smallest node not yet reached, and each step (v, u, sign)
-    reaches node v from u with φ_v = φ_u + sign·δ, in discovery order.
-    Returns (steps, z): the steps, and the flat positions of the entries
-    z1 of every step, then of the entries z0, whose phase difference
-    z1 − z0 is its δ (read-only).  The forest depends on nothing but
-    (d, side, keep), so it is built once per mask and kept, for the 64
-    masks used last.
-    """
-    u, v, z = _phase_edges(d, side)
-    kept = np.flatnonzero(np.frombuffer(keep, dtype=bool)).tolist()
-    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(d)]
-    for e, a, b in zip(kept, u[kept].tolist(), v[kept].tolist()):
-        adj[a].append((b, e, -1.0))  # φ_b = φ_a − δ
-        adj[b].append((a, e, 1.0))   # φ_a = φ_b + δ
-    steps, edges = [], []
-    visited = [False] * d
-    for root in range(d):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b, e, sign in adj[a]:
-                if not visited[b]:
-                    visited[b] = True
-                    steps.append((b, a, sign))
-                    edges.append(e)
-                    queue.append(b)
-    return tuple(steps), _read_only(np.concatenate([z[1, edges], z[0, edges]]))
+    i, j = (x[:, None] for x in np.triu_indices(d, 1))
+    k = np.arange(d)
+    walks = np.stack([(j + (j - i) * k) % d, (j - 1 + (j - i) * k) % d])
+    steps = np.stack([i - 1 - walks[0], walks[1] - i])[..., :-1] % d
+    entries = [np.ravel_multi_index(np.broadcast_arrays(k, r % d, c % d), (d, d, d))
+               for r, c in ((i - k, j - k), (i, j))]
+    return _read_only(np.stack(entries)), _read_only(walks), _read_only(steps)
 
 
 def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     """Fit the angles φ_n (n, d) of each sector stack of ``a`` (n, d, d, d) from its entry phases.
 
-    Every consecutive pair of sector matrices supplies pure difference
-    constraints φ_u − φ_v = δ between two indices; these are propagated
-    breadth-first over the constraint graph.  Node 0 (and the smallest
-    node of any separate component) is anchored at 0 — per-component
-    offsets drop out of every window sum the relations use, so the
-    subsequent full verification is unaffected by the anchoring choice.
-    Entries with modulus below 1e−12 carry no usable phase and produce
-    no constraint.  The spanning forest is a function of the side and
-    that mask alone, so :func:`_phase_tree` builds it once per mask, and
-    the stacks that share both go through it together, one vectorised
-    step per tree edge: each adds the δ of its d − 1 edges at most in
-    discovery order, the same additions in the same order as a fresh
-    breadth-first pass.
+    Each stack reads φ along one :func:`_phase_paths` path, node 0 at 0:
+    that of the entry whose smallest modulus over the sectors is largest,
+    so no tiny entry sets a phase.  In a zero-discord family an entry keeps
+    one modulus in every sector, so its path is usable whole or not at
+    all; a stack whose best path has an entry of modulus ≤ 1e−12 gets
+    φ = 0.  The relations are then checked everywhere, so the path decides
+    only which φ a nonzero verdict reports.
     """
     n, d = a.shape[:2]
-    flat = a.reshape(n, -1)
-    usable = np.abs(flat) > ZERO_TOL
-    groups: dict = {}
-    for side in dict.fromkeys(sides):
-        keeps = usable[:, _phase_edges(d, side)[2]].all(axis=1)
-        for row, s in enumerate(sides):
-            if s == side:
-                groups.setdefault((side, keeps[row].tobytes()), []).append(row)
-    phi = np.zeros((n, d))
-    for (side, keep), rows in groups.items():
-        steps, z = _phase_tree(d, side, keep)
-        entries = flat[rows][:, z]
-        angles = np.arctan2(entries.imag, entries.real)
-        delta = angles[:, : len(steps)] - angles[:, len(steps) :]
-        fit = np.zeros((len(rows), d))
-        for e, (v, u, sign) in enumerate(steps):
-            fit[:, v] = fit[:, u] + sign * delta[:, e]
-        phi[rows] = fit
-    phi = np.exp(1j * phi)
-    phi = np.arctan2(phi.imag, phi.real)
-    phi[:, 0] = 0.0
-    return phi
+    entries, walks, steps = _phase_paths(d)
+    codes, rows = _side_codes(sides), np.arange(n)[:, None]
+    z = a.reshape(n, -1)[rows[:, :, None], entries[codes]]
+    # each path's smallest |z|², exact per entry (np.abs rounds some entries differently in a
+    # long array than alone, which could break a tie between paths differently in a stack)
+    strength = (z.real ** 2 + z.imag ** 2).min(axis=-1)
+    path = (codes, strength.argmax(axis=1))
+    z = z[rows[:, 0], path[1]]
+    delta = -np.diff(np.arctan2(z.imag, z.real), axis=1)  # φ_{u+s} − φ_u per edge k
+    fit = np.zeros((n, d))
+    fit[:, 1:] = np.cumsum(delta[rows, steps[path]], axis=1)  # in walk order
+    phi = np.empty((n, d))
+    phi[rows, walks[path]] = fit
+    phi -= phi[:, :1]
+    phi[strength.max(axis=1) <= ZERO_TOL**2] = 0.0
+    return np.angle(np.exp(1j * phi))
 
 
 def _phase_verdicts(a: np.ndarray, sides, ref: np.ndarray, thr: np.ndarray) -> list:
@@ -783,6 +734,8 @@ def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.nda
     fixes the order of summation, so each U is bit for bit the one a lone
     pair gets.  Returns U and the pairs' block grids (n, d, d, d, d): for
     one pair the view itself, for more a C-ordered stack filled side by side.
+    A non-finite combination, that is a state with a non-finite entry, raises
+    :class:`InvalidSpec` before any ``eigh``.
     """
     n = len(sides)
     G = np.empty((n, d, d), dtype=complex)
@@ -793,6 +746,7 @@ def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.nda
         G[rows] = np.einsum("ij,nijkl->nkl", _generic_weights(d), grid)
         if blocks is not None:
             blocks[rows] = grid
+    _require_finite(G)  # the combinations carry every entry, so this checks the states for free
     E = np.eye(d, dtype=complex)
     # the identity products keep the signed zeros a one-grid refinement step gives
     w, v = np.linalg.eigh(hermitize(E.conj().T @ G @ E))

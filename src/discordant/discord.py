@@ -37,7 +37,8 @@ import numpy as np
 
 from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
-from .linalg import _read_only, fourier_matrix, partial_trace, random_unitary, von_neumann_entropy
+from .linalg import (_read_only, _require_finite, fourier_matrix, partial_trace, random_unitary,
+                     von_neumann_entropy)
 
 #: Measurement outcome weights below this are treated as never occurring.
 P_UNDERFLOW = 1e-14
@@ -232,6 +233,7 @@ def conditional_entropy(
 ) -> float:
     """Σ_k p_k S(ρ_{other|k}) for a projective measurement on ``side``."""
     basis.validate()
+    _require_finite(rho)
     f, _ = _objective(_contraction(rho, d, side), basis.vectors[None])
     return float(f[0])
 

@@ -45,6 +45,12 @@ def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _require_finite(M: np.ndarray, name: str = "rho") -> None:
+    """Raise :class:`InvalidSpec` unless every entry of ``M`` is finite."""
+    if not np.isfinite(M).all():
+        raise InvalidSpec(f"{name} has non-finite entries")
+
+
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace and positivity; return the array.
 
@@ -52,8 +58,7 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     for non-square input.
     """
     rho = np.asarray(_require_square(rho, name), dtype=complex)
-    if not np.isfinite(rho).all():
-        raise InvalidSpec(f"{name} has non-finite entries")
+    _require_finite(rho, name)
     scale = max(1.0, frobenius(rho))
     herm_defect = frobenius(rho - rho.conj().T)
     if herm_defect > HERMITICITY_TOL * scale:
@@ -98,10 +103,11 @@ def entropy_of_weights(w: np.ndarray) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(ρ) = −tr(ρ log2 ρ) in bits.
 
-    Eigenvalues in [−1e−10, 0) are clipped to 0; anything more negative is
-    a positivity violation and raises :class:`InvalidSpec`.
+    Eigenvalues in [−1e−10, 0) are clipped to 0; a more negative one, like a
+    non-finite entry, raises :class:`InvalidSpec`.
     """
     rho = _require_square(rho, "rho")
+    _require_finite(rho, "state")
     w = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
     if w[0] < EIG_FLOOR:
         raise InvalidSpec(f"state has negative eigenvalue {w[0]:.3e}")

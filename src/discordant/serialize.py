@@ -34,7 +34,7 @@ from .states import (
     orthogonal_invariant_state,
     werner_state,
 )
-from .linalg import check_density_matrix
+from .linalg import _require_finite, check_density_matrix
 
 _KIND_FIELDS = {
     "circulant": {"a"},
@@ -76,7 +76,7 @@ def decode_complex_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
         raise InvalidSpec(
             f"field {name!r} must have shape {shape} of [re, im] pairs, got {arr.shape}"
         )
-    _require_finite(arr, name)
+    _require_finite(arr, f"field {name!r}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -87,13 +87,8 @@ def decode_real_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
         raise InvalidSpec(f"field {name!r} is not real-valued: {exc}") from None
     if arr.shape != shape:
         raise InvalidSpec(f"field {name!r} must have shape {shape}, got {arr.shape}")
-    _require_finite(arr, name)
+    _require_finite(arr, f"field {name!r}")
     return arr
-
-
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.isfinite(arr).all():
-        raise InvalidSpec(f"field {name!r} has non-finite entries")
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:

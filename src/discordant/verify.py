@@ -130,12 +130,15 @@ def perturb_spec(
     ``diagonal`` bumps one sector's (0,0) entry by ε/d² and renormalizes;
     ``phase`` conjugates one sector by a diagonal unitary with angles of
     magnitude ε (unabsorbable for odd d; falls back to ``modulus`` at
-    d = 2 where single-sector phases are always absorbable).
+    d = 2 where single-sector phases are always absorbable).  ε must be
+    finite and positive, and at most 1 where the kind applied is ``modulus``.
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"kind must be one of {PERTURBATION_KINDS}, got {kind!r}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
+        raise ValueError(f"a modulus epsilon must be at most 1, got {epsilon}")
     a = spec.a[None].copy()
     _perturb(a, [(0, epsilon, *_perturbation(spec.d, kind, rng))])
     return CirculantSpec(spec.d, a[0])

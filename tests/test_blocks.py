@@ -19,8 +19,7 @@ from discordant.blocks import (
     _fit_phases,
     _generic_weights,
     _norm_grids,
-    _phase_edges,
-    _phase_tree,
+    _phase_paths,
     _shifts,
     bell_verdicts,
     bell_zero_discord_check,
@@ -535,92 +534,121 @@ def test_circulant_theorem_round_trip_both_sides():
 
 
 def _fit_phases_loop(spec, side):
-    """Reference: the constraint edges built entry by entry, then the same BFS."""
+    """Reference: each entry's path walked edge by edge, the strongest path kept."""
     d, a = spec.d, spec.a
-    edges = []
-    if side == "B":
-        for i in range(d):
-            for j in range(i + 1, d):
-                if abs(a[0][i, j]) <= ZERO_TOL:
-                    continue
-                for k in range(d - 1):
-                    z0, z1 = a[k][i, j], a[k + 1][i, j]
-                    if abs(z0) > ZERO_TOL and abs(z1) > ZERO_TOL:
-                        edges.append(((i + k) % d, (j + k) % d, float(np.angle(z1) - np.angle(z0))))
-    else:
-        for m in range(d):
-            for c in range(1, d):
-                if abs(a[0][m, (m + c) % d]) <= ZERO_TOL:
-                    continue
-                for k in range(d - 1):
-                    z0 = a[k][(m - k) % d, (m + c - k) % d]
-                    r1, c1 = (m - k - 1) % d, (m + c - k - 1) % d
-                    z1 = a[k + 1][r1, c1]
-                    if abs(z0) > ZERO_TOL and abs(z1) > ZERO_TOL:
-                        edges.append((r1, c1, float(np.angle(z1) - np.angle(z0))))
-    adj = {n: [] for n in range(d)}
-    for u, v, delta in edges:
-        adj[u].append((v, -delta))
-        adj[v].append((u, delta))
-    phi = np.zeros(d)
-    visited = [False] * d
-    for root in range(d):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v, delta in adj[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    phi[v] = phi[u] + delta
-                    queue.append(v)
-    phi = np.angle(np.exp(1j * phi))
-    phi[0] = 0.0
-    return phi
+    best, strongest = np.zeros(d), 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            s = j - i
+            if side == "B":
+                path = [a[k][i, j] for k in range(d)]
+                x = j - 1  # the cycle of step s lacks the edge (i − 1, j − 1)
+            else:
+                path = [a[k][(i - k) % d, (j - k) % d] for k in range(d)]
+                x = j  # the cycle of step s lacks the edge (i, j)
+            strength = min(z.real ** 2 + z.imag ** 2 for z in path)
+            if strength <= strongest:
+                continue
+            strongest, phi = strength, np.zeros(d)
+            for _ in range(d - 1):
+                # side B: φ_{i+k} − φ_{j+k} = arg a^(k+1)_ij − arg a^(k)_ij; side A: the
+                # same with u = i − k − 1 and the entries of a^(0)_{i,j} shifted by −k
+                k = (x - i) % d if side == "B" else (i - 1 - x) % d
+                phi[(x + s) % d] = phi[x % d] - (np.angle(path[k + 1]) - np.angle(path[k]))
+                x += s
+            best = phi - phi[0]
+    if strongest <= ZERO_TOL**2:
+        best = np.zeros(d)
+    best = np.angle(np.exp(1j * best))
+    best[0] = 0.0
+    return best
+
+
+def _zeroed_family(d, side, rng):
+    """A zero-discord family whose a^(0) has its weaker half of off-diagonal pairs set to 0.
+
+    The phase family keeps those zeros in every sector.  Each zeroed pair moves
+    the eigenvalues of a^(0) by at most its modulus, which the diagonal gets back.
+    """
+    a0 = random_psd(d, rng)
+    off = ~np.eye(d, dtype=bool)
+    weak = off & (np.abs(a0) < np.median(np.abs(a0[off])))
+    a0 = a0 + np.abs(a0[weak]).sum() * np.eye(d)
+    a0[weak] = 0
+    return generate_zero_discord(a0, random_phases(d, rng), side)
+
+
+def _small_entry_family(d, side, rng, small=1e-7, noise=1e-12):
+    """A zero-discord family with one off-diagonal pair of a^(0) at modulus ``small``, plus noise.
+
+    The pair is shrunk before normalization (the diagonal gets back what the
+    shrinking takes, so a^(0) stays positive definite); every sector then gets
+    Hermitian Gaussian noise of scale ``noise``, far below the default tolerance.
+    """
+    a0 = random_psd(d, rng)
+    p, q = rng.choice(d, 2, replace=False)
+    big = abs(a0[p, q])
+    a0[p, q] *= small / big
+    a0[q, p] = np.conj(a0[p, q])
+    a0 += big * np.eye(d)
+    a = generate_zero_discord(a0, random_phases(d, rng), side).a
+    g = rng.standard_normal((2, d, d, d))
+    return CirculantSpec(d, a + noise * hermitize(g[0] + 1j * g[1]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_phase_paths_span_and_follow_the_theorem(d):
+    entries, walks, steps = _phase_paths(d)
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    assert entries.shape == walks.shape == (2, len(pairs), d)
+    assert steps.shape == (2, len(pairs), d - 1)
+    for code, side in enumerate("AB"):
+        for e, (i, j) in enumerate(pairs):
+            walk = walks[code, e].tolist()
+            assert sorted(walk) == list(range(d)), (side, i, j)  # every node once
+            # z_k, the entry in sector k: a^(k)_ij on side B, a^(k)_{i−k, j−k} on side A
+            want = [(k, i, j) if side == "B" else (k, (i - k) % d, (j - k) % d) for k in range(d)]
+            assert [np.unravel_index(x, (d, d, d)) for x in entries[code, e]] == want
+            # the theorem: φ_u − φ_v = arg z_{k+1} − arg z_k with (u, v) = (i + k, j + k)
+            # on side B and (i − k − 1, j − k − 1) on side A; step t goes from u to v
+            assert sorted(steps[code, e].tolist()) == list(range(d - 1))
+            for t, k in enumerate(steps[code, e].tolist()):
+                u = (i + k) % d if side == "B" else (i - k - 1) % d
+                assert (walk[t], walk[t + 1]) == (u, (u + j - i) % d), (side, i, j, t)
 
 
 def test_fit_phases_matches_loop_reference_exactly():
     rng = np.random.default_rng(17)
     for d in (2, 3, 5, 7, 13):
+        specs = []
         for gen_side in ("A", "B"):
             spec = random_zero_discord_spec(d, gen_side, rng)
             sparse = [m.copy() for m in spec.a]
             for m in sparse:
-                m[np.abs(m) < np.median(np.abs(m))] = 0
-            specs = [spec, CirculantSpec(d, tuple(sparse))]
+                m[np.abs(m) < np.median(np.abs(m))] = 0  # paths usable only in part
+            specs += [spec, CirculantSpec(d, tuple(sparse)), _zeroed_family(d, gen_side, rng)]
             specs += [perturb_spec(spec, kind, 0.1, rng) for kind in PERTURBATION_KINDS]
-            for s in specs:
-                for side in ("A", "B"):
-                    np.testing.assert_array_equal(
-                        _fit_phases(s.a[None], [side])[0], _fit_phases_loop(s, side)
-                    )
+            specs.append(_small_entry_family(d, gen_side, rng))
+        for side in ("A", "B"):
+            stacked = _fit_phases(np.array([s.a for s in specs]), [side] * len(specs))
+            for s, row in zip(specs, stacked):
+                want = _fit_phases_loop(s, side)
+                np.testing.assert_array_equal(_fit_phases(s.a[None], [side])[0], want)
+                np.testing.assert_array_equal(row, want)
 
 
-def test_phase_tree_cache_never_mixes_masks():
-    # dense and sparse specs interleaved at one (d, side), each mask fitted on
-    # both sides and seen twice: every fit must be the fresh pass's
-    rng = np.random.default_rng(31)
-    before = _phase_tree.cache_info()
-    for d in (3, 7, 13):
-        specs = []
-        for n in range(3):
-            spec = random_zero_discord_spec(d, "AB"[n % 2], rng)
-            sparse = [m.copy() for m in spec.a]
-            for m in sparse:
-                m[np.abs(m) < np.median(np.abs(m))] = 0
-            specs += [spec, CirculantSpec(d, tuple(sparse))]
-        for n, s in enumerate(specs * 2):
-            for side in ("A", "B")[:: 1 if n % 2 else -1]:
-                fresh = CirculantSpec(d, s.a)
-                np.testing.assert_array_equal(
-                    _fit_phases(fresh.a[None], [side])[0], _fit_phases_loop(fresh, side)
-                )
-                info = _phase_tree.cache_info()
-                assert info.currsize <= info.maxsize
-    after = _phase_tree.cache_info()
-    assert after.hits - before.hits >= 3 * 12  # the repeats were served from the cache
+def test_small_entry_family_reads_zero():
+    # one off-diagonal pair of a^(0) at modulus 1e-7, then noise of 1e-12: the
+    # breadth-first fit took the small pair's phases and read 98 of these 240 as
+    # nonzero.  The general criterion is not asserted here: it reads 6 as
+    # nonzero, as the noise turns its eigenbasis where the small pair leaves a
+    # narrow gap.
+    for d in (3, 5, 7):
+        for side in "AB":
+            rng = np.random.default_rng([6, d, ord(side)])
+            specs = [_small_entry_family(d, side, rng) for _ in range(40)]
+            theorem = circulant_theorem_verdicts(specs, [side] * len(specs))
+            assert all(v.zero_discord for v in theorem), (d, side)
 
 
 def test_circulant_theorem_identity_phases():
@@ -1187,11 +1215,8 @@ def test_each_tolerance_gets_its_own_verdict():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_kept_arrays_are_read_only(d):
-    kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d)]
-    for side in ("A", "B"):
-        edges = _phase_edges(d, side)
-        kept += [*edges, *_phase_tree(d, side, np.ones(edges[0].size, dtype=bool).tobytes())[1:]]
-    assert len(kept) > 4
+    kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d),
+            *_phase_paths(d)]
     for array in kept:
         assert not array.flags.writeable
 

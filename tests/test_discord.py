@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from discordant.blocks import bell_zero_discord_check, structural_discord_zero
+from discordant.blocks import (
+    bell_zero_discord_check,
+    classical_decomposition,
+    structural_discord_zero,
+    structural_verdicts,
+)
 from discordant.discord import (
     DiscordResult,
     MeasurementBasis,
@@ -22,7 +27,7 @@ from discordant.discord import (
     discord_sides,
     mutual_information,
 )
-from discordant.errors import DimensionError, InvalidMeasurement
+from discordant.errors import DimensionError, InvalidMeasurement, InvalidSpec
 from discordant.linalg import (
     fourier_matrix,
     partial_trace,
@@ -100,6 +105,34 @@ def test_conditional_entropy_rejects_bad_basis():
     for vectors in (np.full((2, 2), np.nan), np.array([[1, np.inf], [0, 1]])):
         with pytest.raises(InvalidMeasurement, match="finite"):
             conditional_entropy(rho, 2, MeasurementBasis(2, vectors), "A")
+
+
+_STATE_ENTRY_POINTS = {
+    "structural_discord_zero": lambda rho, d: structural_discord_zero(rho, d, "B"),
+    "structural_verdicts": lambda rho, d: structural_verdicts([np.eye(d * d) / d**2, rho], d, "AB"),
+    "classical_decomposition": lambda rho, d: classical_decomposition(rho, d, "A"),
+    "discord": lambda rho, d: discord(rho, d, "A", OptimizerConfig(starts=1)),
+    "discord_sides": lambda rho, d: discord_sides(rho, d, "AB", OptimizerConfig(starts=1)),
+    "mutual_information": mutual_information,
+    "von_neumann_entropy": lambda rho, d: von_neumann_entropy(rho),
+    "conditional_entropy": lambda rho, d: conditional_entropy(
+        rho, d, MeasurementBasis(d, np.eye(d)), "A"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_state_is_rejected(value):
+    # the structural criterion used to return a nonzero verdict whose witness
+    # read offdiagonal_norm NaN at d = 2 and raise LinAlgError at d = 3, the
+    # numeric functions LinAlgError or a number
+    for d in (2, 3):
+        for at in ((0, 0), (0, 1), (0, d * d - 1)):  # diagonal, one marginal, neither
+            rho = np.eye(d * d, dtype=complex) / d**2
+            rho[at] = value
+            for name, call in _STATE_ENTRY_POINTS.items():
+                with pytest.raises(InvalidSpec, match="non-finite"):
+                    call(rho, d)
+                    pytest.fail(f"{name} accepted {value} at {at}, d = {d}")
 
 
 def test_classical_correlation_product_state():

@@ -66,6 +66,26 @@ def test_perturb_epsilon_bounds():
         perturb_spec(spec, "wobble", 0.1, rng)
 
 
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_perturb_rejects_epsilon_that_breaks_validity(d, kind):
+    # ε = inf used to give non-finite entries for every kind, and a modulus ε
+    # above 1 a sector with a negative eigenvalue (−0.43 at d = 3, ε = 5)
+    rng = np.random.default_rng(5)
+    spec = random_zero_discord_spec(d, "A", rng)
+    for epsilon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            perturb_spec(spec, kind, epsilon, rng)
+    modulus = kind == "modulus" or (kind == "phase" and d == 2)  # the d = 2 fallback
+    for epsilon in (1.0 + 1e-9, 5.0):
+        if modulus:
+            with pytest.raises(ValueError, match="at most 1"):
+                perturb_spec(spec, kind, epsilon, rng)
+        else:
+            validate_circulant_spec(perturb_spec(spec, kind, epsilon, rng))
+    validate_circulant_spec(perturb_spec(spec, kind, 1.0, rng))
+
+
 def test_random_bell_families():
     # the Bell suite decides these weights without checking them again
     for d in PRIMES:
