@@ -18,24 +18,24 @@ under a diagonal unitary V = diag(e^{iφ_n}) with φ_0 = 0,
     side A:  a^(k)_{ij} = e^{i(Ψ_k(i) − Ψ_k(j))} · a^(0)_{i+k, j+k}
     side B:  a^(k)_{ij} = e^{i(Ψ_k(i) − Ψ_k(j))} · a^(0)_{ij}
 
-with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers here
-fit the φ_n from the entry phases and then verify every relation, so a
-valid family is always recognized and any violation yields a concrete
-witness.  :func:`circulant_theorem_verdicts` decides stacks of (spec,
-side) pairs, each verdict equal to the one-pair call.  Nothing is kept
-per spec: each call takes the all-diagonal flags, φ = 0 stacks, scales
-and fitted φ of what it is given, and one pass per spec decides the
-theorem, the necessary conditions and complete classicality together.
-What is kept depends on d alone: the index and weight tables, and the
-path along which each off-diagonal entry of a^(0) relates the φ_n.  At
-prime d one entry's path visits every n once, so it spans on its own;
-the fit reads φ along the path of the entry whose smallest modulus over
-the sectors is largest, so that no tiny entry sets a phase, and a path
-is still a spanning tree, so the fit stays free of 2π wraps.
+with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers
+here fit the φ_n from the entry phases and then verify every relation,
+so a valid family is always recognized and any violation yields a
+concrete witness.  :func:`circulant_theorem_verdicts` decides stacks of
+(spec, side) pairs, each verdict equal to the one-pair call.  The
+necessary conditions use its scale and φ = 0 stack and fit no φ;
+complete classicality takes its verdicts on both sides unless the
+diagonal decides first.  Nothing is kept per spec; what is kept depends
+on d alone: the index and weight tables, and the path along which each
+off-diagonal entry of a^(0) relates the φ_n.  At prime d one entry's
+path visits every n once, so it spans on its own; the fit reads φ along
+the path of the entry whose smallest modulus over the sectors is
+largest, so that no tiny entry sets a phase, and a path is still a
+spanning tree, so the fit stays free of 2π wraps.
 Bell-diagonal states additionally admit a weight-space test,
-:func:`bell_verdicts` for a stack of weight matrices: discord vanishes
-iff p is constant on the classes of one of the d + 1 lines of Z_d × Z_d,
-p[m, n] = π_{(m + nα) mod d} for some α or p[m, n] = π_n; its core takes
+:func:`bell_zero_discord_check`: discord vanishes iff p is constant on
+the classes of one of the d + 1 lines of Z_d × Z_d, p[m, n] =
+π_{(m + nα) mod d} for some α or p[m, n] = π_n; its stacked core takes
 the weights ``verify`` draws unchecked.  Every criterion rejects a
 non-finite tolerance with ``ValueError``.
 """
@@ -379,38 +379,6 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     return np.angle(np.exp(1j * phi))
 
 
-def _phase_verdicts(a: np.ndarray, sides, ref: np.ndarray, thr: np.ndarray) -> list:
-    """The theorem's verdicts for (n, d, d, d) sector stacks that are not all-diagonal.
-
-    ``ref`` holds each stack's φ = 0 stack on its side and ``thr`` (n,) its
-    tolerance tol·max(1, scale).  φ comes from one :func:`_fit_phases` call
-    and the relations are checked in one broadcast; a failing stack's
-    witness is its lexicographically first violation (in k, i, j).
-    """
-    phis = _fit_phases(a, sides)
-    family = _family_stack(ref, phis)
-    delta = np.abs(family - a)
-    bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
-    verdicts = []
-    for m, (side, first) in enumerate(zip(sides, bad.argmax(axis=1).tolist())):
-        witness = None
-        if bad[m, first]:
-            at = (m, *np.unravel_index(first, a.shape[1:]))
-            witness = {
-                "kind": "relation-violation",
-                "k": int(at[1]),
-                "entry": [int(at[2]), int(at[3])],
-                "expected": [float(family[at].real), float(family[at].imag)],
-                "actual": [float(a[at].real), float(a[at].imag)],
-                "delta": float(delta[at]),
-                "tolerance": float(thr[m]),
-            }
-        verdicts.append(StructuralVerdict(
-            witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[m]
-        ))
-    return verdicts
-
-
 def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
     """:func:`circulant_theorem_check` for each pair of ``zip(specs, sides)``, in order.
 
@@ -428,9 +396,11 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     """The theorem for each pair of ``zip(a, sides)``, ``a`` a (n, d, d, d) stack of sector stacks.
 
     Checks the tolerance (finite), the lengths (equal), the stack's shape
-    and that d is prime.  One reduce finds the all-diagonal stacks, and the
-    rest take one gather of their φ = 0 stacks, one scale per stack and one
-    φ fit, on every call.
+    and that d is prime.  One reduce finds the all-diagonal stacks.  The
+    rest take one gather of their φ = 0 stacks, one scale per stack and
+    one :func:`_fit_phases` call, and their relations are checked in one
+    broadcast; a failing stack's witness is its lexicographically first
+    violation (in k, i, j).
     """
     _require_finite_tol(tol)
     if len(a) != len(sides):
@@ -446,12 +416,30 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     verdicts = [StructuralVerdict(True, side, CRITERION_DIAGONAL) if flag else None
                 for side, flag in zip(sides, diagonal)]
     rest = [n for n, flag in enumerate(diagonal) if not flag]
-    if rest:
-        a = a[rest] if len(rest) < len(a) else a
-        ref = _reference_stack(a[:, 0], [codes[n] for n in rest])
-        theorem = _phase_verdicts(a, [sides[n] for n in rest], ref, tol * _scales(a))
-        for n, verdict in zip(rest, theorem):
-            verdicts[n] = verdict
+    if not rest:
+        return verdicts
+    a = a[rest] if len(rest) < len(a) else a
+    thr = tol * _scales(a)
+    phis = _fit_phases(a, [sides[n] for n in rest])
+    family = _family_stack(_reference_stack(a[:, 0], [codes[n] for n in rest]), phis)
+    delta = np.abs(family - a)
+    bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
+    for m, (n, first) in enumerate(zip(rest, bad.argmax(axis=1).tolist())):
+        witness = None
+        if bad[m, first]:
+            at = (m, *np.unravel_index(first, a.shape[1:]))
+            witness = {
+                "kind": "relation-violation",
+                "k": int(at[1]),
+                "entry": [int(at[2]), int(at[3])],
+                "expected": [float(family[at].real), float(family[at].imag)],
+                "actual": [float(a[at].real), float(a[at].imag)],
+                "delta": float(delta[at]),
+                "tolerance": float(thr[m]),
+            }
+        verdicts[n] = StructuralVerdict(
+            witness is None, sides[n], CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[m]
+        )
     return verdicts
 
 
@@ -468,77 +456,6 @@ def circulant_theorem_check(
     return circulant_theorem_verdicts([spec], [side], tol)[0]
 
 
-def _closed_forms(spec: CirculantSpec, sides, tol: float) -> tuple[list, list, StructuralVerdict]:
-    """Every closed form of one spec in one pass: (theorem, necessary, complete).
-
-    The theorem verdicts and necessary-conditions reports are one per
-    side of ``sides``, in order, and the completely-classical verdict
-    covers both sides; each equals its public call.  The pass takes one
-    all-diagonal flag, one scale, one gather of the φ = 0 stacks of sides
-    A and B, and one φ fit: of ``sides``, or of both sides once a^(0)
-    passes the uniform-diagonal precheck.
-    """
-    _require_finite_tol(tol)
-    _require_prime(spec.d)
-    codes = _side_codes(sides)
-    a, d = spec.a, spec.d
-    if _diagonal_flags(a):
-        reports = [_diagonal_report(side) for side in sides]
-        theorem = [StructuralVerdict(True, side, CRITERION_DIAGONAL) for side in sides]
-        return theorem, reports, StructuralVerdict(True, "both", CRITERION_DIAGONAL)
-    thr = tol * _scales(a)
-    ref = _reference_stack(np.broadcast_to(a[0], (2, d, d)), [0, 1])  # sides A and B
-    # completely classical needs the uniform diagonal 1/d², then the theorem on both sides
-    diag, target = np.diag(a[0]), 1.0 / d**2
-    uneven = np.flatnonzero(~(np.abs(diag - target) <= thr))
-    fit, fit_codes = (list(sides), codes) if uneven.size else (["A", "B"], [0, 1])
-    decided = dict(zip(fit, _phase_verdicts(
-        np.broadcast_to(a, (len(fit), d, d, d)), fit, ref[fit_codes], np.full(len(fit), thr)
-    ))) if fit else {}
-    if uneven.size:
-        i = int(uneven[0])
-        witness = {"kind": "nonuniform-diagonal", "entry": [i, i],
-                   "got": float(diag[i].real), "want": target}
-        complete = StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
-    else:
-        failing = [decided[side] for side in "AB" if not decided[side].zero_discord]
-        first = failing[0] if failing else decided["A"]
-        witness = {**first.witness, "side": first.side} if failing else None
-        complete = StructuralVerdict(not failing, "both", CRITERION_CIRCULANT, witness=witness,
-                                     fitted_phases=first.fitted_phases)
-    reports = _necessary_reports(a, sides, ref[codes], thr)
-    return [decided[side] for side in sides], reports, complete
-
-
-def _diagonal_report(side: str) -> dict:
-    """The necessary-conditions report of an all-diagonal spec."""
-    return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
-
-
-def _necessary_reports(a: np.ndarray, sides, ref: np.ndarray, thr) -> list[dict]:
-    """The necessary-conditions report of the sector stack ``a`` per side of ``sides``.
-
-    ``ref`` holds each side's φ = 0 stack and ``thr`` is tol·max(1, scale).
-    """
-    d = a.shape[-1]
-    got, want = a[1:], ref[:, 1:]
-    eye = np.eye(d, dtype=bool)
-    got_abs, want_abs = np.abs(got), np.abs(want)
-    fail = ~(np.abs(np.where(eye, got - want, got_abs - want_abs)) <= thr)
-    got, want = np.where(eye, got.real, got_abs), np.where(eye, want.real, want_abs)
-    reports = []
-    for s, side in enumerate(sides):
-        names = _CONDITIONS[side]
-        failures = [
-            {"condition": names[i != j], "n": n + 1, "entry": [i, j],
-             "got": float(got[n, i, j]), "want": float(want[s, n, i, j])}
-            for n, i, j in zip(*(idx.tolist() for idx in fail[s].nonzero()))
-        ]
-        reports.append({"side": side, "passed": not failures, "diagonal_classical": False,
-                        "failures": failures})
-    return reports
-
-
 def circulant_necessary_conditions(
     spec: CirculantSpec, side: str, tol: float = DEFAULT_TOL
 ) -> dict:
@@ -550,16 +467,51 @@ def circulant_necessary_conditions(
     and no φ is fitted).  The scale and φ = 0 stack are those the theorem
     uses.  Returns a new report ``{"side", "passed", "diagonal_classical",
     "failures"}`` on every call; each failure is ``{"condition", "n",
-    "entry": [i, j], "got", "want"}``, in (n, i, j) order.  This is the
-    report :func:`_closed_forms` gives.
+    "entry": [i, j], "got", "want"}``, in (n, i, j) order.
     """
     _require_finite_tol(tol)
     _require_prime(spec.d)
     codes = _side_codes([side])
-    a = spec.a
+    a, d = spec.a, spec.d
     if _diagonal_flags(a):
-        return _diagonal_report(side)
-    return _necessary_reports(a, [side], _reference_stack(a[None, 0], codes), tol * _scales(a))[0]
+        return {"side": side, "passed": True, "diagonal_classical": True, "failures": []}
+    thr = tol * _scales(a)
+    got, want = a[1:], _reference_stack(a[None, 0], codes)[0, 1:]
+    eye = np.eye(d, dtype=bool)
+    got_abs, want_abs = np.abs(got), np.abs(want)
+    fail = ~(np.abs(np.where(eye, got - want, got_abs - want_abs)) <= thr)
+    got, want = np.where(eye, got.real, got_abs), np.where(eye, want.real, want_abs)
+    names = _CONDITIONS[side]
+    failures = [
+        {"condition": names[i != j], "n": n + 1, "entry": [i, j],
+         "got": float(got[n, i, j]), "want": float(want[n, i, j])}
+        for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
+    ]
+    return {"side": side, "passed": not failures, "diagonal_classical": False,
+            "failures": failures}
+
+
+def _completely_classical(spec: CirculantSpec, tol: float, theorem=None) -> StructuralVerdict:
+    """:func:`completely_classical_check`, reading ``theorem`` (the spec's theorem verdicts
+    on sides A and B, fitted here if None) only when the diagonal does not decide."""
+    _require_finite_tol(tol)
+    _require_prime(spec.d)
+    a, d = spec.a, spec.d
+    if _diagonal_flags(a):
+        return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
+    diag, target = np.diag(a[0]), 1.0 / d**2
+    uneven = np.flatnonzero(~(np.abs(diag - target) <= tol * _scales(a)))
+    if uneven.size:
+        i = int(uneven[0])
+        witness = {"kind": "nonuniform-diagonal", "entry": [i, i],
+                   "got": float(diag[i].real), "want": target}
+        return StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
+    theorem = theorem or circulant_theorem_verdicts([spec, spec], "AB", tol)
+    failing = [v for v in theorem if not v.zero_discord]
+    first = failing[0] if failing else theorem[0]
+    witness = {**first.witness, "side": first.side} if failing else None
+    return StructuralVerdict(not failing, "both", CRITERION_CIRCULANT, witness=witness,
+                             fitted_phases=first.fitted_phases)
 
 
 def completely_classical_check(
@@ -571,11 +523,11 @@ def completely_classical_check(
     the uniform diagonal 1/d² (the side-A relation shifts every sector's
     diagonal, the side-B relation keeps it, so both pin it to a constant),
     and the theorem must pass on side A and on side B, both decided by
-    one φ fit.  A zero verdict carries side A's phases; a nonzero one the
-    first failing side's witness (with its ``side``) and phases.  This is
-    the verdict of :func:`_closed_forms`.
+    one :func:`circulant_theorem_verdicts` call, which the precheck's
+    failure skips.  A zero verdict carries side A's phases; a nonzero one
+    the first failing side's witness (with its ``side``) and phases.
     """
-    return _closed_forms(spec, [], tol)[2]
+    return _completely_classical(spec, tol)
 
 
 def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
@@ -636,20 +588,6 @@ def _bell_classes(d: int) -> np.ndarray:
     return _read_only(np.argsort(labels, axis=1, kind="stable"))
 
 
-def bell_verdicts(weights, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
-    """:func:`bell_zero_discord_check` for each weight matrix of ``weights``, in order.
-
-    The matrices are checked in order, the first invalid one raising what
-    it raises alone, and must then share one prime d.  Each verdict equals
-    the one-matrix call, bit for bit.
-    """
-    _require_finite_tol(tol)
-    ws = [_bell_weights(w) for w in weights]
-    if any(w.d != ws[0].d for w in ws):
-        raise DimensionError("the weight matrices must share one dimension")
-    return _bell_verdicts(np.array([w.p for w in ws]), tol) if ws else []
-
-
 def _bell_spreads(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """classes[item, line, class, member] of a prime-d (n, d, d) stack, and each line's spread."""
     n, d = p.shape[:2]
@@ -659,7 +597,7 @@ def _bell_spreads(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bell_verdicts(p: np.ndarray, tol: float) -> list[StructuralVerdict]:
-    """:func:`bell_verdicts` of a nonempty (n, d, d) stack of weights, not checked again."""
+    """:func:`bell_zero_discord_check` of each matrix of a nonempty (n, d, d) stack, unchecked."""
     classes, spread = _bell_spreads(p)
     d = p.shape[1]
     ok = spread <= tol
@@ -688,10 +626,10 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     p[m, n] = π_{(m+nα) mod d} for some α, or p[m, n] = π_n.  The α-lines
     are scanned first, so the smallest qualifying α is reported (``line``
     None); the last line reports ``line`` "n" and ``alpha`` None.  The
-    recovered π values come with either.  This is :func:`bell_verdicts`
-    of one matrix.
+    recovered π values come with either.
     """
-    return bell_verdicts([w], tol)[0]
+    _require_finite_tol(tol)
+    return _bell_verdicts(_bell_weights(w).p[None], tol)[0]
 
 
 @functools.cache

@@ -22,8 +22,10 @@ import numpy as np
 
 from .blocks import (
     _bell_labels,
-    _closed_forms,
+    _completely_classical,
     bell_zero_discord_check,
+    circulant_necessary_conditions,
+    circulant_theorem_verdicts,
     is_prime,
     structural_verdicts,
 )
@@ -152,10 +154,13 @@ def cmd_analyze(args) -> int:
     report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
 
     if spec is not None and is_prime(d):
-        theorem, necessary, complete = _closed_forms(spec, sides, args.tol)
-        report["circulant_theorem"] = {side: v.to_json() for side, v in zip(sides, theorem)}
-        report["necessary_conditions"] = dict(zip(sides, necessary))
-        report["completely_classical"] = complete.to_json()
+        # both sides in one stack: the item's only φ fit, which complete classicality reuses
+        theorem = circulant_theorem_verdicts([spec, spec], "AB", args.tol)
+        report["circulant_theorem"] = {side: theorem["AB".index(side)].to_json() for side in sides}
+        report["necessary_conditions"] = {
+            side: circulant_necessary_conditions(spec, side, args.tol) for side in sides
+        }
+        report["completely_classical"] = _completely_classical(spec, args.tol, theorem).to_json()
     if loaded.weights is not None and is_prime(d):
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 

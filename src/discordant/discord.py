@@ -233,6 +233,8 @@ def conditional_entropy(
 ) -> float:
     """Σ_k p_k S(ρ_{other|k}) for a projective measurement on ``side``."""
     basis.validate()
+    if basis.d != d:
+        raise DimensionError(f"expected a basis of dimension {d}, got {basis.d}")
     _require_finite(rho)
     f, _ = _objective(_contraction(rho, d, side), basis.vectors[None])
     return float(f[0])
@@ -317,8 +319,10 @@ def discord_sides(
 
     Each side gets the result ``discord`` gives it alone.  |D| ≤ 1e−9 is
     clipped to exactly 0, and C is then reported as I so that D = I − C
-    holds exactly in the result.
+    holds exactly in the result.  No side gives no result.
     """
+    if not len(sides):
+        return []
     info, other = _information(rho, d)
     results = []
     for side, (f, basis, converged) in zip(sides, _optimize(rho, d, sides, cfg)):

@@ -68,15 +68,8 @@ def encode_complex_matrix(M: np.ndarray) -> list:
 
 
 def decode_complex_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"field {name!r} is not a complex matrix: {exc}") from None
-    if arr.shape != (*shape, 2):
-        raise InvalidSpec(
-            f"field {name!r} must have shape {shape} of [re, im] pairs, got {arr.shape}"
-        )
-    _require_finite(arr, f"field {name!r}")
+    """A complex matrix from its [re, im] pairs, read by :func:`decode_real_matrix`."""
+    arr = decode_real_matrix(obj, (*shape, 2), name)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from discordant import blocks as blocks_module
+from discordant import cli
 from discordant.blocks import (
     CRITERION_BELL,
     CRITERION_CIRCULANT,
@@ -21,7 +22,6 @@ from discordant.blocks import (
     _norm_grids,
     _phase_paths,
     _shifts,
-    bell_verdicts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
     circulant_theorem_check,
@@ -37,6 +37,7 @@ from discordant.blocks import (
 )
 from discordant.discord import _fixed_candidates
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
+from discordant.serialize import LoadedState
 from discordant.linalg import fourier_matrix, hermitize, random_unitary
 from discordant.states import (
     ZERO_TOL,
@@ -902,35 +903,67 @@ def _complete_from_theorem(spec, tol):
                              fitted_phases=inner.fitted_phases)
 
 
+def _analyze_closed_forms(spec, side, tol, monkeypatch, capsys):
+    """The analyze command's closed-form keys for ``spec`` (its numeric part stubbed out)."""
+    loaded = LoadedState("circulant", spec.d, circulant_state(spec, validate=False), spec=spec)
+    monkeypatch.setattr(cli, "_load_input", lambda args, validate: loaded)
+    monkeypatch.setattr(cli, "discord_sides", lambda rho, d, sides, cfg: [])
+    assert cli.main(["analyze", "--side", side, "--tol", repr(tol)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    return {key: report[key] for key in
+            ("circulant_theorem", "necessary_conditions", "completely_classical")}
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
-def test_closed_form_reports_from_one_pass_equal_the_public_calls(d):
-    # analyze takes every closed form of its spec from one pass; each part
-    # equals the public call on a fresh spec, and the completely-classical
+def test_analyze_closed_forms_equal_the_public_calls(d, monkeypatch, capsys):
+    # analyze composes its closed forms from the public calls: each key equals
+    # the call on a fresh spec, for every --side, and the completely-classical
     # verdict equals the one composed from the public theorem
     rng = np.random.default_rng(70 + d)
-    specs = [spec for _, spec in _two_sided_specs(d, rng)]
+    specs = [spec for _, spec in _two_sided_specs(d, rng)]  # classical Bell: uniform diagonal
     zeros = specs[-4:-2]  # zero on side A, then on side B
     specs += [perturb_spec(spec, kind, 0.05, rng) for spec in zeros for kind in PERTURBATION_KINDS]
     weights = rng.dirichlet(np.ones(d * d)).reshape(d, d)
     specs.append(CirculantSpec(d, [np.diag(w).astype(complex) for w in weights]))
     specs += [CirculantSpec(d, 40.0 * spec.a) for spec in specs[:2]]  # scales above 1
-    for tol in (1e-9, 1e-3, -1.0):
+    seen = set()
+    for tol in (1e-9, 1e-3):
         for spec in specs:
-            complete = json.dumps(_complete_from_theorem(CirculantSpec(d, spec.a), tol).to_json())
-            for sides in (["A", "B"], ["A"], ["B"], ["B", "A"], []):
-                theorem, necessary, verdict = blocks_module._closed_forms(spec, sides, tol)
-                assert json.dumps(verdict.to_json()) == complete
-                assert [v.side for v in theorem] == [r["side"] for r in necessary] == sides
-                for side, got, report in zip(sides, theorem, necessary):
-                    fresh = CirculantSpec(d, spec.a)
-                    want = circulant_theorem_check(fresh, side, tol)
-                    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
-                    if want.fitted_phases is not None:
-                        assert got.fitted_phases.tobytes() == want.fitted_phases.tobytes()
-                    assert report == circulant_necessary_conditions(fresh, side, tol)
-                    loop = _necessary_conditions_loop(fresh, side, tol)
-                    assert [(f["condition"], f["n"], f["entry"]) for f in report["failures"]] == \
-                        [w[:3] for w in loop]
+            fresh = CirculantSpec(d, spec.a.copy())
+            complete = completely_classical_check(fresh, tol).to_json()
+            assert complete == _complete_from_theorem(fresh, tol).to_json()
+            seen.add((complete["criterion"], complete["zero_discord"],
+                      (complete["witness"] or {}).get("kind")))
+            for side, sides in (("both", "AB"), ("A", "A"), ("B", "B")):
+                got = _analyze_closed_forms(spec, side, tol, monkeypatch, capsys)
+                want = json.loads(json.dumps({
+                    "circulant_theorem": {
+                        s: circulant_theorem_check(fresh, s, tol).to_json() for s in sides},
+                    "necessary_conditions": {
+                        s: circulant_necessary_conditions(fresh, s, tol) for s in sides},
+                    "completely_classical": complete,
+                }))
+                assert got == want, (side, tol)
+                assert list(got["circulant_theorem"]) == list(sides)
+                assert list(got["necessary_conditions"]) == list(sides)
+    assert {(CRITERION_DIAGONAL, True, None), (CRITERION_CIRCULANT, True, None),
+            (CRITERION_CIRCULANT, False, "nonuniform-diagonal")} <= seen
+    # the uniform-diagonal constant-modulus family fails side B from d = 5
+    assert ((CRITERION_CIRCULANT, False, "relation-violation") in seen) == (d > 3)
+
+
+def test_completely_classical_precheck_fits_no_phases(monkeypatch):
+    # a nonuniform a^(0) diagonal decides before the theorem, so no φ is fitted
+    rng = np.random.default_rng(73)
+    specs = [classical_x_spec(), werner_state(3, 0.1), isotropic_state(5, 0.3)]
+    specs += [perturb_spec(random_zero_discord_spec(d, "B", rng), "diagonal", 0.05, rng)
+              for d in (3, 5, 7)]
+    monkeypatch.setattr(blocks_module, "_fit_phases", _no_call)
+    for spec in specs:
+        verdict = completely_classical_check(spec)
+        assert not verdict.zero_discord
+        assert verdict.witness["kind"] == "nonuniform-diagonal"
+        assert verdict.fitted_phases is None
 
 
 def test_bell_check_recovers_alpha_and_pi():
@@ -1107,7 +1140,6 @@ _TOL_ENTRY_POINTS = {
     "circulant_necessary_conditions": lambda spec, p, tol: circulant_necessary_conditions(
         spec, "A", tol),
     "completely_classical_check": lambda spec, p, tol: completely_classical_check(spec, tol),
-    "bell_verdicts": lambda spec, p, tol: bell_verdicts([p, p], tol),
     "bell_zero_discord_check": lambda spec, p, tol: bell_zero_discord_check(p, tol),
     "run_verify": lambda spec, p, tol: run_verify(3, draws=1, tol=tol),
 }
@@ -1274,12 +1306,12 @@ def test_batched_closed_forms_equal_lone_calls(d):
     weights.append(np.full((d, d), 1.0 / d**2))
     weights = [weights[n] for n in rng.permutation(len(weights))]
     for tol in (DEFAULT_TOL, 1e-2, -1.0):
-        stacked = bell_verdicts(weights, tol)
+        stacked = blocks_module._bell_verdicts(np.array(weights), tol)  # the stack verify decides
         lone = [bell_zero_discord_check(p, tol) for p in weights]
         assert [json.dumps(v.to_json()) for v in stacked] == [json.dumps(v.to_json()) for v in lone]
         if tol == DEFAULT_TOL:
             assert {v.zero_discord for v in stacked} == {True, False}
-    assert circulant_theorem_verdicts([], [], DEFAULT_TOL) == bell_verdicts([], DEFAULT_TOL) == []
+    assert circulant_theorem_verdicts([], [], DEFAULT_TOL) == []
 
 
 def test_batched_closed_forms_reject_bad_stacks():
@@ -1290,10 +1322,6 @@ def test_batched_closed_forms_reject_bad_stacks():
         circulant_theorem_verdicts([spec3, spec3], ["A", "C"])
     with pytest.raises(DimensionError):
         circulant_theorem_verdicts([spec3, spec5], "AB")
-    with pytest.raises(DimensionError):
-        bell_verdicts([np.full((3, 3), 1 / 9), np.full((5, 5), 1 / 25)])
-    with pytest.raises(PrimeRequired):
-        bell_verdicts([np.full((4, 4), 1 / 16)])
 
 
 def test_theorem_core_checks_its_stack():
@@ -1319,64 +1347,50 @@ def test_theorem_core_checks_its_stack():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_necessary_conditions_fit_no_phases(d, monkeypatch):
-    # the prechecks never read φ, so they do not fit it, and report what the
-    # one pass of every closed form reports
+    # the prechecks never read φ, so they do not fit it, and report the
+    # failures the entry-by-entry reference finds
     rng = np.random.default_rng(60 + d)
     specs = [spec for _, spec in _two_sided_specs(d, rng)] + _batch_specs(d, rng)
     specs.append(isotropic_state(d, 0.3))
+    monkeypatch.setattr(blocks_module, "_fit_phases", _no_call)
     for tol in (1e-9, 1e-3, -1.0):
         for spec in specs:
             for side in "AB":
-                want = blocks_module._closed_forms(spec, [side], tol)[1][0]
-                with monkeypatch.context() as m:
-                    m.setattr(blocks_module, "_fit_phases", _no_call)
-                    got = circulant_necessary_conditions(spec, side, tol)
-                assert json.dumps(got) == json.dumps(want), (side, tol)
+                got = circulant_necessary_conditions(spec, side, tol)
+                want = _necessary_conditions_loop(spec, side, tol)
+                assert got["passed"] == (not want), (side, tol)
+                assert [(f["condition"], f["n"], f["entry"]) for f in got["failures"]] == \
+                    [w[:3] for w in want], (side, tol)
 
 
 def _no_call(*args):
     raise AssertionError("called")
 
 
-def _bell_error(w):
-    """(type, message) of what bell_zero_discord_check raises on ``w`` alone."""
-    with pytest.raises(Exception) as exc:
-        bell_zero_discord_check(w)
-    return type(exc.value), str(exc.value)
-
-
-def test_bell_stack_raises_the_first_bad_matrix_error():
-    # the matrices are checked in order, so the first bad one raises exactly
-    # what it raises alone, wherever it sits; weights of several d raise only
-    # once every matrix has passed
+def test_bell_check_raises_each_bad_matrix_error():
+    # each bad weight matrix raises its own error, as an array and, where it
+    # is d×d, as BellWeights; valid BellWeights answer as their array does
     rng = np.random.default_rng(5)
     good = [random_classical_bell(3, alpha, rng)[0] for alpha in range(3)]
     good += [random_nonclassical_bell(3, rng) for _ in range(3)]
     nan, neg, heavy = good[0].copy(), good[1].copy(), 1.5 * good[2]
     nan[1, 2] = np.nan
     neg[0, 0], neg[0, 1] = -0.01, neg[0, 1] + neg[0, 0] + 0.01
-    bad = {"non-finite": nan, "negative": neg, "wrong sum": heavy,
-           "non-square": np.full((3, 4), 1 / 12), "flat": np.full(9, 1 / 9)}
-    for kind, w in bad.items():
-        want = _bell_error(w)
-        forms = [w] if w.shape != (3, 3) else [w, BellWeights(3, w)]  # BellWeights holds d×d
-        for at in (0, 3, len(good)):
-            for form in forms:
-                with pytest.raises(want[0]) as exc:
-                    bell_verdicts(good[:at] + [form] + good[at:])
-                assert str(exc.value) == want[1], (kind, at)
-        later = good[:2] + [w, heavy]  # the first bad matrix decides
-        with pytest.raises(want[0]) as exc:
-            bell_verdicts(later)
-        assert str(exc.value) == want[1], kind
-    other = np.full((5, 5), 1 / 25)
-    for at in (0, 3, len(good)):
-        with pytest.raises(DimensionError, match="must share one dimension"):
-            bell_verdicts(good[:at] + [other] + good[at:])
-        with pytest.raises(InvalidSpec, match="negative weight"):
-            bell_verdicts(good[:at] + [other] + good[at:] + [neg])
-    as_objects = bell_verdicts([BellWeights(3, w) for w in good])
-    assert [v.to_json() for v in as_objects] == [v.to_json() for v in bell_verdicts(np.array(good))]
+    bad = {
+        "non-finite": (nan, InvalidSpec, "weights must be finite"),
+        "negative": (neg, InvalidSpec, "negative weight"),
+        "wrong sum": (heavy, InvalidSpec, "weights sum to"),
+        "non-square": (np.full((3, 4), 1 / 12), DimensionError, "square weight matrix"),
+        "flat": (np.full(9, 1 / 9), DimensionError, "square weight matrix"),
+        "non-prime": (np.full((4, 4), 1 / 16), PrimeRequired, "prime dimension"),
+    }
+    for kind, (w, error, message) in bad.items():
+        forms = [w] if w.ndim != 2 or w.shape[0] != w.shape[1] else [w, BellWeights(len(w), w)]
+        for form in forms:
+            with pytest.raises(error, match=message):
+                bell_zero_discord_check(form)
+    as_objects = [bell_zero_discord_check(BellWeights(3, w)).to_json() for w in good]
+    assert as_objects == [bell_zero_discord_check(w).to_json() for w in good]
 
 
 def test_closed_form_scale_is_the_sector_norms():

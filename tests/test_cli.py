@@ -118,16 +118,20 @@ def test_analyze_fits_each_side_once(capsys, monkeypatch):
 
 
 def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
-    # the theorem, the necessary conditions and complete classicality come
-    # from one closed-form pass over the analyzed sides
+    # whatever side is analyzed, the theorem is asked once, for sides A and B
+    # together, and the necessary conditions once per analyzed side
     calls = []
-    closed_forms = cli._closed_forms
-    monkeypatch.setattr(cli, "_closed_forms", lambda *a: calls.append(list(a[1])) or closed_forms(*a))
+    for name in ("circulant_theorem_verdicts", "circulant_necessary_conditions"):
+        call = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda spec, sides, tol, name=name, call=call:
+                            calls.append((name, list(sides))) or call(spec, sides, tol))
     for side in ("both", "A", "B"):
         calls.clear()
         code, out, _ = run_cli(_BELL_ARGV + ["--side", side], capsys)
         assert code == 0 and json.loads(out)["completely_classical"]["zero_discord"] is True
-        assert calls == [["A", "B"] if side == "both" else [side]], side
+        asked = ["A", "B"] if side == "both" else [side]
+        assert calls == [("circulant_theorem_verdicts", ["A", "B"])] + [
+            ("circulant_necessary_conditions", [s]) for s in asked], side
 
 
 def test_analyze_disagreement_exits_3(capsys):

@@ -610,3 +610,21 @@ def test_wrong_shape_and_unknown_side_are_rejected():
         discord_sides(rho[:3, :3], 2, ("A", "B"), CFG2)
     with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
         conditional_entropy(rho, 2, basis, "C")
+
+
+def test_basis_of_another_dimension_is_rejected():
+    # a d = 2 basis on a d = 3 state, and a d = 3 basis on a d = 2 state, are
+    # shape mismatches like any other
+    rho3 = circulant_state(werner_state(3, 0.1))
+    rho2 = circulant_state(werner_state(2, 0.3))
+    for rho, d, basis in ((rho3, 3, MeasurementBasis(2, np.eye(2))),
+                          (rho2, 2, MeasurementBasis(3, np.eye(3)))):
+        for side in "AB":
+            with pytest.raises(DimensionError, match=f"basis of dimension {d}"):
+                conditional_entropy(rho, d, basis, side)
+
+
+def test_no_side_gives_no_result():
+    rho = circulant_state(werner_state(3, 0.1))
+    assert discord_sides(rho, 3, []) == discord_sides(rho, 3, ()) == []
+    assert discord_sides(rho, 3, "", CFG2) == []
