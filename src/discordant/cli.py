@@ -39,7 +39,7 @@ from .serialize import (
     load_state_file,
     parse_state,
 )
-from .states import CirculantSpec, project_circulant
+from .states import CirculantSpec, _require_dimension, project_circulant
 from .verify import NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
 
 _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
@@ -73,6 +73,7 @@ def _family_state(args, validate: bool) -> LoadedState:
     if args.d is None:
         raise InvalidSpec("--d is required with --family")
     d = args.d
+    _require_dimension(d)
     fam = args.family
     obj = {"kind": fam, "d": d}
     if fam in ("werner", "isotropic"):
@@ -93,7 +94,7 @@ def _family_state(args, validate: bool) -> LoadedState:
             raise InvalidSpec(f"--pi must list exactly {d} values")
         if np.any(pi < 0):
             raise InvalidSpec("--pi values must be nonnegative")
-        p = pi[_bell_labels(d)[args.alpha % max(d, 1)]]  # d = 0 leaves p empty
+        p = pi[_bell_labels(d)[args.alpha % d]]
         total = float(p.sum())
         if abs(total - 1.0) > 1e-6:
             raise InvalidSpec(f"π values give total weight {total:.6f}, expected 1 (Σπ = 1/d)")

@@ -93,7 +93,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("starts", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")

@@ -27,6 +27,7 @@ from .errors import InvalidSpec
 from .states import (
     BellWeights,
     CirculantSpec,
+    _require_dimension,
     bell_diagonal_state,
     circulant_state,
     commuting_group_invariant_state,
@@ -120,8 +121,7 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
     if missing:
         raise InvalidSpec(f"missing fields {sorted(missing)} for kind {kind!r}")
     d = obj["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise InvalidSpec(f"'d' must be an integer ≥ 2, got {d!r}")
+    _require_dimension(d)
 
     if kind == "orthogonal":
         abc = decode_real_matrix(obj["abc"], (3,), "abc")
@@ -163,6 +163,6 @@ def load_state_file(path: str, validate: bool = True) -> LoadedState:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
     return parse_state(obj, validate=validate)

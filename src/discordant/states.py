@@ -24,6 +24,9 @@ from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
 ZERO_TOL = 1e-12
 #: Frobenius residual below which a matrix counts as sector-block-diagonal.
 CIRCULANT_RESIDUAL_TOL = 1e-10
+#: Largest local dimension accepted: at d = 32 analyze's start screen already holds
+#: a (2, 256·d, d²) complex array of 1.7·10⁷ entries (268 MB); at d = 64, 2.1 GB.
+MAX_DIMENSION = 32
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,12 @@ class BellWeights:
         if p.shape != (self.d, self.d):
             raise DimensionError(f"expected shape ({self.d}, {self.d}), got {p.shape}")
         object.__setattr__(self, "p", p)
+
+
+def _require_dimension(d) -> None:
+    """Raise :class:`InvalidSpec` unless ``d`` is an integer with 2 ≤ d ≤ MAX_DIMENSION."""
+    if not isinstance(d, (int, np.integer)) or not 2 <= d <= MAX_DIMENSION:  # a bool is < 2
+        raise InvalidSpec(f"d must be an integer with 2 ≤ d ≤ {MAX_DIMENSION}, got {d!r}")
 
 
 @functools.cache

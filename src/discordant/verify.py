@@ -31,6 +31,7 @@ from .states import (
     CirculantSpec,
     _bell_sectors,
     _dense_states,
+    _require_dimension,
     orthogonal_invariant_state,
 )
 
@@ -83,39 +84,22 @@ def _perturbation(d: int, kind: str, rng: np.random.Generator) -> tuple:
     return kind, int(rng.integers(0, d)), None
 
 
-def _perturb(a: np.ndarray, cuts: list) -> None:
-    """Apply drawn perturbations to a stack of sector stacks (n, d, d, d) in place.
-
-    ``cuts`` holds one (row, ε, kind, k, g) per perturbed row, the last
-    three from :func:`_perturbation`; each kind acts on all its rows in one
-    broadcast, and each row gets the values a lone perturbation gives.
-    """
+def _perturb(a: np.ndarray, epsilon: float, kind: str, k: int, g) -> None:
+    """Apply one drawn perturbation (kind, k, g of :func:`_perturbation`) to a (d, d, d) in place."""
     d = a.shape[-1]
-    i = np.arange(d)
-    for kind in PERTURBATION_KINDS:
-        group = [cut for cut in cuts if cut[2] == kind]
-        if not group:
-            continue
-        rows, eps, _, k, g = zip(*group)
-        rows, k, eps = list(rows), list(k), np.array(eps)
-        e = eps[:, None, None]
-        if kind == "modulus":
-            s = a[rows, k]
-            diag = np.zeros_like(s)
-            diag[:, i, i] = s[:, i, i]
-            a[rows, k] = (1 - e) * s + e * diag
-        elif kind == "diagonal":
-            bump = eps / d**2
-            a[rows, k, 0, 0] += bump
-            a[rows] /= 1 + bump[:, None, None, None]
-        else:
-            g = np.array(g)
-            g = g - g[:, :1]
-            peak = np.abs(g).max(axis=1)
-            flat = peak <= 1e-12
-            g[flat], peak[flat] = np.arange(d, dtype=float), float(d - 1)
-            w = np.exp(1j * e[:, 0] * g / peak[:, None])
-            a[rows, k] = w[:, :, None] * a[rows, k] * w.conj()[:, None, :]
+    if kind == "modulus":
+        a[k] = (1 - epsilon) * a[k] + epsilon * np.diag(np.diag(a[k]))
+    elif kind == "diagonal":
+        bump = epsilon / d**2
+        a[k, 0, 0] += bump
+        a /= 1 + bump
+    else:
+        g = g - g[0]
+        peak = np.abs(g).max()
+        if peak <= 1e-12:
+            g, peak = np.arange(d, dtype=float), float(d - 1)
+        w = np.exp(1j * epsilon * g / peak)
+        a[k] = w[:, None] * a[k] * w.conj()
 
 
 def perturb_spec(
@@ -139,9 +123,9 @@ def perturb_spec(
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
         raise ValueError(f"a modulus epsilon must be at most 1, got {epsilon}")
-    a = spec.a[None].copy()
-    _perturb(a, [(0, epsilon, *_perturbation(spec.d, kind, rng))])
-    return CirculantSpec(spec.d, a[0])
+    a = spec.a.copy()
+    _perturb(a, epsilon, *_perturbation(spec.d, kind, rng))
+    return CirculantSpec(spec.d, a)
 
 
 def random_classical_bell(
@@ -189,10 +173,11 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
     Gaussian G, the phases and, if ``perturbed(t)``, ε ~ U[low, 0.15) and
     those of the t-th kind's perturbation (kind None otherwise).  The
     sector stacks are then built in one (len(ts), d, d, d) stack ``a`` by
-    the core of :func:`generate_zero_discord`, which checks the seeds, and
-    perturbed in place; row t is bit for bit the ``a`` of the spec
-    :func:`random_zero_discord_spec` and :func:`perturb_spec` make from
-    the same draws.  No :class:`CirculantSpec` is made.
+    the core of :func:`generate_zero_discord`, which checks the seeds;
+    :func:`_perturb` then changes each perturbed row in place.  Row t is
+    bit for bit the ``a`` of the spec :func:`random_zero_discord_spec` and
+    :func:`perturb_spec` make from the same draws.  No
+    :class:`CirculantSpec` is made.
     """
     sides, G, phi, kinds, cuts = [], [], [], [], []
     for row, t in enumerate(ts):
@@ -203,7 +188,8 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
         if kinds[-1]:
             cuts.append((row, float(rng.uniform(low, 0.15)), *_perturbation(d, kinds[-1], rng)))
     a = _zero_discord_stacks(_psd(np.array(G)), np.array(phi), sides)
-    _perturb(a, cuts)
+    for row, *cut in cuts:
+        _perturb(a[row], *cut)
     return sides, a, kinds
 
 
@@ -263,22 +249,24 @@ def run_verify(
     draws: int = 20,
     starts: int = 24,
 ) -> tuple[list[SuiteResult], bool]:
-    """Run the cross-check suites for one prime dimension.
+    """Run the cross-check suites for one prime dimension d ≤ ``MAX_DIMENSION``.
 
     Suites: generator/checker closure, closed-form vs general-criterion
     equivalence (on valid and perturbed families), Bell weight-space
     classification, perturbation sensitivity, and (for d < 5) numeric
     agreement on a small subsample.  The structural suites go in chunks
     of as many draws as one stack of the general criterion holds, sides
-    mixed: each chunk's draws become one (n, d, d, d) sector array (or
-    one stack of Bell weights), its dense states are built from that
-    array by one scatter, and each criterion decides the whole chunk in
-    one call, with the report, and the generator states, a draw-at-a-time
-    run gives.  A non-finite ``tol`` raises ``ValueError``.
+    mixed: each chunk's draws become one (n, d, d, d) sector array, each
+    draw perturbed on its own (or one stack of Bell weights), its dense
+    states are built from that array by one scatter, and each criterion
+    decides the whole chunk in one call, with the report, and the
+    generator states, a draw-at-a-time run gives.  A dimension out of
+    range raises :class:`InvalidSpec`, a non-finite ``tol`` ``ValueError``.
     """
+    _require_dimension(d)
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
-    if draws < 1:
+    if isinstance(draws, bool) or draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     _require_finite_tol(tol)
     # made here so that a bad ``starts`` is rejected at every d, not only
@@ -339,7 +327,7 @@ def o2_simplex_rows(
     ``every``-th emitted point — the numeric discord.  A non-finite
     ``tol`` raises ``ValueError``.
     """
-    if grid < 1 or every < 0:
+    if isinstance(grid, bool) or isinstance(every, bool) or grid < 1 or every < 0:
         raise ValueError(f"need grid ≥ 1 and every ≥ 0 (0 = never), got {grid} and {every}")
     _require_finite_tol(tol)
     values = np.linspace(0.0, 1.0, grid)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from discordant import blocks, cli
+from discordant import blocks, cli, verify
 from discordant.cli import main
 from discordant.verify import SuiteResult
 
@@ -229,6 +229,47 @@ def test_verify_d4_exits_2(capsys):
     code, _, err = run_cli(["verify", "--d", "4"], capsys)
     assert code == 2
     assert "prime" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "werner", "--d", "100000000000000000000", "--lambda", "0.1"],
+    ["analyze", "--family", "isotropic", "--d", "10000000000", "--lambda", "0.1"],
+    ["analyze", "--family", "bell", "--d", "-3", "--alpha", "0", "--pi", "1"],
+    ["analyze", "--family", "bell", "--d", "33", "--alpha", "0", "--pi", "1"],
+    ["build", "--family", "werner", "--d", "33", "--lambda", "0.1"],
+    ["verify", "--d", "1000003", "--draws", "1"],
+    ["verify", "--d", "2305843009213693951", "--draws", "1"],
+    ["verify", "--d", "33", "--draws", "1"],
+])
+def test_dimension_out_of_range_exits_2(capsys, monkeypatch, argv):
+    # these raised uncaught errors (exit 1), ran out of memory, hung in
+    # is_prime, or reported "--pi must list exactly -3 values"; each is
+    # rejected before any state or array is built
+    for module, name in ((cli, "_bell_labels"), (cli, "parse_state"), (verify, "is_prime")):
+        monkeypatch.setattr(module, name, None)  # a call would raise TypeError
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: d must be an integer with 2 ≤ d ≤ 32, got ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "isotropic", "d": 10000000000, "lambda": 0.1}', "2 ≤ d ≤ 32"),
+    ("[" * 100000 + "]" * 100000, "not valid JSON"),
+])
+def test_unbuildable_state_file_exits_2(capsys, tmp_path, text, message):
+    # NumPy's "array is too big" and json.load's RecursionError escaped uncaught
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_dimension_13_is_accepted(capsys):
+    code, out, _ = run_cli(["verify", "--d", "13", "--draws", "1", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run_cli(["build", "--family", "werner", "--d", "13", "--lambda", "0.1"], capsys)
+    assert code == 0 and json.loads(out)["d"] == 13
 
 
 def test_verify_json_format(capsys):

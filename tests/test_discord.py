@@ -220,6 +220,10 @@ def test_optimizer_config_validation():
     for field in ("starts", "seed"):
         with pytest.raises(ValueError):
             OptimizerConfig(**{field: 2.5})
+    # a bool passed as an integer: starts=True, seed=False ran one start
+    for field, flag in (("starts", True), ("seed", False), ("seed", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: flag})
 
 
 def _bloch_scan_discord(rho, side, n_theta=41, n_phi=80):

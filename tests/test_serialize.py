@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from discordant import serialize
 from discordant.errors import InvalidSpec
 from discordant.linalg import check_density_matrix
 from discordant.serialize import (
@@ -16,6 +17,7 @@ from discordant.serialize import (
     parse_state,
 )
 from discordant.states import (
+    MAX_DIMENSION,
     BellWeights,
     CirculantSpec,
     bell_diagonal_state,
@@ -82,6 +84,27 @@ def test_d_must_be_integer_at_least_two():
         parse_state({"kind": "werner", "d": 2.0, "lambda": 0.0})
     with pytest.raises(InvalidSpec):
         parse_state({"kind": "werner", "d": True, "lambda": 0.0})
+
+
+@pytest.mark.parametrize("kind", ["werner", "isotropic"])
+def test_d_above_the_bound_is_rejected_before_building(kind, monkeypatch):
+    # d = 10**10 raised NumPy's "array is too big" and d = 10**20 "Maximum
+    # allowed dimension exceeded", both uncaught; d = 33 built a state
+    monkeypatch.setattr(serialize, f"{kind}_state", None)  # a call would raise TypeError
+    for d in (MAX_DIMENSION + 1, 10**10, 10**20):
+        with pytest.raises(InvalidSpec, match=f"2 ≤ d ≤ {MAX_DIMENSION}"):
+            parse_state({"kind": kind, "d": d, "lambda": 0.1})
+
+
+@pytest.mark.parametrize("as_rho", [False, True])
+def test_deeply_nested_file_is_rejected(tmp_path, as_rho):
+    # json.load's RecursionError escaped uncaught, alone and as a dense state's rho
+    nested = "[" * 100000 + "]" * 100000
+    text = f'{{"kind": "dense", "d": 2, "rho": {nested}}}' if as_rho else nested
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(InvalidSpec, match="not valid JSON"):
+        load_state_file(str(path))
 
 
 def test_malformed_matrix_entries_rejected():

@@ -12,8 +12,9 @@ from discordant.blocks import (
     generate_zero_discord,
     structural_discord_zero,
 )
-from discordant.errors import PrimeRequired
+from discordant.errors import InvalidSpec, PrimeRequired
 from discordant.states import (
+    MAX_DIMENSION,
     BellWeights,
     bell_diagonal_state,
     circulant_state,
@@ -396,3 +397,20 @@ def test_empty_library_runs_rejected():
         list(o2_simplex_rows(grid=0))
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, every=-1))
+
+
+def test_bool_counts_rejected_by_library():
+    # draws=True ran one draw per suite and grid=True, every=False yielded one row
+    with pytest.raises(ValueError, match="draws must be at least 1"):
+        run_verify(3, draws=True)
+    for kwargs in ({"grid": True}, {"grid": 3, "every": False}, {"grid": True, "every": False}):
+        with pytest.raises(ValueError, match="need grid"):
+            list(o2_simplex_rows(**kwargs))
+
+
+@pytest.mark.parametrize("d", [0, 33, 1000003, 2305843009213693951, 5.0, True])
+def test_run_verify_rejects_dimensions_out_of_range(d, monkeypatch):
+    # d = 1000003 raised MemoryError and 2⁶¹ − 1 hung in is_prime's trial division
+    monkeypatch.setattr(verify, "is_prime", None)  # a call would raise TypeError
+    with pytest.raises(InvalidSpec, match=f"2 ≤ d ≤ {MAX_DIMENSION}"):
+        run_verify(d, draws=1)
