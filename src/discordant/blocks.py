@@ -396,11 +396,11 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     """The theorem for each pair of ``zip(a, sides)``, ``a`` a (n, d, d, d) stack of sector stacks.
 
     Checks the tolerance (finite), the lengths (equal), the stack's shape
-    and that d is prime.  One reduce finds the all-diagonal stacks.  The
-    rest take one gather of their φ = 0 stacks, one scale per stack and
-    one :func:`_fit_phases` call, and their relations are checked in one
-    broadcast; a failing stack's witness is its lexicographically first
-    violation (in k, i, j).
+    and that d is prime.  The whole stack takes one gather of its φ = 0
+    stacks, one scale per stack and one :func:`_fit_phases` call, and its
+    relations are checked in one broadcast; one reduce finds the
+    all-diagonal stacks, which are classical outright.  A failing stack's
+    witness is its lexicographically first violation (in k, i, j).
     """
     _require_finite_tol(tol)
     if len(a) != len(sides):
@@ -411,23 +411,21 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     if a.shape[1:] != (d, d, d):
         raise DimensionError(f"expected a stack of ({d}, {d}, {d}) sector stacks, got {a.shape}")
     _require_prime(d)
-    codes = _side_codes(sides)
-    diagonal = _diagonal_flags(a).tolist()
-    verdicts = [StructuralVerdict(True, side, CRITERION_DIAGONAL) if flag else None
-                for side, flag in zip(sides, diagonal)]
-    rest = [n for n, flag in enumerate(diagonal) if not flag]
-    if not rest:
-        return verdicts
-    a = a[rest] if len(rest) < len(a) else a
     thr = tol * _scales(a)
-    phis = _fit_phases(a, [sides[n] for n in rest])
-    family = _family_stack(_reference_stack(a[:, 0], [codes[n] for n in rest]), phis)
+    phis = _fit_phases(a, sides)
+    family = _family_stack(_reference_stack(a[:, 0], _side_codes(sides)), phis)
     delta = np.abs(family - a)
     bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
-    for m, (n, first) in enumerate(zip(rest, bad.argmax(axis=1).tolist())):
+    verdicts = []
+    for n, (side, diagonal, first) in enumerate(
+        zip(sides, _diagonal_flags(a).tolist(), bad.argmax(axis=1).tolist())
+    ):
+        if diagonal:
+            verdicts.append(StructuralVerdict(True, side, CRITERION_DIAGONAL))
+            continue
         witness = None
-        if bad[m, first]:
-            at = (m, *np.unravel_index(first, a.shape[1:]))
+        if bad[n, first]:
+            at = (n, *np.unravel_index(first, a.shape[1:]))
             witness = {
                 "kind": "relation-violation",
                 "k": int(at[1]),
@@ -435,11 +433,11 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
                 "expected": [float(family[at].real), float(family[at].imag)],
                 "actual": [float(a[at].real), float(a[at].imag)],
                 "delta": float(delta[at]),
-                "tolerance": float(thr[m]),
+                "tolerance": float(thr[n]),
             }
-        verdicts[n] = StructuralVerdict(
-            witness is None, sides[n], CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[m]
-        )
+        verdicts.append(StructuralVerdict(
+            witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[n]
+        ))
     return verdicts
 
 
@@ -531,36 +529,26 @@ def completely_classical_check(
 
 
 def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
-    """The sector stacks (n, d, d, d) of :func:`generate_zero_discord` for n seeds at once.
+    """The sector stacks (n, d, d, d) of :func:`generate_zero_discord` for n seeds at once, unchecked.
 
     Stack i comes from the seed a0[i] (a0 is (n, d, d)), the angles φ[i]
-    (φ is (n, d)) and ``sides[i]``.  The seeds are checked together
-    (finite, Hermitian, PSD by one batched ``eigvalsh``, positive trace),
-    and the error a one-seed call raises is raised if any fails; the
-    families are then built in one broadcast, each bit for bit the one a
-    lone seed gives.
+    (φ is (n, d)) and ``sides[i]``: each seed is hermitized and scaled so
+    that its sector traces sum to 1, and the families are built in one
+    broadcast, each bit for bit the one a lone seed gives.
     """
-    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
-        raise InvalidSpec("a0 and the phases must be finite")
-    skew = np.sqrt(_squared_norms(a0 - a0.conj().swapaxes(-1, -2)))
-    if (skew > 1e-10 * np.maximum(1.0, np.sqrt(_squared_norms(a0)))).any():
-        raise InvalidSpec("a0 is not Hermitian")
     a0 = hermitize(a0)
-    if (np.linalg.eigvalsh(a0)[:, 0] < EIG_FLOOR).any():
-        raise InvalidSpec("a0 is not positive semidefinite")
-    tr = np.trace(a0, axis1=-2, axis2=-1).real
-    if (tr <= ZERO_TOL).any():
-        raise InvalidSpec("a0 must have positive trace")
-    d = a0.shape[-1]
+    d, tr = a0.shape[-1], np.trace(a0, axis1=-2, axis2=-1).real
     return _family_stack(_reference_stack(a0 / (d * tr)[:, None, None], _side_codes(sides)), phi)
 
 
 def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     """Build the zero-discord circulant family seeded by a^(0) and phases.
 
-    The finite input matrix is symmetrized, checked PSD, and scaled so
-    the sector traces sum to 1; the output passes
-    :func:`circulant_theorem_check` on the chosen side by construction.
+    The seed must be square at prime d, finite with finite phases,
+    Hermitian within 1e−10 relative, PSD and of positive trace; it is
+    symmetrized and scaled so the sector traces sum to 1, and the output
+    passes :func:`circulant_theorem_check` on the chosen side by
+    construction.  A bad seed raises :class:`InvalidSpec`.
     """
     a0 = np.asarray(a0, dtype=complex)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
@@ -568,6 +556,14 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     d = a0.shape[0]
     _require_prime(d)
     phi = np.asarray(phases, dtype=float)
+    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
+        raise InvalidSpec("a0 and the phases must be finite")
+    if frobenius(a0 - a0.conj().T) > 1e-10 * max(1.0, frobenius(a0)):
+        raise InvalidSpec("a0 is not Hermitian")
+    if np.linalg.eigvalsh(hermitize(a0))[0] < EIG_FLOOR:
+        raise InvalidSpec("a0 is not positive semidefinite")
+    if np.trace(a0).real <= ZERO_TOL:
+        raise InvalidSpec("a0 must have positive trace")
     return CirculantSpec(d, _zero_discord_stacks(a0[None], phi[None], [side])[0])
 
 

@@ -133,8 +133,7 @@ def validate_bell_weights(w: BellWeights) -> None:
 
 def shift_operator(d: int) -> np.ndarray:
     """Cyclic shift S with S[(n+1) mod d, n] = 1, i.e. S e_n = e_{n+1}."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
+    _require_dimension(d)
     S = np.zeros((d, d), dtype=complex)
     S[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
     return S
@@ -142,6 +141,7 @@ def shift_operator(d: int) -> np.ndarray:
 
 def flip_operator(d: int) -> np.ndarray:
     """Swap F of the two factors: F (x ⊗ y) = y ⊗ x."""
+    _require_dimension(d)
     F = np.zeros((d * d, d * d), dtype=complex)
     i = np.arange(d)
     F[i[:, None] * d + i, i * d + i[:, None]] = 1.0
@@ -150,6 +150,7 @@ def flip_operator(d: int) -> np.ndarray:
 
 def max_entangled_projector(d: int) -> np.ndarray:
     """Projector onto (1/√d) Σ_i e_i ⊗ e_i."""
+    _require_dimension(d)
     P = np.zeros((d * d, d * d), dtype=complex)
     P.reshape(-1)[_sector_index(d)[0]] = 1.0 / d
     return P
@@ -200,6 +201,7 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
     The d² projectors are mutually orthogonal and sum to the identity;
     (m, n) = (0, 0) gives the plain maximally entangled projector.
     """
+    _require_dimension(d)
     if not (0 <= m < d and 0 <= n < d):
         raise IndexError(f"indices ({m}, {n}) out of range for d={d}")
     i = np.arange(d)
@@ -243,8 +245,7 @@ def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     (the swap itself mixes sectors and is not circulant).  With
     ``validate`` (default) a non-PSD result raises :class:`InvalidSpec`.
     """
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
+    _require_dimension(d)
     _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
     a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
@@ -259,8 +260,7 @@ def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
 
 def isotropic_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     """(1−λ)/d²·I⊗I + λ·(maximally entangled projector), as a circulant spec."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
+    _require_dimension(d)
     _require_finite_lambda(lam)
     base = (1.0 - lam) / d**2
     a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
@@ -278,12 +278,11 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
     projector (I−F)/2, and P_0 = (I+F)/2 − P_2; each is normalized by its
     trace (d(d+1)/2 − 1, d(d−1)/2 and 1 respectively).
     """
+    _require_dimension(d)
     a, b, c = (float(x) for x in abc)
     finite = np.isfinite([a, b, c]).all()
     if not finite or min(a, b, c) < -ZERO_TOL or abs(a + b + c - 1.0) > 1e-12:
         raise InvalidSpec(f"weights ({a}, {b}, {c}) must be finite, nonnegative and sum to 1")
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
     F = flip_operator(d)
     eye = np.eye(d * d, dtype=complex)
     P2 = max_entangled_projector(d)
@@ -297,14 +296,8 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
     )
 
 
-def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> CirculantSpec:
-    """Circulant spec with a^(0) = a and a^(k) = diag(dmat[i, i+k]) for k ≥ 1.
-
-    ``dmat`` holds the nonnegative diagonal weights d_{ij} for i ≠ j (its
-    diagonal must be zero).  The spec must then pass
-    :func:`validate_circulant_spec`: ``a`` finite, Hermitian and PSD, and
-    the total trace tr(a) + Σ_{i≠j} d_{ij} equal to 1.
-    """
+def _commuting_inputs(a, dmat) -> tuple[np.ndarray, np.ndarray]:
+    """(a, dmat) as arrays, checked: a square, dmat (d, d), nonnegative, zero on its diagonal."""
     a = np.asarray(a, dtype=complex)
     dmat = np.asarray(dmat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -316,6 +309,19 @@ def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> Circulan
         raise InvalidSpec(f"negative weight {dmat.min():.3e} in dmat")
     if not np.all(np.abs(np.diag(dmat)) <= ZERO_TOL):
         raise InvalidSpec("diagonal entries of dmat must be zero")
+    return a, dmat
+
+
+def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> CirculantSpec:
+    """Circulant spec with a^(0) = a and a^(k) = diag(dmat[i, i+k]) for k ≥ 1.
+
+    ``dmat`` holds the nonnegative diagonal weights d_{ij} for i ≠ j (its
+    diagonal must be zero).  The spec must then pass
+    :func:`validate_circulant_spec`: ``a`` finite, Hermitian and PSD, and
+    the total trace tr(a) + Σ_{i≠j} d_{ij} equal to 1.
+    """
+    a, dmat = _commuting_inputs(a, dmat)
+    d = a.shape[0]
     stack = np.zeros((d, d, d), dtype=complex)
     i, k = np.arange(d), np.arange(1, d)[:, None]
     stack[k, i, i] = dmat[i, (i + k) % d]
@@ -326,8 +332,12 @@ def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> Circulan
 
 
 def ppt_check_commuting(a: np.ndarray, dmat: np.ndarray) -> bool:
-    """Positivity of the partial transpose: |a_{ij}|² ≤ d_{ij}·d_{ji} for all i ≠ j."""
-    a = np.asarray(a, dtype=complex)
-    dmat = np.asarray(dmat, dtype=float)
+    """Positivity of the partial transpose: |a_{ij}|² ≤ d_{ij}·d_{ji} for all i ≠ j.
+
+    The inputs follow the rules of :func:`commuting_group_invariant_state` and must be finite.
+    """
+    a, dmat = _commuting_inputs(a, dmat)
+    if not (np.isfinite(a).all() and np.isfinite(dmat).all()):
+        raise InvalidSpec("a and dmat must be finite")
     off = ~np.eye(a.shape[0], dtype=bool)
     return not np.any(off & (np.abs(a) ** 2 > dmat * dmat.T + 1e-12))

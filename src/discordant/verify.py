@@ -173,8 +173,9 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
     Gaussian G, the phases and, if ``perturbed(t)``, ε ~ U[low, 0.15) and
     those of the t-th kind's perturbation (kind None otherwise).  The
     sector stacks are then built in one (len(ts), d, d, d) stack ``a`` by
-    the core of :func:`generate_zero_discord`, which checks the seeds;
-    :func:`_perturb` then changes each perturbed row in place.  Row t is
+    the core of :func:`generate_zero_discord`, unchecked, since G·G† +
+    0.05·I is a valid seed by construction; :func:`_perturb` then changes
+    each perturbed row in place.  Row t is
     bit for bit the ``a`` of the spec :func:`random_zero_discord_spec` and
     :func:`perturb_spec` make from the same draws.  No
     :class:`CirculantSpec` is made.
@@ -200,8 +201,8 @@ def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
     holds states, sides mixed.  Its draws are made by :func:`_draws` as
     one sector array, which goes as it is to one :func:`_theorem_verdicts`
     call and, assembled into dense states by one scatter, to one
-    :func:`structural_verdicts` call.  The states are not re-validated
-    (their seeds are): :func:`generate_zero_discord` and
+    :func:`structural_verdicts` call.  Neither the seeds nor the states
+    are validated: :func:`generate_zero_discord` from a ``_psd`` seed and
     :func:`perturb_spec` make valid specs by construction, as the tests pin.
     """
     for chunk in _chunks(d, draws):

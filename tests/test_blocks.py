@@ -787,13 +787,31 @@ def test_generate_zero_discord_contract():
 def test_generate_zero_discord_rejections():
     with pytest.raises(PrimeRequired):
         generate_zero_discord(np.eye(4), np.zeros(4), "A")
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="a0 is not Hermitian"):
         generate_zero_discord(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2), "A")
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="a0 must have positive trace"):
         generate_zero_discord(np.zeros((2, 2)), np.zeros(2), "A")
     neg = np.diag([1.0, -0.5])
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="a0 is not positive semidefinite"):
         generate_zero_discord(neg, np.zeros(2), "A")
+    a0 = np.eye(3) / 3
+    for bad in (np.nan, np.inf):
+        seed = a0.astype(complex)
+        seed[0, 1] = bad
+        with pytest.raises(InvalidSpec, match="a0 and the phases must be finite"):
+            generate_zero_discord(seed, np.zeros(3), "B")
+        with pytest.raises(InvalidSpec, match="a0 and the phases must be finite"):
+            generate_zero_discord(a0, [0.0, bad, 0.0], "B")
+    # ‖a0 − a0†‖_F is exactly 2δ here, and max(1, ‖a0‖_F) is 1
+    for delta, hermitian in ((1e-10, False), (2.5e-11, True)):
+        skew = a0.astype(complex)
+        skew[1, 1] += 1j * delta
+        if hermitian:
+            spec = generate_zero_discord(skew, np.zeros(3), "A")
+            assert circulant_theorem_check(spec, "A").zero_discord
+        else:
+            with pytest.raises(InvalidSpec, match="a0 is not Hermitian"):
+                generate_zero_discord(skew, np.zeros(3), "A")
 
 
 def test_completely_classical_check():

@@ -42,8 +42,28 @@ def test_shift_operator_cycles_basis():
     e0[0] = 1
     np.testing.assert_array_equal(S @ e0, [0, 1, 0])
     np.testing.assert_allclose(np.linalg.matrix_power(S, 3), np.eye(3), atol=0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvalidSpec, match="2 ≤ d ≤ 32"):
         shift_operator(1)
+
+
+_CONSTRUCTORS = {
+    "werner_state": lambda d: werner_state(d, 0.1),
+    "isotropic_state": lambda d: isotropic_state(d, 0.1),
+    "orthogonal_invariant_state": lambda d: orthogonal_invariant_state((1.0, 0.0, 0.0), d),
+    "shift_operator": shift_operator,
+    "flip_operator": flip_operator,
+    "max_entangled_projector": max_entangled_projector,
+    "bell_projector": lambda d: bell_projector(0, 0, d),
+}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2.0, True, 33, 10**10])
+@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+def test_constructors_share_the_dimension_rule(name, d):
+    # each used to apply its own rule: a float d raised TypeError, d = 10**10
+    # NumPy's ValueError, d = 0 ZeroDivisionError, and d < 2 a 1×1 matrix
+    with pytest.raises(InvalidSpec, match="2 ≤ d ≤ 32"):
+        _CONSTRUCTORS[name](d)
 
 
 def test_flip_operator_swaps_tensor_factors():
@@ -224,6 +244,23 @@ def test_commuting_group_invariant_state():
         commuting_group_invariant_state(a, np.array([[0.1, 0.4], [0.4, 0.0]]))
     with pytest.raises(InvalidSpec):
         commuting_group_invariant_state(a, np.array([[0.0, 0.3], [0.3, 0.0]]))
+
+
+def test_ppt_check_commuting_checks_its_inputs():
+    # each of these used to answer True or raise NumPy's broadcasting error
+    a, dmat = np.eye(2) * 0.1, np.array([[0.0, 0.4], [0.4, 0.0]])
+    with pytest.raises(InvalidSpec, match="a and dmat must be finite"):
+        ppt_check_commuting(np.full((2, 2), np.nan), dmat)
+    with pytest.raises(InvalidSpec, match="a and dmat must be finite"):
+        ppt_check_commuting(a, np.array([[0.0, np.inf], [0.4, 0.0]]))
+    with pytest.raises(InvalidSpec, match=re.escape("negative weight -1.000e+00 in dmat")):
+        ppt_check_commuting(a, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(InvalidSpec, match="diagonal entries of dmat must be zero"):
+        ppt_check_commuting(a, np.array([[0.1, 0.4], [0.4, 0.0]]))
+    with pytest.raises(DimensionError, match=re.escape("dmat must have shape (2, 2), got (3, 3)")):
+        ppt_check_commuting(a, np.zeros((3, 3)))
+    with pytest.raises(DimensionError, match="a must be square"):
+        ppt_check_commuting(np.zeros(2), dmat)
 
 
 def test_spec_shape_errors():
