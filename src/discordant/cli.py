@@ -5,8 +5,10 @@ the structural checkers and the numeric oracle on a state and reports
 their agreement, ``verify`` batch-runs the cross-check suites, and
 ``simplex`` emits CSV data for the d=2 orthogonal-invariant simplex.
 
-Exit codes: 0 success/agreement, 1 a ``verify`` suite failed, 2 input
-error, 3 structural/numeric disagreement beyond tolerance.  The
+Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
+outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
+from 1 to 256), 3 an ``analyze`` outcome of ``disagree``: a structural
+zero with numeric D above the nonzero threshold.  The
 environment variable DISCORDANT_SEED overrides ``--seed`` everywhere.
 """
 
@@ -29,7 +31,7 @@ from .blocks import (
     is_prime,
     structural_verdicts,
 )
-from .discord import OptimizerConfig, discord_sides
+from .discord import SCREEN_DRAWS, OptimizerConfig, discord_sides
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
     LoadedState,
@@ -43,6 +45,8 @@ from .states import CirculantSpec, _require_dimension, project_circulant
 from .verify import NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
 
 _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
+#: ``analyze`` outcomes, from best to worst.
+_OUTCOMES = ("agree", "inconclusive", "disagree")
 
 
 def _effective_seed(args) -> int:
@@ -120,6 +124,21 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _outcome(zero: bool, dval: float) -> str:
+    """How one side's numeric D bears on its structural verdict.
+
+    Only a structural zero can be contradicted: the reported D is an upper
+    bound on the discord, so a small D may be a tiny true discord or an
+    optimizer short of the optimum, and is inconclusive.  A structural zero
+    with D in the gap between the numeric thresholds is inconclusive too.
+    """
+    if zero:
+        if dval > NUMERIC_NONZERO_TOL:
+            return "disagree"
+        return "inconclusive" if dval > NUMERIC_ZERO_TOL else "agree"
+    return "inconclusive" if dval < NUMERIC_NONZERO_TOL else "agree"
+
+
 def cmd_analyze(args) -> int:
     seed = _effective_seed(args)
     loaded = _load_input(args, validate=True)
@@ -165,18 +184,15 @@ def cmd_analyze(args) -> int:
     if loaded.weights is not None and is_prime(d):
         report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
 
-    agreement = True
+    outcome = "agree"
     for side, verdict, result in zip(sides, structural, discord_sides(loaded.rho, d, sides, cfg)):
         report["numeric"][side] = result.to_json()
-        zero = verdict.zero_discord
-        if zero and result.discord > NUMERIC_NONZERO_TOL:
-            agreement = False
-        if not zero and result.discord < NUMERIC_ZERO_TOL:
-            agreement = False
-    report["agreement"] = agreement
+        outcome = max(outcome, _outcome(verdict.zero_discord, result.discord), key=_OUTCOMES.index)
+    report["outcome"] = outcome
+    report["agreement"] = outcome != "disagree"
 
     _emit(json.dumps(report, indent=2), args.output)
-    return 0 if agreement else 3
+    return 3 if outcome == "disagree" else 0
 
 
 def cmd_build(args) -> int:
@@ -299,6 +315,8 @@ def main(argv=None) -> int:
         for flag in ("starts", "draws", "grid"):
             if getattr(args, flag, 1) < 1:
                 raise InvalidSpec(f"--{flag} must be at least 1")
+        if getattr(args, "starts", 1) > SCREEN_DRAWS + 2:
+            raise InvalidSpec(f"--starts must be at most {SCREEN_DRAWS + 2}")
         if getattr(args, "every", 0) < 0:
             raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)

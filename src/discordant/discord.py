@@ -11,14 +11,15 @@ unitary U, and C = S(ρ_other) − min_U f(U) with f(U) = Σ_k p_k S(σ_k/p_k)
 the entropy left after measuring.  A stack of bases is scored at once:
 one contraction gives every conditional state σ_k, one batched
 eigendecomposition gives f and its closed-form Riemannian gradient on
-U(d).  A seeded screen (identity, Fourier basis, a few hundred Haar
-draws made by batched Gram–Schmidt) picks the starts, scoring every
-candidate against both measured sides in one contraction.  It scores
-them from closed-form eigenvalues at d = 2 and 3, which are accurate
-enough to rank candidates but not to report a value: every returned
-number comes from LAPACK.  Steepest
-descent along the geodesics U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen,
-IEEE TSP 2008) refines them together, both measured sides in one stack.
+U(d).  A seeded screen picks the starts: the identity, the Fourier basis
+and ``SCREEN_DRAWS`` Haar bases that the seed picks from a table of twice
+as many, drawn by batched Gram–Schmidt once per d and kept with their
+projectors.  It scores every candidate against both measured sides in one
+contraction, from closed-form eigenvalues at d = 2 and 3, which are
+accurate enough to rank candidates but not to report a value: every
+returned number comes from LAPACK.  Steepest descent along the geodesics
+U ← exp(μΩ)U (Abrudan, Eriksson & Koivunen, IEEE TSP 2008) refines them
+together, both measured sides in one stack.
 Each step length μ is the minimizer of a parabola fitted to the last
 trial (Nocedal & Wright, Numerical Optimization, §3.5).
 Computing discord is NP-complete (Huang, NJP 16, 033027, 2014), so the
@@ -85,7 +86,8 @@ class OptimizerConfig:
     """Search budget of the classical-correlation optimizer.
 
     ``starts`` descents run side by side, each for at most ``MAX_ITERS``
-    steps, from candidates screened with ``seed``.
+    steps, from candidates screened with ``seed``; there are
+    ``SCREEN_DRAWS`` + 2 candidates, so at most that many starts.
     """
 
     starts: int = 24
@@ -98,6 +100,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if self.starts > SCREEN_DRAWS + 2:
+            raise ValueError(f"starts must be at most {SCREEN_DRAWS + 2}, the screen's candidates")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -190,17 +194,35 @@ def _small_eigvalsh(H: np.ndarray) -> np.ndarray:
     return np.stack([bottom, middle, top], axis=-1)
 
 
+def _projectors(U: np.ndarray) -> np.ndarray:
+    """Projector rows of stacks of bases U, shape (..., S, d, d) → (..., S, d, d, d).
+
+    Row [..., s, k] is (U_k U_k†)ᵀ for column k of basis s, laid out to
+    contract with the R of :func:`_contraction`.
+    """
+    cols = U.swapaxes(-1, -2)
+    return cols.conj()[..., None] * cols[..., None, :]
+
+
 def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     """f(U) = Σ_k p_k S(σ_k/p_k) for stacks of S bases U, shape (..., S, d, d).
 
-    R, shape (..., d², d²), is one contraction per measured side.  The
-    leading shapes of U and R broadcast: the screen scores one stack of
-    candidates against both sides in one product.  σ_k is used as the
-    contraction leaves it, Hermitian to rounding: ``eigh`` reads its lower
-    triangle and ``_small_eigvalsh`` its upper one, and p_k its real
-    diagonal.  Returns f, shape (..., S), and with ``gradient`` the
-    descent direction Ω = A − A†,
-    A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
+    See :func:`_scores`, which takes the bases' projector rows.
+    """
+    return _scores(R, _projectors(U), gradient)
+
+
+def _scores(R: np.ndarray, W: np.ndarray, gradient: bool = True):
+    """f = Σ_k p_k S(σ_k/p_k) for stacks of S bases given by their projector rows W.
+
+    W, shape (..., S, d, d, d), comes from :func:`_projectors`.  R, shape
+    (..., d², d²), is one contraction per measured side.  The leading shapes
+    of W and R broadcast: the screen scores one stack of candidates against
+    both sides in one product.  σ_k is used as the contraction leaves it,
+    Hermitian to rounding: ``eigh`` reads its lower triangle and
+    ``_small_eigvalsh`` its upper one, and p_k its real diagonal.  Returns
+    f, shape (..., S), and with ``gradient`` the descent direction
+    Ω = A − A†, A = Σ_k U_k U_k† M_k, M_k = Tr_other[(1⊗G_k)ρ] with
     G_k = −log₂(σ_k/p_k): along any skew-Hermitian X,
     d/dt f(exp(tX)U) at t = 0 is Tr(XΩ), and −‖Ω‖² along Ω itself.
 
@@ -208,11 +230,8 @@ def _objective(R: np.ndarray, U: np.ndarray, gradient: bool = True):
     to rank candidates but not to report a value: at d = 3 a near-degenerate
     σ_k can shift f by ~1e-7 bits.  Callers that return f use ``gradient``.
     """
-    *own, S, d, _ = U.shape
+    *own, S, d, _, _ = W.shape
     batch = np.broadcast_shapes(tuple(own), R.shape[:-2])
-    cols = U.swapaxes(-1, -2)
-    # W[..., s, k] = (U_k U_k†)ᵀ: the k-th projector, flattened to contract with R.
-    W = cols.conj()[..., None] * cols[..., None, :]
     sigma = (W.reshape(*own, S * d, d * d) @ R).reshape(*batch, S, d, d, d)
     lam, V = np.linalg.eigh(sigma) if gradient else (_small_eigvalsh(sigma), None)
     lam = np.maximum(lam, 0.0)
@@ -247,29 +266,43 @@ def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _fixed_candidates(d: int) -> np.ndarray:
-    """The identity and the Fourier basis, the first two screen candidates (cached, read-only)."""
-    return _read_only(np.stack([np.eye(d, dtype=complex), fourier_matrix(d)]))
+def _screen_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's candidate bases and their projector rows (cached, read-only).
+
+    The identity and the Fourier basis head 2·``SCREEN_DRAWS`` Haar draws
+    from ``random_unitary``, the same at every call for a given d.
+    """
+    haar = random_unitary(d, np.random.default_rng(d), 2 * SCREEN_DRAWS)
+    candidates = np.concatenate([np.eye(d, dtype=complex)[None], fourier_matrix(d)[None], haar])
+    return _read_only(candidates), _read_only(_projectors(candidates))
 
 
 def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarray:
     """Per contraction in Rs, the ``cfg.starts`` best screened bases, slightly rotated.
 
-    The candidates (the identity, the Fourier basis and Haar draws from
-    ``random_unitary``'s Gram–Schmidt) and the rotations are drawn once for
-    all sides.  One ``_objective`` call in its eigenvalue-only branch scores
-    every candidate against every side in one contraction; each side then
-    keeps its own best ``cfg.starts``, in stable order.  The rotation matters:
-    for Bell-diagonal states the identity and Fourier bases are exact
-    critical points, where Ω = 0 and descent would never leave them.
+    The candidates, the identity, the Fourier basis and ``SCREEN_DRAWS``
+    distinct Haar bases that ``rng`` picks from ``_screen_table``, and the
+    rotations are drawn once for all sides.  One product of the candidates'
+    cached projector rows scores every candidate against every side, from
+    ``_scores``' eigenvalue-only branch; each side then keeps its own best
+    ``cfg.starts``, in stable order.  The rotation matters: for
+    Bell-diagonal states the identity and Fourier bases are exact critical
+    points, where Ω = 0 and descent would never leave them.
+
+    The table is built by the first call at each d and kept: its rows take
+    (2·``SCREEN_DRAWS`` + 2)·d³·16 bytes, 0.22 MB at d = 3, 18 MB at
+    d = 13 and 267 MB at d = 32 (``MAX_DIMENSION``), and each call gathers
+    the half it scores.
     """
-    haar = random_unitary(d, rng, max(SCREEN_DRAWS, cfg.starts))
-    candidates = np.concatenate([_fixed_candidates(d), haar])
+    table, rows = _screen_table(d)
+    haar = 2 + rng.choice(2 * SCREEN_DRAWS, SCREEN_DRAWS, replace=False)
+    picked = np.concatenate([[0, 1], haar])
     Z = rng.standard_normal((cfg.starts, d, d)) + 1j * rng.standard_normal((cfg.starts, d, d))
     w, V = np.linalg.eigh(Z + Z.conj().swapaxes(-1, -2))
     kick = _exp_i(w, V, np.full(cfg.starts, START_KICK))
-    scores, _ = _objective(Rs, candidates[None], gradient=False)
-    return kick @ candidates[np.argsort(scores, axis=-1, kind="stable")[:, : cfg.starts]]
+    scores, _ = _scores(Rs, rows[picked][None], gradient=False)
+    best = picked[np.argsort(scores, axis=-1, kind="stable")[:, : cfg.starts]]
+    return kick @ table[best]
 
 
 def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):

@@ -25,7 +25,8 @@ ZERO_TOL = 1e-12
 #: Frobenius residual below which a matrix counts as sector-block-diagonal.
 CIRCULANT_RESIDUAL_TOL = 1e-10
 #: Largest local dimension accepted: at d = 32 analyze's start screen already holds
-#: a (2, 256·d, d²) complex array of 1.7·10⁷ entries (268 MB); at d = 64, 2.1 GB.
+#: a (2, 256·d, d²) complex array of 1.7·10⁷ entries (268 MB), besides its kept
+#: 267 MB candidate table; at d = 64, 2.1 GB each.
 MAX_DIMENSION = 32
 
 

@@ -35,7 +35,7 @@ from discordant.blocks import (
     structural_discord_zero,
     structural_verdicts,
 )
-from discordant.discord import _fixed_candidates
+from discordant.discord import _screen_table
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
 from discordant.serialize import LoadedState
 from discordant.linalg import fourier_matrix, hermitize, random_unitary
@@ -1265,7 +1265,7 @@ def test_each_tolerance_gets_its_own_verdict():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_kept_arrays_are_read_only(d):
-    kept = [_generic_weights(d), _fixed_candidates(d), _shifts(d), _sector_index(d),
+    kept = [_generic_weights(d), *_screen_table(d), _shifts(d), _sector_index(d),
             *_phase_paths(d)]
     for array in kept:
         assert not array.flags.writeable

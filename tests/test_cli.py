@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, JSON/CSV output."""
 
+import importlib
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from discordant import blocks, cli, verify
 from discordant.cli import main
+from discordant.linalg import fourier_matrix
+from discordant.serialize import circulant_to_json
 from discordant.verify import SuiteResult
 
 
@@ -145,6 +148,69 @@ def test_analyze_disagreement_exits_3(capsys):
     assert code == 3
     report = json.loads(out)
     assert report["agreement"] is False
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", verify.PERTURBATION_KINDS)
+def test_analyze_tiny_discord_is_inconclusive(capsys, tmp_path, d, kind):
+    # perturbed by 1e-4, the state is structurally discordant while the
+    # optimizer's D is at most 1e-8: an upper bound that small cannot
+    # contradict the structural verdict, so it is no disagreement
+    rng = np.random.default_rng(0)
+    spec = verify.perturb_spec(verify.random_zero_discord_spec(d, "A", rng), kind, 1e-4, rng)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(circulant_to_json(spec)))
+    code, out, _ = run_cli(["analyze", str(state_path), "--side", "A", "--starts", "2"], capsys)
+    report = json.loads(out)
+    assert report["structural"]["A"]["zero_discord"] is False
+    assert report["numeric"]["A"]["D"] < verify.NUMERIC_NONZERO_TOL
+    assert (code, report["outcome"], report["agreement"]) == (0, "inconclusive", True)
+
+
+def test_analyze_optimizer_miss_on_a_zero_state_exits_3(capsys, monkeypatch, tmp_path):
+    # a structural zero is contradicted by a numeric D above the nonzero
+    # threshold, here that of a fixed bad basis in place of the optimum
+    module = importlib.import_module("discordant.discord")
+    spec = verify.random_zero_discord_spec(3, "A", np.random.default_rng(1))
+    basis = module.MeasurementBasis(3, fourier_matrix(3))
+
+    def fixed(rho, d, sides, cfg):
+        return [(module.conditional_entropy(rho, d, basis, side), basis, 0) for side in sides]
+
+    monkeypatch.setattr(module, "_optimize", fixed)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(circulant_to_json(spec)))
+    code, out, _ = run_cli(["analyze", str(state_path), "--side", "A"], capsys)
+    report = json.loads(out)
+    assert report["structural"]["A"]["zero_discord"] is True
+    assert report["numeric"]["A"]["D"] > verify.NUMERIC_NONZERO_TOL
+    assert (code, report["outcome"], report["agreement"]) == (3, "disagree", False)
+
+
+def test_analyze_report_repeats_byte_for_byte(capsys):
+    # one seed gives one report, whether the screen's table is built by
+    # this call or was cached by the one before
+    argv = ["analyze", "--family", "isotropic", "--d", "3", "--lambda", "0.4",
+            "--starts", "2", "--seed", "5"]
+    importlib.import_module("discordant.discord")._screen_table.cache_clear()
+    first = run_cli(argv, capsys)
+    assert first[0] == 0 and json.loads(first[1])["outcome"] == "agree"
+    assert run_cli(argv, capsys) == first
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1"],
+    ["verify", "--d", "3", "--draws", "1"],
+    ["simplex", "--grid", "3"],
+], ids=["analyze", "verify", "simplex"])
+@pytest.mark.parametrize("starts", [257, 10**15])
+def test_starts_beyond_the_screen_exit_2(capsys, command, starts):
+    # --starts 10**15 ran out of memory with a traceback; a start needs a
+    # screened candidate, and there are 256
+    code, out, err = run_cli(command + ["--starts", str(starts)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--starts must be at most 256" in err
 
 
 def test_build_analyze_round_trip(capsys, tmp_path):

@@ -15,6 +15,7 @@ from discordant.blocks import (
     structural_verdicts,
 )
 from discordant.discord import (
+    SCREEN_DRAWS,
     DiscordResult,
     MeasurementBasis,
     OptimizerConfig,
@@ -573,11 +574,65 @@ def test_gram_schmidt_draws_do_not_change_results(monkeypatch):
     # the package's ``discord`` function shadows the submodule of that name
     module = importlib.import_module("discordant.discord")
     monkeypatch.setattr(module, "random_unitary", lapack_unitary)
-    lapack = run()
+    module._screen_table.cache_clear()  # the cached table holds the screen's draws
+    try:
+        lapack = run()
+    finally:
+        module._screen_table.cache_clear()
     for got, want in zip(gram_schmidt, lapack):
         for a, b in zip(got, want):
             assert abs(a.discord - b.discord) <= 1e-12
             assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
+
+
+def test_screen_draws_its_table_once_per_d(monkeypatch):
+    # The first screen at a d draws the candidate table; later screens at
+    # that d, whatever their seed or state, make no Haar draw.
+    module = importlib.import_module("discordant.discord")
+    draws = []
+
+    def counted(d, rng, count=None):
+        draws.append((d, count))
+        return random_unitary(d, rng, count)
+
+    monkeypatch.setattr(module, "random_unitary", counted)
+    module._screen_table.cache_clear()
+    rng = np.random.default_rng(53)
+    for d in (2, 3):
+        for seed, rho in enumerate(_sides_states(d, rng)):
+            discord_sides(rho, d, ("A", "B"), OptimizerConfig(starts=2, seed=seed))
+    assert draws == [(2, 2 * SCREEN_DRAWS), (3, 2 * SCREEN_DRAWS)]
+
+
+def test_seeds_screen_different_table_subsets(monkeypatch):
+    # Each screen scores the identity, the Fourier basis and SCREEN_DRAWS
+    # distinct table draws; two seeds pick two different sets of draws.
+    module = importlib.import_module("discordant.discord")
+    scores, screened = module._scores, []
+
+    def recorded(R, W, gradient=True):
+        if not gradient:
+            screened.append(W[0])
+        return scores(R, W, gradient)
+
+    monkeypatch.setattr(module, "_scores", recorded)
+    rho = circulant_state(werner_state(3, 0.2))
+    for seed in (0, 1):
+        discord(rho, 3, "A", OptimizerConfig(starts=2, seed=seed))
+    _, rows = module._screen_table(3)
+    index = {row.tobytes(): n for n, row in enumerate(rows)}
+    picked = [[index[row.tobytes()] for row in W] for W in screened]
+    for p in picked:
+        assert p[:2] == [0, 1] and len(set(p)) == len(p) == SCREEN_DRAWS + 2
+    assert set(picked[0]) != set(picked[1])
+
+
+def test_starts_are_bounded_by_the_screen():
+    # a descent starts from a distinct screened candidate, so there are at
+    # most SCREEN_DRAWS + 2 starts
+    assert OptimizerConfig(starts=SCREEN_DRAWS + 2).starts == SCREEN_DRAWS + 2
+    with pytest.raises(ValueError, match="at most 256"):
+        OptimizerConfig(starts=SCREEN_DRAWS + 3)
 
 
 @settings(deadline=None, max_examples=15)
