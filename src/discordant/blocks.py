@@ -128,14 +128,16 @@ class StructuralVerdict:
     basis: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
+        phases, pi = (None if x is None else np.asarray(x, dtype=float).tolist()
+                      for x in (self.fitted_phases, self.pi))
         return {
             "side": self.side,
             "zero_discord": self.zero_discord,
             "criterion": self.criterion,
             "alpha": self.alpha,
             "line": self.line,
-            "phases": None if self.fitted_phases is None else [float(x) for x in self.fitted_phases],
-            "pi": None if self.pi is None else [float(x) for x in self.pi],
+            "phases": phases,
+            "pi": pi,
             "witness": self.witness,
         }
 
@@ -481,9 +483,9 @@ def circulant_necessary_conditions(
     got, want = np.where(eye, got.real, got_abs), np.where(eye, want.real, want_abs)
     names = _CONDITIONS[side]
     failures = [
-        {"condition": names[i != j], "n": n + 1, "entry": [i, j],
-         "got": float(got[n, i, j]), "want": float(want[n, i, j])}
-        for n, i, j in zip(*(idx.tolist() for idx in fail.nonzero()))
+        {"condition": names[i != j], "n": n + 1, "entry": [i, j], "got": g, "want": w}
+        for n, i, j, g, w in zip(*(idx.tolist() for idx in fail.nonzero()),
+                                 got[fail].tolist(), want[fail].tolist())
     ]
     return {"side": side, "passed": not failures, "diagonal_classical": False,
             "failures": failures}

@@ -4,6 +4,8 @@ Commands: ``build`` emits state JSON for a named family, ``analyze`` runs
 the structural checkers and the numeric oracle on a state and reports
 their agreement, ``verify`` batch-runs the cross-check suites, and
 ``simplex`` emits CSV data for the d=2 orthogonal-invariant simplex.
+``analyze`` and ``verify --format json`` print one JSON object on one
+line; ``build`` writes indented state JSON.
 
 Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
 outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
@@ -115,13 +117,13 @@ def _load_input(args, validate: bool) -> LoadedState:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` and a newline to ``output`` or stdout: the same bytes either way."""
+    text += "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _outcome(zero: bool, dval: float) -> str:
@@ -191,7 +193,7 @@ def cmd_analyze(args) -> int:
     report["outcome"] = outcome
     report["agreement"] = outcome != "disagree"
 
-    _emit(json.dumps(report, indent=2), args.output)
+    _emit(json.dumps(report), args.output)
     return 3 if outcome == "disagree" else 0
 
 
@@ -213,12 +215,9 @@ def cmd_verify(args) -> int:
         args.d, seed=seed, tol=args.tol, draws=args.draws, starts=args.starts
     )
     if args.format == "json":
-        text = json.dumps(
-            {"d": args.d, "seed": seed, "pass": all_pass,
-             "suites": [r.to_json() for r in results]},
-            indent=2,
-        )
-        _emit(text, args.output)
+        report = {"d": args.d, "seed": seed, "pass": all_pass,
+                  "suites": [r.to_json() for r in results]}
+        _emit(json.dumps(report), args.output)
     else:
         lines = []
         for r in results:
@@ -229,7 +228,7 @@ def cmd_verify(args) -> int:
                 for detail in r.details:
                     lines.append(f"  - {detail}")
         lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines), args.output)
     return 0 if all_pass else 1
 
 
@@ -243,7 +242,7 @@ def cmd_simplex(args) -> int:
         lines.append(
             f"{row['b']:.10g},{row['c']:.10g},{row['separable']},{row['zero_discord']},{numeric}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 

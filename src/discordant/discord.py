@@ -122,15 +122,13 @@ class DiscordResult:
     starts_converged: int
 
     def to_json(self) -> dict:
+        v = self.best_measurement.vectors.T  # row k: basis vector k
         return {
             "I": self.mutual_information,
             "C": self.classical_correlation,
             "D": self.discord,
             "side": self.side,
-            "basis": [
-                [[float(z.real), float(z.imag)] for z in self.best_measurement.vectors[:, k]]
-                for k in range(self.best_measurement.d)
-            ],
+            "basis": np.stack([v.real, v.imag], -1).tolist(),
             "starts_converged": self.starts_converged,
         }
 

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -625,3 +627,100 @@ def test_bell_family_flags_take_the_line_labels(d, capsys):
         assert code == 0
         want = {"kind": "bell", "d": d, "p": (p / float(p.sum())).tolist()}
         assert out == json.dumps(want, indent=2) + "\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_FAMILY_EXAMPLES = re.findall(r"^discordant analyze (--family .*)$", README.read_text("utf-8"), re.M)
+
+
+def _one_json_line(out: str) -> dict:
+    """The report of a one-line output, parsed with no NaN or Infinity token allowed."""
+    assert out.endswith("\n") and out.count("\n") == 1, out[:200]
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(out, parse_constant=reject)
+
+
+def _at_dimension(argv: list, d: int) -> list:
+    """A README family example moved to local dimension d (a Bell π gets d values, Σπ = 1/d)."""
+    argv = list(argv)
+    argv[argv.index("--d") + 1] = str(d)
+    if "--pi" in argv and d == 2:
+        argv[argv.index("--pi") + 1] = "0.3,0.2"
+    return argv
+
+
+def test_readme_lists_every_family_example():
+    assert sorted(ex.split()[1] for ex in _FAMILY_EXAMPLES) == sorted(cli._FAMILIES)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("example", _FAMILY_EXAMPLES)
+def test_analyze_prints_one_json_line(capsys, example, d):
+    argv = ["analyze", *_at_dimension(example.split(), d), "--starts", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert _one_json_line(out)["d"] == d
+
+
+def test_analyze_state_file_and_verify_print_one_json_line(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    spec = verify.random_zero_discord_spec(3, "A", np.random.default_rng(0))
+    path.write_text(json.dumps(circulant_to_json(spec)))
+    code, out, _ = run_cli(["analyze", str(path), "--starts", "2"], capsys)
+    assert code == 0 and _one_json_line(out)["kind"] == "circulant"
+    code, out, _ = run_cli(["verify", "--d", "3", "--draws", "2", "--starts", "2",
+                            "--format", "json"], capsys)
+    assert code == 0 and _one_json_line(out)["pass"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "isotropic", "--d", "3", "--lambda", "0.4", "--starts", "2"],
+    ["verify", "--d", "3", "--draws", "2", "--starts", "2", "--format", "json"],
+    ["build", "--family", "werner", "--d", "3", "--lambda", "0.2"],
+], ids=["analyze", "verify", "build"])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    code, out, _ = run_cli(command, capsys)
+    assert code == 0
+    path = tmp_path / "out.json"
+    assert run_cli(command + ["-o", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_report_carries_the_library_floats(capsys, tmp_path):
+    # bit for bit and of type float: json.loads equality cannot tell 0 from 0.0
+    from discordant.discord import OptimizerConfig, discord_sides
+    from discordant.serialize import load_state_file
+
+    rng = np.random.default_rng(3)
+    spec = verify.perturb_spec(verify.random_zero_discord_spec(3, "B", rng), "modulus", 0.1, rng)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(circulant_to_json(spec)))
+    code, out, _ = run_cli(["analyze", str(path), "--starts", "3", "--seed", "4"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    loaded = load_state_file(str(path))
+
+    def bits(values):
+        return [bits(v) for v in values] if isinstance(values, list) else float.hex(values)
+
+    results = discord_sides(loaded.rho, 3, ["A", "B"], OptimizerConfig(starts=3, seed=4))
+    for side, result in zip("AB", results):
+        v = result.best_measurement.vectors
+        want = [[[float(z.real), float(z.imag)] for z in v[:, k]] for k in range(3)]
+        assert bits(report["numeric"][side]["basis"]) == bits(want)
+
+    a, d = loaded.spec.a, 3
+    seen = set()
+    for side, shift in (("A", 1), ("B", 0)):
+        failures = report["necessary_conditions"][side]["failures"]
+        assert failures
+        for f in failures:
+            n, (i, j) = f["n"], f["entry"]
+            got, ref = a[n, i, j], a[0, (i + shift * n) % d, (j + shift * n) % d]
+            want = (got.real, ref.real) if i == j else (np.abs(got), np.abs(ref))
+            assert bits([f["got"], f["want"]]) == bits([float(x) for x in want])
+            seen.add(f["condition"])
+    assert seen >= {"diagonal-shift", "offdiagonal-modulus-shift", "offdiagonal-modulus"}
