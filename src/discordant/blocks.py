@@ -5,11 +5,13 @@ A bipartite state decomposes as ρ = Σ_ij e_ij ⊗ B_ij (side B blocks) or
 iff that side's blocks are normal and mutually commute, i.e. one unitary U
 diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 (Dakić, Vedral & Brukner, PRL 105, 190502, 2010).  The general criterion,
-:func:`structural_verdicts`, decides stacks of (state, side) pairs: one
-batched ``eigh`` finds every candidate U, sequential refinement over
-Hermitian combinations of the blocks goes on where it left a degeneracy,
-and zero discord holds iff every U†B_ijU is diagonal within tolerance;
-:func:`classical_decomposition` turns the same U into that sum.
+:func:`structural_verdicts`, decides stacks of (state, side) pairs: U is
+the eigenbasis of one generic Hermitian combination of each pair's blocks,
+all found by one batched ``eigh``, and zero discord holds iff every
+U†B_ijU is diagonal within tolerance; :func:`classical_decomposition`
+turns the same U into that sum.  An exact degeneracy of the combination
+needs no split: on a commuting normal family it holds equal eigenvalues of
+every block, where any basis serves.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -59,8 +61,6 @@ from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
 DEFAULT_TOL = 1e-9
-#: Eigenvalue gaps below this count as degenerate when building eigenbases.
-DEGENERACY_GAP = 1e-8
 #: Reassembly residual allowed for classical decompositions.
 REASSEMBLY_TOL = 1e-8
 #: Step of the Weyl sequence that phases the generic block combination.
@@ -179,11 +179,12 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     """The general criterion for each (state, side) pair of ``zip(rhos, sides)``, in order.
 
     Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
-    the U of :func:`_common_bases`, i.e. iff the blocks are normal and
-    commute.  Pairs go in input order, sides mixed, in stacks of at most
-    ``_CHUNK_ENTRIES`` dense entries (one state if larger): each pair's
-    grid is the :func:`extract_blocks` of its own side, and results equal
-    those of one pair at a time, bit for bit.  Each verdict keeps U in
+    the U of :func:`_common_bases`, the eigenbasis of one generic Hermitian
+    combination of the blocks, i.e. iff the blocks are normal and commute.
+    Pairs go in input order, sides mixed, in stacks of at most
+    ``_CHUNK_ENTRIES`` dense entries (one state if larger): each pair's grid
+    is the :func:`extract_blocks` of its own side, and results equal those
+    of one pair at a time, bit for bit.  Each verdict keeps U in
     ``basis``; a nonzero one's witness is the block of largest relative
     off-diagonal norm.  A state with a non-finite entry raises
     :class:`InvalidSpec`.
@@ -637,34 +638,16 @@ def _generic_weights(d: int) -> np.ndarray:
     return _read_only(Z + Z.conj().T)
 
 
-def _hermitian_generators(blocks: np.ndarray, d: int):
-    """B_ii, B_ij + B_ji, i(B_ij − B_ji): all commute iff the blocks are normal and commute."""
-    for i in range(d):
-        yield blocks[i, i]
-    for i in range(d):
-        for j in range(i + 1, d):
-            yield blocks[i, j] + blocks[j, i]
-            yield 1j * (blocks[i, j] - blocks[j, i])
-
-
-def _degenerate_runs(grp: list, w: np.ndarray) -> list:
-    """The runs of ``grp`` longer than one whose sorted eigenvalues w lie within DEGENERACY_GAP."""
-    runs, start = [], 0
-    for t in range(1, len(grp) + 1):
-        if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
-            if t - start > 1:
-                runs.append(grp[start:t])
-            start = t
-    return runs
-
-
 def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.ndarray]:
     """A candidate common eigenbasis U per (state, side) pair of a (n, d², d²) stack, shape (n, d, d).
 
-    One batched ``eigh`` of the generic combinations Σ W_ij B_ij (W
-    Hermitian, Weyl-sequence phases), whose gaps are typically as wide as
-    the whole family's, so no split rests on one block's near-degenerate
-    pair; a grid left with a gap ≤ DEGENERACY_GAP goes on to :func:`_common_basis`.
+    U is the eigenbasis of the generic combination G = Σ W_ij B_ij (W
+    Hermitian, Weyl-sequence phases), all pairs in one batched ``eigh``;
+    G's gaps are typically as wide as the whole family's.  On a commuting
+    normal family G acts on joint eigenvector k as Σ W_ij λ_k(B_ij), so an
+    exactly degenerate eigenspace of G (barring a cancellation among the
+    weights) is one where every block is scalar and any basis serves, and
+    a cluster of gap g spreads the blocks there by only about g/|W|.
     Each side's combinations are summed by one ``einsum`` over the states
     on that side only, in its :func:`extract_blocks` view, whose layout
     fixes the order of summation, so each U is bit for bit the one a lone
@@ -683,33 +666,7 @@ def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.nda
         if blocks is not None:
             blocks[rows] = grid
     _require_finite(G)  # the combinations carry every entry, so this checks the states for free
-    E = np.eye(d, dtype=complex)
-    # the identity products keep the signed zeros a one-grid refinement step gives
-    w, v = np.linalg.eigh(hermitize(E.conj().T @ G @ E))
-    U = E @ v
-    for m in np.flatnonzero(~(np.diff(w, axis=-1) > DEGENERACY_GAP).all(axis=-1)):
-        runs = _degenerate_runs(list(range(d)), w[m])
-        _common_basis(extract_blocks(states[m], d, sides[m]), d, U[m], runs)
-    return U, grid if blocks is None else blocks
-
-
-def _common_basis(blocks: np.ndarray, d: int, U: np.ndarray, groups: list) -> None:
-    """Refine U in place until its columns diagonalize every block of a commuting normal family.
-
-    Diagonalizes the Hermitian generators in turn inside the eigenspaces
-    ``groups`` (column lists) that earlier steps left degenerate, until none
-    is; deterministic.  For any other family U is just some unitary.
-    """
-    for g in _hermitian_generators(blocks, d):
-        if not groups:
-            break
-        new_groups = []
-        for grp in groups:
-            V = U[:, grp]
-            w, v = np.linalg.eigh(hermitize(V.conj().T @ g @ V))
-            U[:, grp] = V @ v
-            new_groups += _degenerate_runs(grp, w)
-        groups = new_groups
+    return np.linalg.eigh(hermitize(G))[1], grid if blocks is None else blocks
 
 
 def classical_decomposition(

@@ -9,9 +9,10 @@ line; ``build`` writes indented state JSON.
 
 Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
 outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
-from 1 to 256), 3 an ``analyze`` outcome of ``disagree``: a structural
-zero with numeric D above the nonzero threshold.  The
-environment variable DISCORDANT_SEED overrides ``--seed`` everywhere.
+from 1 to 256, ``--grid`` from 1 to 1001), 3 an ``analyze`` outcome of
+``disagree``: a structural zero with numeric D above the nonzero
+threshold.  The environment variable DISCORDANT_SEED overrides ``--seed``
+everywhere.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("simplex", help="emit CSV for the d=2 invariant-state simplex")
-    p.add_argument("--grid", type=int, default=101, help="points per axis")
+    p.add_argument("--grid", type=int, default=101, help="points per axis, at most 1001")
     p.add_argument(
         "--every", type=int, default=10, help="numeric discord every Nth point (0 = never)"
     )
@@ -316,6 +317,8 @@ def main(argv=None) -> int:
                 raise InvalidSpec(f"--{flag} must be at least 1")
         if getattr(args, "starts", 1) > SCREEN_DRAWS + 2:
             raise InvalidSpec(f"--starts must be at most {SCREEN_DRAWS + 2}")
+        if getattr(args, "grid", 1) > 1001:  # the CSV of grid·(grid + 1)/2 rows is held in memory
+            raise InvalidSpec("--grid must be at most 1001")
         if getattr(args, "every", 0) < 0:
             raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)

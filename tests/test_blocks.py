@@ -14,7 +14,6 @@ from discordant.blocks import (
     CRITERION_COMMUTATION,
     CRITERION_DIAGONAL,
     DEFAULT_TOL,
-    DEGENERACY_GAP,
     REASSEMBLY_TOL,
     StructuralVerdict,
     _fit_phases,
@@ -216,25 +215,27 @@ def _assert_decomposes(rho, d, side):
 
 
 def test_near_degenerate_classical_states_are_zero():
-    # two equal local states whose weights differ by less than, about, and
-    # more than the eigenvalue gap the basis search treats as degenerate
+    # clusters of equal local states whose weights step by less than, about,
+    # and more than 1e-8: pairs at every d, every cluster size 2 … d at d = 5, 7
     rng = np.random.default_rng(5)
-    for d in (2, 3, 5, 7):
+    cases = [(d, 2) for d in (2, 3, 5, 7)]
+    cases += [(d, size) for d in (5, 7) for size in range(3, d + 1)]
+    for d, size in cases:
         for gap in (0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-4):
             for side in ("A", "B"):
                 p = rng.dirichlet(np.ones(d))
-                p[1] = p[0] + gap
+                p[:size] = p[0] + gap * np.arange(size)
                 p /= p.sum()
                 local = [_random_density(d, rng) for _ in range(d)]
-                local[1] = local[0]
+                local[1:size] = [local[0]] * (size - 1)
                 rho = _classical_state(p, random_unitary(d, rng), local, side)
                 verdict = structural_discord_zero(rho, d, side)
-                assert verdict.zero_discord, (d, gap, side, verdict.witness)
+                assert verdict.zero_discord, (d, size, gap, side, verdict.witness)
                 _assert_decomposes(rho, d, side)
 
 
 def test_one_block_near_degenerate_pair_is_zero():
-    # B_00 alone has an eigenvalue gap just around DEGENERACY_GAP while the
+    # B_00 alone has an eigenvalue gap just around 1e-8 while the
     # other blocks separate the same pair widely: a basis taken from B_00
     # first mixes that pair by ~1e-8 and its off-diagonal test fails
     for gap in (0.5, 1.0, 1.2, 2.0, 5.0):
@@ -243,7 +244,7 @@ def test_one_block_near_degenerate_pair_is_zero():
             U = random_unitary(2, rng)
             local = [_random_density(2, rng), _random_density(2, rng)]
             p1 = float(rng.uniform(0.3, 0.5))
-            p0 = (p1 * local[1][0, 0].real + gap * DEGENERACY_GAP) / local[0][0, 0].real
+            p0 = (p1 * local[1][0, 0].real + gap * 1e-8) / local[0][0, 0].real
             p = np.array([p0, p1]) / (p0 + p1)
             rho = _classical_state(p, U, local, "A")
             verdict = structural_discord_zero(rho, 2, "A")
@@ -253,22 +254,27 @@ def test_one_block_near_degenerate_pair_is_zero():
 
 def test_off_diagonal_witness_exceeds_its_tolerance():
     rng = np.random.default_rng(9)
-    for d in (2, 3, 5):
-        for side in ("A", "B"):
-            spec = perturb_spec(random_zero_discord_spec(d, side, rng), "phase", 0.05, rng)
-            rho = circulant_state(spec)
-            verdict = structural_discord_zero(rho, d, side)
-            witness = verdict.witness
-            assert not verdict.zero_discord and witness["kind"] == "off-diagonal-block"
-            blocks = extract_blocks(rho, d, side)
-            T = verdict.basis.conj().T @ blocks @ verdict.basis
-            off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
-            scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
-            i, j = witness["block"]
-            assert witness["tolerance"] == pytest.approx(1e-9 * scale[i, j])
-            assert off[i, j] == pytest.approx(witness["offdiagonal_norm"], rel=1e-12)
-            assert off[i, j] > witness["tolerance"]
-            assert off[i, j] / scale[i, j] == pytest.approx((off / scale).max(), rel=1e-12)
+    cases = [
+        (d, side, circulant_state(perturb_spec(random_zero_discord_spec(d, side, rng), "phase",
+                                               0.05, rng)))
+        for d in (2, 3, 5) for side in ("A", "B")
+    ]
+    # Werner states, and isotropic states, whose generic block combination is degenerate
+    cases += [(d, side, circulant_state(spec)) for d in (5, 7)
+              for spec in (werner_state(d, 0.2 / d), isotropic_state(d, 0.3)) for side in "AB"]
+    for d, side, rho in cases:
+        verdict = structural_discord_zero(rho, d, side)
+        witness = verdict.witness
+        assert not verdict.zero_discord and witness["kind"] == "off-diagonal-block"
+        blocks = extract_blocks(rho, d, side)
+        T = verdict.basis.conj().T @ blocks @ verdict.basis
+        off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
+        i, j = witness["block"]
+        assert witness["tolerance"] == pytest.approx(1e-9 * scale[i, j])
+        assert off[i, j] == pytest.approx(witness["offdiagonal_norm"], rel=1e-12)
+        assert off[i, j] > witness["tolerance"]
+        assert off[i, j] / scale[i, j] == pytest.approx((off / scale).max(), rel=1e-12)
 
 
 def _offdiagonal_loop(blocks, U):
@@ -336,30 +342,8 @@ def test_offdiagonal_norms_match_loop_reference_exactly(d):
 
 
 def _common_basis_reference(blocks, d):
-    """The candidate basis one pair at a time, as found before stacks: generic combination first."""
-    generators = [np.einsum("ij,ijkl->kl", _generic_weights(d), blocks)]
-    generators += [blocks[i, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            generators += [blocks[i, j] + blocks[j, i], 1j * (blocks[i, j] - blocks[j, i])]
-    U = np.eye(d, dtype=complex)
-    groups = [list(range(d))]
-    for g in generators:
-        if not groups:
-            break
-        new_groups = []
-        for grp in groups:
-            V = U[:, grp]
-            w, v = np.linalg.eigh(hermitize(V.conj().T @ g @ V))
-            U[:, grp] = V @ v
-            start = 0
-            for t in range(1, len(grp) + 1):
-                if t == len(grp) or w[t] - w[t - 1] > DEGENERACY_GAP:
-                    if t - start > 1:
-                        new_groups.append(grp[start:t])
-                    start = t
-        groups = new_groups
-    return U
+    """The candidate basis one pair at a time: the eigenbasis of its generic block combination."""
+    return np.linalg.eigh(hermitize(np.einsum("ij,ijkl->kl", _generic_weights(d), blocks)))[1]
 
 
 def _stack_cases(d, rng):
@@ -384,9 +368,6 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
         blocks = extract_blocks(rho, d, side)
         U = _common_basis_reference(blocks, d)
         references.append((U, _offdiagonal_loop(blocks, U)))
-    refine = blocks_module._common_basis
-    refined = []
-    monkeypatch.setattr(blocks_module, "_common_basis", lambda *a: refined.append(1) or refine(*a))
     for tol in (1e-9, 1e-3):
         want = [_verdict_json_from(*grids, side, tol) for (_, grids), side in zip(references, sides)]
         for chunk in (1, d**4 - 1, 10**9):  # one row, a state split into rows, the whole stack
@@ -397,7 +378,6 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
                 assert verdict.basis.tobytes() == U.tobytes(), (tol, chunk)
         zeros = sum(v.zero_discord for v in got)
         assert zeros >= 6 and len(got) - zeros >= 6
-    assert refined  # the maximally mixed state, at least, needs the sequential refinement
     assert structural_verdicts([], d, [], 1e-9) == []
 
 
@@ -1103,7 +1083,7 @@ def test_classical_decomposition_requires_zero_discord():
 
 
 def test_classical_decomposition_maximally_mixed():
-    # fully degenerate blocks exercise the eigenbasis refinement fallback
+    # every block is a multiple of I, so the generic combination is fully degenerate
     rho = np.eye(9, dtype=complex) / 9
     parts = classical_decomposition(rho, 3, "A")
     recon = sum(

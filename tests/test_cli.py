@@ -215,6 +215,16 @@ def test_starts_beyond_the_screen_exit_2(capsys, command, starts):
     assert "--starts must be at most 256" in err
 
 
+@pytest.mark.parametrize("grid", [1002, 10**15])
+def test_grid_beyond_the_bound_exit_2(capsys, grid):
+    # --grid 10**15 ran out of memory in np.linspace with a traceback; the
+    # CSV of grid·(grid + 1)/2 rows is held in memory
+    code, out, err = run_cli(["simplex", "--grid", str(grid), "--every", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--grid must be at most 1001" in err
+
+
 def test_build_analyze_round_trip(capsys, tmp_path):
     state_path = tmp_path / "state.json"
     assert main(
