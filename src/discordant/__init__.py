@@ -4,6 +4,10 @@ The package builds block-circulant bipartite density matrices, decides
 whether their quantum discord vanishes through structural linear-algebra
 criteria, and independently certifies the verdict with a numeric
 optimizer over local projective measurements.
+
+The attribute ``discord`` is the function, which shadows the submodule:
+``import discordant.discord as m`` binds the function, and
+``importlib.import_module("discordant.discord")`` returns the module.
 """
 
 from .blocks import (

@@ -45,7 +45,7 @@ from .serialize import (
     parse_state,
 )
 from .states import CirculantSpec, _require_dimension, project_circulant
-from .verify import NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
+from .verify import MAX_GRID, NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
 
 _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
 #: ``analyze`` outcomes, from best to worst.
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("simplex", help="emit CSV for the d=2 invariant-state simplex")
-    p.add_argument("--grid", type=int, default=101, help="points per axis, at most 1001")
+    p.add_argument("--grid", type=int, default=101, help=f"points per axis, at most {MAX_GRID}")
     p.add_argument(
         "--every", type=int, default=10, help="numeric discord every Nth point (0 = never)"
     )
@@ -317,8 +317,8 @@ def main(argv=None) -> int:
                 raise InvalidSpec(f"--{flag} must be at least 1")
         if getattr(args, "starts", 1) > SCREEN_DRAWS + 2:
             raise InvalidSpec(f"--starts must be at most {SCREEN_DRAWS + 2}")
-        if getattr(args, "grid", 1) > 1001:  # the CSV of grid·(grid + 1)/2 rows is held in memory
-            raise InvalidSpec("--grid must be at most 1001")
+        if getattr(args, "grid", 1) > MAX_GRID:
+            raise InvalidSpec(f"--grid must be at most {MAX_GRID}")
         if getattr(args, "every", 0) < 0:
             raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)

@@ -13,7 +13,7 @@ one contraction gives every conditional state σ_k, one batched
 eigendecomposition gives f and its closed-form Riemannian gradient on
 U(d).  A seeded screen picks the starts: the identity, the Fourier basis
 and ``SCREEN_DRAWS`` Haar bases that the seed picks from a table of twice
-as many, drawn by batched Gram–Schmidt once per d and kept with their
+as many, drawn by one batched LAPACK QR once per d and kept with their
 projectors.  It scores every candidate against both measured sides in one
 contraction, from closed-form eigenvalues at d = 2 and 3, which are
 accurate enough to rank candidates but not to report a value: every
@@ -267,8 +267,8 @@ def _exp_i(w: np.ndarray, V: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _screen_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The screen's candidate bases and their projector rows (cached, read-only).
 
-    The identity and the Fourier basis head 2·``SCREEN_DRAWS`` Haar draws
-    from ``random_unitary``, the same at every call for a given d.
+    The identity and the Fourier basis head 2·``SCREEN_DRAWS`` Haar draws,
+    one batched ``random_unitary`` QR seeded by d, so the same at every call.
     """
     haar = random_unitary(d, np.random.default_rng(d), 2 * SCREEN_DRAWS)
     candidates = np.concatenate([np.eye(d, dtype=complex)[None], fourier_matrix(d)[None], haar])

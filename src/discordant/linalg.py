@@ -123,21 +123,13 @@ def fourier_matrix(d: int) -> np.ndarray:
 
 
 def random_unitary(d: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Haar-distributed d×d unitary by Gram–Schmidt on a complex Gaussian matrix G.
+    """Haar-distributed d×d unitary: the Q of a complex Gaussian G = QR with diag(R) > 0.
 
-    The result is the Q of G = QR with R's diagonal positive, which is Haar
-    distributed (Mezzadri, Notices AMS 54, 592, 2007).  Classical
-    Gram–Schmidt applied twice per column (Giraud, Langou & Rozložník,
-    Comput. Math. Appl. 50, 1069, 2005) keeps it orthonormal to rounding and
-    costs a few batched matrix products per column instead of one LAPACK QR
-    per matrix.  With ``count``, a stack of that many, shape (count, d, d),
-    each bit-identical to the draw from its own G.
+    Q's columns take the phases of R's diagonal, which makes Q Haar distributed
+    (Mezzadri, Notices AMS 54, 592, 2007).  With ``count``, a stack of that
+    many, shape (count, d, d), each bit-identical to the draw from its own G.
     """
     shape = (d, d) if count is None else (count, d, d)
-    Q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for j in range(d):
-        v, P = Q[..., j : j + 1], Q[..., :j]
-        for _ in range(2 if j else 0):
-            v = v - P @ (P.conj().swapaxes(-1, -2) @ v)
-        Q[..., j : j + 1] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=-2, keepdims=True))
-    return Q
+    Q, R = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    r = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (r / np.abs(r))[..., None, :]

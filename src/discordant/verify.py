@@ -41,6 +41,8 @@ NUMERIC_ZERO_TOL = 1e-6
 NUMERIC_NONZERO_TOL = 1e-5
 
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
+#: Largest simplex ``grid``: ``simplex`` holds all grid·(grid + 1)/2 rows in memory.
+MAX_GRID = 1001
 #: Every residue class of a nonclassical Bell draw spreads by more than this.
 _NONCLASSICAL_SPREAD = 0.02
 
@@ -325,11 +327,11 @@ def o2_simplex_rows(
 
     Yields dicts over the (b, c) grid (a = 1−b−c ≥ 0): separability flag
     (b, c ≤ 1/2), zero-discord flag (b = c within tol), and — every
-    ``every``-th emitted point — the numeric discord.  A non-finite
-    ``tol`` raises ``ValueError``.
+    ``every``-th emitted point — the numeric discord.  A ``grid`` above
+    ``MAX_GRID`` or a non-finite ``tol`` raises ``ValueError``.
     """
-    if isinstance(grid, bool) or isinstance(every, bool) or grid < 1 or every < 0:
-        raise ValueError(f"need grid ≥ 1 and every ≥ 0 (0 = never), got {grid} and {every}")
+    if isinstance(grid, bool) or isinstance(every, bool) or not 1 <= grid <= MAX_GRID or every < 0:
+        raise ValueError(f"need grid in 1 … {MAX_GRID}, every ≥ 0 (0 = never); got {grid}, {every}")
     _require_finite_tol(tol)
     values = np.linspace(0.0, 1.0, grid)
     cfg = OptimizerConfig(starts=starts, seed=seed)

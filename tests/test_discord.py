@@ -52,7 +52,6 @@ from discordant.verify import (
 )
 
 from test_blocks import classical_x_spec
-from test_linalg import lapack_unitary
 
 CFG2 = OptimizerConfig(seed=0)
 CFG3 = OptimizerConfig(starts=8, seed=0)
@@ -557,32 +556,6 @@ def test_joint_screen_gives_each_side_its_own_starts():
             for s in range(2):
                 alone = _start_bases(d, cfg, Rs[s : s + 1], np.random.default_rng(n))
                 np.testing.assert_array_equal(both[s], alone[0])
-
-
-def test_gram_schmidt_draws_do_not_change_results(monkeypatch):
-    # The screen's Haar draws agree with LAPACK QR to rounding: with QR in
-    # their place every state gets the same D and verdict.
-    rng = np.random.default_rng(47)
-    cases = [(d, rho) for d in (2, 3) for rho in _sides_states(d, rng)]
-    cases += [(2, rho) for rho in _luo_states(rng)]
-
-    def run():
-        return [discord_sides(rho, d, ("A", "B"), OptimizerConfig(starts=4, seed=n))
-                for n, (d, rho) in enumerate(cases)]
-
-    gram_schmidt = run()
-    # the package's ``discord`` function shadows the submodule of that name
-    module = importlib.import_module("discordant.discord")
-    monkeypatch.setattr(module, "random_unitary", lapack_unitary)
-    module._screen_table.cache_clear()  # the cached table holds the screen's draws
-    try:
-        lapack = run()
-    finally:
-        module._screen_table.cache_clear()
-    for got, want in zip(gram_schmidt, lapack):
-        for a, b in zip(got, want):
-            assert abs(a.discord - b.discord) <= 1e-12
-            assert _numeric_verdict(a.discord) == _numeric_verdict(b.discord)
 
 
 def test_screen_draws_its_table_once_per_d(monkeypatch):

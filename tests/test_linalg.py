@@ -91,14 +91,6 @@ class _Replay:
         return out
 
 
-def lapack_unitary(d, rng, count=None):
-    """The reference Haar draw: LAPACK QR of the same Gaussian matrix, phases fixed so that diag(R) > 0."""
-    shape = (d, d) if count is None else (count, d, d)
-    Q, R = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (diag / np.abs(diag))[..., None, :]
-
-
 def test_random_unitary_deterministic_and_unitary():
     u1 = random_unitary(4, np.random.default_rng(7))
     u2 = random_unitary(4, np.random.default_rng(7))
@@ -110,8 +102,12 @@ def test_random_unitary_deterministic_and_unitary():
         for u, a, b in zip(stack, re, im):
             # a batch is bit-identical to one call per Gaussian matrix
             np.testing.assert_array_equal(u, random_unitary(d, _Replay(a, b)))
-            assert np.abs(u - lapack_unitary(d, _Replay(a, b))).max() <= 1e-13, d
             assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-13, d
+            # u is the Q of G = QR with diag(R) real and positive
+            R = u.conj().T @ (a + 1j * b)
+            assert np.abs(np.tril(R, -1)).max(initial=0.0) <= 1e-12, d
+            assert np.abs(np.diagonal(R).imag).max() <= 1e-12, d
+            assert (np.diagonal(R).real > 1e-12).all(), d
 
 
 def test_random_unitary_haar_moments():

@@ -397,6 +397,9 @@ def test_empty_library_runs_rejected():
         list(o2_simplex_rows(grid=0))
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, every=-1))
+    for grid in (1002, 10**15):
+        with pytest.raises(ValueError, match="need grid"):
+            next(o2_simplex_rows(grid=grid, every=0))
 
 
 def test_bool_counts_rejected_by_library():
