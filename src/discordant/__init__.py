@@ -80,7 +80,8 @@ from .states import (
     validate_circulant_spec,
     werner_state,
 )
-from .verify import SuiteResult, o2_simplex_rows, perturb_spec, random_zero_discord_spec, run_verify
+from .verify import (SuiteResult, analyze, o2_simplex_rows, perturb_spec, random_zero_discord_spec,
+                     run_verify)
 
 __version__ = "0.1.0"
 
@@ -104,6 +105,7 @@ __all__ = [
     "PrimeRequired",
     "StructuralVerdict",
     "SuiteResult",
+    "analyze",
     "bell_diagonal_state",
     "bell_projector",
     "bell_to_json",

@@ -1,15 +1,16 @@
-"""Command-line front-end.
+"""Command-line front-end: it parses, checks its input, calls the library and prints.
 
-Commands: ``build`` emits state JSON for a named family, ``analyze`` runs
-the structural checkers and the numeric oracle on a state and reports
-their agreement, ``verify`` batch-runs the cross-check suites, and
-``simplex`` emits CSV data for the d=2 orthogonal-invariant simplex.
-``analyze`` and ``verify --format json`` print one JSON object on one
-line; ``build`` writes indented state JSON.
+Commands: ``build`` emits state JSON for a named family, ``analyze``
+prints the report of :func:`discordant.verify.analyze` on a state,
+``verify`` batch-runs the cross-check suites, and ``simplex`` emits CSV
+data for the d=2 orthogonal-invariant simplex.  ``analyze`` and
+``verify --format json`` print one JSON object on one line; ``build``
+writes indented state JSON.
 
 Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
 outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
-from 1 to 256, ``--grid`` from 1 to 1001), 3 an ``analyze`` outcome of
+from 1 to 256, ``--grid`` from 1 to 1001, and a state path or family
+flag that would be ignored is refused), 3 an ``analyze`` outcome of
 ``disagree``: a structural zero with numeric D above the nonzero
 threshold.  The environment variable DISCORDANT_SEED overrides ``--seed``
 everywhere.
@@ -25,16 +26,8 @@ import sys
 
 import numpy as np
 
-from .blocks import (
-    _bell_labels,
-    _completely_classical,
-    bell_zero_discord_check,
-    circulant_necessary_conditions,
-    circulant_theorem_verdicts,
-    is_prime,
-    structural_verdicts,
-)
-from .discord import SCREEN_DRAWS, OptimizerConfig, discord_sides
+from .blocks import _bell_labels
+from .discord import SCREEN_DRAWS, OptimizerConfig
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
     LoadedState,
@@ -44,12 +37,10 @@ from .serialize import (
     load_state_file,
     parse_state,
 )
-from .states import CirculantSpec, _require_dimension, project_circulant
-from .verify import MAX_GRID, NUMERIC_NONZERO_TOL, NUMERIC_ZERO_TOL, o2_simplex_rows, run_verify
+from .states import _require_dimension
+from .verify import MAX_GRID, analyze, o2_simplex_rows, run_verify
 
 _FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
-#: ``analyze`` outcomes, from best to worst.
-_OUTCOMES = ("agree", "inconclusive", "disagree")
 
 
 def _effective_seed(args) -> int:
@@ -110,9 +101,20 @@ def _family_state(args, validate: bool) -> LoadedState:
 
 
 def _load_input(args, validate: bool) -> LoadedState:
-    if getattr(args, "input", None):
+    """The state of a path or of ``--family`` flags; a flag that would be ignored is an error."""
+    flags = {"--family": args.family, "--d": args.d, "--lambda": args.lam, "--abc": args.abc,
+             "--alpha": args.alpha, "--pi": args.pi}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.input:
+        if given:
+            raise InvalidSpec(f"a state path takes no family flags, got {', '.join(given)}")
         return load_state_file(args.input, validate=validate)
-    if getattr(args, "family", None):
+    if args.family:
+        reads = {"werner": ["--lambda"], "isotropic": ["--lambda"], "orthogonal": ["--abc"],
+                 "bell": ["--alpha", "--pi"]}[args.family]
+        unread = [flag for flag in given if flag not in ["--family", "--d", *reads]]
+        if unread:
+            raise InvalidSpec(f"family {args.family!r} does not read {', '.join(unread)}")
         return _family_state(args, validate)
     raise InvalidSpec("provide a state JSON path or --family flags")
 
@@ -127,75 +129,13 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _outcome(zero: bool, dval: float) -> str:
-    """How one side's numeric D bears on its structural verdict.
-
-    Only a structural zero can be contradicted: the reported D is an upper
-    bound on the discord, so a small D may be a tiny true discord or an
-    optimizer short of the optimum, and is inconclusive.  A structural zero
-    with D in the gap between the numeric thresholds is inconclusive too.
-    """
-    if zero:
-        if dval > NUMERIC_NONZERO_TOL:
-            return "disagree"
-        return "inconclusive" if dval > NUMERIC_ZERO_TOL else "agree"
-    return "inconclusive" if dval < NUMERIC_NONZERO_TOL else "agree"
-
-
 def cmd_analyze(args) -> int:
     seed = _effective_seed(args)
     loaded = _load_input(args, validate=True)
-    d = loaded.d
     sides = ["A", "B"] if args.side == "both" else [args.side]
-    cfg = OptimizerConfig(starts=args.starts, seed=seed)
-
-    spec = loaded.spec
-    if spec is None:
-        projected = project_circulant(loaded.rho, d)
-        if isinstance(projected, CirculantSpec):
-            spec = projected
-
-    report: dict = {
-        "kind": loaded.kind,
-        "d": d,
-        "sides": sides,
-        "tolerances": {
-            "structural": args.tol,
-            "numeric_zero": NUMERIC_ZERO_TOL,
-            "numeric_nonzero": NUMERIC_NONZERO_TOL,
-        },
-        "seed": seed,
-        "structural": {},
-        "numeric": {},
-        "circulant_theorem": None,
-        "necessary_conditions": None,
-        "completely_classical": None,
-        "bell_theorem": None,
-    }
-
-    structural = structural_verdicts([loaded.rho] * len(sides), d, sides, args.tol)
-    report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
-
-    if spec is not None and is_prime(d):
-        # both sides in one stack: the item's only φ fit, which complete classicality reuses
-        theorem = circulant_theorem_verdicts([spec, spec], "AB", args.tol)
-        report["circulant_theorem"] = {side: theorem["AB".index(side)].to_json() for side in sides}
-        report["necessary_conditions"] = {
-            side: circulant_necessary_conditions(spec, side, args.tol) for side in sides
-        }
-        report["completely_classical"] = _completely_classical(spec, args.tol, theorem).to_json()
-    if loaded.weights is not None and is_prime(d):
-        report["bell_theorem"] = bell_zero_discord_check(loaded.weights, args.tol).to_json()
-
-    outcome = "agree"
-    for side, verdict, result in zip(sides, structural, discord_sides(loaded.rho, d, sides, cfg)):
-        report["numeric"][side] = result.to_json()
-        outcome = max(outcome, _outcome(verdict.zero_discord, result.discord), key=_OUTCOMES.index)
-    report["outcome"] = outcome
-    report["agreement"] = outcome != "disagree"
-
+    report = analyze(loaded, sides, args.tol, OptimizerConfig(starts=args.starts, seed=seed))
     _emit(json.dumps(report), args.output)
-    return 3 if outcome == "disagree" else 0
+    return 3 if report["outcome"] == "disagree" else 0
 
 
 def cmd_build(args) -> int:

@@ -40,6 +40,7 @@ from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
 from .linalg import (_read_only, _require_finite, fourier_matrix, partial_trace, random_unitary,
                      von_neumann_entropy)
+from .serialize import encode_complex_matrix
 
 #: Measurement outcome weights below this are treated as never occurring.
 P_UNDERFLOW = 1e-14
@@ -122,13 +123,12 @@ class DiscordResult:
     starts_converged: int
 
     def to_json(self) -> dict:
-        v = self.best_measurement.vectors.T  # row k: basis vector k
         return {
             "I": self.mutual_information,
             "C": self.classical_correlation,
             "D": self.discord,
             "side": self.side,
-            "basis": np.stack([v.real, v.imag], -1).tolist(),
+            "basis": encode_complex_matrix(self.best_measurement.vectors.T),  # row k: vector k
             "starts_converged": self.starts_converged,
         }
 

@@ -64,8 +64,9 @@ class LoadedState:
 
 
 def encode_complex_matrix(M: np.ndarray) -> list:
+    """A complex array of any shape as nested lists with an [re, im] pair for each entry."""
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def decode_complex_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -89,7 +90,7 @@ def circulant_to_json(spec: CirculantSpec) -> dict:
     return {
         "kind": "circulant",
         "d": spec.d,
-        "a": [encode_complex_matrix(m) for m in spec.a],
+        "a": encode_complex_matrix(spec.a),
     }
 
 
@@ -98,7 +99,7 @@ def dense_to_json(rho: np.ndarray, d: int) -> dict:
 
 
 def bell_to_json(d: int, p: np.ndarray) -> dict:
-    return {"kind": "bell", "d": d, "p": [[float(x) for x in row] for row in p]}
+    return {"kind": "bell", "d": d, "p": np.asarray(p, dtype=float).tolist()}
 
 
 def parse_state(obj: dict, validate: bool = True) -> LoadedState:

@@ -1,10 +1,11 @@
-"""Random-family generators, controlled perturbations, and batch suites.
+"""The analysis pipeline, random-family generators, perturbations and batch suites.
 
-The suites cross-check the two independent zero-discord routes against
+:func:`analyze` sets the structural routes against the numeric oracle on
+one state.  The suites cross-check the two zero-discord routes against
 each other on freshly generated families: closed-form checkers against
 the general block-commutation test, and both against the numeric
-measurement-optimization oracle.  They power the ``verify`` command and
-the acceptance tests.
+measurement-optimization oracle, judged by :func:`analyze`'s outcome
+rule.  They power the ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -18,33 +19,104 @@ from .blocks import (
     _bell_spreads,
     _bell_verdicts,
     _chunks,
+    _completely_classical,
     _require_finite_tol,
     _theorem_verdicts,
     _zero_discord_stacks,
+    bell_zero_discord_check,
+    circulant_necessary_conditions,
+    circulant_theorem_verdicts,
     generate_zero_discord,
     is_prime,
     structural_verdicts,
 )
-from .discord import OptimizerConfig, discord
+from .discord import OptimizerConfig, discord, discord_sides
 from .errors import PrimeRequired
+from .serialize import LoadedState
 from .states import (
     CirculantSpec,
     _bell_sectors,
     _dense_states,
     _require_dimension,
     orthogonal_invariant_state,
+    project_circulant,
 )
 
 #: Numeric discord at or below this confirms a structural zero verdict.
 NUMERIC_ZERO_TOL = 1e-6
 #: Numeric discord at or above this confirms a structural nonzero verdict.
 NUMERIC_NONZERO_TOL = 1e-5
+#: ``analyze`` outcomes, from best to worst.
+_OUTCOMES = ("agree", "inconclusive", "disagree")
 
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
 #: Largest simplex ``grid``: ``simplex`` holds all grid·(grid + 1)/2 rows in memory.
 MAX_GRID = 1001
 #: Every residue class of a nonclassical Bell draw spreads by more than this.
 _NONCLASSICAL_SPREAD = 0.02
+
+
+def _outcome(zero: bool, dval: float) -> str:
+    """How one side's numeric D bears on its structural verdict.
+
+    Only a structural zero can be contradicted: the reported D is an upper
+    bound on the discord, so a small D may be a tiny true discord or an
+    optimizer short of the optimum, and is inconclusive.  A structural zero
+    with D in the gap between the numeric thresholds is inconclusive too,
+    and a NaN D agrees with no verdict.
+    """
+    if zero:
+        if dval <= NUMERIC_ZERO_TOL:
+            return "agree"
+        return "inconclusive" if dval <= NUMERIC_NONZERO_TOL else "disagree"
+    return "agree" if dval >= NUMERIC_NONZERO_TOL else "inconclusive"
+
+
+def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -> dict:
+    """The ``analyze`` report: every structural route that applies to ``state``, each side's
+    numeric D judged against its general-criterion verdict, and the worst side's outcome."""
+    d = state.d
+    spec = state.spec if state.spec is not None else project_circulant(state.rho, d)
+
+    report: dict = {
+        "kind": state.kind,
+        "d": d,
+        "sides": sides,
+        "tolerances": {
+            "structural": tol,
+            "numeric_zero": NUMERIC_ZERO_TOL,
+            "numeric_nonzero": NUMERIC_NONZERO_TOL,
+        },
+        "seed": cfg.seed,
+        "structural": {},
+        "numeric": {},
+        "circulant_theorem": None,
+        "necessary_conditions": None,
+        "completely_classical": None,
+        "bell_theorem": None,
+    }
+
+    structural = structural_verdicts([state.rho] * len(sides), d, sides, tol)
+    report["structural"] = {side: verdict.to_json() for side, verdict in zip(sides, structural)}
+
+    if isinstance(spec, CirculantSpec) and is_prime(d):
+        # both sides in one stack: the only φ fit, which complete classicality reuses
+        theorem = circulant_theorem_verdicts([spec, spec], "AB", tol)
+        report["circulant_theorem"] = {side: theorem["AB".index(side)].to_json() for side in sides}
+        report["necessary_conditions"] = {
+            side: circulant_necessary_conditions(spec, side, tol) for side in sides
+        }
+        report["completely_classical"] = _completely_classical(spec, tol, theorem).to_json()
+    if state.weights is not None and is_prime(d):
+        report["bell_theorem"] = bell_zero_discord_check(state.weights, tol).to_json()
+
+    outcome = "agree"
+    for side, verdict, result in zip(sides, structural, discord_sides(state.rho, d, sides, cfg)):
+        report["numeric"][side] = result.to_json()
+        outcome = max(outcome, _outcome(verdict.zero_discord, result.discord), key=_OUTCOMES.index)
+    report["outcome"] = outcome
+    report["agreement"] = outcome != "disagree"
+    return report
 
 
 def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -306,10 +378,8 @@ def run_verify(
         sides, a, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
         for t, (side, rho) in enumerate(zip(sides, _dense_states(a))):
             dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
-            if t < 3:
-                suite.record(dval <= NUMERIC_ZERO_TOL, f"draw {t}: D={dval:.2e} not ~0")
-            else:
-                suite.record(dval >= NUMERIC_NONZERO_TOL, f"draw {t}: D={dval:.2e} not >0")
+            suite.record(_outcome(t < 3, dval) == "agree",
+                         f"draw {t}: D={dval:.2e} {'not ~0' if t < 3 else 'not >0'}")
     results.append(suite)
 
     all_pass = all(r.failed == 0 for r in results)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from discordant import blocks as blocks_module
-from discordant import cli
+from discordant import verify as verify_module
 from discordant.blocks import (
     CRITERION_BELL,
     CRITERION_CIRCULANT,
@@ -34,7 +34,7 @@ from discordant.blocks import (
     structural_discord_zero,
     structural_verdicts,
 )
-from discordant.discord import _screen_table
+from discordant.discord import OptimizerConfig, _screen_table
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
 from discordant.serialize import LoadedState
 from discordant.linalg import fourier_matrix, hermitize, random_unitary
@@ -50,6 +50,7 @@ from discordant.states import (
 )
 from discordant.verify import (
     PERTURBATION_KINDS,
+    analyze,
     perturb_spec,
     random_classical_bell,
     random_nonclassical_bell,
@@ -901,19 +902,18 @@ def _complete_from_theorem(spec, tol):
                              fitted_phases=inner.fitted_phases)
 
 
-def _analyze_closed_forms(spec, side, tol, monkeypatch, capsys):
-    """The analyze command's closed-form keys for ``spec`` (its numeric part stubbed out)."""
+def _analyze_closed_forms(spec, side, tol, monkeypatch):
+    """The closed-form keys of the ``analyze`` report for ``spec`` (its numeric part stubbed out)."""
     loaded = LoadedState("circulant", spec.d, circulant_state(spec, validate=False), spec=spec)
-    monkeypatch.setattr(cli, "_load_input", lambda args, validate: loaded)
-    monkeypatch.setattr(cli, "discord_sides", lambda rho, d, sides, cfg: [])
-    assert cli.main(["analyze", "--side", side, "--tol", repr(tol)]) == 0
-    report = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(verify_module, "discord_sides", lambda rho, d, sides, cfg: [])
+    sides = ["A", "B"] if side == "both" else [side]
+    report = json.loads(json.dumps(analyze(loaded, sides, tol, OptimizerConfig())))
     return {key: report[key] for key in
             ("circulant_theorem", "necessary_conditions", "completely_classical")}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
-def test_analyze_closed_forms_equal_the_public_calls(d, monkeypatch, capsys):
+def test_analyze_closed_forms_equal_the_public_calls(d, monkeypatch):
     # analyze composes its closed forms from the public calls: each key equals
     # the call on a fresh spec, for every --side, and the completely-classical
     # verdict equals the one composed from the public theorem
@@ -933,7 +933,7 @@ def test_analyze_closed_forms_equal_the_public_calls(d, monkeypatch, capsys):
             seen.add((complete["criterion"], complete["zero_discord"],
                       (complete["witness"] or {}).get("kind")))
             for side, sides in (("both", "AB"), ("A", "A"), ("B", "B")):
-                got = _analyze_closed_forms(spec, side, tol, monkeypatch, capsys)
+                got = _analyze_closed_forms(spec, side, tol, monkeypatch)
                 want = json.loads(json.dumps({
                     "circulant_theorem": {
                         s: circulant_theorem_check(fresh, s, tol).to_json() for s in sides},

@@ -10,8 +10,10 @@ import pytest
 
 from discordant import blocks, cli, verify
 from discordant.cli import main
+from discordant.discord import OptimizerConfig
 from discordant.linalg import fourier_matrix
-from discordant.serialize import circulant_to_json
+from discordant.serialize import circulant_to_json, dense_to_json, load_state_file, parse_state
+from discordant.states import orthogonal_invariant_state
 from discordant.verify import SuiteResult
 
 
@@ -127,8 +129,8 @@ def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
     # together, and the necessary conditions once per analyzed side
     calls = []
     for name in ("circulant_theorem_verdicts", "circulant_necessary_conditions"):
-        call = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda spec, sides, tol, name=name, call=call:
+        call = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda spec, sides, tol, name=name, call=call:
                             calls.append((name, list(sides))) or call(spec, sides, tol))
     for side in ("both", "A", "B"):
         calls.clear()
@@ -568,6 +570,47 @@ def test_bad_numeric_flags_exit_2(capsys, command, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "build"])
+@pytest.mark.parametrize("flags, named", [
+    (["STATE", "--family", "isotropic", "--d", "3", "--lambda", "0.5"], "--family, --d, --lambda"),
+    (["STATE", "--alpha", "1"], "--alpha"),
+    (["STATE", "--d", "3"], "--d"),
+    (["--family", "werner", "--d", "3", "--lambda", "0.1", "--abc", "1,0,0"], "--abc"),
+    (["--family", "isotropic", "--d", "2", "--lambda", "0.1", "--pi", "0.3,0.2"], "--pi"),
+    (["--family", "orthogonal", "--d", "2", "--abc", "1,0,0", "--lambda", "0.1"], "--lambda"),
+    (["--family", "bell", "--d", "3", "--alpha", "1", "--pi", "0.2,0.1,0.033333333333333",
+      "--abc", "1,0,0", "--lambda", "0"], "--lambda, --abc"),
+], ids=["path-family", "path-alpha", "path-d", "werner-abc", "isotropic-pi", "orthogonal-lambda",
+        "bell-lambda-abc"])
+def test_ignored_input_flags_exit_2(capsys, tmp_path, command, flags, named):
+    # a state path given with family flags, or a flag the chosen family does
+    # not read, was silently dropped: the state path or the family won
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"kind": "werner", "d": 2, "lambda": 0.2}))
+    argv = [command] + [str(path) if flag == "STATE" else flag for flag in flags]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_analyze_prints_the_library_report(capsys, tmp_path):
+    # the command is one library call: its stdout is the report of analyze on one line
+    bell, dense = tmp_path / "bell.json", tmp_path / "dense.json"
+    assert main(["build", *_BELL_ARGV[1:-2], "-o", str(bell)]) == 0
+    rho = orthogonal_invariant_state((0.2, 0.5, 0.3), 2)
+    dense.write_text(json.dumps(dense_to_json(rho, 2)))
+    cases = [(["--family", "werner", "--d", "3", "--lambda", "0.2"],
+              parse_state({"kind": "werner", "d": 3, "lambda": 0.2}), "both")]
+    cases += [([str(bell)], load_state_file(str(bell)), side) for side in ("both", "A", "B")]
+    cases += [([str(dense)], load_state_file(str(dense)), "both")]
+    for argv, state, side in cases:
+        code, out, err = run_cli(["analyze", *argv, "--side", side, "--starts", "2"], capsys)
+        sides = ["A", "B"] if side == "both" else [side]
+        report = verify.analyze(state, sides, 1e-9, OptimizerConfig(starts=2))
+        assert (code, out, err) == (0, json.dumps(report) + "\n", ""), (argv, side)
 
 
 @pytest.mark.parametrize("command, env", [

@@ -1,6 +1,7 @@
 """Cross-check suites and the d=2 simplex scan."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,6 +124,45 @@ def test_run_verify_d5_skips_numeric():
     assert all_pass
     numeric = [r for r in results if r.name == "numeric-agreement"]
     assert numeric[0].skipped
+
+
+@pytest.mark.parametrize("zero, dval, outcome", [
+    (True, 0.0, "agree"),
+    (True, 1e-6, "agree"),
+    (True, np.nextafter(1e-6, 1), "inconclusive"),
+    (True, 1e-5, "inconclusive"),
+    (True, np.nextafter(1e-5, 1), "disagree"),
+    (False, np.nextafter(1e-5, 0), "inconclusive"),
+    (False, 1e-5, "agree"),
+])
+def test_outcome_rule_bands(zero, dval, outcome):
+    # a structural zero is confirmed up to numeric_zero, contradicted only
+    # above numeric_nonzero; a structural nonzero is confirmed from numeric_nonzero
+    assert verify._outcome(zero, float(dval)) == outcome
+
+
+def test_outcome_rule_never_agrees_on_nan():
+    # a NaN D confirms no verdict: the numeric suite fails it on every draw
+    assert verify._outcome(True, float("nan")) == "disagree"
+    assert verify._outcome(False, float("nan")) == "inconclusive"
+
+
+def test_numeric_agreement_suite_records_each_band(monkeypatch):
+    # draws 0-2 are structural zeros and 3-5 perturbed; each draw's optimizer
+    # seed is seed + t, so the stub hands draw t its D by the seed
+    values = [1e-6, np.nextafter(1e-6, 1), 2e-5, 1e-5, np.nextafter(1e-5, 0), 0.0]
+    monkeypatch.setattr(verify, "discord", lambda rho, d, side, cfg:
+                        SimpleNamespace(discord=float(values[cfg.seed])))
+    results, all_pass = run_verify(2, seed=0, draws=1, starts=2)
+    suite = results[-1]
+    assert not all_pass and suite.name == "numeric-agreement"
+    assert (suite.passed, suite.failed) == (2, 4)
+    assert suite.details == [
+        "draw 1: D=1.00e-06 not ~0",
+        "draw 2: D=2.00e-05 not ~0",
+        "draw 4: D=1.00e-05 not >0",
+        "draw 5: D=0.00e+00 not >0",
+    ]
 
 
 @pytest.mark.parametrize("d", [7, 11, 13])
