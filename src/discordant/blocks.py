@@ -5,13 +5,13 @@ A bipartite state decomposes as ρ = Σ_ij e_ij ⊗ B_ij (side B blocks) or
 iff that side's blocks are normal and mutually commute, i.e. one unitary U
 diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 (Dakić, Vedral & Brukner, PRL 105, 190502, 2010).  The general criterion,
-:func:`structural_verdicts`, decides stacks of (state, side) pairs: U is
-the eigenbasis of one generic Hermitian combination of each pair's blocks,
-all found by one batched ``eigh``, and zero discord holds iff every
-U†B_ijU is diagonal within tolerance; :func:`classical_decomposition`
-turns the same U into that sum.  An exact degeneracy of the combination
-needs no split: on a commuting normal family it holds equal eigenvalues of
-every block, where any basis serves.
+:func:`structural_verdicts`, decides each side's pairs as one stack of
+block views: U is the eigenbasis of one generic Hermitian combination of
+each pair's blocks, all found by one batched ``eigh``, and zero discord
+holds iff every U†B_ijU is diagonal within tolerance;
+:func:`classical_decomposition` turns the same U into that sum.  An exact
+degeneracy of the combination needs no split: on a commuting normal
+family it holds equal eigenvalues of every block, where any basis serves.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -71,7 +71,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: shared 2-core Xeon, budgets alternating) it read 0.0159–0.0163 items per ref,
 #: against 0.0150 for 24576, 0.0147 for 49152 (whose stacks leave small remainders
 #: of the benchmark's draw counts), 0.0157 for 65536 (at a peak RSS 1.6 MB higher)
-#: and 0.0134 for the earlier stacks of one side and 8192 entries.
+#: and 0.0134 for the earlier stacks of one side and 8192 entries (all measured with
+#: each stack copied into one mixed-side grid stack, before per-side block views).
 _CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
@@ -181,38 +182,38 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
     the U of :func:`_common_bases`, the eigenbasis of one generic Hermitian
     combination of the blocks, i.e. iff the blocks are normal and commute.
-    Pairs go in input order, sides mixed, in stacks of at most
-    ``_CHUNK_ENTRIES`` dense entries (one state if larger): each pair's grid
-    is the :func:`extract_blocks` of its own side, and results equal those
-    of one pair at a time, bit for bit.  Each verdict keeps U in
+    Pairs go in input order in stacks of at most ``_CHUNK_ENTRIES`` dense
+    entries (one state if larger), each decided side by side on one
+    :func:`extract_blocks` view of its states on that side; results equal
+    those of one pair at a time, bit for bit.  Each verdict keeps U in
     ``basis``; a nonzero one's witness is the block of largest relative
-    off-diagonal norm.  A state with a non-finite entry raises
-    :class:`InvalidSpec`.
+    off-diagonal norm.  A non-finite state raises :class:`InvalidSpec`.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts = []
     for chunk in _chunks(d, len(sides)):
-        at, part = sides[chunk.start : chunk.stop], rhos[chunk.start : chunk.stop]
-        # in C order, which the products of _norm_grids rely on; a slice of a
-        # C-ordered stack and a lone C-ordered state are views, not copies
-        states = (np.ascontiguousarray(part, dtype=complex) if len(at) > 1
-                  else np.ascontiguousarray(part[0], dtype=complex)[None])
-        U, blocks = _common_bases(states, d, at)
-        off, scale = _norm_grids(blocks, U)
+        at, n = sides[chunk.start : chunk.stop], len(chunk)
+        # in C order, which _norm_grids' products rely on; a C-ordered stack's slice is a view
+        states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
+        U, off, scale = np.empty((n, d, d), complex), np.empty((n, d, d)), np.empty((n, d, d))
+        for side in dict.fromkeys(at):
+            rows = [i for i, s in enumerate(at) if s == side]
+            grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
+            U[rows] = basis = _common_bases(grid, d)
+            off[rows], scale[rows] = _norm_grids(grid, basis)
         thr = tol * scale
         zero = (off <= thr).all(axis=(-2, -1)).tolist()
-        worst = (off / scale).reshape(len(at), -1).argmax(axis=-1).tolist()
+        worst = (off / scale).reshape(n, -1).argmax(axis=-1).tolist()
         for i, side in enumerate(at):
             b = divmod(worst[i], d)
             witness = None if zero[i] else {
                 "kind": "off-diagonal-block", "block": list(b),
                 "offdiagonal_norm": float(off[i][b]), "tolerance": float(thr[i][b]),
             }
-            verdicts.append(StructuralVerdict(
-                zero[i], side, CRITERION_COMMUTATION, witness=witness, basis=U[i]
-            ))
+            verdicts.append(StructuralVerdict(zero[i], side, CRITERION_COMMUTATION,
+                                              witness=witness, basis=U[i]))
     return verdicts
 
 
@@ -220,18 +221,17 @@ def structural_discord_zero(
     rho: np.ndarray, d: int, side: str, tol: float = DEFAULT_TOL
 ) -> StructuralVerdict:
     """The general criterion for one state and side: :func:`structural_verdicts` of one."""
-    return structural_verdicts([rho], d, [side], tol)[0]
+    return structural_verdicts(np.asarray(rho)[None], d, [side], tol)[0]
 
 
 def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for (n, d, d, d, d) grids and (n, d, d) U.
 
-    The grids are block views of C-ordered states, or a C-ordered stack.
-
-    Block rows go through one broadcast U†B_iU ``matmul`` as many at a time
-    as keep two temporaries within ``_CHUNK_ENTRIES`` (at least one row),
-    each product the one a lone block gets; both grids equal the values
-    ``np.linalg.norm`` forms block by block, bit for bit.
+    The grids are one side's block view of a C-ordered stack of states.  Block
+    rows go through one broadcast U†B_iU ``matmul`` as many at a time as keep
+    two temporaries within ``_CHUNK_ENTRIES`` (at least one row), each product
+    the one a lone block gets; both grids equal the values ``np.linalg.norm``
+    forms block by block, bit for bit.
     """
     n, d = U.shape[:2]
     Uh, U = U.conj().swapaxes(-1, -2)[:, None, None], U[:, None, None]
@@ -638,35 +638,24 @@ def _generic_weights(d: int) -> np.ndarray:
     return _read_only(Z + Z.conj().T)
 
 
-def _common_bases(states: np.ndarray, d: int, sides) -> tuple[np.ndarray, np.ndarray]:
-    """A candidate common eigenbasis U per (state, side) pair of a (n, d², d²) stack, shape (n, d, d).
+def _common_bases(grid: np.ndarray, d: int) -> np.ndarray:
+    """A candidate common eigenbasis U, (n, d, d), per grid of one side's block grids (n, d, d, d, d).
 
     U is the eigenbasis of the generic combination G = Σ W_ij B_ij (W
-    Hermitian, Weyl-sequence phases), all pairs in one batched ``eigh``;
+    Hermitian, Weyl-sequence phases), all grids in one batched ``eigh``;
     G's gaps are typically as wide as the whole family's.  On a commuting
     normal family G acts on joint eigenvector k as Σ W_ij λ_k(B_ij), so an
     exactly degenerate eigenspace of G (barring a cancellation among the
     weights) is one where every block is scalar and any basis serves, and
-    a cluster of gap g spreads the blocks there by only about g/|W|.
-    Each side's combinations are summed by one ``einsum`` over the states
-    on that side only, in its :func:`extract_blocks` view, whose layout
+    a cluster of gap g spreads the blocks there by only about g/|W|.  One
+    ``einsum`` sums G over the :func:`extract_blocks` view, whose layout
     fixes the order of summation, so each U is bit for bit the one a lone
-    pair gets.  Returns U and the pairs' block grids (n, d, d, d, d): for
-    one pair the view itself, for more a C-ordered stack filled side by side.
-    A non-finite combination, that is a state with a non-finite entry, raises
-    :class:`InvalidSpec` before any ``eigh``.
+    pair gets.  A non-finite G, that is a state with a non-finite entry,
+    raises :class:`InvalidSpec` before the ``eigh``.
     """
-    n = len(sides)
-    G = np.empty((n, d, d), dtype=complex)
-    blocks = np.empty((n, d, d, d, d), dtype=complex) if n > 1 else None
-    for side in dict.fromkeys(sides):
-        rows = [i for i, s in enumerate(sides) if s == side]
-        grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
-        G[rows] = np.einsum("ij,nijkl->nkl", _generic_weights(d), grid)
-        if blocks is not None:
-            blocks[rows] = grid
+    G = np.einsum("ij,nijkl->nkl", _generic_weights(d), grid)
     _require_finite(G)  # the combinations carry every entry, so this checks the states for free
-    return np.linalg.eigh(hermitize(G))[1], grid if blocks is None else blocks
+    return np.linalg.eigh(hermitize(G))[1]
 
 
 def classical_decomposition(

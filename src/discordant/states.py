@@ -150,11 +150,8 @@ def flip_operator(d: int) -> np.ndarray:
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
-    """Projector onto (1/√d) Σ_i e_i ⊗ e_i."""
-    _require_dimension(d)
-    P = np.zeros((d * d, d * d), dtype=complex)
-    P.reshape(-1)[_sector_index(d)[0]] = 1.0 / d
-    return P
+    """Projector onto (1/√d) Σ_i e_i ⊗ e_i: :func:`bell_projector` (0, 0)."""
+    return bell_projector(0, 0, d)
 
 
 def circulant_state(spec: CirculantSpec, validate: bool = True) -> np.ndarray:
@@ -205,10 +202,8 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
     _require_dimension(d)
     if not (0 <= m < d and 0 <= n < d):
         raise IndexError(f"indices ({m}, {n}) out of range for d={d}")
-    i = np.arange(d)
-    phases = np.exp(2j * np.pi * i / d)
     P = np.zeros((d * d, d * d), dtype=complex)
-    P.reshape(-1)[_sector_index(d)[n]] = phases[m * (i[:, None] - i) % d] / d
+    P.reshape(-1)[_sector_index(d)[n]] = _bell_amplitudes(d)[m] / d
     return P
 
 

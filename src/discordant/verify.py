@@ -74,7 +74,11 @@ def _outcome(zero: bool, dval: float) -> str:
 
 def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -> dict:
     """The ``analyze`` report: every structural route that applies to ``state``, each side's
-    numeric D judged against its general-criterion verdict, and the worst side's outcome."""
+    numeric D judged against its general-criterion verdict, and the worst side's outcome.
+    An empty or repeated side list raises ``ValueError``."""
+    sides = list(sides)
+    if not sides or len(set(sides)) < len(sides):
+        raise ValueError(f"sides must name each analyzed side once, got {sides}")
     d = state.d
     spec = state.spec if state.spec is not None else project_circulant(state.rho, d)
 

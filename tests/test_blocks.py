@@ -1092,10 +1092,42 @@ def test_classical_decomposition_maximally_mixed():
     np.testing.assert_allclose(recon, rho, atol=1e-10)
 
 
+def test_classical_decomposition_gives_empty_outcomes_the_mixed_conditional():
+    # |0⟩⟨0| ⊗ σ measured on side A: outcomes 1 and 2 have p = 0, and their
+    # conditional state, undefined, is the maximally mixed one
+    d, sigma = 3, np.array([0.5, 0.3, 0.2])
+    a = np.zeros((d, d, d), dtype=complex)
+    a[:, 0, 0] = sigma
+    rho = circulant_state(CirculantSpec(d, a))
+    np.testing.assert_array_equal(rho, np.kron(np.diag([1.0, 0, 0]), np.diag(sigma)))
+    parts = classical_decomposition(rho, d, "A")
+    assert [p for p, _, _ in parts] == [1.0, 0.0, 0.0]
+    np.testing.assert_allclose(parts[0][2], np.diag(sigma), atol=1e-15)
+    for _, _, cond in parts[1:]:
+        np.testing.assert_array_equal(cond, np.eye(d) / d)
+
+
+def test_classical_decomposition_rejects_a_loose_zero_that_does_not_reassemble():
+    # at tol 1e-2 a modulus perturbation of 1e-3 reads zero, but the blocks in
+    # its basis are off-diagonal by far more than REASSEMBLY_TOL
+    rng = np.random.default_rng(5)
+    for side in "AB":
+        spec = perturb_spec(random_zero_discord_spec(3, side, rng), "modulus", 1e-3, rng)
+        rho = circulant_state(spec)
+        assert structural_discord_zero(rho, 3, side, 1e-2).zero_discord
+        with pytest.raises(PreconditionError, match="reassembly residual"):
+            classical_decomposition(rho, 3, side, 1e-2)
+
+
 def test_isotropic_necessary_conditions_fail():
     spec = isotropic_state(3, 0.4)
     report = circulant_necessary_conditions(spec, "B")
     assert not report["passed"]
+
+
+def test_generate_zero_discord_rejects_a_non_square_seed():
+    with pytest.raises(DimensionError, match="a0 must be square"):
+        generate_zero_discord(np.eye(3)[:2], np.zeros(3), "A")
 
 
 def test_generate_zero_discord_rejects_unknown_side():

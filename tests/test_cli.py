@@ -572,6 +572,20 @@ def test_bad_numeric_flags_exit_2(capsys, command, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "werner", "--lambda", "0.1"], "--d is required"),
+    (["--family", "orthogonal", "--d", "2"], "--abc is required"),
+    (["--family", "bell", "--d", "3", "--pi", "0.2,0.1,0.033333333333333"], "--alpha and --pi"),
+    (["--family", "bell", "--d", "3", "--alpha", "1"], "--alpha and --pi"),
+    (["--family", "bell", "--d", "3", "--alpha", "1", "--pi", "0.5,-0.1,0.1"], "nonnegative"),
+    (["--family", "orthogonal", "--d", "2", "--abc", "0.2,x,0.3"], "comma-separated"),
+], ids=["no-d", "no-abc", "no-alpha", "no-pi", "negative-pi", "text-abc"])
+def test_incomplete_family_flags_exit_2(capsys, flags, named):
+    code, out, err = run_cli(["analyze", *flags], capsys)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "build"])
 @pytest.mark.parametrize("flags, named", [
     (["STATE", "--family", "isotropic", "--d", "3", "--lambda", "0.5"], "--family, --d, --lambda"),

@@ -107,6 +107,11 @@ def test_conditional_entropy_rejects_bad_basis():
             conditional_entropy(rho, 2, MeasurementBasis(2, vectors), "A")
 
 
+def test_measurement_basis_rejects_wrong_shape():
+    with pytest.raises(DimensionError, match=r"expected shape \(2, 2\)"):
+        MeasurementBasis(2, np.eye(3))
+
+
 _STATE_ENTRY_POINTS = {
     "structural_discord_zero": lambda rho, d: structural_discord_zero(rho, d, "B"),
     "structural_verdicts": lambda rho, d: structural_verdicts([np.eye(d * d) / d**2, rho], d, "AB"),

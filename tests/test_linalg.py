@@ -72,6 +72,13 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_partial_trace_and_fourier_matrix_reject_bad_arguments():
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        partial_trace(np.eye(4) / 4, 2, 2, "C")
+    with pytest.raises(DimensionError, match="must be positive"):
+        fourier_matrix(0)
+
+
 def test_fourier_matrix_unitary():
     for d in (2, 3, 5):
         F = fourier_matrix(d)

@@ -77,6 +77,17 @@ def test_unknown_and_missing_fields_rejected():
         parse_state({"d": 3, "lambda": 0.2})
 
 
+def test_malformed_descriptions_rejected():
+    # a field of the wrong shape, a description that is not an object, a bool lambda
+    with pytest.raises(InvalidSpec, match=r"field 'p' must have shape \(2, 2\)"):
+        parse_state({"kind": "bell", "d": 2, "p": [0.25, 0.25, 0.25, 0.25]})
+    for obj in ([{"kind": "werner", "d": 2, "lambda": 0.1}], "werner", None):
+        with pytest.raises(InvalidSpec, match="must be an object"):
+            parse_state(obj)
+    with pytest.raises(InvalidSpec, match="'lambda' must be a number"):
+        parse_state({"kind": "werner", "d": 2, "lambda": True})
+
+
 def test_d_must_be_integer_at_least_two():
     with pytest.raises(InvalidSpec):
         parse_state({"kind": "werner", "d": 1, "lambda": 0.0})

@@ -164,6 +164,19 @@ def test_bell_projectors_orthogonal():
             assert np.trace(P @ Q).real == pytest.approx(want, abs=1e-12)
 
 
+def test_bell_weights_and_projection_reject_wrong_shapes():
+    with pytest.raises(DimensionError, match=r"expected shape \(2, 2\)"):
+        BellWeights(2, np.full((3, 3), 1 / 9))
+    with pytest.raises(DimensionError, match=r"expected shape \(4, 4\)"):
+        project_circulant(np.eye(3) / 3, 2)
+
+
+def test_max_entangled_projector_is_bell_projector_00():
+    # both read one table of Bell amplitudes, so they agree bit for bit
+    for d in range(2, 33):
+        assert max_entangled_projector(d).tobytes() == bell_projector(0, 0, d).tobytes()
+
+
 def test_bell_diagonal_state_matches_projector_mixture():
     rng = np.random.default_rng(4)
     for d in (2, 3, 5):

@@ -13,7 +13,9 @@ from discordant.blocks import (
     generate_zero_discord,
     structural_discord_zero,
 )
+from discordant.discord import OptimizerConfig
 from discordant.errors import InvalidSpec, PrimeRequired
+from discordant.serialize import parse_state
 from discordant.states import (
     MAX_DIMENSION,
     BellWeights,
@@ -457,3 +459,16 @@ def test_run_verify_rejects_dimensions_out_of_range(d, monkeypatch):
     monkeypatch.setattr(verify, "is_prime", None)  # a call would raise TypeError
     with pytest.raises(InvalidSpec, match=f"2 ≤ d ≤ {MAX_DIMENSION}"):
         run_verify(d, draws=1)
+
+
+def test_analyze_rejects_side_lists_it_cannot_report():
+    # an empty list reported "agree" with nothing decided, a repeated side was
+    # listed twice over one numeric key, and a string was stored as given
+    state = parse_state({"kind": "werner", "d": 2, "lambda": 0.2})
+    cfg = OptimizerConfig(starts=1)
+    for sides in ([], "", ["A", "A"], "BB"):
+        with pytest.raises(ValueError, match="once"):
+            verify.analyze(state, sides, 1e-9, cfg)
+    report = verify.analyze(state, "AB", 1e-9, cfg)
+    assert report["sides"] == ["A", "B"]
+    assert json.dumps(report) == json.dumps(verify.analyze(state, ["A", "B"], 1e-9, cfg))
