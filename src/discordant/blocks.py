@@ -8,10 +8,11 @@ diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 :func:`structural_verdicts`, decides each side's pairs as one stack of
 block views: U is the eigenbasis of one generic Hermitian combination of
 each pair's blocks, all found by one batched ``eigh``, and zero discord
-holds iff every U†B_ijU is diagonal within tolerance;
-:func:`classical_decomposition` turns the same U into that sum.  An exact
-degeneracy of the combination needs no split: on a commuting normal
-family it holds equal eigenvalues of every block, where any basis serves.
+holds iff every U†B_ijU (two GEMMs per state) is diagonal within
+tolerance; :func:`classical_decomposition` reads that sum off the same
+products.  An exact degeneracy of the combination needs no split: on a
+commuting normal family it holds equal eigenvalues of every block, where
+any basis serves.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -67,12 +68,11 @@ REASSEMBLY_TOL = 1e-8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Complex entries one stack of the batched general criterion may span, sides
 #: mixed: 32768 holds 52 dense states at d = 5, 13 at d = 7, 2 at d = 11 and one
-#: at d = 13.  In verify-large-d benchmark runs (seed 1, 15 s, one BLAS thread,
-#: shared 2-core Xeon, budgets alternating) it read 0.0159–0.0163 items per ref,
-#: against 0.0150 for 24576, 0.0147 for 49152 (whose stacks leave small remainders
-#: of the benchmark's draw counts), 0.0157 for 65536 (at a peak RSS 1.6 MB higher)
-#: and 0.0134 for the earlier stacks of one side and 8192 entries (all measured with
-#: each stack copied into one mixed-side grid stack, before per-side block views).
+#: at d = 13.  With :func:`_rotated`'s two GEMMs per state, verify-large-d benchmark
+#: runs (seeds 1–4, 15 s, one BLAS thread, shared 2-core Xeon, budgets in rotating
+#: order) read a median of 0.0231 items per ref, first in each of the 4 rounds,
+#: against 0.0212 for 16384, 0.0203 for 49152 and 0.0210 for 65536 (the last two
+#: at a peak RSS 1.1 MB higher).
 _CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
@@ -195,7 +195,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     verdicts = []
     for chunk in _chunks(d, len(sides)):
         at, n = sides[chunk.start : chunk.stop], len(chunk)
-        # in C order, which _norm_grids' products rely on; a C-ordered stack's slice is a view
+        # C order fixes _common_bases' order of summation; a C-ordered stack's slice is a view
         states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
         U, off, scale = np.empty((n, d, d), complex), np.empty((n, d, d)), np.empty((n, d, d))
         for side in dict.fromkeys(at):
@@ -227,24 +227,36 @@ def structural_discord_zero(
 def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for (n, d, d, d, d) grids and (n, d, d) U.
 
-    The grids are one side's block view of a C-ordered stack of states.  Block
-    rows go through one broadcast U†B_iU ``matmul`` as many at a time as keep
-    two temporaries within ``_CHUNK_ENTRIES`` (at least one row), each product
-    the one a lone block gets; both grids equal the values ``np.linalg.norm``
-    forms block by block, bit for bit.
+    The grids are one side's block view of a stack of states.  Block rows go
+    through :func:`_rotated` as many at a time as keep each temporary within
+    half of ``_CHUNK_ENTRIES`` (at least one row); both grids equal the values
+    ``np.linalg.norm`` forms on each row's products and transposed blocks, bit
+    for bit, however the rows are cut.
     """
     n, d = U.shape[:2]
-    Uh, U = U.conj().swapaxes(-1, -2)[:, None, None], U[:, None, None]
     off, scale = np.empty((n, d, d)), np.empty((n, d, d))
-    rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # two temporaries of n·rows·d³
+    rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # n·rows·d³ entries per temporary
     for i in range(0, d, rows):
-        B = blocks[:, i : i + rows]
-        scale[:, i : i + rows] = _squared_norms(B)
-        T = Uh @ B @ U  # a new C-ordered array, so the reshape below is a view
+        Bt = np.ascontiguousarray(blocks[:, i : i + rows].swapaxes(-1, -2))
+        scale[:, i : i + rows] = _squared_norms(Bt)
+        T = _rotated(Bt, U)
         T.reshape(-1, d * d)[:, :: d + 1] = 0.0
         off[:, i : i + rows] = _squared_norms(T)
-        del T  # freed before the next rows' temporaries are made
+        del Bt, T  # freed before the next rows' temporaries are made
     return np.sqrt(off), np.maximum(1.0, np.sqrt(scale))
+
+
+def _rotated(Bt: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U†BU per block of an (n, …, d, d) stack given as C-ordered transposes Bt = Bᵀ.
+
+    Two GEMMs per state over all its blocks: stacked Bt rows times conj(U)
+    give (U†B)ᵀ, and their transposes, stacked, times U give U†BU, a new
+    C-ordered array of Bt's shape.
+    """
+    n, d = U.shape[:2]
+    P = (Bt.reshape(n, -1, d) @ U.conj()).reshape(Bt.shape)
+    P = np.ascontiguousarray(P.swapaxes(-1, -2))  # U†B, block by block
+    return (P.reshape(n, -1, d) @ U).reshape(Bt.shape)
 
 
 def _squared_norms(X: np.ndarray) -> np.ndarray:
@@ -679,7 +691,8 @@ def classical_decomposition(
         )
     U = verdict.basis
     blocks = extract_blocks(rho, d, side)
-    sigma = np.einsum("xk,yzxw,wk->kyz", U.conj(), blocks, U, optimize=True)
+    T = _rotated(np.ascontiguousarray(blocks.swapaxes(-1, -2))[None], U[None])[0]
+    sigma = np.moveaxis(T.diagonal(axis1=-2, axis2=-1), -1, 0)  # σ_k[y, z] = (U†B_yzU)_kk
     reassembled = np.einsum("xk,wk,kyz->yzxw", U, U.conj(), sigma, optimize=True)
     residual = frobenius(blocks - reassembled)
     if residual > REASSEMBLY_TOL:

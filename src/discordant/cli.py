@@ -3,9 +3,8 @@
 Commands: ``build`` emits state JSON for a named family, ``analyze``
 prints the report of :func:`discordant.verify.analyze` on a state,
 ``verify`` batch-runs the cross-check suites, and ``simplex`` emits CSV
-data for the d=2 orthogonal-invariant simplex.  ``analyze`` and
-``verify --format json`` print one JSON object on one line; ``build``
-writes indented state JSON.
+data for the d=2 orthogonal-invariant simplex.  ``build``, ``analyze``
+and ``verify --format json`` print one JSON object on one line.
 
 Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
 outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
@@ -146,7 +145,7 @@ def cmd_build(args) -> int:
         obj = bell_to_json(loaded.d, loaded.weights.p)
     else:
         obj = circulant_to_json(loaded.spec)
-    _emit(json.dumps(obj, indent=2), args.output)
+    _emit(json.dumps(obj), args.output)
     return 0
 
 

@@ -279,16 +279,18 @@ def test_off_diagonal_witness_exceeds_its_tolerance():
 
 
 def _offdiagonal_loop(blocks, U):
-    """Reference: the masked transform and both norms one block row at a time, by np.linalg.norm."""
+    """Reference: one block row at a time, its transposed blocks as one (d², d) matrix
+    taken through conj(U), transposed back and taken through U; both norms by np.linalg.norm."""
     d = U.shape[0]
-    Uh = U.conj().T
     idx = np.arange(d)
     off, scale = np.empty((d, d)), np.empty((d, d))
     for i in range(d):
-        T = Uh @ blocks[i] @ U
+        Bt = blocks[i].swapaxes(-1, -2).copy()  # Bt[j] = B_ijᵀ
+        P = (Bt.reshape(d * d, d) @ U.conj()).reshape(d, d, d).swapaxes(-1, -2).copy()
+        T = (P.reshape(d * d, d) @ U).reshape(d, d, d)  # T[j] = U†B_ijU
         T[:, idx, idx] = 0.0
         off[i] = np.linalg.norm(T, axis=(-2, -1))
-        scale[i] = np.linalg.norm(blocks[i], axis=(-2, -1))
+        scale[i] = np.linalg.norm(Bt, axis=(-2, -1))
     return off, np.maximum(1.0, scale)
 
 
@@ -380,6 +382,22 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
         zeros = sum(v.zero_discord for v in got)
         assert zeros >= 6 and len(got) - zeros >= 6
     assert structural_verdicts([], d, [], 1e-9) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_norm_grids_match_per_block_products(d):
+    # the batched products agree with U† @ B_ij @ U block by block, to rounding
+    rng = np.random.default_rng(80 + d)
+    for rho in _stack_cases(d, rng):
+        for side in "AB":
+            blocks = extract_blocks(rho, d, side)
+            U = _common_basis_reference(blocks, d)
+            T = U.conj().T @ blocks @ U
+            want_off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
+            want_scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
+            off, scale = (grid[0] for grid in _norm_grids(blocks[None], U[None]))
+            assert (np.abs(scale - want_scale) <= 1e-14 * want_scale).all(), side
+            assert (np.abs(off - want_off) <= 1e-14 * want_scale).all(), side
 
 
 def test_structural_verdicts_ignore_memory_layout():

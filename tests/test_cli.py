@@ -693,7 +693,7 @@ def test_bell_family_flags_take_the_line_labels(d, capsys):
                                 "--pi", ",".join(repr(float(x)) for x in pi)], capsys)
         assert code == 0
         want = {"kind": "bell", "d": d, "p": (p / float(p.sum())).tolist()}
-        assert out == json.dumps(want, indent=2) + "\n"
+        assert out == json.dumps(want) + "\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
