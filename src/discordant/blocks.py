@@ -8,11 +8,13 @@ diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 :func:`structural_verdicts`, decides each side's pairs as one stack of
 block views: U is the eigenbasis of one generic Hermitian combination of
 each pair's blocks, all found by one batched ``eigh``, and zero discord
-holds iff every U†B_ijU (two GEMMs per state) is diagonal within
-tolerance; :func:`classical_decomposition` reads that sum off the same
-products.  An exact degeneracy of the combination needs no split: on a
-commuting normal family it holds equal eigenvalues of every block, where
-any basis serves.
+holds iff every U†B_ijU with i ≤ j (two GEMMs per state and slab of block
+rows) is diagonal within tolerance; a Hermitian state has B_ji = B_ij†, so
+the blocks below the diagonal repeat those norms and are not read.
+:func:`classical_decomposition` reads that sum off the same products of
+every block, so its reassembly check sees the whole state.  An exact
+degeneracy of the combination needs no split: on a commuting normal family
+it holds equal eigenvalues of every block, where any basis serves.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -68,11 +70,11 @@ REASSEMBLY_TOL = 1e-8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Complex entries one stack of the batched general criterion may span, sides
 #: mixed: 32768 holds 52 dense states at d = 5, 13 at d = 7, 2 at d = 11 and one
-#: at d = 13.  With :func:`_rotated`'s two GEMMs per state, verify-large-d benchmark
-#: runs (seeds 1–4, 15 s, one BLAS thread, shared 2-core Xeon, budgets in rotating
-#: order) read a median of 0.0231 items per ref, first in each of the 4 rounds,
-#: against 0.0212 for 16384, 0.0203 for 49152 and 0.0210 for 65536 (the last two
-#: at a peak RSS 1.1 MB higher).
+#: at d = 13.  With :func:`_norm_grids` rotating only the blocks with i ≤ j,
+#: verify-large-d benchmark runs (seeds 1–4, 15 s, one BLAS thread, shared 2-core
+#: Xeon, budgets in rotating order) read a median of 0.0265 items per ref, first
+#: in each of the 4 rounds, against 0.0226 for 16384, 0.0225 for 49152 and 0.0231
+#: for 65536 (the last two at a peak RSS 0.7–0.8 MB higher).
 _CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
@@ -182,39 +184,51 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
     the U of :func:`_common_bases`, the eigenbasis of one generic Hermitian
     combination of the blocks, i.e. iff the blocks are normal and commute.
-    Pairs go in input order in stacks of at most ``_CHUNK_ENTRIES`` dense
-    entries (one state if larger), each decided side by side on one
-    :func:`extract_blocks` view of its states on that side; results equal
-    those of one pair at a time, bit for bit.  Each verdict keeps U in
-    ``basis``; a nonzero one's witness is the block of largest relative
-    off-diagonal norm.  A non-finite state raises :class:`InvalidSpec`.
+    Each state must be Hermitian, as every validated one is (to
+    ``HERMITICITY_TOL``), for only the blocks with i ≤ j are read (see
+    :func:`_norm_grids`).  Pairs go in input order in stacks of at most
+    ``_CHUNK_ENTRIES`` dense entries (one state if larger), each decided side
+    by side on one :func:`extract_blocks` view of its states on that side;
+    results equal those of one pair at a time, bit for bit.  Each verdict keeps U in
+    ``basis``; a nonzero one's witness is the block (i, j), i ≤ j, of largest
+    relative off-diagonal norm, the first in row-major order on a tie.  A
+    non-finite state raises :class:`InvalidSpec`.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
-    verdicts = []
+    verdicts, m = [], d * (d + 1) // 2
     for chunk in _chunks(d, len(sides)):
         at, n = sides[chunk.start : chunk.stop], len(chunk)
         # C order fixes _common_bases' order of summation; a C-ordered stack's slice is a view
         states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
-        U, off, scale = np.empty((n, d, d), complex), np.empty((n, d, d)), np.empty((n, d, d))
+        U, off, scale = np.empty((n, d, d), complex), np.empty((n, m)), np.empty((n, m))
         for side in dict.fromkeys(at):
             rows = [i for i, s in enumerate(at) if s == side]
             grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
             U[rows] = basis = _common_bases(grid, d)
             off[rows], scale[rows] = _norm_grids(grid, basis)
         thr = tol * scale
-        zero = (off <= thr).all(axis=(-2, -1)).tolist()
-        worst = (off / scale).reshape(n, -1).argmax(axis=-1).tolist()
+        zero = (off <= thr).all(axis=-1).tolist()
+        worst = (off / scale).argmax(axis=-1).tolist()
         for i, side in enumerate(at):
-            b = divmod(worst[i], d)
+            t = worst[i]
             witness = None if zero[i] else {
-                "kind": "off-diagonal-block", "block": list(b),
-                "offdiagonal_norm": float(off[i][b]), "tolerance": float(thr[i][b]),
+                "kind": "off-diagonal-block", "block": _upper_block(d, t),
+                "offdiagonal_norm": float(off[i, t]), "tolerance": float(thr[i, t]),
             }
             verdicts.append(StructuralVerdict(zero[i], side, CRITERION_COMMUTATION,
                                               witness=witness, basis=U[i]))
     return verdicts
+
+
+def _upper_block(d: int, t: int) -> list[int]:
+    """[i, j] of the t-th block with i ≤ j of a d×d grid, counted row by row."""
+    i = 0
+    while t >= d - i:
+        t -= d - i
+        i += 1
+    return [i, i + t]
 
 
 def structural_discord_zero(
@@ -225,23 +239,31 @@ def structural_discord_zero(
 
 
 def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F) for (n, d, d, d, d) grids and (n, d, d) U.
+    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F), (n, d(d + 1)/2) each, for i ≤ j.
 
-    The grids are one side's block view of a stack of states.  Block rows go
-    through :func:`_rotated` as many at a time as keep each temporary within
-    half of ``_CHUNK_ENTRIES`` (at least one row); both grids equal the values
-    ``np.linalg.norm`` forms on each row's products and transposed blocks, bit
-    for bit, however the rows are cut.
+    The (n, d, d, d, d) grids are one side's block view of a stack of
+    Hermitian states and U is (n, d, d).  There B_ji = B_ij†, so U†B_jiU is
+    the adjoint of U†B_ijU with the same norms: only blocks with i ≤ j are
+    read, and their values come row by row, (0, 0) … (0, d − 1), (1, 1) ….
+    Block rows go through :func:`_rotated` as many at a time as keep each
+    temporary within half of ``_CHUNK_ENTRIES`` (at least one row); both
+    values equal those ``np.linalg.norm`` forms on each row's products and
+    transposed blocks, bit for bit, however the rows are cut.
     """
     n, d = U.shape[:2]
-    off, scale = np.empty((n, d, d)), np.empty((n, d, d))
+    off, scale = np.empty((2, n, d * (d + 1) // 2))
     rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # n·rows·d³ entries per temporary
+    done = 0
     for i in range(0, d, rows):
-        Bt = np.ascontiguousarray(blocks[:, i : i + rows].swapaxes(-1, -2))
-        scale[:, i : i + rows] = _squared_norms(Bt)
+        slab = [blocks[:, r, r:] for r in range(i, min(i + rows, d))]  # B_rj, j ≥ r
+        k = sum(row.shape[1] for row in slab)
+        Bt = np.empty((n, k, d, d), complex)
+        np.concatenate(slab, axis=1, out=Bt.swapaxes(-1, -2))  # C-ordered transposes
+        scale[:, done : done + k] = _squared_norms(Bt)
         T = _rotated(Bt, U)
         T.reshape(-1, d * d)[:, :: d + 1] = 0.0
-        off[:, i : i + rows] = _squared_norms(T)
+        off[:, done : done + k] = _squared_norms(T)
+        done += k
         del Bt, T  # freed before the next rows' temporaries are made
     return np.sqrt(off), np.maximum(1.0, np.sqrt(scale))
 

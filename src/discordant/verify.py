@@ -52,7 +52,7 @@ _OUTCOMES = ("agree", "inconclusive", "disagree")
 PERTURBATION_KINDS = ("modulus", "diagonal", "phase")
 #: Largest simplex ``grid``: ``simplex`` holds all grid·(grid + 1)/2 rows in memory.
 MAX_GRID = 1001
-#: Every residue class of a nonclassical Bell draw spreads by more than this.
+#: Every line of a nonclassical Bell draw spreads by more than this (4/d² where smaller).
 _NONCLASSICAL_SPREAD = 0.02
 
 
@@ -215,10 +215,13 @@ def random_classical_bell(
 
 
 def random_nonclassical_bell(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random weight matrix whose residue classes all spread by more than 0.02."""
+    """Random weight matrix in which every line has a residue class spread by more than
+    min(0.02, 4/d²): the weights average 1/d², so 0.02 alone rejects almost every draw
+    at d ≥ 23."""
+    least = min(_NONCLASSICAL_SPREAD, 4 / d**2)
     while True:
         p = rng.dirichlet(np.ones(d * d)).reshape(d, d)
-        if (_bell_spreads(p[None])[1] > _NONCLASSICAL_SPREAD).all():
+        if (_bell_spreads(p[None])[1] > least).all():
             return p
 
 

@@ -279,28 +279,30 @@ def test_off_diagonal_witness_exceeds_its_tolerance():
 
 
 def _offdiagonal_loop(blocks, U):
-    """Reference: one block row at a time, its transposed blocks as one (d², d) matrix
-    taken through conj(U), transposed back and taken through U; both norms by np.linalg.norm."""
+    """Reference: one block row i at a time, its transposed blocks B_ij, j ≥ i, as one
+    ((d − i)·d, d) matrix taken through conj(U), transposed back and taken through U;
+    both norms by np.linalg.norm, as the row-by-row values for i ≤ j."""
     d = U.shape[0]
     idx = np.arange(d)
-    off, scale = np.empty((d, d)), np.empty((d, d))
+    off, scale = [], []
     for i in range(d):
-        Bt = blocks[i].swapaxes(-1, -2).copy()  # Bt[j] = B_ijᵀ
-        P = (Bt.reshape(d * d, d) @ U.conj()).reshape(d, d, d).swapaxes(-1, -2).copy()
-        T = (P.reshape(d * d, d) @ U).reshape(d, d, d)  # T[j] = U†B_ijU
+        Bt = blocks[i, i:].swapaxes(-1, -2).copy()  # Bt[j − i] = B_ijᵀ
+        P = (Bt.reshape(-1, d) @ U.conj()).reshape(-1, d, d).swapaxes(-1, -2).copy()
+        T = (P.reshape(-1, d) @ U).reshape(-1, d, d)  # T[j − i] = U†B_ijU
         T[:, idx, idx] = 0.0
-        off[i] = np.linalg.norm(T, axis=(-2, -1))
-        scale[i] = np.linalg.norm(Bt, axis=(-2, -1))
-    return off, np.maximum(1.0, scale)
+        off.append(np.linalg.norm(T, axis=(-2, -1)))
+        scale.append(np.linalg.norm(Bt, axis=(-2, -1)))
+    return np.concatenate(off), np.maximum(1.0, np.concatenate(scale))
 
 
-def _verdict_json_from(off, scale, side, tol=DEFAULT_TOL):
-    """The general criterion's verdict JSON, decided from given norm grids."""
+def _verdict_json_from(off, scale, d, side, tol=DEFAULT_TOL):
+    """The general criterion's verdict JSON, decided from given values for the blocks i ≤ j."""
     witness = None
     if not np.all(off <= tol * scale):
-        i, j = np.unravel_index(np.argmax(off / scale), off.shape)
-        witness = {"kind": "off-diagonal-block", "block": [int(i), int(j)],
-                   "offdiagonal_norm": float(off[i, j]), "tolerance": float(tol * scale[i, j])}
+        t = np.argmax(off / scale)
+        i, j = (int(k[t]) for k in np.triu_indices(d))
+        witness = {"kind": "off-diagonal-block", "block": [i, j],
+                   "offdiagonal_norm": float(off[t]), "tolerance": float(tol * scale[t])}
     return json.dumps({"side": side, "zero_discord": witness is None,
                        "criterion": CRITERION_COMMUTATION, "alpha": None, "line": None,
                        "phases": None, "pi": None, "witness": witness})
@@ -338,7 +340,7 @@ def test_offdiagonal_norms_match_loop_reference_exactly(d):
             want = _offdiagonal_loop(blocks, verdict.basis)
             assert got[0][0].tobytes() == want[0].tobytes(), side
             assert got[1][0].tobytes() == want[1].tobytes(), side
-            assert json.dumps(verdict.to_json()) == _verdict_json_from(*want, side)
+            assert json.dumps(verdict.to_json()) == _verdict_json_from(*want, d, side)
             zeros += verdict.zero_discord
             nonzeros += not verdict.zero_discord
     assert zeros >= 6 and nonzeros >= 6  # both outcomes, witnesses included, are compared
@@ -372,7 +374,8 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
         U = _common_basis_reference(blocks, d)
         references.append((U, _offdiagonal_loop(blocks, U)))
     for tol in (1e-9, 1e-3):
-        want = [_verdict_json_from(*grids, side, tol) for (_, grids), side in zip(references, sides)]
+        want = [_verdict_json_from(*grids, d, side, tol)
+                for (_, grids), side in zip(references, sides)]
         for chunk in (1, d**4 - 1, 10**9):  # one row, a state split into rows, the whole stack
             monkeypatch.setattr(blocks_module, "_CHUNK_ENTRIES", chunk)
             got = structural_verdicts(rhos, d, sides, tol)
@@ -381,13 +384,17 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
                 assert verdict.basis.tobytes() == U.tobytes(), (tol, chunk)
         zeros = sum(v.zero_discord for v in got)
         assert zeros >= 6 and len(got) - zeros >= 6
+        # a witness is the first block of largest norm, and B_ij precedes its mirror B_ji
+        assert all(i <= j for i, j in (v.witness["block"] for v in got if not v.zero_discord))
     assert structural_verdicts([], d, [], 1e-9) == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_norm_grids_match_per_block_products(d):
-    # the batched products agree with U† @ B_ij @ U block by block, to rounding
+    # the batched products agree with U† @ B_ij @ U block by block, to rounding, and
+    # every lower block B_ji, which is never read, has the norms of its mirror B_ij
     rng = np.random.default_rng(80 + d)
+    upper = np.triu_indices(d)
     for rho in _stack_cases(d, rng):
         for side in "AB":
             blocks = extract_blocks(rho, d, side)
@@ -395,9 +402,11 @@ def test_norm_grids_match_per_block_products(d):
             T = U.conj().T @ blocks @ U
             want_off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
             want_scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
-            off, scale = (grid[0] for grid in _norm_grids(blocks[None], U[None]))
-            assert (np.abs(scale - want_scale) <= 1e-14 * want_scale).all(), side
-            assert (np.abs(off - want_off) <= 1e-14 * want_scale).all(), side
+            off, scale = (values[0] for values in _norm_grids(blocks[None], U[None]))
+            for want in (want_off, want_off.T):  # (i, j), then the lower block (j, i)
+                assert (np.abs(off - want[upper]) <= 1e-14 * want_scale[upper]).all(), side
+            for want in (want_scale, want_scale.T):
+                assert (np.abs(scale - want[upper]) <= 1e-14 * want_scale[upper]).all(), side
 
 
 def test_structural_verdicts_ignore_memory_layout():
@@ -1098,6 +1107,32 @@ def test_classical_decomposition_requires_zero_discord():
     rho = circulant_state(werner_state(2, -0.5), validate=True)
     with pytest.raises(PreconditionError):
         classical_decomposition(rho, 2, "A")
+
+
+def test_classical_decomposition_reads_the_lower_blocks_the_criterion_skips():
+    # the general criterion reads only blocks B_ij with i ≤ j, taking B_ji as B_ij†;
+    # a non-Hermitian defect of norm 1e-6 in one lower block, chosen so that the
+    # Hermitian part of the generic combination G does not see it, leaves the
+    # verdict zero, but the decomposition reassembles every block and refuses it
+    rng = np.random.default_rng(17)
+    for d in (3, 5):
+        W = _generic_weights(d)
+        for side in "AB":
+            rho = circulant_state(random_zero_discord_spec(d, side, rng)).copy()
+            i, j = 0, d - 1
+            H = hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            E = 1j * H / W[j, i]  # W_ji·E is anti-Hermitian, so hermitize(G) drops it
+            E *= 1e-6 / np.linalg.norm(E)
+            if side == "B":
+                rho[j * d : (j + 1) * d, i * d : (i + 1) * d] += E
+            else:
+                rho[j::d, i::d] += E
+            B = extract_blocks(rho, d, side)
+            defect = np.abs(B - B.swapaxes(0, 1).conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            assert set(zip(*np.nonzero(defect > 1e-12))) == {(i, j), (j, i)}  # B_ji ≠ B_ij† only
+            assert structural_discord_zero(rho, d, side).zero_discord, (d, side)
+            with pytest.raises(PreconditionError, match="reassembly residual"):
+                classical_decomposition(rho, d, side)
 
 
 def test_classical_decomposition_maximally_mixed():

@@ -105,6 +105,27 @@ def test_random_bell_families():
                 validate_bell_weights(BellWeights(d, q))
 
 
+def test_nonclassical_bell_draws_return_at_large_d():
+    # the weights average 1/d², so a fixed spread of 0.02 accepted no draw at
+    # d = 29 or 31 and the generator never returned; here a draw must come
+    # within 100 candidates, and the Bell test must reject it
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def dirichlet(self, alpha):
+            self.calls += 1
+            assert self.calls <= 100, "no candidate accepted"
+            return self.rng.dirichlet(alpha)
+
+    for d in (29, 31):
+        for seed in (0, 1):
+            p = random_nonclassical_bell(d, Counted(np.random.default_rng(seed)))
+            assert _spread_exceeds(p, d, 4 / d**2)
+            assert not bell_zero_discord_check(p).zero_discord
+
+
 def test_run_verify_d2_passes():
     results, all_pass = run_verify(2, seed=7, draws=8, starts=12)
     assert all_pass
