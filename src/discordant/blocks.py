@@ -191,8 +191,9 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     by side on one :func:`extract_blocks` view of its states on that side;
     results equal those of one pair at a time, bit for bit.  Each verdict keeps U in
     ``basis``; a nonzero one's witness is the block (i, j), i ≤ j, of largest
-    relative off-diagonal norm, the first in row-major order on a tie.  A
-    non-finite state raises :class:`InvalidSpec`.
+    relative off-diagonal norm ‖offdiag‖/scale: the first in row-major order
+    within 1e-12 relative of the largest, so that rounding does not choose
+    among blocks of equal norm.  A non-finite state raises :class:`InvalidSpec`.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
@@ -208,13 +209,13 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
             grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
             U[rows] = basis = _common_bases(grid, d)
             off[rows], scale[rows] = _norm_grids(grid, basis)
-        thr = tol * scale
+        thr, rel = tol * scale, off / scale
         zero = (off <= thr).all(axis=-1).tolist()
-        worst = (off / scale).argmax(axis=-1).tolist()
+        worst = (rel >= (1 - 1e-12) * rel.max(axis=-1, keepdims=True)).argmax(axis=-1).tolist()
         for i, side in enumerate(at):
             t = worst[i]
             witness = None if zero[i] else {
-                "kind": "off-diagonal-block", "block": _upper_block(d, t),
+                "kind": "off-diagonal-block", "block": _upper_pairs(d)[t].tolist(),
                 "offdiagonal_norm": float(off[i, t]), "tolerance": float(thr[i, t]),
             }
             verdicts.append(StructuralVerdict(zero[i], side, CRITERION_COMMUTATION,
@@ -222,13 +223,10 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     return verdicts
 
 
-def _upper_block(d: int, t: int) -> list[int]:
-    """[i, j] of the t-th block with i ≤ j of a d×d grid, counted row by row."""
-    i = 0
-    while t >= d - i:
-        t -= d - i
-        i += 1
-    return [i, i + t]
+@functools.cache
+def _upper_pairs(d: int) -> np.ndarray:
+    """[i, j] of each block with i ≤ j of a d×d grid, row by row (cached, read-only)."""
+    return _read_only(np.stack(np.triu_indices(d), axis=-1))
 
 
 def structural_discord_zero(
@@ -288,16 +286,9 @@ def _squared_norms(X: np.ndarray) -> np.ndarray:
     return np.add.reduce(Y.real, axis=(-2, -1))
 
 
-@functools.cache
-def _off_diagonal(d: int) -> np.ndarray:
-    """Flat positions of the off-diagonal entries of a d×d matrix (cached, read-only)."""
-    return _read_only(np.flatnonzero(~np.eye(d, dtype=bool)))
-
-
 def _diagonal_flags(a: np.ndarray) -> np.ndarray:
     """Whether each (…, d, d, d) sector stack has all off-diagonal entries within ZERO_TOL of 0."""
-    d = a.shape[-1]
-    off = a.reshape(a.shape[:-2] + (d * d,))[..., _off_diagonal(d)]
+    off = a[..., ~np.eye(a.shape[-1], dtype=bool)]  # (…, d, d(d − 1))
     return np.abs(off).max(axis=(-2, -1)) <= ZERO_TOL
 
 

@@ -39,7 +39,9 @@ from .serialize import (
 from .states import _require_dimension
 from .verify import MAX_GRID, analyze, o2_simplex_rows, run_verify
 
-_FAMILIES = ("werner", "isotropic", "bell", "orthogonal")
+#: The inline families and the flags each reads besides --family and --d, all required.
+_FAMILY_FLAGS = {"werner": ("--lambda",), "isotropic": ("--lambda",), "bell": ("--alpha", "--pi"),
+                 "orthogonal": ("--abc",)}
 
 
 def _effective_seed(args) -> int:
@@ -65,27 +67,24 @@ def _parse_floats(text: str, name: str) -> list[float]:
     return values
 
 
-def _family_state(args, validate: bool) -> LoadedState:
-    """Parse the schema dict that the inline family flags describe."""
+def _family_state(args, given: list[str], validate: bool) -> LoadedState:
+    """Parse the schema dict that the inline family flags describe; ``given`` names those set."""
     if args.d is None:
         raise InvalidSpec("--d is required with --family")
     d = args.d
     _require_dimension(d)
-    fam = args.family
+    fam, reads = args.family, _FAMILY_FLAGS[args.family]
+    if not set(reads) <= set(given):
+        raise InvalidSpec(f"{' and '.join(reads)} {'is' if len(reads) == 1 else 'are'} "
+                          f"required for family {fam!r}")
     obj = {"kind": fam, "d": d}
     if fam in ("werner", "isotropic"):
-        if args.lam is None:
-            raise InvalidSpec(f"--lambda is required for family {fam!r}")
         obj["lambda"] = args.lam
     elif fam == "orthogonal":
-        if args.abc is None:
-            raise InvalidSpec("--abc is required for family 'orthogonal'")
         obj["abc"] = _parse_floats(args.abc, "abc")
         if len(obj["abc"]) != 3:
             raise InvalidSpec("--abc must have exactly three values")
     elif fam == "bell":
-        if args.pi is None or args.alpha is None:
-            raise InvalidSpec("family 'bell' needs --alpha and --pi (π values, one per residue)")
         pi = np.asarray(_parse_floats(args.pi, "pi"), dtype=float)
         if pi.shape != (d,):
             raise InvalidSpec(f"--pi must list exactly {d} values")
@@ -109,12 +108,11 @@ def _load_input(args, validate: bool) -> LoadedState:
             raise InvalidSpec(f"a state path takes no family flags, got {', '.join(given)}")
         return load_state_file(args.input, validate=validate)
     if args.family:
-        reads = {"werner": ["--lambda"], "isotropic": ["--lambda"], "orthogonal": ["--abc"],
-                 "bell": ["--alpha", "--pi"]}[args.family]
-        unread = [flag for flag in given if flag not in ["--family", "--d", *reads]]
+        unread = [flag for flag in given
+                  if flag not in ("--family", "--d", *_FAMILY_FLAGS[args.family])]
         if unread:
             raise InvalidSpec(f"family {args.family!r} does not read {', '.join(unread)}")
-        return _family_state(args, validate)
+        return _family_state(args, given, validate)
     raise InvalidSpec("provide a state JSON path or --family flags")
 
 
@@ -187,7 +185,7 @@ def cmd_simplex(args) -> int:
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=_FAMILIES, help="inline state family")
+    sub.add_argument("--family", choices=_FAMILY_FLAGS, help="inline state family")
     sub.add_argument("--d", type=int, help="local dimension")
     sub.add_argument("--lambda", dest="lam", type=float, help="mixing parameter")
     sub.add_argument("--abc", help="three comma-separated weights (orthogonal family)")

@@ -69,8 +69,8 @@ def encode_complex_matrix(M: np.ndarray) -> list:
     return np.stack([M.real, M.imag], -1).tolist()
 
 
-def decode_complex_matrix(obj, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A complex matrix from its [re, im] pairs, read by :func:`decode_real_matrix`."""
+def decode_complex_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A complex array from its [re, im] pairs, read by :func:`decode_real_matrix`."""
     arr = decode_real_matrix(obj, (*shape, 2), name)
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -137,12 +137,7 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
     # Bell and commuting specs are checked as they are built.
     weights, check = None, validate
     if kind == "circulant":
-        a_obj = obj["a"]
-        if not isinstance(a_obj, list) or len(a_obj) != d:
-            raise InvalidSpec(f"'a' must be a list of {d} matrices")
-        spec = CirculantSpec(d, [
-            decode_complex_matrix(m, (d, d), f"a[{n}]") for n, m in enumerate(a_obj)
-        ])
+        spec = CirculantSpec(d, decode_complex_matrix(obj["a"], (d, d, d), "a"))
     elif kind == "bell":
         weights = BellWeights(d, decode_real_matrix(obj["p"], (d, d), "p"))
         spec, check = bell_diagonal_state(weights), False

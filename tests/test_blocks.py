@@ -296,10 +296,14 @@ def _offdiagonal_loop(blocks, U):
 
 
 def _verdict_json_from(off, scale, d, side, tol=DEFAULT_TOL):
-    """The general criterion's verdict JSON, decided from given values for the blocks i ≤ j."""
+    """The general criterion's verdict JSON, decided from given values for the blocks i ≤ j.
+
+    The witness is the first block, row by row, within 1e-12 relative of the largest off/scale.
+    """
     witness = None
     if not np.all(off <= tol * scale):
-        t = np.argmax(off / scale)
+        rel = off / scale
+        t = np.flatnonzero(rel >= (1 - 1e-12) * rel.max())[0]
         i, j = (int(k[t]) for k in np.triu_indices(d))
         witness = {"kind": "off-diagonal-block", "block": [i, j],
                    "offdiagonal_norm": float(off[t]), "tolerance": float(tol * scale[t])}
@@ -387,6 +391,15 @@ def test_structural_verdicts_match_per_pair_reference(d, monkeypatch):
         # a witness is the first block of largest norm, and B_ij precedes its mirror B_ji
         assert all(i <= j for i, j in (v.witness["block"] for v in got if not v.zero_discord))
     assert structural_verdicts([], d, [], 1e-9) == []
+
+
+def test_witness_ties_go_to_the_first_block_in_row_major_order():
+    # a d = 2 Bell state's blocks B_00 and B_11 have equal off-diagonal norms, and
+    # rounding used to pick [1, 1]; the first of the blocks within 1e-12 is reported
+    p = [[0.3520509473225625, 0.14291356912363498], [0.07052404444407975, 0.43451143910972284]]
+    rho = circulant_state(bell_diagonal_state(p))
+    verdicts = structural_verdicts([rho, rho], 2, "AB")
+    assert [v.witness["block"] for v in verdicts] == [[0, 0], [0, 0]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])

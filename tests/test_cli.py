@@ -488,6 +488,26 @@ def test_analyze_nan_dense_file_exits_2(capsys, tmp_path):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("entry", [[1.0], [0.1, float("inf")]], ids=["ragged", "non-finite"])
+def test_malformed_circulant_file_exits_2(capsys, tmp_path, entry):
+    # the sector stack a is decoded as one (d, d, d) field, reported by its name
+    obj = circulant_to_json(verify.random_zero_discord_spec(3, "A", np.random.default_rng(0)))
+    obj["a"][1][0][2] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "field 'a'" in err
+
+
+@pytest.mark.parametrize("family", cli._FAMILY_FLAGS)
+def test_family_without_its_flags_exits_2(capsys, family):
+    code, out, err = run_cli(["analyze", "--family", family, "--d", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert "required for family" in err
+    assert sorted(re.findall(r"--\w+", err)) == sorted(cli._FAMILY_FLAGS[family])
+
+
 def test_non_finite_lambda_flag_exits_2(capsys):
     for value in ("nan", "inf", "-inf"):
         for command in ("analyze", "build"):
@@ -720,7 +740,7 @@ def _at_dimension(argv: list, d: int) -> list:
 
 
 def test_readme_lists_every_family_example():
-    assert sorted(ex.split()[1] for ex in _FAMILY_EXAMPLES) == sorted(cli._FAMILIES)
+    assert sorted(ex.split()[1] for ex in _FAMILY_EXAMPLES) == sorted(cli._FAMILY_FLAGS)
 
 
 @pytest.mark.parametrize("d", [2, 3])

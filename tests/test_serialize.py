@@ -121,11 +121,11 @@ def test_deeply_nested_file_is_rejected(tmp_path, as_rho):
 def test_malformed_matrix_entries_rejected():
     obj = circulant_to_json(werner_state(2, 0.2))
     obj["a"][0][0][0] = [1.0]  # a complex entry needs [re, im]
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="field 'a'"):
         parse_state(obj)
     obj2 = circulant_to_json(werner_state(2, 0.2))
     obj2["a"] = obj2["a"][:1]  # wrong sector count
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="field 'a'"):
         parse_state(obj2)
 
 
