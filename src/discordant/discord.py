@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import extract_blocks
-from .errors import DimensionError, InvalidMeasurement
+from .errors import DimensionError, InvalidMeasurement, InvalidSpec
 from .linalg import (_read_only, _require_finite, fourier_matrix, partial_trace, random_unitary,
                      von_neumann_entropy)
 from .serialize import encode_complex_matrix
@@ -98,13 +98,13 @@ class OptimizerConfig:
         for name in ("starts", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+                raise InvalidSpec(f"{name} must be an integer")
         if self.starts < 1:
-            raise ValueError("starts must be at least 1")
+            raise InvalidSpec("starts must be at least 1")
         if self.starts > SCREEN_DRAWS + 2:
-            raise ValueError(f"starts must be at most {SCREEN_DRAWS + 2}, the screen's candidates")
+            raise InvalidSpec(f"starts must be at most {SCREEN_DRAWS + 2}, the screen's candidates")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -12,12 +12,13 @@ The single ingestion schema (complex numbers as [re, im] pairs):
       "a0": [[[re, im]]], "dmat": [[real]],        # commuting
       "rho": [[[re, im]]] }                        # dense d²×d²
 
-Unknown fields are rejected; numbers are parsed as 64-bit floats and
-must be finite.
+Unknown fields are rejected; numbers must be JSON numbers (not
+booleans or strings), are parsed as 64-bit floats and must be finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -76,10 +77,18 @@ def decode_complex_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def decode_real_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A finite float array of ``shape`` from ints and floats; a bool, string or null raises."""
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr, entries = np.asarray(obj), [obj]
+        for _ in range(arr.ndim):  # each entry's type, since NumPy reads "0.5" and true as numbers
+            entries = itertools.chain.from_iterable(entries)
+        bad = sorted(t.__name__ for t in set(map(type, entries))
+                     if t is bool or not issubclass(t, (int, float, np.integer, np.floating)))
+        arr = arr if bad else arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"field {name!r} is not real-valued: {exc}") from None
+    if bad:
+        raise InvalidSpec(f"field {name!r} must be a number or lists of numbers, not {bad[0]}")
     if arr.shape != shape:
         raise InvalidSpec(f"field {name!r} must have shape {shape}, got {arr.shape}")
     _require_finite(arr, f"field {name!r}")
@@ -146,11 +155,8 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
         dmat = decode_real_matrix(obj["dmat"], (d, d), "dmat")
         spec, check = commuting_group_invariant_state(a0, dmat), False
     else:  # werner / isotropic
-        lam = obj["lambda"]
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-            raise InvalidSpec(f"'lambda' must be a number, got {lam!r}")
         build = werner_state if kind == "werner" else isotropic_state
-        spec = build(d, float(decode_real_matrix(lam, (), "lambda")), validate=False)
+        spec = build(d, float(decode_real_matrix(obj["lambda"], (), "lambda")), validate=False)
     return LoadedState(kind, d, circulant_state(spec, validate=check), spec=spec, weights=weights)
 
 

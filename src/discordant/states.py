@@ -226,9 +226,21 @@ def _bell_amplitudes(d: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * i / d)[i[:, None, None] * (i[:, None] - i) % d])
 
 
-def _require_finite_lambda(lam: float) -> None:
+def _lambda_family(d: int, lam: float) -> tuple[np.ndarray, float]:
+    """(a, base) of a λ family, d and λ checked: base = (1−λ)/d² and every a^(n) = base·I."""
+    _require_dimension(d)
     if not np.isfinite(lam):
         raise InvalidSpec(f"lambda must be finite, got {lam}")
+    base = (1.0 - lam) / d**2
+    return np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0), base
+
+
+def _checked_spec(a: np.ndarray, validate: bool = True) -> CirculantSpec:
+    """The spec of the stack ``a``, checked by :func:`validate_circulant_spec` with ``validate``."""
+    spec = CirculantSpec(a.shape[0], a)
+    if validate:
+        validate_circulant_spec(spec)
+    return spec
 
 
 def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
@@ -241,30 +253,18 @@ def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     (the swap itself mixes sectors and is not circulant).  With
     ``validate`` (default) a non-PSD result raises :class:`InvalidSpec`.
     """
-    _require_dimension(d)
-    _require_finite_lambda(lam)
-    base = (1.0 - lam) / d**2
-    a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
+    a, base = _lambda_family(d, lam)
     a[0] = np.eye(d, dtype=complex) * (lam / d + base)
     i, k = np.arange(d), np.arange(1, d)[:, None]
     a[k, i, (i + k) % d] = a[k, (i + k) % d, i] = lam / d
-    spec = CirculantSpec(d, a)
-    if validate:
-        validate_circulant_spec(spec)
-    return spec
+    return _checked_spec(a, validate)
 
 
 def isotropic_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
     """(1−λ)/d²·I⊗I + λ·(maximally entangled projector), as a circulant spec."""
-    _require_dimension(d)
-    _require_finite_lambda(lam)
-    base = (1.0 - lam) / d**2
-    a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
+    a, base = _lambda_family(d, lam)
     a[0] = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
-    spec = CirculantSpec(d, a)
-    if validate:
-        validate_circulant_spec(spec)
-    return spec
+    return _checked_spec(a, validate)
 
 
 def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
@@ -322,9 +322,7 @@ def commuting_group_invariant_state(a: np.ndarray, dmat: np.ndarray) -> Circulan
     i, k = np.arange(d), np.arange(1, d)[:, None]
     stack[k, i, i] = dmat[i, (i + k) % d]
     stack[0] = a
-    spec = CirculantSpec(d, stack)
-    validate_circulant_spec(spec)
-    return spec
+    return _checked_spec(stack)
 
 
 def ppt_check_commuting(a: np.ndarray, dmat: np.ndarray) -> bool:

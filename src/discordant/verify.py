@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .blocks import (
+    DEFAULT_TOL,
     _bell_labels,
     _bell_spreads,
     _bell_verdicts,
@@ -327,9 +328,9 @@ def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
 def run_verify(
     d: int,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     draws: int = 20,
-    starts: int = 24,
+    starts: int = OptimizerConfig.starts,
 ) -> tuple[list[SuiteResult], bool]:
     """Run the cross-check suites for one prime dimension d ≤ ``MAX_DIMENSION``.
 
@@ -396,9 +397,9 @@ def run_verify(
 def o2_simplex_rows(
     grid: int = 101,
     every: int = 10,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
-    starts: int = 24,
+    starts: int = OptimizerConfig.starts,
 ):
     """Rows of the d=2 orthogonal-invariant simplex scan.
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordant import blocks as blocks_module
 from discordant import verify as verify_module
@@ -45,7 +47,9 @@ from discordant.states import (
     _sector_index,
     bell_diagonal_state,
     circulant_state,
+    flip_operator,
     isotropic_state,
+    project_circulant,
     werner_state,
 )
 from discordant.verify import (
@@ -1498,3 +1502,27 @@ def test_closed_form_scale_is_the_sector_norms():
             want = max(1.0, float(np.linalg.norm(a, axis=(1, 2)).max()))
             assert blocks_module._scales(a) == want
             assert blocks_module._scales(a[None])[0] == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(d=st.sampled_from((3, 5, 7)), side=st.sampled_from("AB"),
+       kind=st.sampled_from((None, *PERTURBATION_KINDS)), eps=st.floats(0.02, 0.15),
+       seed=st.integers(0, 2**32 - 1))
+def test_party_swap_exchanges_the_sides_verdicts(d, side, kind, eps, seed):
+    # F ρ F swaps the parties: b^((−m) mod d)[(i+m) mod d, (j+m) mod d] = a^(m)[i, j].
+    # Perturbations of ε ≥ 0.02 keep the specs far from the tolerance.
+    rng = np.random.default_rng(seed)
+    spec = random_zero_discord_spec(d, side, rng)
+    if kind is not None:
+        spec = perturb_spec(spec, kind, eps, rng)
+    rho = circulant_state(spec)
+    F = flip_operator(d)
+    swapped = project_circulant(F @ rho @ F, d)
+    for m in range(d):
+        j = (np.arange(d) + m) % d
+        np.testing.assert_array_equal(swapped.a[-m % d][np.ix_(j, j)], spec.a[m])
+    for own, other in ("AB", "BA"):
+        assert (circulant_theorem_check(spec, own).zero_discord
+                == circulant_theorem_check(swapped, other).zero_discord)
+        assert (structural_discord_zero(rho, d, own).zero_discord
+                == structural_discord_zero(circulant_state(swapped), d, other).zero_discord)

@@ -12,8 +12,15 @@ from discordant import blocks, cli, verify
 from discordant.cli import main
 from discordant.discord import OptimizerConfig
 from discordant.linalg import fourier_matrix
-from discordant.serialize import circulant_to_json, dense_to_json, load_state_file, parse_state
-from discordant.states import orthogonal_invariant_state
+from discordant.serialize import (
+    bell_to_json,
+    circulant_to_json,
+    dense_to_json,
+    encode_complex_matrix,
+    load_state_file,
+    parse_state,
+)
+from discordant.states import orthogonal_invariant_state, werner_state
 from discordant.verify import SuiteResult
 
 
@@ -486,6 +493,54 @@ def test_analyze_nan_dense_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def _numeric_fields() -> dict:
+    """A valid state description for each numeric field of the schema, keyed by the field."""
+    a0 = encode_complex_matrix([[0.3, 0.1j], [-0.1j, 0.3]])
+    commuting = {"kind": "commuting", "d": 2, "a0": a0, "dmat": [[0.0, 0.2], [0.2, 0.0]]}
+    return {
+        "a": circulant_to_json(werner_state(2, 0.2)),
+        "p": bell_to_json(2, [[0.4, 0.1], [0.3, 0.2]]),
+        "abc": {"kind": "orthogonal", "d": 2, "abc": [0.2, 0.5, 0.3]},
+        "rho": dense_to_json(orthogonal_invariant_state((0.2, 0.5, 0.3), 2), 2),
+        "a0": commuting,
+        "dmat": commuting,
+        "lambda": {"kind": "werner", "d": 2, "lambda": 0.2},
+    }
+
+
+def _write_state(tmp_path, obj) -> str:
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _map_entries(value, f):
+    return [_map_entries(v, f) for v in value] if isinstance(value, list) else f(value)
+
+
+def _first_entry_true(value):
+    """``value`` with its first entry replaced by true; a single number becomes [x, true, x]."""
+    if not isinstance(value, list):
+        return [value, True, value]
+    return [_first_entry_true(value[0]) if isinstance(value[0], list) else True, *value[1:]]
+
+
+@pytest.mark.parametrize("bad", ["bool", "string", "null", "mixed"])
+@pytest.mark.parametrize("name", list(_numeric_fields()))
+def test_non_number_entries_exit_2(capsys, tmp_path, name, bad):
+    # NumPy reads true as 1.0 and "0.5" as 0.5, and a bool among floats
+    # turns into a float array: only each entry's own type tells them apart
+    obj = _numeric_fields()[name]
+    assert run_cli(["build", _write_state(tmp_path, obj)], capsys)[0] == 0
+    obj[name] = {"bool": lambda v: _map_entries(v, lambda x: x != 0),
+                 "string": lambda v: _map_entries(v, repr),
+                 "null": lambda v: _map_entries(v, lambda x: None),
+                 "mixed": _first_entry_true}[bad](obj[name])
+    code, out, err = run_cli(["analyze", _write_state(tmp_path, obj), "--starts", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert f"field {name!r} must be a number" in err
 
 
 @pytest.mark.parametrize("entry", [[1.0], [0.1, float("inf")]], ids=["ragged", "non-finite"])

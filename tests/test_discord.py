@@ -229,6 +229,10 @@ def test_optimizer_config_validation():
     for field, flag in (("starts", True), ("seed", False), ("seed", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OptimizerConfig(**{field: flag})
+    # every rule raises InvalidSpec, a ValueError that the command line reports with exit 2
+    for kwargs in ({"starts": 0}, {"starts": 257}, {"seed": -1}, {"seed": 0.5}):
+        with pytest.raises(InvalidSpec):
+            OptimizerConfig(**kwargs)
 
 
 def _bloch_scan_discord(rho, side, n_theta=41, n_phi=80):

@@ -88,6 +88,26 @@ def test_malformed_descriptions_rejected():
         parse_state({"kind": "werner", "d": 2, "lambda": True})
 
 
+def test_numpy_numbers_and_arrays_parse_as_their_lists():
+    rho = orthogonal_invariant_state((0.2, 0.5, 0.3), 2)
+    as_lists = [
+        {"kind": "werner", "d": 3, "lambda": 0.25},
+        {"kind": "isotropic", "d": 3, "lambda": 0},
+        {"kind": "orthogonal", "d": 2, "abc": [0.2, 0.5, 0.3]},
+        bell_to_json(2, [[0.4, 0.1], [0.3, 0.2]]),
+        dense_to_json(rho, 2),
+    ]
+    as_numpy = [
+        {"kind": "werner", "d": 3, "lambda": np.float64(0.25)},
+        {"kind": "isotropic", "d": np.int64(3), "lambda": np.int32(0)},
+        {"kind": "orthogonal", "d": 2, "abc": np.array([0.2, 0.5, 0.3])},
+        {"kind": "bell", "d": 2, "p": [np.array([0.4, 0.1]), [np.float64(0.3), 0.2]]},
+        {"kind": "dense", "d": 2, "rho": np.stack([rho.real, rho.imag], -1)},
+    ]
+    for listed, numpy in zip(as_lists, as_numpy):
+        assert parse_state(numpy).rho.tobytes() == parse_state(listed).rho.tobytes(), listed
+
+
 def test_d_must_be_integer_at_least_two():
     with pytest.raises(InvalidSpec):
         parse_state({"kind": "werner", "d": 1, "lambda": 0.0})

@@ -225,6 +225,32 @@ def test_isotropic_oracles():
         isotropic_state(3, -0.2)  # below −1/(d²−1)
 
 
+def _family_loop(d, lam, werner):
+    """The docstring formulas entry by entry: each entry a coefficient times 0 or 1, as a complex."""
+    base = (1 - lam) / d**2
+    a = np.empty((d, d, d), dtype=complex)
+    for n in range(d):
+        for i in range(d):
+            for j in range(d):
+                if n == 0:
+                    a[n, i, j] = (lam / d + base) * (i == j) if werner else lam / d + base * (i == j)
+                elif werner and j in ((i + n) % d, (i - n) % d):
+                    a[n, i, j] = lam / d
+                else:
+                    a[n, i, j] = base * (i == j)
+    return a
+
+
+@pytest.mark.parametrize("lam", [-0.2, 0.0, 0.05, 1 / 3, 1.0, 2.5])
+def test_lambda_families_match_their_formulas_bit_for_bit(lam):
+    # tobytes, not ==: a negative background lays -0.0 off the diagonal, and
+    # the same values with other zero signs would compare equal
+    for d in range(2, 14):
+        for build, werner in ((werner_state, True), (isotropic_state, False)):
+            got = build(d, lam, validate=False).a.tobytes()
+            assert got == _family_loop(d, lam, werner).tobytes(), (build.__name__, d)
+
+
 def test_orthogonal_invariant_state():
     rho = orthogonal_invariant_state((0.2, 0.5, 0.3), 2)
     check_density_matrix(rho)
