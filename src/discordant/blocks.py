@@ -10,11 +10,12 @@ block views: U is the eigenbasis of one generic Hermitian combination of
 each pair's blocks, all found by one batched ``eigh``, and zero discord
 holds iff every U†B_ijU with i ≤ j (two GEMMs per state and slab of block
 rows) is diagonal within tolerance; a Hermitian state has B_ji = B_ij†, so
-the blocks below the diagonal repeat those norms and are not read.
-:func:`classical_decomposition` reads that sum off the same products of
-every block, so its reassembly check sees the whole state.  An exact
-degeneracy of the combination needs no split: on a commuting normal family
-it holds equal eigenvalues of every block, where any basis serves.
+the blocks below the diagonal repeat those norms and are not read.  Each
+verdict keeps U and the diagonals of those products, the σ_k of that sum,
+which :func:`classical_decomposition` reads off with no second pass over
+the blocks.  An exact degeneracy of the combination needs no split: on a
+commuting normal family it holds equal eigenvalues of every block, where
+any basis serves.
 
 For circulant states at prime local dimension the same question has a
 closed form: the sector matrices must be phase-and-shift images of a^(0)
@@ -70,11 +71,8 @@ REASSEMBLY_TOL = 1e-8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Complex entries one stack of the batched general criterion may span, sides
 #: mixed: 32768 holds 52 dense states at d = 5, 13 at d = 7, 2 at d = 11 and one
-#: at d = 13.  With :func:`_norm_grids` rotating only the blocks with i ≤ j,
-#: verify-large-d benchmark runs (seeds 1–4, 15 s, one BLAS thread, shared 2-core
-#: Xeon, budgets in rotating order) read a median of 0.0265 items per ref, first
-#: in each of the 4 rounds, against 0.0226 for 16384, 0.0225 for 49152 and 0.0231
-#: for 65536 (the last two at a peak RSS 0.7–0.8 MB higher).
+#: at d = 13.  It read more verify-large-d items per ref than 16384, 49152 and
+#: 65536 in each of 4 rotating rounds (ROADMAP, settled).
 _CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
@@ -129,6 +127,9 @@ class StructuralVerdict:
     pi: np.ndarray | None = None
     #: The basis a general-commutation verdict tested the blocks in (not serialized).
     basis: np.ndarray | None = field(default=None, repr=False)
+    #: Its diag(U†B_ijU) and ‖offdiag(U†B_ijU)‖_F per block, i ≤ j (not serialized).
+    diagonals: np.ndarray | None = field(default=None, repr=False)
+    offdiagonal_norms: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         phases, pi = (None if x is None else np.asarray(x, dtype=float).tolist()
@@ -170,10 +171,7 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
 
 
 def _chunks(d: int, count: int):
-    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds.
-
-    A stack holds at least one state.
-    """
+    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds (≥ 1)."""
     step = max(1, _CHUNK_ENTRIES // d**4)
     return (range(t, min(t + step, count)) for t in range(0, count, step))
 
@@ -190,10 +188,12 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     ``_CHUNK_ENTRIES`` dense entries (one state if larger), each decided side
     by side on one :func:`extract_blocks` view of its states on that side;
     results equal those of one pair at a time, bit for bit.  Each verdict keeps U in
-    ``basis``; a nonzero one's witness is the block (i, j), i ≤ j, of largest
-    relative off-diagonal norm ‖offdiag‖/scale: the first in row-major order
-    within 1e-12 relative of the largest, so that rounding does not choose
-    among blocks of equal norm.  A non-finite state raises :class:`InvalidSpec`.
+    ``basis``, and its ``diagonals`` and ``offdiagonal_norms`` (see
+    :func:`_norm_grids`) as views of its stack's arrays; a nonzero one's witness is
+    the block (i, j), i ≤ j, of largest relative off-diagonal norm ‖offdiag‖/scale:
+    the first in row-major order within 1e-12 relative of the largest, so that
+    rounding does not choose among blocks of equal norm.  A state of the wrong
+    shape raises :class:`DimensionError`, a non-finite one :class:`InvalidSpec`.
     """
     _require_finite_tol(tol)
     if len(rhos) != len(sides):
@@ -203,12 +203,15 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
         at, n = sides[chunk.start : chunk.stop], len(chunk)
         # C order fixes _common_bases' order of summation; a C-ordered stack's slice is a view
         states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
-        U, off, scale = np.empty((n, d, d), complex), np.empty((n, m)), np.empty((n, m))
+        if states.shape[1:] != (d * d, d * d):
+            raise DimensionError(f"expected shape ({d * d}, {d * d}), got {states.shape[1:]}")
+        U, diag = np.empty((n, d, d), complex), np.empty((n, m, d), complex)
+        off, scale = np.empty((2, n, m))
         for side in dict.fromkeys(at):
             rows = [i for i, s in enumerate(at) if s == side]
             grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
             U[rows] = basis = _common_bases(grid, d)
-            off[rows], scale[rows] = _norm_grids(grid, basis)
+            off[rows], scale[rows], diag[rows] = _norm_grids(grid, basis)
         thr, rel = tol * scale, off / scale
         zero = (off <= thr).all(axis=-1).tolist()
         worst = (rel >= (1 - 1e-12) * rel.max(axis=-1, keepdims=True)).argmax(axis=-1).tolist()
@@ -218,8 +221,9 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
                 "kind": "off-diagonal-block", "block": _upper_pairs(d)[t].tolist(),
                 "offdiagonal_norm": float(off[i, t]), "tolerance": float(thr[i, t]),
             }
-            verdicts.append(StructuralVerdict(zero[i], side, CRITERION_COMMUTATION,
-                                              witness=witness, basis=U[i]))
+            verdicts.append(StructuralVerdict(
+                zero[i], side, CRITERION_COMMUTATION, witness=witness, basis=U[i],
+                diagonals=diag[i], offdiagonal_norms=off[i]))
     return verdicts
 
 
@@ -236,20 +240,23 @@ def structural_discord_zero(
     return structural_verdicts(np.asarray(rho)[None], d, [side], tol)[0]
 
 
-def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """‖offdiag(U†B_ijU)‖_F and max(1, ‖B_ij‖_F), (n, d(d + 1)/2) each, for i ≤ j.
+def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """‖offdiag(U†B_ijU)‖_F, max(1, ‖B_ij‖_F), (n, d(d + 1)/2) each, and diag(U†B_ijU), i ≤ j.
 
     The (n, d, d, d, d) grids are one side's block view of a stack of
     Hermitian states and U is (n, d, d).  There B_ji = B_ij†, so U†B_jiU is
     the adjoint of U†B_ijU with the same norms: only blocks with i ≤ j are
     read, and their values come row by row, (0, 0) … (0, d − 1), (1, 1) ….
-    Block rows go through :func:`_rotated` as many at a time as keep each
-    temporary within half of ``_CHUNK_ENTRIES`` (at least one row); both
-    values equal those ``np.linalg.norm`` forms on each row's products and
+    Block rows go as many at a time as keep each temporary within half of
+    ``_CHUNK_ENTRIES`` (at least one row), as C-ordered transposes Bt = Bᵀ
+    that take two GEMMs per state: stacked Bt rows times conj(U) give
+    (U†B)ᵀ, and their transposes, stacked, times U give U†BU.  Both norms
+    equal those ``np.linalg.norm`` forms on each row's products and
     transposed blocks, bit for bit, however the rows are cut.
     """
     n, d = U.shape[:2]
     off, scale = np.empty((2, n, d * (d + 1) // 2))
+    diag = np.empty(off.shape + (d,), complex)
     rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # n·rows·d³ entries per temporary
     done = 0
     for i in range(0, d, rows):
@@ -258,25 +265,17 @@ def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarr
         Bt = np.empty((n, k, d, d), complex)
         np.concatenate(slab, axis=1, out=Bt.swapaxes(-1, -2))  # C-ordered transposes
         scale[:, done : done + k] = _squared_norms(Bt)
-        T = _rotated(Bt, U)
+        P = (Bt.reshape(n, -1, d) @ U.conj()).reshape(Bt.shape)  # (U†B)ᵀ, block by block
+        del Bt  # each temporary is freed once read, so that at most two are alive
+        P = np.ascontiguousarray(P.swapaxes(-1, -2))
+        T = (P.reshape(n, -1, d) @ U).reshape(P.shape)  # U†BU
+        del P
+        diag[:, done : done + k] = T.diagonal(axis1=-2, axis2=-1)
         T.reshape(-1, d * d)[:, :: d + 1] = 0.0
         off[:, done : done + k] = _squared_norms(T)
         done += k
-        del Bt, T  # freed before the next rows' temporaries are made
-    return np.sqrt(off), np.maximum(1.0, np.sqrt(scale))
-
-
-def _rotated(Bt: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U†BU per block of an (n, …, d, d) stack given as C-ordered transposes Bt = Bᵀ.
-
-    Two GEMMs per state over all its blocks: stacked Bt rows times conj(U)
-    give (U†B)ᵀ, and their transposes, stacked, times U give U†BU, a new
-    C-ordered array of Bt's shape.
-    """
-    n, d = U.shape[:2]
-    P = (Bt.reshape(n, -1, d) @ U.conj()).reshape(Bt.shape)
-    P = np.ascontiguousarray(P.swapaxes(-1, -2))  # U†B, block by block
-    return (P.reshape(n, -1, d) @ U).reshape(Bt.shape)
+        del T
+    return np.sqrt(off), np.maximum(1.0, np.sqrt(scale)), diag
 
 
 def _squared_norms(X: np.ndarray) -> np.ndarray:
@@ -540,9 +539,7 @@ def _completely_classical(spec: CirculantSpec, tol: float, theorem=None) -> Stru
                              fitted_phases=first.fitted_phases)
 
 
-def completely_classical_check(
-    spec: CirculantSpec, tol: float = DEFAULT_TOL
-) -> StructuralVerdict:
+def completely_classical_check(spec: CirculantSpec, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     """Test whether discord vanishes on both sides simultaneously.
 
     All-diagonal specs are classical outright.  Otherwise a^(0) must have
@@ -688,37 +685,43 @@ def classical_decomposition(
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Decompose a zero-discord state as Σ p_k |k⟩⟨k| ⊗ ρ_k on the given side.
 
-    The |k⟩ are the columns of the common eigenbasis U behind the
-    :func:`structural_discord_zero` verdict, so the decomposition is that
-    verdict's certificate.  On the side's block grid B (see
-    :func:`extract_blocks`), σ_k[y, y'] = (U†B_yy'U)_kk and the
-    reassembly is B_yy' = Σ_k σ_k[y, y'] |k⟩⟨k|, the same for either
-    side.  Returns (p_k, |k⟩, σ_k/p_k) triples.  Raises
-    :class:`PreconditionError` when the verdict is nonzero or the
-    reassembly residual exceeds ``REASSEMBLY_TOL``.
+    A view of the :func:`structural_discord_zero` verdict that it certifies:
+    the |k⟩ are the columns of its basis U, and on the side's block grid B
+    (see :func:`extract_blocks`) σ_k[y, z] = (U†B_yzU)_kk are its
+    ``diagonals`` for y ≤ z and their conjugates below, so that B_yz ≈
+    Σ_k σ_k[y, z] |k⟩⟨k| on either side.  Returns (p_k, |k⟩, σ_k/p_k)
+    triples.  Raises :class:`PreconditionError` when the verdict is nonzero
+    or :func:`_reassembly_bound` exceeds ``REASSEMBLY_TOL``.
     """
     verdict = structural_discord_zero(rho, d, side, tol)
     if not verdict.zero_discord:
-        raise PreconditionError(
-            f"state has nonzero structural discord on side {side}: {verdict.witness}"
-        )
-    U = verdict.basis
-    blocks = extract_blocks(rho, d, side)
-    T = _rotated(np.ascontiguousarray(blocks.swapaxes(-1, -2))[None], U[None])[0]
-    sigma = np.moveaxis(T.diagonal(axis1=-2, axis2=-1), -1, 0)  # σ_k[y, z] = (U†B_yzU)_kk
-    reassembled = np.einsum("xk,wk,kyz->yzxw", U, U.conj(), sigma, optimize=True)
-    residual = frobenius(blocks - reassembled)
+        raise PreconditionError(f"state has nonzero structural discord on side {side}: "
+                                f"{verdict.witness}")
+    residual = _reassembly_bound(rho, verdict)
     if residual > REASSEMBLY_TOL:
-        raise PreconditionError(
-            f"classical reassembly residual {residual:.3e} exceeds {REASSEMBLY_TOL}"
-        )
+        raise PreconditionError(f"classical reassembly residual {residual:.3e} exceeds "
+                                f"{REASSEMBLY_TOL}")
+    (y, z), sigma = _upper_pairs(d).T, np.empty((d, d, d), complex)  # σ_k[y, z]
+    sigma[:, z, y] = verdict.diagonals.T.conj()  # B_zy = B_yz†
+    sigma[:, y, z] = verdict.diagonals.T
     result = []
-    for k in range(d):
-        p = float(np.trace(sigma[k]).real)
+    for p, u, s in zip(np.trace(sigma, axis1=1, axis2=2).real.tolist(), verdict.basis.T, sigma):
         if p >= 1e-14:
-            cond = hermitize(sigma[k]) / p
-        else:
-            p = max(p, 0.0)
-            cond = np.eye(d, dtype=complex) / d
-        result.append((p, U[:, k], cond))
+            result.append((p, u, hermitize(s) / p))
+        else:  # an empty outcome, whose conditional state is the maximally mixed one
+            result.append((max(p, 0.0), u, np.eye(d, dtype=complex) / d))
     return result
+
+
+def _reassembly_bound(rho: np.ndarray, verdict: StructuralVerdict) -> float:
+    """A bound on ‖B − Σ_k σ_k ⊗ |k⟩⟨k|‖_F over the whole grid, from ρ's zero ``verdict``.
+
+    With e = ‖U†U − 1‖_F ≥ ‖UU† − 1‖₂, each block's B − U diag(U†BU) U† has
+    norm at most (1 + e)·off + e(2 + e)·‖B‖_F.  A block with i < j stands for
+    its mirror too (c = 2, a diagonal block c = 1) up to ‖B_ji − B_ij†‖_F,
+    which the term ‖ρ − ρ†‖_F covers, as the verdict never read that block.
+    """
+    U, (i, j) = verdict.basis, _upper_pairs(len(verdict.basis)).T
+    rho, e = np.asarray(rho, complex), frobenius(U.conj().T @ U - np.eye(len(U)))
+    off = math.sqrt(np.where(i == j, 1.0, 2.0) @ verdict.offdiagonal_norms**2)
+    return (1 + e) * off + e * (2 + e) * 2**0.5 * frobenius(rho) + frobenius(rho - rho.conj().T)

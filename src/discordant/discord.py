@@ -38,8 +38,8 @@ import numpy as np
 
 from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement, InvalidSpec
-from .linalg import (_read_only, _require_finite, fourier_matrix, partial_trace, random_unitary,
-                     von_neumann_entropy)
+from .linalg import (_is_integer, _read_only, _require_finite, fourier_matrix, partial_trace,
+                     random_unitary, von_neumann_entropy)
 from .serialize import encode_complex_matrix
 
 #: Measurement outcome weights below this are treated as never occurring.
@@ -97,7 +97,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("starts", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise InvalidSpec(f"{name} must be an integer")
         if self.starts < 1:
             raise InvalidSpec("starts must be at least 1")

@@ -27,6 +27,11 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writing turned off: for arrays that are kept and shared between calls."""
     a.flags.writeable = False

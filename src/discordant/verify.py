@@ -33,6 +33,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord, discord_sides
 from .errors import PrimeRequired
+from .linalg import _is_integer
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -147,9 +148,7 @@ def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
     return phi
 
 
-def random_zero_discord_spec(
-    d: int, side: str, rng: np.random.Generator
-) -> CirculantSpec:
+def random_zero_discord_spec(d: int, side: str, rng: np.random.Generator) -> CirculantSpec:
     """Random valid circulant spec with vanishing discord on ``side``."""
     return generate_zero_discord(random_psd(d, rng), random_phases(d, rng), side)
 
@@ -182,10 +181,7 @@ def _perturb(a: np.ndarray, epsilon: float, kind: str, k: int, g) -> None:
 
 
 def perturb_spec(
-    spec: CirculantSpec,
-    kind: str,
-    epsilon: float,
-    rng: np.random.Generator,
+    spec: CirculantSpec, kind: str, epsilon: float, rng: np.random.Generator
 ) -> CirculantSpec:
     """Break a zero-discord family while keeping the sector matrices valid.
 
@@ -325,13 +321,8 @@ def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
     return suite
 
 
-def run_verify(
-    d: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    draws: int = 20,
-    starts: int = OptimizerConfig.starts,
-) -> tuple[list[SuiteResult], bool]:
+def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
+               starts: int = OptimizerConfig.starts) -> tuple[list[SuiteResult], bool]:
     """Run the cross-check suites for one prime dimension d ≤ ``MAX_DIMENSION``.
 
     Suites: generator/checker closure, closed-form vs general-criterion
@@ -349,8 +340,8 @@ def run_verify(
     _require_dimension(d)
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
-    if isinstance(draws, bool) or draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    if not _is_integer(draws) or draws < 1:
+        raise ValueError(f"draws must be at least 1, a whole number; got {draws}")
     _require_finite_tol(tol)
     # made here so that a bad ``starts`` is rejected at every d, not only
     # where the numeric suite runs
@@ -408,7 +399,7 @@ def o2_simplex_rows(
     ``every``-th emitted point — the numeric discord.  A ``grid`` above
     ``MAX_GRID`` or a non-finite ``tol`` raises ``ValueError``.
     """
-    if isinstance(grid, bool) or isinstance(every, bool) or not 1 <= grid <= MAX_GRID or every < 0:
+    if not (_is_integer(grid) and _is_integer(every)) or not 1 <= grid <= MAX_GRID or every < 0:
         raise ValueError(f"need grid in 1 … {MAX_GRID}, every ≥ 0 (0 = never); got {grid}, {every}")
     _require_finite_tol(tol)
     values = np.linspace(0.0, 1.0, grid)

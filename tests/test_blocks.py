@@ -22,6 +22,7 @@ from discordant.blocks import (
     _generic_weights,
     _norm_grids,
     _phase_paths,
+    _reassembly_bound,
     _shifts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
@@ -219,10 +220,9 @@ def _assert_decomposes(rho, d, side):
     assert np.linalg.norm(recon - rho) <= REASSEMBLY_TOL
 
 
-def test_near_degenerate_classical_states_are_zero():
-    # clusters of equal local states whose weights step by less than, about,
-    # and more than 1e-8: pairs at every d, every cluster size 2 … d at d = 5, 7
-    rng = np.random.default_rng(5)
+def _near_degenerate_states(rng):
+    """(d, size, gap, side, ρ): clusters of equal local states whose weights step by less
+    than, about, and more than 1e-8, in pairs at every d, of every size 2 … d at d = 5, 7."""
     cases = [(d, 2) for d in (2, 3, 5, 7)]
     cases += [(d, size) for d in (5, 7) for size in range(3, d + 1)]
     for d, size in cases:
@@ -233,10 +233,14 @@ def test_near_degenerate_classical_states_are_zero():
                 p /= p.sum()
                 local = [_random_density(d, rng) for _ in range(d)]
                 local[1:size] = [local[0]] * (size - 1)
-                rho = _classical_state(p, random_unitary(d, rng), local, side)
-                verdict = structural_discord_zero(rho, d, side)
-                assert verdict.zero_discord, (d, size, gap, side, verdict.witness)
-                _assert_decomposes(rho, d, side)
+                yield d, size, gap, side, _classical_state(p, random_unitary(d, rng), local, side)
+
+
+def test_near_degenerate_classical_states_are_zero():
+    for d, size, gap, side, rho in _near_degenerate_states(np.random.default_rng(5)):
+        verdict = structural_discord_zero(rho, d, side)
+        assert verdict.zero_discord, (d, size, gap, side, verdict.witness)
+        _assert_decomposes(rho, d, side)
 
 
 def test_one_block_near_degenerate_pair_is_zero():
@@ -408,8 +412,9 @@ def test_witness_ties_go_to_the_first_block_in_row_major_order():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_norm_grids_match_per_block_products(d):
-    # the batched products agree with U† @ B_ij @ U block by block, to rounding, and
-    # every lower block B_ji, which is never read, has the norms of its mirror B_ij
+    # the batched products agree with U† @ B_ij @ U block by block, to rounding, in
+    # their off-diagonal norms and their diagonals, and every lower block B_ji, which
+    # is never read, has the norms of its mirror B_ij
     rng = np.random.default_rng(80 + d)
     upper = np.triu_indices(d)
     for rho in _stack_cases(d, rng):
@@ -419,11 +424,14 @@ def test_norm_grids_match_per_block_products(d):
             T = U.conj().T @ blocks @ U
             want_off = np.linalg.norm(T - T * np.eye(d), axis=(-2, -1))
             want_scale = np.maximum(1.0, np.linalg.norm(blocks, axis=(-2, -1)))
-            off, scale = (values[0] for values in _norm_grids(blocks[None], U[None]))
+            off, scale, diagonals = (values[0] for values in _norm_grids(blocks[None], U[None]))
             for want in (want_off, want_off.T):  # (i, j), then the lower block (j, i)
                 assert (np.abs(off - want[upper]) <= 1e-14 * want_scale[upper]).all(), side
             for want in (want_scale, want_scale.T):
                 assert (np.abs(scale - want[upper]) <= 1e-14 * want_scale[upper]).all(), side
+            want_diagonals = T.diagonal(axis1=-2, axis2=-1)[upper]
+            error = np.abs(diagonals - want_diagonals).max(axis=-1)
+            assert (error <= 1e-14 * want_scale[upper]).all(), side
 
 
 def test_structural_verdicts_ignore_memory_layout():
@@ -457,6 +465,10 @@ def test_structural_verdicts_rejects_bad_pairs():
         structural_verdicts([rho, rho], 3, ["A", "C"])
     with pytest.raises(DimensionError):
         structural_verdicts([rho[:4, :4]], 3, "B")
+    # the one-pair calls named the stack they make, (1, 4, 4), not the caller's matrix
+    for call in (structural_discord_zero, classical_decomposition):
+        with pytest.raises(DimensionError, match=r"expected shape \(9, 9\), got \(4, 4\)$"):
+            call(np.eye(4) / 4, 3, "A")
 
 
 def test_classical_decomposition_d13():
@@ -486,6 +498,72 @@ def test_classical_decomposition_matches_per_side_einsum():
                     assert np.array_equal(v, U[:, k])
                     assert abs(p - np.trace(sigma[k]).real) <= 1e-13
                     assert np.abs(p * cond - (sigma[k] + sigma[k].conj().T) / 2).max() <= 1e-13
+
+
+def _dense_reassembly_residual(rho, d, side, U):
+    """The reassembly residual formed in full: every block B_yz taken into U, σ_k[y, z] =
+    (U†B_yzU)_kk, and ‖B − Σ_k σ_k ⊗ |k⟩⟨k|‖_F over the whole grid."""
+    blocks = extract_blocks(rho, d, side)
+    sigma = np.moveaxis((U.conj().T @ blocks @ U).diagonal(axis1=-2, axis2=-1), -1, 0)
+    reassembled = np.einsum("xk,wk,kyz->yzxw", U, U.conj(), sigma, optimize=True)
+    return np.linalg.norm(blocks - reassembled)
+
+
+def _lower_block_defect(rho, d, side, rng):
+    """ρ with a non-Hermitian defect of norm 1e-6 in its block (d − 1, 0) on ``side``, which
+    the Hermitian part of the generic combination does not see."""
+    rho, H = rho.copy(), hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    E = 1j * H / _generic_weights(d)[d - 1, 0]
+    E *= 1e-6 / np.linalg.norm(E)
+    if side == "B":
+        rho[(d - 1) * d :, :d] += E
+    else:
+        rho[d - 1 :: d, ::d] += E
+    return rho
+
+
+def test_reassembly_bound_holds_against_the_dense_residual():
+    # on zero states the bound from the verdict's norms is as tight as a dense reassembly
+    rng = np.random.default_rng(20)
+    zeros = [(d, side, circulant_state(random_zero_discord_spec(d, side, rng)))
+             for d in (2, 3, 5, 7, 11, 13, 17) for side in "AB"]
+    zeros += [(d, side, circulant_state(bell_diagonal_state(random_classical_bell(d, 1, rng)[0])))
+              for d in (2, 3, 5, 7) for side in "AB"]
+    zeros += [(3, side, np.eye(9, dtype=complex) / 9) for side in "AB"]
+    zeros += [(d, side, rho) for d, _, _, side, rho in _near_degenerate_states(rng)]
+    for d, side, rho in zeros:
+        verdict = structural_discord_zero(rho, d, side)
+        assert verdict.zero_discord, (d, side)
+        bound = _reassembly_bound(rho, verdict)
+        dense = _dense_reassembly_residual(rho, d, side, verdict.basis)
+        scale = max(1.0, np.linalg.norm(rho))
+        assert dense - 1e-15 * scale <= bound <= dense + 1e-14 * scale, (d, side, bound, dense)
+    # a loose zero and a defect in a block the verdict does not read: the bound still holds
+    cases = []
+    for side in "AB":
+        spec = perturb_spec(random_zero_discord_spec(3, side, rng), "modulus", 1e-3, rng)
+        cases.append((3, side, 1e-2, circulant_state(spec)))
+    for d, side in ((3, "A"), (5, "B")):
+        rho = circulant_state(random_zero_discord_spec(d, side, rng))
+        cases.append((d, side, DEFAULT_TOL, _lower_block_defect(rho, d, side, rng)))
+    for d, side, tol, rho in cases:
+        verdict = structural_discord_zero(rho, d, side, tol)
+        assert verdict.zero_discord, (d, side)
+        dense = _dense_reassembly_residual(rho, d, side, verdict.basis)
+        assert _reassembly_bound(rho, verdict) >= dense > REASSEMBLY_TOL, (d, side)
+
+
+def test_classical_decomposition_reads_the_verdict_without_a_second_pass(monkeypatch):
+    # one block view and one rotation of the upper blocks decide and decompose
+    calls = []
+    for name in ("extract_blocks", "_norm_grids"):
+        def counted(*args, _name=name, _f=getattr(blocks_module, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(blocks_module, name, counted)
+    rho = circulant_state(random_zero_discord_spec(5, "B", np.random.default_rng(2)))
+    classical_decomposition(rho, 5, "B")
+    assert calls == ["extract_blocks", "_norm_grids"]
 
 
 def test_phase_family_relations():

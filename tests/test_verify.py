@@ -472,6 +472,15 @@ def test_bool_counts_rejected_by_library():
     for kwargs in ({"grid": True}, {"grid": 3, "every": False}, {"grid": True, "every": False}):
         with pytest.raises(ValueError, match="need grid"):
             list(o2_simplex_rows(**kwargs))
+    # a fractional count escaped as a TypeError from range or np.linspace, and every=2.5
+    # ran with a fractional stride; a float of integral value is no count either
+    for draws in (2.5, 2.0):
+        with pytest.raises(ValueError, match="draws must be at least 1"):
+            run_verify(3, draws=draws)
+    for kwargs in ({"grid": 2.5}, {"grid": 3, "every": 2.5}, {"grid": 3.0, "every": 0}):
+        with pytest.raises(ValueError, match="need grid"):
+            list(o2_simplex_rows(**kwargs))
+    assert len(list(o2_simplex_rows(grid=np.int64(2), every=np.int64(0)))) == 3
 
 
 @pytest.mark.parametrize("d", [0, 33, 1000003, 2305843009213693951, 5.0, True])
