@@ -8,9 +8,9 @@ diagonalizes them all; then ρ = Σ_k p_k |u_k⟩⟨u_k| ⊗ ρ_k on that side
 :func:`structural_verdicts`, decides each side's pairs as one stack of
 block views: U is the eigenbasis of one generic Hermitian combination of
 each pair's blocks, all found by one batched ``eigh``, and zero discord
-holds iff every U†B_ijU with i ≤ j (two GEMMs per state and slab of block
-rows) is diagonal within tolerance; a Hermitian state has B_ji = B_ij†, so
-the blocks below the diagonal repeat those norms and are not read.  Each
+holds iff every U†B_ijU with i ≤ j (two GEMMs per state) is diagonal
+within tolerance; a Hermitian state has B_ji = B_ij†, so the blocks below
+the diagonal repeat those norms and are not read.  Each
 verdict keeps U and the diagonals of those products, the σ_k of that sum,
 which :func:`classical_decomposition` reads off with no second pass over
 the blocks.  An exact degeneracy of the combination needs no split: on a
@@ -60,7 +60,7 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import EIG_FLOOR, _read_only, _require_finite, frobenius, hermitize
+from .linalg import EIG_FLOOR, _read_only, _require_finite, _require_square, frobenius, hermitize
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -108,7 +108,7 @@ def _require_prime(d: int) -> None:
 
 def _require_finite_tol(tol: float) -> None:
     if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+        raise InvalidSpec(f"tol must be finite, got {tol}")
 
 
 @dataclass
@@ -185,12 +185,13 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     Each state must be Hermitian, as every validated one is (to
     ``HERMITICITY_TOL``), for only the blocks with i ≤ j are read (see
     :func:`_norm_grids`).  Pairs go in input order in stacks of at most
-    ``_CHUNK_ENTRIES`` dense entries (one state if larger), each decided side
-    by side on one :func:`extract_blocks` view of its states on that side;
-    results equal those of one pair at a time, bit for bit.  Each verdict keeps U in
-    ``basis``, and its ``diagonals`` and ``offdiagonal_norms`` (see
-    :func:`_norm_grids`) as views of its stack's arrays; a nonzero one's witness is
-    the block (i, j), i ≤ j, of largest relative off-diagonal norm ‖offdiag‖/scale:
+    ``_CHUNK_ENTRIES`` dense entries (one state if larger), the criterion's only
+    memory budget, each decided side by side on one :func:`extract_blocks` view
+    and one :func:`_norm_grids` pass per side; results equal those of one pair
+    at a time, bit for bit.  Each verdict keeps U in ``basis``, and its
+    ``diagonals`` and ``offdiagonal_norms`` (see :func:`_norm_grids`) as views
+    of its stack's arrays; a nonzero one's witness is the block (i, j), i ≤ j,
+    of largest relative off-diagonal norm ‖offdiag‖/scale:
     the first in row-major order within 1e-12 relative of the largest, so that
     rounding does not choose among blocks of equal norm.  A state of the wrong
     shape raises :class:`DimensionError`, a non-finite one :class:`InvalidSpec`.
@@ -247,35 +248,26 @@ def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Hermitian states and U is (n, d, d).  There B_ji = B_ij†, so U†B_jiU is
     the adjoint of U†B_ijU with the same norms: only blocks with i ≤ j are
     read, and their values come row by row, (0, 0) … (0, d − 1), (1, 1) ….
-    Block rows go as many at a time as keep each temporary within half of
-    ``_CHUNK_ENTRIES`` (at least one row), as C-ordered transposes Bt = Bᵀ
-    that take two GEMMs per state: stacked Bt rows times conj(U) give
-    (U†B)ᵀ, and their transposes, stacked, times U give U†BU.  Both norms
-    equal those ``np.linalg.norm`` forms on each row's products and
-    transposed blocks, bit for bit, however the rows are cut.
+    All of them go at once, as C-ordered transposes Bt = Bᵀ that take two
+    GEMMs per state: stacked Bt times conj(U) give (U†B)ᵀ, and their
+    transposes, stacked, times U give U†BU.  Each temporary holds
+    n·d³(d + 1)/2 entries, about half of the n states' own, so the stacks of
+    :func:`structural_verdicts` are its only budget.  Both norms equal those
+    ``np.linalg.norm`` forms on each product and transposed block, bit for bit.
     """
     n, d = U.shape[:2]
-    off, scale = np.empty((2, n, d * (d + 1) // 2))
-    diag = np.empty(off.shape + (d,), complex)
-    rows = min(d, max(1, _CHUNK_ENTRIES // (2 * n * d**3)))  # n·rows·d³ entries per temporary
-    done = 0
-    for i in range(0, d, rows):
-        slab = [blocks[:, r, r:] for r in range(i, min(i + rows, d))]  # B_rj, j ≥ r
-        k = sum(row.shape[1] for row in slab)
-        Bt = np.empty((n, k, d, d), complex)
-        np.concatenate(slab, axis=1, out=Bt.swapaxes(-1, -2))  # C-ordered transposes
-        scale[:, done : done + k] = _squared_norms(Bt)
-        P = (Bt.reshape(n, -1, d) @ U.conj()).reshape(Bt.shape)  # (U†B)ᵀ, block by block
-        del Bt  # each temporary is freed once read, so that at most two are alive
-        P = np.ascontiguousarray(P.swapaxes(-1, -2))
-        T = (P.reshape(n, -1, d) @ U).reshape(P.shape)  # U†BU
-        del P
-        diag[:, done : done + k] = T.diagonal(axis1=-2, axis2=-1)
-        T.reshape(-1, d * d)[:, :: d + 1] = 0.0
-        off[:, done : done + k] = _squared_norms(T)
-        done += k
-        del T
-    return np.sqrt(off), np.maximum(1.0, np.sqrt(scale)), diag
+    Bt = np.empty((n, d * (d + 1) // 2, d, d), complex)
+    # B_rj, j ≥ r, row by row, as C-ordered transposes
+    np.concatenate([blocks[:, r, r:] for r in range(d)], axis=1, out=Bt.swapaxes(-1, -2))
+    scale = _squared_norms(Bt)
+    P = (Bt.reshape(n, -1, d) @ U.conj()).reshape(Bt.shape)  # (U†B)ᵀ, block by block
+    del Bt  # each temporary is freed once read, so that at most two are alive
+    P = np.ascontiguousarray(P.swapaxes(-1, -2))
+    T = (P.reshape(n, -1, d) @ U).reshape(P.shape)  # U†BU
+    del P
+    diag = T.diagonal(axis1=-2, axis2=-1).copy()
+    T.reshape(-1, d * d)[:, :: d + 1] = 0.0
+    return np.sqrt(_squared_norms(T)), np.maximum(1.0, np.sqrt(scale)), diag
 
 
 def _squared_norms(X: np.ndarray) -> np.ndarray:
@@ -575,9 +567,7 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     passes :func:`circulant_theorem_check` on the chosen side by
     construction.  A bad seed raises :class:`InvalidSpec`.
     """
-    a0 = np.asarray(a0, dtype=complex)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise DimensionError(f"a0 must be square, got {a0.shape}")
+    a0 = np.asarray(_require_square(a0, "a0"), dtype=complex)
     d = a0.shape[0]
     _require_prime(d)
     phi = np.asarray(phases, dtype=float)

@@ -7,9 +7,9 @@ data for the d=2 orthogonal-invariant simplex.  ``build``, ``analyze``
 and ``verify --format json`` print one JSON object on one line.
 
 Exit codes: 0 success (for ``analyze``, an ``agree`` or ``inconclusive``
-outcome), 1 a ``verify`` suite failed, 2 input error (``--starts`` runs
-from 1 to 256, ``--grid`` from 1 to 1001, and a state path or family
-flag that would be ignored is refused), 3 an ``analyze`` outcome of
+outcome), 1 a ``verify`` suite failed, 2 input error (a value out of its
+bounds, such as ``--starts`` above 256 or a negative ``--tol``, or a state
+path or family flag that would be ignored), 3 an ``analyze`` outcome of
 ``disagree``: a structural zero with numeric D above the nonzero
 threshold.  The environment variable DISCORDANT_SEED overrides ``--seed``
 everywhere.
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .blocks import DEFAULT_TOL, _bell_labels
-from .discord import SCREEN_DRAWS, OptimizerConfig
+from .discord import OptimizerConfig
 from .errors import DiscordantError, InvalidSpec
 from .serialize import (
     LoadedState,
@@ -54,7 +54,7 @@ def _effective_seed(args) -> int:
 
 def _parse_floats(text: str, name: str) -> list[float]:
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",")]
     except ValueError:
         raise InvalidSpec(f"--{name} must be a comma-separated list of numbers") from None
     if not np.isfinite(values).all():
@@ -239,18 +239,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = getattr(args, "tol", 0.0)
-        if not (np.isfinite(tol) and tol >= 0):
+        # the sign is the command line's own rule, for the library takes a negative tol;
+        # a NaN fails this test too, and the library rejects an infinite one
+        if not getattr(args, "tol", 0.0) >= 0:
             raise InvalidSpec("--tol must be finite and nonnegative")
-        for flag in ("starts", "draws", "grid"):
-            if getattr(args, flag, 1) < 1:
-                raise InvalidSpec(f"--{flag} must be at least 1")
-        if getattr(args, "starts", 1) > SCREEN_DRAWS + 2:
-            raise InvalidSpec(f"--starts must be at most {SCREEN_DRAWS + 2}")
-        if getattr(args, "grid", 1) > MAX_GRID:
-            raise InvalidSpec(f"--grid must be at most {MAX_GRID}")
-        if getattr(args, "every", 0) < 0:
-            raise InvalidSpec("--every must be nonnegative (0 = never)")
         return args.func(args)
     except (DiscordantError, OSError) as exc:  # OSError: an unreadable input or output path
         print(f"error: {exc}", file=sys.stderr)

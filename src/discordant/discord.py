@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import extract_blocks
-from .errors import DimensionError, InvalidMeasurement, InvalidSpec
-from .linalg import (_is_integer, _read_only, _require_finite, fourier_matrix, partial_trace,
+from .errors import DimensionError, InvalidMeasurement
+from .linalg import (_read_only, _require_finite, _require_integer, fourier_matrix, partial_trace,
                      random_unitary, von_neumann_entropy)
 from .serialize import encode_complex_matrix
 
@@ -88,23 +88,16 @@ class OptimizerConfig:
 
     ``starts`` descents run side by side, each for at most ``MAX_ITERS``
     steps, from candidates screened with ``seed``; there are
-    ``SCREEN_DRAWS`` + 2 candidates, so at most that many starts.
+    ``SCREEN_DRAWS`` + 2 candidates, so at most that many starts; seed ≥ 0.
+    A field that is not such an integer raises :class:`InvalidSpec`.
     """
 
     starts: int = 24
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise InvalidSpec(f"{name} must be an integer")
-        if self.starts < 1:
-            raise InvalidSpec("starts must be at least 1")
-        if self.starts > SCREEN_DRAWS + 2:
-            raise InvalidSpec(f"starts must be at most {SCREEN_DRAWS + 2}, the screen's candidates")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
+        _require_integer(self.starts, "starts", 1, SCREEN_DRAWS + 2)
+        _require_integer(self.seed, "seed", 0)
 
 
 @dataclass

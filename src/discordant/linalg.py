@@ -27,9 +27,12 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _require_integer(value, name: str, lo: int, hi: int | None = None) -> None:
+    """Raise :class:`InvalidSpec` unless ``value`` is an integer, not a bool, in lo … hi."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and lo <= value and (hi is None or value <= hi)):
+        bounds = f"{name} ≥ {lo}" if hi is None else f"{lo} ≤ {name} ≤ {hi}"
+        raise InvalidSpec(f"{name} must be an integer with {bounds}, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSpec
-from .linalg import EIG_FLOOR, _read_only, frobenius, hermitize
+from .linalg import EIG_FLOOR, _read_only, _require_integer, _require_square, frobenius, hermitize
 
 #: Entries smaller than this in modulus are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -78,8 +78,7 @@ class BellWeights:
 
 def _require_dimension(d) -> None:
     """Raise :class:`InvalidSpec` unless ``d`` is an integer with 2 ≤ d ≤ MAX_DIMENSION."""
-    if not isinstance(d, (int, np.integer)) or not 2 <= d <= MAX_DIMENSION:  # a bool is < 2
-        raise InvalidSpec(f"d must be an integer with 2 ≤ d ≤ {MAX_DIMENSION}, got {d!r}")
+    _require_integer(d, "d", 2, MAX_DIMENSION)
 
 
 @functools.cache
@@ -294,10 +293,8 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
 
 def _commuting_inputs(a, dmat) -> tuple[np.ndarray, np.ndarray]:
     """(a, dmat) as arrays, checked: a square, dmat (d, d), nonnegative, zero on its diagonal."""
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(_require_square(a, "a"), dtype=complex)
     dmat = np.asarray(dmat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"a must be square, got {a.shape}")
     d = a.shape[0]
     if dmat.shape != (d, d):
         raise DimensionError(f"dmat must have shape ({d}, {d}), got {dmat.shape}")

@@ -33,7 +33,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord, discord_sides
 from .errors import PrimeRequired
-from .linalg import _is_integer
+from .linalg import _require_integer
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -334,14 +334,14 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     draw perturbed on its own (or one stack of Bell weights), its dense
     states are built from that array by one scatter, and each criterion
     decides the whole chunk in one call, with the report, and the
-    generator states, a draw-at-a-time run gives.  A dimension out of
-    range raises :class:`InvalidSpec`, a non-finite ``tol`` ``ValueError``.
+    generator states, a draw-at-a-time run gives.  A ``d``, ``draws``, ``starts``
+    or ``seed`` out of its integer bounds, or a non-finite ``tol``, raises
+    :class:`InvalidSpec`.
     """
     _require_dimension(d)
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
-    if not _is_integer(draws) or draws < 1:
-        raise ValueError(f"draws must be at least 1, a whole number; got {draws}")
+    _require_integer(draws, "draws", 1)
     _require_finite_tol(tol)
     # made here so that a bad ``starts`` is rejected at every d, not only
     # where the numeric suite runs
@@ -396,11 +396,12 @@ def o2_simplex_rows(
 
     Yields dicts over the (b, c) grid (a = 1−b−c ≥ 0): separability flag
     (b, c ≤ 1/2), zero-discord flag (b = c within tol), and — every
-    ``every``-th emitted point — the numeric discord.  A ``grid`` above
-    ``MAX_GRID`` or a non-finite ``tol`` raises ``ValueError``.
+    ``every``-th emitted point (0 = never) — the numeric discord.  An integer
+    out of its bounds (1 ≤ grid ≤ ``MAX_GRID``, every ≥ 0, and those of
+    :class:`OptimizerConfig`) or a non-finite ``tol`` raises :class:`InvalidSpec`.
     """
-    if not (_is_integer(grid) and _is_integer(every)) or not 1 <= grid <= MAX_GRID or every < 0:
-        raise ValueError(f"need grid in 1 … {MAX_GRID}, every ≥ 0 (0 = never); got {grid}, {every}")
+    _require_integer(grid, "grid", 1, MAX_GRID)
+    _require_integer(every, "every", 0)
     _require_finite_tol(tol)
     values = np.linspace(0.0, 1.0, grid)
     cfg = OptimizerConfig(starts=starts, seed=seed)

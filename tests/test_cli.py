@@ -11,6 +11,7 @@ import pytest
 from discordant import blocks, cli, verify
 from discordant.cli import main
 from discordant.discord import OptimizerConfig
+from discordant.errors import InvalidSpec
 from discordant.linalg import fourier_matrix
 from discordant.serialize import (
     bell_to_json,
@@ -221,7 +222,7 @@ def test_starts_beyond_the_screen_exit_2(capsys, command, starts):
     code, out, err = run_cli(command + ["--starts", str(starts)], capsys)
     assert code == 2
     assert out == ""
-    assert "--starts must be at most 256" in err
+    assert "1 ≤ starts ≤ 256" in err
 
 
 @pytest.mark.parametrize("grid", [1002, 10**15])
@@ -231,7 +232,7 @@ def test_grid_beyond_the_bound_exit_2(capsys, grid):
     code, out, err = run_cli(["simplex", "--grid", str(grid), "--every", "0"], capsys)
     assert code == 2
     assert out == ""
-    assert "--grid must be at most 1001" in err
+    assert "1 ≤ grid ≤ 1001" in err
 
 
 def test_build_analyze_round_trip(capsys, tmp_path):
@@ -612,7 +613,7 @@ def test_starts_below_one_exits_2(capsys, command):
         code, out, err = run_cli(command + ["--starts", value], capsys)
         assert code == 2
         assert out == ""
-        assert "--starts" in err
+        assert "1 ≤ starts ≤ 256" in err
 
 
 def test_parser_reuse_leaks_no_values(capsys):
@@ -630,11 +631,11 @@ def test_parser_reuse_leaks_no_values(capsys):
 
 @pytest.mark.parametrize("command, flag", [
     (["analyze", "--family", "isotropic", "--d", "2", "--lambda", "0", "--tol", "-1"], "--tol"),
-    (["verify", "--d", "3", "--draws", "-1"], "--draws"),
-    (["verify", "--d", "3", "--draws", "0"], "--draws"),
-    (["simplex", "--grid", "-3"], "--grid"),
-    (["simplex", "--grid", "0"], "--grid"),
-    (["simplex", "--grid", "3", "--every", "-5"], "--every"),
+    (["verify", "--d", "3", "--draws", "-1"], "draws ≥ 1"),
+    (["verify", "--d", "3", "--draws", "0"], "draws ≥ 1"),
+    (["simplex", "--grid", "-3"], "1 ≤ grid ≤ 1001"),
+    (["simplex", "--grid", "0"], "1 ≤ grid ≤ 1001"),
+    (["simplex", "--grid", "3", "--every", "-5"], "every ≥ 0"),
 ], ids=["tol-negative", "draws-negative", "draws-zero", "grid-negative", "grid-zero",
         "every-negative"])
 def test_bad_numeric_flags_exit_2(capsys, command, flag):
@@ -647,6 +648,26 @@ def test_bad_numeric_flags_exit_2(capsys, command, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, library", [
+    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1", "--starts", "257"],
+     lambda: OptimizerConfig(starts=257)),
+    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1", "--seed", "-1"],
+     lambda: OptimizerConfig(seed=-1)),
+    (["verify", "--d", "3", "--draws", "0"], lambda: verify.run_verify(3, draws=0)),
+    (["simplex", "--grid", "1002"], lambda: next(verify.o2_simplex_rows(grid=1002))),
+    (["simplex", "--every", "-1"], lambda: next(verify.o2_simplex_rows(every=-1))),
+    (["verify", "--d", "3", "--tol", "inf"], lambda: verify.run_verify(3, tol=float("inf"))),
+], ids=["starts", "seed", "draws", "grid", "every", "tol-inf"])
+def test_bound_errors_are_the_library_errors(capsys, monkeypatch, argv, library):
+    # each bound is stated once, in the library; the command line reports its error as it is
+    monkeypatch.delenv("DISCORDANT_SEED", raising=False)
+    with pytest.raises(InvalidSpec) as exc:
+        library()
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--family", "werner", "--lambda", "0.1"], "--d is required"),
     (["--family", "orthogonal", "--d", "2"], "--abc is required"),
@@ -654,7 +675,13 @@ def test_bad_numeric_flags_exit_2(capsys, command, flag):
     (["--family", "bell", "--d", "3", "--alpha", "1"], "--alpha and --pi"),
     (["--family", "bell", "--d", "3", "--alpha", "1", "--pi", "0.5,-0.1,0.1"], "nonnegative"),
     (["--family", "orthogonal", "--d", "2", "--abc", "0.2,x,0.3"], "comma-separated"),
-], ids=["no-d", "no-abc", "no-alpha", "no-pi", "negative-pi", "text-abc"])
+    # an empty field was dropped, so these read as three values and exited 0
+    (["--family", "bell", "--d", "3", "--alpha", "1", "--pi", "0.2,,0.1,0.033333333333333"],
+     "comma-separated"),
+    (["--family", "bell", "--d", "3", "--alpha", "1", "--pi", "0.2,0.1,0.033333333333333,"],
+     "comma-separated"),
+], ids=["no-d", "no-abc", "no-alpha", "no-pi", "negative-pi", "text-abc", "empty-pi-field",
+        "trailing-pi-field"])
 def test_incomplete_family_flags_exit_2(capsys, flags, named):
     code, out, err = run_cli(["analyze", *flags], capsys)
     assert (code, out) == (2, "")

@@ -613,7 +613,7 @@ def test_starts_are_bounded_by_the_screen():
     # a descent starts from a distinct screened candidate, so there are at
     # most SCREEN_DRAWS + 2 starts
     assert OptimizerConfig(starts=SCREEN_DRAWS + 2).starts == SCREEN_DRAWS + 2
-    with pytest.raises(ValueError, match="at most 256"):
+    with pytest.raises(ValueError, match="1 ≤ starts ≤ 256"):
         OptimizerConfig(starts=SCREEN_DRAWS + 3)
 
 

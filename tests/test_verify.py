@@ -445,7 +445,7 @@ def test_zero_starts_rejected_by_library():
     with pytest.raises(ValueError):
         run_verify(3, draws=1, starts=0)
     # and at d ≥ 5, where the numeric suite is skipped, it used to pass
-    with pytest.raises(ValueError, match="starts must be at least 1"):
+    with pytest.raises(ValueError, match="1 ≤ starts ≤ 256"):
         run_verify(5, draws=1, starts=0)
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, starts=0))
@@ -461,24 +461,28 @@ def test_empty_library_runs_rejected():
     with pytest.raises(ValueError):
         list(o2_simplex_rows(grid=3, every=-1))
     for grid in (1002, 10**15):
-        with pytest.raises(ValueError, match="need grid"):
+        with pytest.raises(ValueError, match="1 ≤ grid ≤ 1001"):
             next(o2_simplex_rows(grid=grid, every=0))
 
 
 def test_bool_counts_rejected_by_library():
     # draws=True ran one draw per suite and grid=True, every=False yielded one row
-    with pytest.raises(ValueError, match="draws must be at least 1"):
+    with pytest.raises(InvalidSpec, match="draws ≥ 1"):
         run_verify(3, draws=True)
-    for kwargs in ({"grid": True}, {"grid": 3, "every": False}, {"grid": True, "every": False}):
-        with pytest.raises(ValueError, match="need grid"):
+    for kwargs, named in (({"grid": True}, "1 ≤ grid ≤ 1001"),
+                          ({"grid": 3, "every": False}, "every ≥ 0"),
+                          ({"grid": True, "every": False}, "1 ≤ grid ≤ 1001")):
+        with pytest.raises(InvalidSpec, match=named):
             list(o2_simplex_rows(**kwargs))
     # a fractional count escaped as a TypeError from range or np.linspace, and every=2.5
     # ran with a fractional stride; a float of integral value is no count either
     for draws in (2.5, 2.0):
-        with pytest.raises(ValueError, match="draws must be at least 1"):
+        with pytest.raises(InvalidSpec, match="draws ≥ 1"):
             run_verify(3, draws=draws)
-    for kwargs in ({"grid": 2.5}, {"grid": 3, "every": 2.5}, {"grid": 3.0, "every": 0}):
-        with pytest.raises(ValueError, match="need grid"):
+    for kwargs, named in (({"grid": 2.5}, "1 ≤ grid ≤ 1001"),
+                          ({"grid": 3, "every": 2.5}, "every ≥ 0"),
+                          ({"grid": 3.0, "every": 0}, "1 ≤ grid ≤ 1001")):
+        with pytest.raises(InvalidSpec, match=named):
             list(o2_simplex_rows(**kwargs))
     assert len(list(o2_simplex_rows(grid=np.int64(2), every=np.int64(0)))) == 3
 
