@@ -60,7 +60,7 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import EIG_FLOOR, _read_only, _require_finite, _require_square, frobenius, hermitize
+from .linalg import _read_only, _require_finite, _require_psd, _require_square, frobenius, hermitize
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -104,11 +104,6 @@ def is_prime(n: int) -> bool:
 def _require_prime(d: int) -> None:
     if not is_prime(d):
         raise PrimeRequired(f"closed-form criteria require a prime dimension, got d={d}")
-
-
-def _require_finite_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise InvalidSpec(f"tol must be finite, got {tol}")
 
 
 @dataclass
@@ -196,7 +191,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     rounding does not choose among blocks of equal norm.  A state of the wrong
     shape raises :class:`DimensionError`, a non-finite one :class:`InvalidSpec`.
     """
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts, m = [], d * (d + 1) // 2
@@ -421,7 +416,7 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     all-diagonal stacks, which are classical outright.  A failing stack's
     witness is its lexicographically first violation (in k, i, j).
     """
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     if len(a) != len(sides):
         raise ValueError(f"got {len(a)} specs and {len(sides)} sides")
     if not len(a):
@@ -486,7 +481,7 @@ def circulant_necessary_conditions(
     "failures"}`` on every call; each failure is ``{"condition", "n",
     "entry": [i, j], "got", "want"}``, in (n, i, j) order.
     """
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     _require_prime(spec.d)
     codes = _side_codes([side])
     a, d = spec.a, spec.d
@@ -511,7 +506,7 @@ def circulant_necessary_conditions(
 def _completely_classical(spec: CirculantSpec, tol: float, theorem=None) -> StructuralVerdict:
     """:func:`completely_classical_check`, reading ``theorem`` (the spec's theorem verdicts
     on sides A and B, fitted here if None) only when the diagonal does not decide."""
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     _require_prime(spec.d)
     a, d = spec.a, spec.d
     if _diagonal_flags(a):
@@ -561,8 +556,9 @@ def _zero_discord_stacks(a0: np.ndarray, phi: np.ndarray, sides) -> np.ndarray:
 def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     """Build the zero-discord circulant family seeded by a^(0) and phases.
 
-    The seed must be square at prime d, finite with finite phases,
-    Hermitian within 1e−10 relative, PSD and of positive trace; it is
+    The seed must be square at prime d with finite phases, pass
+    :func:`~discordant.linalg._require_psd` as "a0" with a Hermitian
+    tolerance of 1e−10 relative, and have positive trace; it is
     symmetrized and scaled so the sector traces sum to 1, and the output
     passes :func:`circulant_theorem_check` on the chosen side by
     construction.  A bad seed raises :class:`InvalidSpec`.
@@ -571,12 +567,8 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     d = a0.shape[0]
     _require_prime(d)
     phi = np.asarray(phases, dtype=float)
-    if not (np.isfinite(a0).all() and np.isfinite(phi).all()):
-        raise InvalidSpec("a0 and the phases must be finite")
-    if frobenius(a0 - a0.conj().T) > 1e-10 * max(1.0, frobenius(a0)):
-        raise InvalidSpec("a0 is not Hermitian")
-    if np.linalg.eigvalsh(hermitize(a0))[0] < EIG_FLOOR:
-        raise InvalidSpec("a0 is not positive semidefinite")
+    _require_finite(phi, "phases")
+    _require_psd(a0[None], "a0", tol=1e-10)  # looser than a state's: the seed is hermitized
     if np.trace(a0).real <= ZERO_TOL:
         raise InvalidSpec("a0 must have positive trace")
     return CirculantSpec(d, _zero_discord_stacks(a0[None], phi[None], [side])[0])
@@ -639,7 +631,7 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     None); the last line reports ``line`` "n" and ``alpha`` None.  The
     recovered π values come with either.
     """
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     return _bell_verdicts(_bell_weights(w).p[None], tol)[0]
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .blocks import DEFAULT_TOL, _bell_labels
 from .discord import OptimizerConfig
 from .errors import DiscordantError, InvalidSpec
+from .linalg import _require_finite
 from .serialize import (
     LoadedState,
     bell_to_json,
@@ -57,8 +58,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
         values = [float(x) for x in text.split(",")]
     except ValueError:
         raise InvalidSpec(f"--{name} must be a comma-separated list of numbers") from None
-    if not np.isfinite(values).all():
-        raise InvalidSpec(f"--{name} values must be finite")
+    _require_finite(values, f"--{name}")
     return values
 
 

@@ -8,6 +8,9 @@ across magnitudes.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import DimensionError, InvalidSpec
@@ -53,30 +56,47 @@ def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _require_finite(M: np.ndarray, name: str = "rho") -> None:
-    """Raise :class:`InvalidSpec` unless every entry of ``M`` is finite."""
-    if not np.isfinite(M).all():
+def _require_finite(x, name: str = "rho") -> None:
+    """Raise :class:`InvalidSpec` unless ``x``, a real number or an array, is finite."""
+    if isinstance(x, numbers.Real):
+        if not math.isfinite(x):
+            raise InvalidSpec(f"{name} must be finite, got {x}")
+    elif not np.isfinite(x).all():
         raise InvalidSpec(f"{name} has non-finite entries")
 
 
+def _require_psd(stack: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The ascending eigenvalues of an (n, m, m) stack of finite, Hermitian (‖M − M†‖_F ≤
+    tol·max(1, ‖M‖_F)) and PSD (eigenvalues ≥ ``EIG_FLOOR``) matrices; the first matrix k
+    that is not raises :class:`InvalidSpec`, named ``name.format(k)``, for its first fault."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():  # zero the non-finite matrices, which fail anyway
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    defect = np.linalg.norm(stack - stack.conj().swapaxes(1, 2), axis=(1, 2))
+    skew = defect > tol * scale
+    w = np.linalg.eigvalsh(hermitize(stack))
+    bad = ~finite | skew | (w[:, 0] < EIG_FLOOR)
+    if bad.any():
+        k = int(np.argmax(bad))
+        fault = ("has non-finite entries" if not finite[k] else
+                 f"is not Hermitian (defect {defect[k]:.3e})" if skew[k] else
+                 f"has negative eigenvalue {w[k, 0]:.3e}")
+        raise InvalidSpec(f"{name.format(k)} {fault}")
+    return w
+
+
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate finiteness, Hermiticity, unit trace and positivity; return the array.
+    """Validate by :func:`_require_psd`, then check unit trace; return the array.
 
     Raises :class:`InvalidSpec` on violation and :class:`DimensionError`
     for non-square input.
     """
     rho = np.asarray(_require_square(rho, name), dtype=complex)
-    _require_finite(rho, name)
-    scale = max(1.0, frobenius(rho))
-    herm_defect = frobenius(rho - rho.conj().T)
-    if herm_defect > HERMITICITY_TOL * scale:
-        raise InvalidSpec(f"{name} is not Hermitian (defect {herm_defect:.3e})")
+    _require_psd(rho[None], name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidSpec(f"{name} has trace {tr}, expected 1")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if w[0] < EIG_FLOOR:
-        raise InvalidSpec(f"{name} has negative eigenvalue {w[0]:.3e}")
     return rho
 
 
@@ -111,15 +131,12 @@ def entropy_of_weights(w: np.ndarray) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(ρ) = −tr(ρ log2 ρ) in bits.
 
-    Eigenvalues in [−1e−10, 0) are clipped to 0; a more negative one, like a
-    non-finite entry, raises :class:`InvalidSpec`.
+    The argument, named "state", must pass :func:`_require_psd`: a non-finite
+    entry, a Hermitian defect or an eigenvalue below −1e−10 raises
+    :class:`InvalidSpec`, and eigenvalues in [−1e−10, 0) are clipped to 0.
     """
-    rho = _require_square(rho, "rho")
-    _require_finite(rho, "state")
-    w = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
-    if w[0] < EIG_FLOOR:
-        raise InvalidSpec(f"state has negative eigenvalue {w[0]:.3e}")
-    return entropy_of_weights(np.clip(w, 0.0, None))
+    rho = np.asarray(_require_square(rho, "rho"), dtype=complex)
+    return entropy_of_weights(np.clip(_require_psd(rho[None], "state")[0], 0.0, None))
 
 
 def fourier_matrix(d: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSpec
-from .linalg import EIG_FLOOR, _read_only, _require_integer, _require_square, frobenius, hermitize
+from .linalg import (TRACE_TOL, _read_only, _require_finite, _require_integer, _require_psd,
+                     _require_square, frobenius)
 
 #: Entries smaller than this in modulus are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -90,23 +91,23 @@ def _sector_index(d: int) -> np.ndarray:
 
 
 def validate_circulant_spec(spec: CirculantSpec) -> None:
-    """Check each a^(n) is finite, Hermitian and PSD (naming the first that is not), Σ tr = 1."""
-    finite = np.isfinite(spec.a).all(axis=(1, 2))
-    a = np.where(finite[:, None, None], spec.a, 0.0)  # non-finite sectors fail anyway
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
-    skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), axis=(1, 2)) > 1e-12 * scale
-    w = np.linalg.eigvalsh(hermitize(a))[:, 0]
-    bad = ~finite | skew | (w < EIG_FLOOR)
-    if bad.any():
-        n = int(np.argmax(bad))
-        if not finite[n]:
-            raise InvalidSpec(f"a^({n}) has non-finite entries")
-        if skew[n]:
-            raise InvalidSpec(f"a^({n}) is not Hermitian")
-        raise InvalidSpec(f"a^({n}) has negative eigenvalue {w[n]:.3e}")
+    """Check each a^(n) by :func:`~discordant.linalg._require_psd` (naming the first
+    that fails), then Σ tr a^(n) = 1 within ``TRACE_TOL``."""
+    _require_psd(spec.a, "a^({})")
     total = spec.trace_sum()
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > TRACE_TOL:
         raise InvalidSpec(f"sector traces sum to {total}, expected 1")
+
+
+def _require_weights(w: np.ndarray, name: str) -> None:
+    """Raise :class:`InvalidSpec` unless the weights ``w`` are finite, none below
+    −``ZERO_TOL``, and sum to 1 within ``TRACE_TOL``."""
+    _require_finite(w, name)
+    if np.any(w < -ZERO_TOL):
+        raise InvalidSpec(f"negative weight {w.min():.3e} in {name}")
+    total = float(w.sum())
+    if abs(total - 1.0) > TRACE_TOL:
+        raise InvalidSpec(f"{name} sum to {total}, expected 1")
 
 
 def _bell_weights(w) -> BellWeights:
@@ -121,14 +122,8 @@ def _bell_weights(w) -> BellWeights:
 
 
 def validate_bell_weights(w: BellWeights) -> None:
-    """Check the weights are finite, nonnegative and sum to 1."""
-    if not np.isfinite(w.p).all():
-        raise InvalidSpec("weights must be finite")
-    if np.any(w.p < -ZERO_TOL):
-        raise InvalidSpec(f"negative weight {w.p.min():.3e}")
-    total = float(w.p.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise InvalidSpec(f"weights sum to {total}, expected 1")
+    """Check the weights p by :func:`_require_weights`, named "weights"."""
+    _require_weights(w.p, "weights")
 
 
 def shift_operator(d: int) -> np.ndarray:
@@ -228,8 +223,7 @@ def _bell_amplitudes(d: int) -> np.ndarray:
 def _lambda_family(d: int, lam: float) -> tuple[np.ndarray, float]:
     """(a, base) of a λ family, d and λ checked: base = (1−λ)/d² and every a^(n) = base·I."""
     _require_dimension(d)
-    if not np.isfinite(lam):
-        raise InvalidSpec(f"lambda must be finite, got {lam}")
+    _require_finite(lam, "lambda")
     base = (1.0 - lam) / d**2
     return np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0), base
 
@@ -271,13 +265,13 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
 
     P_2 is the maximally entangled projector, P_1 the antisymmetric
     projector (I−F)/2, and P_0 = (I+F)/2 − P_2; each is normalized by its
-    trace (d(d+1)/2 − 1, d(d−1)/2 and 1 respectively).
+    trace (d(d+1)/2 − 1, d(d−1)/2 and 1 respectively).  The weights must
+    pass :func:`_require_weights`, named "abc".
     """
     _require_dimension(d)
-    a, b, c = (float(x) for x in abc)
-    finite = np.isfinite([a, b, c]).all()
-    if not finite or min(a, b, c) < -ZERO_TOL or abs(a + b + c - 1.0) > 1e-12:
-        raise InvalidSpec(f"weights ({a}, {b}, {c}) must be finite, nonnegative and sum to 1")
+    w = np.array([float(x) for x in abc])
+    _require_weights(w, "abc")
+    a, b, c = w
     F = flip_operator(d)
     eye = np.eye(d * d, dtype=complex)
     P2 = max_entangled_projector(d)
@@ -328,7 +322,7 @@ def ppt_check_commuting(a: np.ndarray, dmat: np.ndarray) -> bool:
     The inputs follow the rules of :func:`commuting_group_invariant_state` and must be finite.
     """
     a, dmat = _commuting_inputs(a, dmat)
-    if not (np.isfinite(a).all() and np.isfinite(dmat).all()):
-        raise InvalidSpec("a and dmat must be finite")
+    _require_finite(a, "a")
+    _require_finite(dmat, "dmat")
     off = ~np.eye(a.shape[0], dtype=bool)
     return not np.any(off & (np.abs(a) ** 2 > dmat * dmat.T + 1e-12))

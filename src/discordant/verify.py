@@ -21,7 +21,6 @@ from .blocks import (
     _bell_verdicts,
     _chunks,
     _completely_classical,
-    _require_finite_tol,
     _theorem_verdicts,
     _zero_discord_stacks,
     bell_zero_discord_check,
@@ -33,7 +32,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord, discord_sides
 from .errors import PrimeRequired
-from .linalg import _require_integer
+from .linalg import _require_finite, _require_integer
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -342,7 +341,7 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
     _require_integer(draws, "draws", 1)
-    _require_finite_tol(tol)
+    _require_finite(tol, "tol")
     # made here so that a bad ``starts`` is rejected at every d, not only
     # where the numeric suite runs
     cfg = OptimizerConfig(starts=starts, seed=seed)
@@ -392,35 +391,28 @@ def o2_simplex_rows(
     seed: int = 0,
     starts: int = OptimizerConfig.starts,
 ):
-    """Rows of the d=2 orthogonal-invariant simplex scan.
+    """Rows of the d=2 orthogonal-invariant simplex scan, as a lazy iterator.
 
-    Yields dicts over the (b, c) grid (a = 1−b−c ≥ 0): separability flag
+    Its dicts run over the (b, c) grid (a = 1−b−c ≥ 0): separability flag
     (b, c ≤ 1/2), zero-discord flag (b = c within tol), and — every
     ``every``-th emitted point (0 = never) — the numeric discord.  An integer
     out of its bounds (1 ≤ grid ≤ ``MAX_GRID``, every ≥ 0, and those of
-    :class:`OptimizerConfig`) or a non-finite ``tol`` raises :class:`InvalidSpec`.
+    :class:`OptimizerConfig`) or a non-finite ``tol`` raises :class:`InvalidSpec`
+    at the call, before any row is asked for.
     """
     _require_integer(grid, "grid", 1, MAX_GRID)
     _require_integer(every, "every", 0)
-    _require_finite_tol(tol)
-    values = np.linspace(0.0, 1.0, grid)
+    _require_finite(tol, "tol")
     cfg = OptimizerConfig(starts=starts, seed=seed)
-    emitted = 0
-    for b in values:
-        for c in values:
-            a = 1.0 - b - c
-            if a < -1e-12:
-                continue
-            a = max(a, 0.0)
-            row = {
-                "b": float(b),
-                "c": float(c),
-                "separable": int(b <= 0.5 + 1e-12 and c <= 0.5 + 1e-12),
-                "zero_discord": int(abs(b - c) <= tol),
-                "numeric_discord": None,
-            }
-            if every > 0 and emitted % every == 0:
-                rho = orthogonal_invariant_state((a, float(b), float(c)), 2)
-                row["numeric_discord"] = discord(rho, 2, "A", cfg).discord
-            emitted += 1
-            yield row
+    values = np.linspace(0.0, 1.0, grid).tolist()
+    points = ((b, c) for b in values for c in values if 1.0 - b - c >= -1e-12)
+    return (_o2_row(b, c, tol, cfg, every > 0 and k % every == 0)
+            for k, (b, c) in enumerate(points))
+
+
+def _o2_row(b: float, c: float, tol: float, cfg: OptimizerConfig, numeric: bool) -> dict:
+    """The :func:`o2_simplex_rows` row of (b, c), with the numeric discord if ``numeric``."""
+    rho = orthogonal_invariant_state((max(1.0 - b - c, 0.0), b, c), 2) if numeric else None
+    return {"b": b, "c": c, "separable": int(b <= 0.5 + 1e-12 and c <= 0.5 + 1e-12),
+            "zero_discord": int(abs(b - c) <= tol),
+            "numeric_discord": None if rho is None else discord(rho, 2, "A", cfg).discord}

@@ -895,15 +895,15 @@ def test_generate_zero_discord_rejections():
     with pytest.raises(InvalidSpec, match="a0 must have positive trace"):
         generate_zero_discord(np.zeros((2, 2)), np.zeros(2), "A")
     neg = np.diag([1.0, -0.5])
-    with pytest.raises(InvalidSpec, match="a0 is not positive semidefinite"):
+    with pytest.raises(InvalidSpec, match="a0 has negative eigenvalue"):
         generate_zero_discord(neg, np.zeros(2), "A")
     a0 = np.eye(3) / 3
     for bad in (np.nan, np.inf):
         seed = a0.astype(complex)
         seed[0, 1] = bad
-        with pytest.raises(InvalidSpec, match="a0 and the phases must be finite"):
+        with pytest.raises(InvalidSpec, match="a0 has non-finite entries"):
             generate_zero_discord(seed, np.zeros(3), "B")
-        with pytest.raises(InvalidSpec, match="a0 and the phases must be finite"):
+        with pytest.raises(InvalidSpec, match="phases has non-finite entries"):
             generate_zero_discord(a0, [0.0, bad, 0.0], "B")
     # ‖a0 − a0†‖_F is exactly 2δ here, and max(1, ‖a0‖_F) is 1
     for delta, hermitian in ((1e-10, False), (2.5e-11, True)):
@@ -1555,7 +1555,7 @@ def test_bell_check_raises_each_bad_matrix_error():
     nan[1, 2] = np.nan
     neg[0, 0], neg[0, 1] = -0.01, neg[0, 1] + neg[0, 0] + 0.01
     bad = {
-        "non-finite": (nan, InvalidSpec, "weights must be finite"),
+        "non-finite": (nan, InvalidSpec, "weights has non-finite entries"),
         "negative": (neg, InvalidSpec, "negative weight"),
         "wrong sum": (heavy, InvalidSpec, "weights sum to"),
         "non-square": (np.full((3, 4), 1 / 12), DimensionError, "square weight matrix"),

@@ -1,9 +1,12 @@
 """Linear-algebra kernel: traces, entropies, unitaries; package exports."""
 
+import re
+
 import numpy as np
 import pytest
 
 import discordant
+from discordant.blocks import generate_zero_discord
 from discordant.errors import DimensionError, InvalidSpec
 from discordant.linalg import (
     check_density_matrix,
@@ -14,6 +17,8 @@ from discordant.linalg import (
     random_unitary,
     von_neumann_entropy,
 )
+from discordant.states import (BellWeights, CirculantSpec, orthogonal_invariant_state,
+                               validate_bell_weights, validate_circulant_spec)
 
 
 def test_entropy_half_half():
@@ -70,6 +75,64 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex))
     with pytest.raises(InvalidSpec):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _faulty(fault: str) -> np.ndarray:
+    """A 2×2 matrix of trace 1 with a NaN, a Hermitian defect of 0.05 or an eigenvalue −0.5."""
+    m = np.eye(2, dtype=complex) / 2
+    if fault == "non-finite":
+        m[0, 1] = np.nan
+    elif fault == "hermitian":
+        m[0, 1] += 0.05
+    else:
+        m = np.diag([1.5, -0.5]).astype(complex)
+    return m
+
+
+_FAULT_TEXTS = {"non-finite": "has non-finite entries",
+                "hermitian": f"is not Hermitian (defect {0.05 * 2**0.5:.3e})",
+                "negative": "has negative eigenvalue -5.000e-01"}
+
+
+def _as_sector(m):
+    a = np.zeros((2, 2, 2), dtype=complex)
+    a[0], a[1] = np.eye(2) / 4, m
+    validate_circulant_spec(CirculantSpec(2, a))
+
+
+def _as_seed(m):
+    generate_zero_discord(m, np.zeros(2), "A")
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_TEXTS))
+@pytest.mark.parametrize("call, name", [
+    (check_density_matrix, "rho"), (_as_sector, "a^(1)"), (_as_seed, "a0"),
+], ids=["rho", "sector", "seed"])
+def test_one_message_per_matrix_fault(call, name, fault):
+    # a density matrix, a circulant sector and a zero-discord seed share one rule and its words
+    with pytest.raises(InvalidSpec) as info:
+        call(_faulty(fault))
+    assert str(info.value) == f"{name} {_FAULT_TEXTS[fault]}"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda w: validate_bell_weights(BellWeights(2, np.reshape(w, (2, 2)))), "weights"),
+    (lambda w: orthogonal_invariant_state(w[:3], 2), "abc"),
+], ids=["bell", "orthogonal"])
+@pytest.mark.parametrize("weights, text", [
+    ([0.25, np.nan, 0.5, 0.25], "{} has non-finite entries"),
+    ([-0.01, 0.51, 0.5, 0.0], "negative weight -1.000e-02 in {}"),
+    ([0.5, 0.5, 0.5, 0.0], "{} sum to 1.5, expected 1"),
+], ids=["non-finite", "negative", "sum"])
+def test_one_message_per_weight_fault(call, name, weights, text):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(text.format(name))}$"):
+        call(np.array(weights))
+
+
+def test_entropy_refuses_a_non_hermitian_argument():
+    # it used to hermitize such a matrix without a word
+    with pytest.raises(InvalidSpec, match=re.escape("state is not Hermitian (defect")):
+        von_neumann_entropy(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
 def test_partial_trace_and_fourier_matrix_reject_bad_arguments():

@@ -288,9 +288,9 @@ def test_commuting_group_invariant_state():
 def test_ppt_check_commuting_checks_its_inputs():
     # each of these used to answer True or raise NumPy's broadcasting error
     a, dmat = np.eye(2) * 0.1, np.array([[0.0, 0.4], [0.4, 0.0]])
-    with pytest.raises(InvalidSpec, match="a and dmat must be finite"):
+    with pytest.raises(InvalidSpec, match="a has non-finite entries"):
         ppt_check_commuting(np.full((2, 2), np.nan), dmat)
-    with pytest.raises(InvalidSpec, match="a and dmat must be finite"):
+    with pytest.raises(InvalidSpec, match="dmat has non-finite entries"):
         ppt_check_commuting(a, np.array([[0.0, np.inf], [0.4, 0.0]]))
     with pytest.raises(InvalidSpec, match=re.escape("negative weight -1.000e+00 in dmat")):
         ppt_check_commuting(a, np.array([[0.0, -1.0], [-1.0, 0.0]]))

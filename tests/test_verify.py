@@ -430,6 +430,14 @@ def test_simplex_rows_reject_non_finite_tol():
         next(o2_simplex_rows(grid=3, every=0, tol=float("nan")))
 
 
+def test_simplex_rows_checks_its_arguments_at_the_call():
+    # these used to return a generator that raised only at its first next()
+    with pytest.raises(InvalidSpec, match="1 ≤ grid ≤ 1001"):
+        o2_simplex_rows(grid=0)
+    with pytest.raises(InvalidSpec, match="tol must be finite"):
+        o2_simplex_rows(grid=3, every=0, tol=float("nan"))
+
+
 def test_simplex_numeric_agrees_with_flags():
     rows = [r for r in o2_simplex_rows(grid=11, every=3, seed=0)
             if r["numeric_discord"] is not None]
