@@ -159,7 +159,8 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     if side == "B":
         blocks = four.swapaxes(-3, -2)
     elif side == "A":
-        blocks = np.moveaxis(four, (-3, -1), (-4, -3))
+        n = four.ndim - 4  # [..., k, l, i, j]
+        blocks = four.transpose(*range(n), n + 1, n + 3, n, n + 2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return _read_only(blocks)
@@ -204,21 +205,23 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
         U, diag = np.empty((n, d, d), complex), np.empty((n, m, d), complex)
         off, scale = np.empty((2, n, m))
         for side in dict.fromkeys(at):
-            rows = [i for i, s in enumerate(at) if s == side]
+            rows = np.array([i for i, s in enumerate(at) if s == side])
             grid = extract_blocks(states if len(rows) == n else states[rows], d, side)
             U[rows] = basis = _common_bases(grid, d)
             off[rows], scale[rows], diag[rows] = _norm_grids(grid, basis)
-        thr, rel = tol * scale, off / scale
-        zero = (off <= thr).all(axis=-1).tolist()
-        worst = (rel >= (1 - 1e-12) * rel.max(axis=-1, keepdims=True)).argmax(axis=-1).tolist()
-        for i, side in enumerate(at):
-            t = worst[i]
-            witness = None if zero[i] else {
-                "kind": "off-diagonal-block", "block": _upper_pairs(d)[t].tolist(),
-                "offdiagonal_norm": float(off[i, t]), "tolerance": float(thr[i, t]),
-            }
+        thr = tol * scale
+        zero = (off <= thr).all(axis=-1)
+        failing, witnesses = np.nonzero(~zero)[0], {}
+        if failing.size:  # each failing pair's block, gathered field by field
+            rel = off / scale
+            worst = (rel >= (1 - 1e-12) * rel.max(axis=-1, keepdims=True)).argmax(axis=-1)[failing]
+            fields = (failing, _upper_pairs(d)[worst], off[failing, worst], thr[failing, worst])
+            witnesses = {row: {"kind": "off-diagonal-block", "block": block,
+                               "offdiagonal_norm": norm, "tolerance": bound}
+                         for row, block, norm, bound in zip(*(x.tolist() for x in fields))}
+        for i, (side, z) in enumerate(zip(at, zero.tolist())):
             verdicts.append(StructuralVerdict(
-                zero[i], side, CRITERION_COMMUTATION, witness=witness, basis=U[i],
+                z, side, CRITERION_COMMUTATION, witness=witnesses.get(i), basis=U[i],
                 diagonals=diag[i], offdiagonal_norms=off[i]))
     return verdicts
 
@@ -274,8 +277,9 @@ def _squared_norms(X: np.ndarray) -> np.ndarray:
 
 def _diagonal_flags(a: np.ndarray) -> np.ndarray:
     """Whether each (…, d, d, d) sector stack has all off-diagonal entries within ZERO_TOL of 0."""
-    off = a[..., ~np.eye(a.shape[-1], dtype=bool)]  # (…, d, d(d − 1))
-    return np.abs(off).max(axis=(-2, -1)) <= ZERO_TOL
+    off = np.abs(a)
+    off.reshape(a.shape[:-2] + (-1,))[..., :: a.shape[-1] + 1] = 0.0  # each sector's diagonal
+    return np.maximum.reduce(off.reshape(a.shape[:-3] + (-1,)), axis=-1) <= ZERO_TOL
 
 
 def _scales(a: np.ndarray) -> np.ndarray:
@@ -283,7 +287,7 @@ def _scales(a: np.ndarray) -> np.ndarray:
 
     Each sector's norm is the one ``np.linalg.norm`` forms over the last two axes, bit for bit.
     """
-    return np.maximum(1.0, np.sqrt(_squared_norms(a).max(axis=-1)))
+    return np.maximum(1.0, np.sqrt(np.maximum.reduce(_squared_norms(a), axis=-1)))
 
 
 @functools.cache
@@ -301,13 +305,15 @@ def _side_codes(sides) -> list[int]:
 
 
 @functools.cache
-def _sector_rows(d: int) -> np.ndarray:
-    """rows[c, k, i] = (i + k) mod d for side code c = 0 (A), i for c = 1 (B) (cached, read-only).
+def _sector_entries(d: int) -> np.ndarray:
+    """entries[c, (k, i, j)]: the flat position in a^(0) of entry (i, j) of slice k of a
+    side-c φ = 0 family, c = 0 (A) or 1 (B), shape (2, d³) (cached, read-only).
 
-    Row i of slice k of a side's φ = 0 family reads row rows[c, k, i] of
-    a^(0), and column j reads column rows[c, k, j].
+    Row i of slice k reads row (i + k) mod d of a^(0) on side A and row i on
+    side B, and column j the column that row j reads.
     """
-    return _read_only(np.stack([_shifts(d), np.tile(np.arange(d), (d, 1))]))
+    rows = np.stack([_shifts(d), np.tile(np.arange(d), (d, 1))])  # rows[c, k, i]
+    return _read_only((rows[..., :, None] * d + rows[..., None, :]).reshape(2, -1))
 
 
 def _reference_stack(a0: np.ndarray, codes: list) -> np.ndarray:
@@ -315,8 +321,32 @@ def _reference_stack(a0: np.ndarray, codes: list) -> np.ndarray:
 
     Shape (n, d, d, d); slice k is a^(0)_{i+k, j+k} on side A and a^(0) on side B.
     """
-    rows = _sector_rows(a0.shape[-1])[codes]
-    return a0[np.arange(len(codes))[:, None, None, None], rows[..., None], rows[..., None, :]]
+    n, d = len(codes), a0.shape[-1]
+    ref = a0.reshape(n, d * d)[np.arange(n)[:, None], _sector_entries(d)[codes]]
+    return ref.reshape(n, d, d, d)
+
+
+@functools.cache
+def _family_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index tables of :func:`_family_stack` (cached, read-only).
+
+    ``windows`` (d − 1, d): row s holds (i + s) mod d, so that the running
+    sums of φ over its rows are Ψ_1 … Ψ_{d−1}.  ``pairs`` (2, M), M = (d − 1)·d(d + 1)/2:
+    the flat positions (k − 1)·d + i and (k − 1)·d + j in those sums of each
+    entry i ≤ j of the slices k ≥ 1, slice by slice, row by row.  ``gather``
+    (d, d, d): where each factor reads [1, e^{iθ} of those M entries, their M
+    conjugates]: 1 on slice 0, the entry itself for i ≤ j, the conjugate of
+    (k, j, i) below.
+    """
+    i, j = np.triu_indices(d)
+    k = np.arange(d - 1)[:, None]
+    pairs = np.stack([(k * d + i).ravel(), (k * d + j).ravel()])
+    m = len(i)
+    at = np.empty((d, d), dtype=np.intp)
+    at[j, i] = np.arange(m) + (d - 1) * m
+    at[i, j] = np.arange(m)  # the diagonal reads its own entry
+    gather = np.concatenate([np.zeros((1, d, d), np.intp), 1 + k[:, :, None] * m + at])
+    return _shifts(d)[:-1], _read_only(pairs), _read_only(gather)
 
 
 def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -324,14 +354,23 @@ def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Slice k of each stack is multiplied by e^{i(Ψ_k(i) − Ψ_k(j))}, with the
     window sums Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d}; each stack of a broadcast
-    gets the values it gets alone.
+    gets the values it gets alone.  Only the entries i ≤ j of the slices
+    k ≥ 1 are exponentiated, and one :func:`_family_tables` gather puts 1 on
+    slice 0 and their conjugates below the diagonal.  That is exact:
+    fl(x − y) = −fl(y − x), cos and sin have exact parity, and adding 0
+    turns the −0 of conj(1 + 0i) back into the +0 of e^{−i·0}.  Each factor
+    is bit for bit the e^{i(Ψ_k(i) − Ψ_k(j))} formed on its own, NaN and all.
     """
     lead, d = ref.shape[:-3], ref.shape[-1]
     if phi.shape != lead + (d,):
         raise DimensionError(f"expected {d} phase angles, got shape {phi.shape[len(lead):]}")
-    windows = np.concatenate([np.zeros(lead + (1, d)), phi[..., _shifts(d)[:-1]]], axis=-2)
-    psi = np.cumsum(windows, axis=-2)
-    return np.exp(1j * (psi[..., :, None] - psi[..., None, :])) * ref
+    windows, pairs, gather = _family_tables(d)
+    # Ψ_0 = 0 needs no sum, and 0 + φ equals φ up to the sign of a zero, which no factor
+    # keeps: the imaginary part of i·(±0) is +0, and e^{±0} = 1
+    psi = np.add.accumulate(phi[..., windows], axis=-2).reshape(lead + (-1,))[..., pairs]
+    upper = np.exp(1j * (psi[..., 0, :] - psi[..., 1, :]))
+    ones = np.ones(lead + (1,), complex)
+    return np.concatenate([ones, upper, upper.conj() + 0.0], axis=-1)[..., gather] * ref
 
 
 def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
@@ -380,17 +419,21 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     z = a.reshape(n, -1)[rows[:, :, None], entries[codes]]
     # each path's smallest |z|², exact per entry (np.abs rounds some entries differently in a
     # long array than alone, which could break a tie between paths differently in a stack)
-    strength = (z.real ** 2 + z.imag ** 2).min(axis=-1)
+    strength = np.minimum.reduce(z.real ** 2 + z.imag ** 2, axis=-1)
     path = (codes, strength.argmax(axis=1))
     z = z[rows[:, 0], path[1]]
-    delta = -np.diff(np.arctan2(z.imag, z.real), axis=1)  # φ_{u+s} − φ_u per edge k
+    arg = np.arctan2(z.imag, z.real)
+    delta = arg[:, :-1] - arg[:, 1:]  # φ_{u+s} − φ_u per edge k
     fit = np.zeros((n, d))
-    fit[:, 1:] = np.cumsum(delta[rows, steps[path]], axis=1)  # in walk order
+    fit[:, 1:] = np.add.accumulate(delta[rows, steps[path]], axis=1)  # in walk order
     phi = np.empty((n, d))
     phi[rows, walks[path]] = fit
     phi -= phi[:, :1]
-    phi[strength.max(axis=1) <= ZERO_TOL**2] = 0.0
-    return np.angle(np.exp(1j * phi))
+    phi[np.maximum.reduce(strength, axis=1) <= ZERO_TOL**2] = 0.0
+    # a zero of φ may carry either sign (delta is x − y, not −(y − x)); e^{iφ} drops it,
+    # since i·(±0) has imaginary part +0 and e^{±0} = 1
+    e = np.exp(1j * phi)
+    return np.arctan2(e.imag, e.real)
 
 
 def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
@@ -414,7 +457,9 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     stacks, one scale per stack and one :func:`_fit_phases` call, and its
     relations are checked in one broadcast; one reduce finds the
     all-diagonal stacks, which are classical outright.  A failing stack's
-    witness is its lexicographically first violation (in k, i, j).
+    witness is its lexicographically first violation (in k, i, j); the
+    failing stacks' witnesses are gathered together, one array and one
+    ``tolist`` per field, k, i and j unravelled by ``divmod``.
     """
     _require_finite(tol, "tol")
     if len(a) != len(sides):
@@ -425,32 +470,32 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     if a.shape[1:] != (d, d, d):
         raise DimensionError(f"expected a stack of ({d}, {d}, {d}) sector stacks, got {a.shape}")
     _require_prime(d)
+    n = len(a)
     thr = tol * _scales(a)
     phis = _fit_phases(a, sides)
-    family = _family_stack(_reference_stack(a[:, 0], _side_codes(sides)), phis)
-    delta = np.abs(family - a)
-    bad = ~(delta <= thr[:, None, None, None]).reshape(len(a), -1)
+    family = _family_stack(_reference_stack(a[:, 0], _side_codes(sides)), phis).reshape(n, -1)
+    a2 = a.reshape(n, -1)
+    delta = np.abs(family - a2)
+    bad = ~(delta <= thr[:, None])
+    diagonal = _diagonal_flags(a)
+    failing, witnesses = np.nonzero(np.logical_or.reduce(bad, axis=1) & ~diagonal)[0], {}
+    if failing.size:  # each failing stack's first violation, gathered field by field
+        at = bad[failing].argmax(axis=1)
+        k, entry = np.divmod(at, d * d)
+        fields = (failing, k, *np.divmod(entry, d), family[failing, at], a2[failing, at],
+                  delta[failing, at], thr[failing])
+        witnesses = {row: {"kind": "relation-violation", "k": k, "entry": [i, j],
+                           "expected": [e.real, e.imag], "actual": [v.real, v.imag],
+                           "delta": dv, "tolerance": tv}
+                     for row, k, i, j, e, v, dv, tv in zip(*(x.tolist() for x in fields))}
     verdicts = []
-    for n, (side, diagonal, first) in enumerate(
-        zip(sides, _diagonal_flags(a).tolist(), bad.argmax(axis=1).tolist())
-    ):
-        if diagonal:
+    for row, (side, classical) in enumerate(zip(sides, diagonal.tolist())):
+        if classical:
             verdicts.append(StructuralVerdict(True, side, CRITERION_DIAGONAL))
             continue
-        witness = None
-        if bad[n, first]:
-            at = (n, *np.unravel_index(first, a.shape[1:]))
-            witness = {
-                "kind": "relation-violation",
-                "k": int(at[1]),
-                "entry": [int(at[2]), int(at[3])],
-                "expected": [float(family[at].real), float(family[at].imag)],
-                "actual": [float(a[at].real), float(a[at].imag)],
-                "delta": float(delta[at]),
-                "tolerance": float(thr[n]),
-            }
+        witness = witnesses.get(row)
         verdicts.append(StructuralVerdict(
-            witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[n]
+            witness is None, side, CRITERION_CIRCULANT, witness=witness, fitted_phases=phis[row]
         ))
     return verdicts
 
@@ -595,8 +640,10 @@ def _bell_spreads(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """classes[item, line, class, member] of a prime-d (n, d, d) stack, and each line's spread."""
     n, d = p.shape[:2]
     _require_prime(d)
-    classes = p.reshape(n, d * d)[:, _bell_classes(d)].reshape(n, d + 1, d, d)
-    return classes, (classes.max(axis=-1) - classes.min(axis=-1)).max(axis=-1)
+    # C order for every n, so that each class sums in the order a lone matrix's does
+    classes = p.reshape(n, d * d).take(_bell_classes(d), axis=1).reshape(n, d + 1, d, d)
+    spread = np.maximum.reduce(classes, axis=-1) - np.minimum.reduce(classes, axis=-1)
+    return classes, np.maximum.reduce(spread, axis=-1)
 
 
 def _bell_verdicts(p: np.ndarray, tol: float) -> list[StructuralVerdict]:
@@ -604,19 +651,21 @@ def _bell_verdicts(p: np.ndarray, tol: float) -> list[StructuralVerdict]:
     classes, spread = _bell_spreads(p)
     d = p.shape[1]
     ok = spread <= tol
-    zero = ok.any(axis=1)
+    zero = np.logical_or.reduce(ok, axis=1)
     named = np.where(zero, ok.argmax(axis=1), spread.argmin(axis=1))  # first zero line, else best
+    means = np.add.reduce(classes, axis=-1) / d  # every class's π, as np.mean forms it
+    fields = (zero, named, np.minimum.reduce(spread, axis=1))  # a nonzero line's best spread
     lines = [(alpha, None) for alpha in range(d)] + [(None, "n")]
     verdicts = []
-    for i, (z, at) in enumerate(zip(zero.tolist(), named.tolist())):
+    for i, (z, at, least) in enumerate(zip(*(x.tolist() for x in fields))):
         alpha, line = lines[at]
         if z:
-            pi = classes[i, at].mean(axis=1)
-            verdict = StructuralVerdict(True, "both", CRITERION_BELL, alpha=alpha, line=line, pi=pi)
+            verdict = StructuralVerdict(True, "both", CRITERION_BELL, alpha=alpha, line=line,
+                                        pi=means[i, at])
             verdicts.append(verdict)
             continue
         witness = {"kind": "residue-class-spread", "best_alpha": alpha, "best_line": line,
-                   "spread": float(spread[i, at]), "tolerance": float(tol)}
+                   "spread": least, "tolerance": float(tol)}
         verdicts.append(StructuralVerdict(False, "both", CRITERION_BELL, witness=witness))
     return verdicts
 

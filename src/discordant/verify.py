@@ -161,22 +161,32 @@ def _perturbation(d: int, kind: str, rng: np.random.Generator) -> tuple:
     return kind, int(rng.integers(0, d)), None
 
 
-def _perturb(a: np.ndarray, epsilon: float, kind: str, k: int, g) -> None:
-    """Apply one drawn perturbation (kind, k, g of :func:`_perturbation`) to a (d, d, d) in place."""
+def _perturb(a: np.ndarray, kind: str, rows, epsilon, k, g=None) -> None:
+    """Apply drawn perturbations of one ``kind`` to rows ``rows`` of an (n, d, d, d) stack, in place.
+
+    Row rows[r] is perturbed by ε = epsilon[r] in its sector k[r], with the
+    angles g[r] of an (m, d) stack for the phase kind: the (kind, k, g) of
+    :func:`_perturbation`.  All the rows go in one broadcast, each bit for
+    bit what it gets alone; :func:`perturb_spec` passes one row.
+    """
     d = a.shape[-1]
+    eps = np.asarray(epsilon, dtype=float)[:, None, None]
+    sector = a[rows, k]
     if kind == "modulus":
-        a[k] = (1 - epsilon) * a[k] + epsilon * np.diag(np.diag(a[k]))
+        diagonal, at = np.zeros_like(sector), np.arange(d)
+        diagonal[:, at, at] = sector[:, at, at]
+        a[rows, k] = (1 - eps) * sector + eps * diagonal
     elif kind == "diagonal":
-        bump = epsilon / d**2
-        a[k, 0, 0] += bump
-        a /= 1 + bump
+        bump = eps[:, 0, 0] / d**2
+        a[rows, k, 0, 0] += bump
+        a[rows] /= (1 + bump)[:, None, None, None]
     else:
-        g = g - g[0]
-        peak = np.abs(g).max()
-        if peak <= 1e-12:
-            g, peak = np.arange(d, dtype=float), float(d - 1)
-        w = np.exp(1j * epsilon * g / peak)
-        a[k] = w[:, None] * a[k] * w.conj()
+        g = g - g[:, :1]
+        peak = np.abs(g).max(axis=1)
+        flat = peak <= 1e-12
+        g[flat], peak[flat] = np.arange(d, dtype=float), d - 1
+        w = np.exp(1j * eps[:, 0] * g / peak[:, None])
+        a[rows, k] = w[:, :, None] * sector * w.conj()[:, None, :]
 
 
 def perturb_spec(
@@ -197,9 +207,10 @@ def perturb_spec(
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
         raise ValueError(f"a modulus epsilon must be at most 1, got {epsilon}")
-    a = spec.a.copy()
-    _perturb(a, epsilon, *_perturbation(spec.d, kind, rng))
-    return CirculantSpec(spec.d, a)
+    a = spec.a[None].copy()
+    kind, k, g = _perturbation(spec.d, kind, rng)
+    _perturb(a, kind, [0], [epsilon], [k], None if g is None else g[None])
+    return CirculantSpec(spec.d, a[0])
 
 
 def random_classical_bell(
@@ -231,13 +242,15 @@ class SuiteResult:
     skipped: bool = False
     details: list = field(default_factory=list)
 
-    def record(self, ok: bool, detail: str = "") -> None:
+    def record(self, ok: bool, detail: str = "", *fields) -> None:
+        """Count one draw; a failing one keeps ``detail``, filled in with ``fields`` by
+        ``str.format`` if any are given, so a passing draw formats nothing."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if detail:
-                self.details.append(detail)
+                self.details.append(detail.format(*fields) if fields else detail)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -247,27 +260,31 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
     """Draws ``ts`` of a suite: (sides, a, kinds), side A for even t, else B.
 
     Draw t makes the rng calls of a lone draw, in order: the seed's
-    Gaussian G, the phases and, if ``perturbed(t)``, ε ~ U[low, 0.15) and
-    those of the t-th kind's perturbation (kind None otherwise).  The
-    sector stacks are then built in one (len(ts), d, d, d) stack ``a`` by
-    the core of :func:`generate_zero_discord`, unchecked, since G·G† +
-    0.05·I is a valid seed by construction; :func:`_perturb` then changes
-    each perturbed row in place.  Row t is
-    bit for bit the ``a`` of the spec :func:`random_zero_discord_spec` and
-    :func:`perturb_spec` make from the same draws.  No
-    :class:`CirculantSpec` is made.
+    Gaussian G, into its row of one (n, 2, d, d) buffer, the phases, into
+    one (n, d) array, and, if ``perturbed(t)``, ε ~ U[low, 0.15) and those
+    of the t-th kind's perturbation (kind None otherwise).  The sector
+    stacks are then built in one (n, d, d, d) stack ``a`` by the core of
+    :func:`generate_zero_discord`, unchecked, since G·G† + 0.05·I is a
+    valid seed by construction, and :func:`_perturb` changes all the rows
+    of each kind in one broadcast.  Row t is bit for bit the ``a`` of the
+    spec :func:`random_zero_discord_spec` and :func:`perturb_spec` make
+    from the same draws.  No :class:`CirculantSpec` is made.
     """
-    sides, G, phi, kinds, cuts = [], [], [], [], []
+    G, phi = np.empty((len(ts), 2, d, d)), np.empty((len(ts), d))
+    sides, kinds, cuts = [], [], {}
     for row, t in enumerate(ts):
         sides.append("AB"[t % 2])
-        G.append(_gaussian(d, rng))
-        phi.append(random_phases(d, rng))
+        rng.standard_normal(out=G[row])
+        phi[row] = random_phases(d, rng)
         kinds.append(PERTURBATION_KINDS[t % len(PERTURBATION_KINDS)] if perturbed(t) else None)
         if kinds[-1]:
-            cuts.append((row, float(rng.uniform(low, 0.15)), *_perturbation(d, kinds[-1], rng)))
-    a = _zero_discord_stacks(_psd(np.array(G)), np.array(phi), sides)
-    for row, *cut in cuts:
-        _perturb(a[row], *cut)
+            epsilon = rng.uniform(low, 0.15)
+            kind, k, g = _perturbation(d, kinds[-1], rng)
+            cuts.setdefault(kind, []).append((row, epsilon, k, g))
+    a = _zero_discord_stacks(_psd(G[:, 0] + 1j * G[:, 1]), phi, sides)
+    for kind, cut in cuts.items():
+        rows, epsilon, k, g = zip(*cut)
+        _perturb(a, kind, list(rows), epsilon, list(k), None if g[0] is None else np.array(g))
     return sides, a, kinds
 
 
@@ -312,11 +329,11 @@ def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
         for t, verdict in zip(chunk, _bell_verdicts(weights, tol)):
             zero = verdict.zero_discord
             if t % 2:
-                suite.record(not zero, f"draw {t}: random weights accepted")
+                suite.record(not zero, "draw {}: random weights accepted", t)
             else:
-                a, b = next(pairs)
-                ok = zero and a.zero_discord and b.zero_discord
-                suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
+                a, b = (v.zero_discord for v in next(pairs))
+                suite.record(zero and a and b, "draw {}: classical alpha={} verdict={} "
+                             "general A={} B={}", t, t // 2 % d, zero, a, b)
     return suite
 
 
@@ -330,12 +347,13 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     agreement on a small subsample.  The structural suites go in chunks
     of as many draws as one stack of the general criterion holds, sides
     mixed: each chunk's draws become one (n, d, d, d) sector array, each
-    draw perturbed on its own (or one stack of Bell weights), its dense
-    states are built from that array by one scatter, and each criterion
-    decides the whole chunk in one call, with the report, and the
-    generator states, a draw-at-a-time run gives.  A ``d``, ``draws``, ``starts``
-    or ``seed`` out of its integer bounds, or a non-finite ``tol``, raises
-    :class:`InvalidSpec`.
+    kind's perturbed rows changed in one broadcast (or one stack of Bell
+    weights), its dense states are built from that array by one scatter,
+    and each criterion decides the whole chunk in one call, with the
+    report, and the generator states, a draw-at-a-time run gives.  A
+    draw's detail is formatted only when it fails.  A ``d``, ``draws``,
+    ``starts`` or ``seed`` out of its integer bounds, or a non-finite
+    ``tol``, raises :class:`InvalidSpec`.
     """
     _require_dimension(d)
     if not is_prime(d):
@@ -351,12 +369,12 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
 
     suite = SuiteResult("generator-checker-closure")
     for t, theorem, general in _theorem_and_general(d, draws, rngs[0], tol, lambda t: False):
-        suite.record(theorem and general, f"draw {t}: theorem={theorem} general={general}")
+        suite.record(theorem and general, "draw {}: theorem={} general={}", t, theorem, general)
     results.append(suite)
 
     suite = SuiteResult("criterion-equivalence")
     for t, theorem, general in _theorem_and_general(d, draws, rngs[1], tol, lambda t: t % 2 == 1):
-        suite.record(theorem == general, f"draw {t}: theorem={theorem} general={general}")
+        suite.record(theorem == general, "draw {}: theorem={} general={}", t, theorem, general)
     results.append(suite)
 
     results.append(_bell_classification(d, draws, rngs[2], tol))
@@ -365,10 +383,8 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     for chunk in _chunks(d, draws):
         sides, a, kinds = _draws(d, chunk, rngs[3], lambda t: True)
         for t, kind, verdict in zip(chunk, kinds, _theorem_verdicts(a, sides, tol)):
-            suite.record(
-                not verdict.zero_discord and verdict.witness is not None,
-                f"draw {t}: kind={kind} verdict={verdict.zero_discord}",
-            )
+            suite.record(not verdict.zero_discord and verdict.witness is not None,
+                         "draw {}: kind={} verdict={}", t, kind, verdict.zero_discord)
     results.append(suite)
 
     suite = SuiteResult("numeric-agreement", skipped=d >= 5)
@@ -376,8 +392,8 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
         sides, a, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
         for t, (side, rho) in enumerate(zip(sides, _dense_states(a))):
             dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
-            suite.record(_outcome(t < 3, dval) == "agree",
-                         f"draw {t}: D={dval:.2e} {'not ~0' if t < 3 else 'not >0'}")
+            suite.record(_outcome(t < 3, dval) == "agree", "draw {}: D={:.2e} {}",
+                         t, dval, "not ~0" if t < 3 else "not >0")
     results.append(suite)
 
     all_pass = all(r.failed == 0 for r in results)

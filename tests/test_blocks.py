@@ -615,6 +615,28 @@ def test_phase_family_matches_loop_reference_exactly():
                     assert g.tobytes() == w.tobytes(), (d, side)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_family_stack_conjugate_fill_matches_loop_reference(d):
+    # only the entries i ≤ j of the slices k ≥ 1 are exponentiated, the rest are
+    # ones and conjugates; a stack of both sides gives each row the loop's bytes,
+    # also for angles with −0.0, ±π, large |φ| and equal window sums (φ = 0),
+    # on seeds whose entries have zero parts of either sign
+    rng = np.random.default_rng(60 + d)
+    special = np.array([-0.0, 0.0, np.pi, -np.pi, 1e3, -1e3])
+    signed = np.diag(rng.random(d)).astype(complex)
+    signed[0, -1], signed[-1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    seeds = [random_psd(d, rng), random_psd(d, rng).real + 0j, signed]
+    phis = [random_phases(d, rng), rng.choice(special, d), rng.uniform(-1e3, 1e3, d),
+            np.zeros(d), -np.zeros(d), rng.choice(special, d)]
+    cases = [(seed, phi, side) for seed in seeds for phi in phis for side in "AB"]
+    a0, phi, sides = (np.array(x) for x in zip(*cases))
+    got = blocks_module._family_stack(
+        blocks_module._reference_stack(a0, blocks_module._side_codes(sides)), phi)
+    for n, case in enumerate(cases):
+        for k, want in enumerate(_phase_family_loop(*case)):
+            assert got[n, k].tobytes() == want.tobytes(), (n, k)
+
+
 def test_circulant_theorem_round_trip_both_sides():
     rng = np.random.default_rng(2)
     for d in (2, 3, 5):

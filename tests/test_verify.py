@@ -252,8 +252,9 @@ def _bell_suite_by_draw(d, draws, rng, tol):
         rho = circulant_state(bell_diagonal_state(p), validate=False)
         states.append(rho.tobytes())
         zero = bell_zero_discord_check(p, tol).zero_discord
-        ok = zero and all(structural_discord_zero(rho, d, side, tol).zero_discord for side in "AB")
-        suite.record(ok, f"draw {t}: classical alpha={t // 2 % d} verdict={zero}")
+        a, b = (structural_discord_zero(rho, d, side, tol).zero_discord for side in "AB")
+        suite.record(zero and a and b,
+                     f"draw {t}: classical alpha={t // 2 % d} verdict={zero} general A={a} B={b}")
     return suite, states
 
 
@@ -393,6 +394,42 @@ def test_stacked_draws_equal_lone_draws(d):
             assert (side, kind) == ("AB"[t % 2], want)
             assert row.tobytes() == lone.a.tobytes(), (name, t)
         assert stacked_rng.bytes(16) == lone_rng.bytes(16), name
+
+
+@pytest.mark.parametrize("d, count", [(5, 52), (7, 13)])
+def test_full_chunks_of_draws_equal_lone_draws(d, count):
+    # a whole chunk of the general criterion, as verify --d 5 and --d 7 draw it,
+    # perturbed in one broadcast per kind, is row by row the lone draws' specs
+    assert len(next(iter(blocks._chunks(d, 10**6)))) == count
+    patterns = {"none": lambda t: False, "odd": lambda t: t % 2 == 1, "all": lambda t: True}
+    for name, perturbed in patterns.items():
+        stacked_rng, lone_rng = np.random.default_rng(95 + d), np.random.default_rng(95 + d)
+        sides, a, kinds = verify._draws(d, range(count), stacked_rng, perturbed)
+        for t, row in enumerate(a):
+            lone = random_zero_discord_spec(d, "AB"[t % 2], lone_rng)
+            if perturbed(t):
+                epsilon = float(lone_rng.uniform(0.02, 0.15))
+                lone = perturb_spec(lone, PERTURBATION_KINDS[t % 3], epsilon, lone_rng)
+            assert row.tobytes() == lone.a.tobytes(), (name, t)
+        assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state, name
+
+
+def test_flat_phase_angles_fall_back_alike_stacked_and_alone():
+    # angles with g − g[0] within 1e-12 of 0 fall back to 0 … d − 1; no rng draw
+    # reaches that branch, so a stub generator hands each call its sector and angles
+    d, rng = 5, np.random.default_rng(70)
+    specs = [random_zero_discord_spec(d, "AB"[t % 2], rng) for t in range(4)]
+    angles = [np.full(d, 0.3), rng.standard_normal(d), 1e-13 * np.arange(d) - 1.0,
+              rng.standard_normal(d)]
+    sectors, epsilons = [1, 2, 3, 4], [0.02, 0.05, 0.1, 0.149]
+    a = np.array([spec.a for spec in specs])
+    verify._perturb(a, "phase", range(4), epsilons, sectors, np.array(angles))
+    for row, spec, g, k, epsilon in zip(a, specs, angles, sectors, epsilons):
+        def stub():
+            return SimpleNamespace(integers=lambda lo, hi: k, standard_normal=lambda size: g.copy())
+        want = perturb_spec(spec, "phase", epsilon, stub())
+        assert row.tobytes() == want.a.tobytes()
+        assert row.tobytes() == _lone_perturbation(spec, "phase", epsilon, stub()).tobytes()
 
 
 def test_run_verify_requires_prime():
