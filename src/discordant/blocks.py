@@ -60,7 +60,8 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import _read_only, _require_finite, _require_psd, _require_square, frobenius, hermitize
+from .linalg import (_read_only, _require_finite, _require_integer, _require_psd, _require_square,
+                     frobenius, hermitize)
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -69,10 +70,11 @@ DEFAULT_TOL = 1e-9
 REASSEMBLY_TOL = 1e-8
 #: Step of the Weyl sequence that phases the generic block combination.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-#: Complex entries one stack of the batched general criterion may span, sides
-#: mixed: 32768 holds 52 dense states at d = 5, 13 at d = 7, 2 at d = 11 and one
-#: at d = 13.  It read more verify-large-d items per ref than 16384, 49152 and
-#: 65536 in each of 4 rotating rounds (ROADMAP, settled).
+#: Complex entries one stack may span, sides mixed: 32768 holds 52 dense states of
+#: the general criterion at d = 5, 13 at d = 7, 2 at d = 11 and one at d = 13, and
+#: ``run_verify``'s rounds of sector stacks hold 262, 95, 24 and 14 draws there.  It
+#: read more verify-large-d items per ref than 16384, 49152 and 65536 in each of 4
+#: rotating rounds (ROADMAP, settled).
 _CHUNK_ENTRIES = 32768
 
 CRITERION_COMMUTATION = "general-commutation"
@@ -88,7 +90,8 @@ _CONDITIONS = {
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division (dimensions here are tiny)."""
+    """Primality by trial division (dimensions here are tiny); ``n`` must be an integer."""
+    _require_integer(n, "n")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -166,9 +169,10 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     return _read_only(blocks)
 
 
-def _chunks(d: int, count: int):
-    """Ranges cutting 0 … count − 1 into runs of as many d²×d² states as one stack holds (≥ 1)."""
-    step = max(1, _CHUNK_ENTRIES // d**4)
+def _chunks(entries: int, count: int):
+    """Ranges cutting 0 … count − 1 into runs of as many items of ``entries`` complex entries
+    each (d⁴ for a dense state, d³ for a sector stack) as one stack holds (≥ 1)."""
+    step = max(1, _CHUNK_ENTRIES // entries)
     return (range(t, min(t + step, count)) for t in range(0, count, step))
 
 
@@ -196,7 +200,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     if len(rhos) != len(sides):
         raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts, m = [], d * (d + 1) // 2
-    for chunk in _chunks(d, len(sides)):
+    for chunk in _chunks(d**4, len(sides)):
         at, n = sides[chunk.start : chunk.stop], len(chunk)
         # C order fixes _common_bases' order of summation; a C-ordered stack's slice is a view
         states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
@@ -374,9 +378,18 @@ def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
-    """Build the d sector matrices generated by a^(0) and phase angles φ."""
-    ref = _reference_stack(np.asarray(a0, dtype=complex)[None], _side_codes([side]))[0]
-    return list(_family_stack(ref, np.asarray(phi, dtype=float)))
+    """Build the d sector matrices generated by a^(0) and phase angles φ.
+
+    The inputs are checked as :func:`generate_zero_discord` checks them, the
+    seed's positivity and a prime d aside: a non-square or empty seed, or a φ
+    of another length, raises :class:`DimensionError`, and a non-finite seed
+    or angle :class:`InvalidSpec`.
+    """
+    a0 = np.asarray(_require_square(a0, "a0"), dtype=complex)
+    phi = np.asarray(phi, dtype=float)
+    _require_finite(a0, "a0")
+    _require_finite(phi, "phases")
+    return list(_family_stack(_reference_stack(a0[None], _side_codes([side]))[0], phi))
 
 
 @functools.cache

@@ -30,12 +30,14 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def _require_integer(value, name: str, lo: int, hi: int | None = None) -> None:
-    """Raise :class:`InvalidSpec` unless ``value`` is an integer, not a bool, in lo … hi."""
+def _require_integer(value, name: str, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise :class:`InvalidSpec` unless ``value`` is an integer, not a bool, in lo … hi
+    (no bound where ``lo`` is None; ``hi`` goes with a ``lo``)."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and lo <= value and (hi is None or value <= hi)):
-        bounds = f"{name} ≥ {lo}" if hi is None else f"{lo} ≤ {name} ≤ {hi}"
-        raise InvalidSpec(f"{name} must be an integer with {bounds}, got {value!r}")
+    if not (integer and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        bounds = ("" if lo is None else f" with {name} ≥ {lo}" if hi is None
+                  else f" with {lo} ≤ {name} ≤ {hi}")
+        raise InvalidSpec(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -50,9 +52,10 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``M`` as an array; one that is not a nonempty square matrix raises :class:`DimensionError`."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DimensionError(f"{name} must be square and nonempty, got shape {M.shape}")
     return M
 
 
@@ -141,6 +144,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 def fourier_matrix(d: int) -> np.ndarray:
     """Unitary discrete Fourier matrix, F[j,k] = exp(2πi·jk/d)/√d."""
+    _require_integer(d, "d")
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")

@@ -289,20 +289,23 @@ def _draws(d: int, ts, rng: np.random.Generator, perturbed, low: float = 0.02):
 
 
 def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
-    """(t, closed-form zero, general zero) per draw t, both criteria decided per chunk.
+    """(t, closed-form zero, general zero) per draw t, both criteria decided per round.
 
-    A chunk holds as many draws as one stack of the general criterion
-    holds states, sides mixed.  Its draws are made by :func:`_draws` as
-    one sector array, which goes as it is to one :func:`_theorem_verdicts`
-    call and, assembled into dense states by one scatter, to one
+    A round holds as many draws as one stack holds sector stacks (d³
+    entries each), sides mixed.  :func:`_draws` makes them as one sector
+    array, which goes as it is to one :func:`_theorem_verdicts` call; its
+    dense states are built by one scatter per sub-chunk of as many as one
+    stack of the general criterion holds, each decided by one
     :func:`structural_verdicts` call.  Neither the seeds nor the states
     are validated: :func:`generate_zero_discord` from a ``_psd`` seed and
     :func:`perturb_spec` make valid specs by construction, as the tests pin.
     """
-    for chunk in _chunks(d, draws):
+    for chunk in _chunks(d**3, draws):
         sides, a, _ = _draws(d, chunk, rng, perturbed)
-        theorem = _theorem_verdicts(a, sides, tol)
-        general = structural_verdicts(_dense_states(a), d, sides, tol)
+        theorem, general = _theorem_verdicts(a, sides, tol), []
+        for sub in _chunks(d**4, len(chunk)):
+            general += structural_verdicts(_dense_states(a[sub.start : sub.stop]), d,
+                                           sides[sub.start : sub.stop], tol)
         for t, closed, verdict in zip(chunk, theorem, general):
             yield t, closed.zero_discord, verdict.zero_discord
 
@@ -310,21 +313,23 @@ def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
 def _bell_classification(d: int, draws: int, rng, tol: float) -> SuiteResult:
     """The Bell weight-space suite: odd draws must be rejected, even draws classical.
 
-    A chunk holds as many draws as one stack of the general criterion
-    holds states.  Its draws come from :func:`random_nonclassical_bell`
-    and :func:`random_classical_bell`, whose weights are valid by
-    construction, and go unchecked to one :func:`_bell_verdicts` call; the
-    classical draws' states, built by :func:`_bell_sectors` and one scatter
-    (each the ``circulant_state(bell_diagonal_state(p))`` of its weights),
-    go to one :func:`structural_verdicts` call on both sides.
+    A round holds as many draws as one stack holds sector stacks.  Its
+    draws come from :func:`random_nonclassical_bell` and
+    :func:`random_classical_bell`, whose weights are valid by construction,
+    and go unchecked as one stack to one :func:`_bell_verdicts` call.  The
+    classical draws' states (each the ``circulant_state(bell_diagonal_state(p))``
+    of its weights) go on sides A and B, by :func:`_bell_sectors` and one
+    scatter, to one :func:`structural_verdicts` call per sub-chunk of as
+    many draws as one stack holds pairs of states (one draw if fewer).
     """
     suite = SuiteResult("bell-classification")
-    for chunk in _chunks(d, draws):
+    for chunk in _chunks(d**3, draws):
         weights = np.array([random_nonclassical_bell(d, rng) if t % 2
                             else random_classical_bell(d, t // 2 % d, rng)[0] for t in chunk])
-        classical = weights[np.array(chunk) % 2 == 0]
-        rhos = np.repeat(_dense_states(_bell_sectors(classical)), 2, axis=0)
-        general = structural_verdicts(rhos, d, "AB" * len(classical), tol)
+        sectors, general = _bell_sectors(weights[np.array(chunk) % 2 == 0]), []
+        for sub in _chunks(2 * d**4, len(sectors)):  # each state on sides A and B
+            rhos = _dense_states(np.repeat(sectors[sub.start : sub.stop], 2, axis=0))
+            general += structural_verdicts(rhos, d, "AB" * len(sub), tol)
         pairs = zip(general[::2], general[1::2])  # sides A and B of each classical draw
         for t, verdict in zip(chunk, _bell_verdicts(weights, tol)):
             zero = verdict.zero_discord
@@ -344,14 +349,15 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     Suites: generator/checker closure, closed-form vs general-criterion
     equivalence (on valid and perturbed families), Bell weight-space
     classification, perturbation sensitivity, and (for d < 5) numeric
-    agreement on a small subsample.  The structural suites go in chunks
-    of as many draws as one stack of the general criterion holds, sides
-    mixed: each chunk's draws become one (n, d, d, d) sector array, each
-    kind's perturbed rows changed in one broadcast (or one stack of Bell
-    weights), its dense states are built from that array by one scatter,
-    and each criterion decides the whole chunk in one call, with the
-    report, and the generator states, a draw-at-a-time run gives.  A
-    draw's detail is formatted only when it fails.  A ``d``, ``draws``,
+    agreement on a small subsample.  The structural suites go in rounds
+    of as many draws as one stack holds sector stacks (d³ entries each),
+    sides mixed: a round's draws become one (n, d, d, d) sector array,
+    each kind's perturbed rows changed in one broadcast (or one stack of
+    Bell weights), which each closed-form criterion decides in one call;
+    only the general criterion's dense states are built, by one scatter
+    per sub-chunk of as many as one of its stacks holds.  The report, and
+    the generator states, are those a draw-at-a-time run gives.  A draw's
+    detail is formatted only when it fails.  A ``d``, ``draws``,
     ``starts`` or ``seed`` out of its integer bounds, or a non-finite
     ``tol``, raises :class:`InvalidSpec`.
     """
@@ -380,7 +386,7 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     results.append(_bell_classification(d, draws, rngs[2], tol))
 
     suite = SuiteResult("perturbation-sensitivity")
-    for chunk in _chunks(d, draws):
+    for chunk in _chunks(d**3, draws):
         sides, a, kinds = _draws(d, chunk, rngs[3], lambda t: True)
         for t, kind, verdict in zip(chunk, kinds, _theorem_verdicts(a, sides, tol)):
             suite.record(not verdict.zero_discord and verdict.witness is not None,

@@ -78,6 +78,10 @@ def classical_x_spec(p=0.3, q=0.2, r=0.1, theta=0.7):
 def test_is_prime():
     assert [n for n in range(2, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
     assert not is_prime(1)
+    assert not is_prime(-7) and is_prime(np.int64(7))
+    for n in (True, 7.0):  # True used to read as 1, and 7.0 as a prime
+        with pytest.raises(InvalidSpec, match=f"^n must be an integer, got {n!r}$"):
+            is_prime(n)
 
 
 def test_extract_blocks_product_state():
@@ -1298,6 +1302,26 @@ def test_isotropic_necessary_conditions_fail():
 def test_generate_zero_discord_rejects_a_non_square_seed():
     with pytest.raises(DimensionError, match="a0 must be square"):
         generate_zero_discord(np.eye(3)[:2], np.zeros(3), "A")
+
+
+@pytest.mark.parametrize("make", [generate_zero_discord, phase_family],
+                         ids=["generate_zero_discord", "phase_family"])
+def test_seed_and_phases_are_checked_alike(make):
+    # phase_family used to end a (2, 3) seed in NumPy's reshape error and to
+    # return NaN sectors for a NaN angle or seed entry
+    a0, phi = np.diag([0.5, 0.3, 0.2]).astype(complex), np.array([0.0, 0.4, -1.1])
+    for seed in (np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(DimensionError, match="a0 must be square and nonempty"):
+            make(seed, phi, "A")
+    with pytest.raises(DimensionError, match="expected 3 phase angles"):
+        make(a0, phi[:2], "B")
+    nan = a0.copy()
+    nan[0, 1] = np.nan
+    with pytest.raises(InvalidSpec, match="a0 has non-finite entries"):
+        make(nan, phi, "A")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidSpec, match="phases has non-finite entries"):
+            make(a0, np.array([0.0, bad, 0.3]), "B")
 
 
 def test_generate_zero_discord_rejects_unknown_side():

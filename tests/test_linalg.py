@@ -140,6 +140,16 @@ def test_partial_trace_and_fourier_matrix_reject_bad_arguments():
         partial_trace(np.eye(4) / 4, 2, 2, "C")
     with pytest.raises(DimensionError, match="must be positive"):
         fourier_matrix(0)
+    with pytest.raises(InvalidSpec, match="^d must be an integer, got True$"):
+        fourier_matrix(True)  # it used to return [[1]]
+
+
+@pytest.mark.parametrize("call", [check_density_matrix, von_neumann_entropy])
+def test_an_empty_matrix_is_a_dimension_error(call):
+    # both used to fail with IndexError
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), complex)):
+        with pytest.raises(DimensionError, match=r"must be square and nonempty, got shape \(0, 0\)"):
+            call(empty)
 
 
 def test_fourier_matrix_unitary():

@@ -400,7 +400,7 @@ def test_stacked_draws_equal_lone_draws(d):
 def test_full_chunks_of_draws_equal_lone_draws(d, count):
     # a whole chunk of the general criterion, as verify --d 5 and --d 7 draw it,
     # perturbed in one broadcast per kind, is row by row the lone draws' specs
-    assert len(next(iter(blocks._chunks(d, 10**6)))) == count
+    assert len(next(iter(blocks._chunks(d**4, 10**6)))) == count
     patterns = {"none": lambda t: False, "odd": lambda t: t % 2 == 1, "all": lambda t: True}
     for name, perturbed in patterns.items():
         stacked_rng, lone_rng = np.random.default_rng(95 + d), np.random.default_rng(95 + d)
@@ -412,6 +412,69 @@ def test_full_chunks_of_draws_equal_lone_draws(d, count):
                 lone = perturb_spec(lone, PERTURBATION_KINDS[t % 3], epsilon, lone_rng)
             assert row.tobytes() == lone.a.tobytes(), (name, t)
         assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state, name
+
+
+def _stack_spies(monkeypatch, seen):
+    """Record (name, items, entries per item) of each stack verify hands its stages.
+
+    A round's draws count d³ entries each, Bell weights included, since each
+    stands for a sector stack; a dense stack counts its distinct states, so a
+    Bell state on sides A and B is one item of d⁴ entries.
+    """
+    def states(x):
+        return 1 if len(x) == 2 and np.array_equal(x[0], x[1]) else len(x)
+
+    counts = {
+        "_draws": lambda d, ts, *_: (len(ts), d**3),
+        "_theorem_verdicts": lambda a, *_: (len(a), a.shape[-1] ** 3),
+        "_bell_verdicts": lambda p, *_: (len(p), p.shape[-1] ** 3),
+        "_dense_states": lambda a: (states(a), a.shape[-1] ** 4),
+        "structural_verdicts": lambda rhos, d, *_: (states(rhos), d**4),
+    }
+    for name, count in counts.items():
+        def spy(*args, _f=getattr(verify, name), _name=name, _count=count):
+            seen.append((_name, *_count(*args)))
+            return _f(*args)
+
+        monkeypatch.setattr(verify, name, spy)
+
+
+@pytest.mark.parametrize("d", [5, 7, 11, 13])
+def test_rounds_and_dense_sub_chunks_keep_to_the_budget(d, monkeypatch):
+    # at a budget of 4·d³ entries each 20-draw suite takes five rounds of 4 draws,
+    # and the general criterion one state per stack; every stack holds at most the
+    # budget or one item, and the report is the default budget's (at d < 5 the
+    # numeric suite's six draws would go as one stack, so it is left out here)
+    default, seen = run_verify(d, seed=4, starts=2), []
+    budget = 4 * d**3
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "_CHUNK_ENTRIES", budget)
+        _stack_spies(m, seen)
+        patched = run_verify(d, seed=4, starts=2)
+    assert json.dumps([r.to_json() for r in patched[0]]) == json.dumps(
+        [r.to_json() for r in default[0]])
+    assert patched[1] == default[1]
+    names = [name for name, _, _ in seen]
+    assert names.count("_draws") == names.count("_theorem_verdicts") == 15
+    assert names.count("_bell_verdicts") == 5
+    assert names.count("_dense_states") == names.count("structural_verdicts") == 50
+    for name, items, entries in seen:
+        assert items * entries <= budget or items == 1, (name, items)
+
+
+@pytest.mark.parametrize("d, draws", [(5, 80), (7, 22), (11, 4), (13, 2)])
+def test_benchmark_items_take_one_round_per_suite(d, draws, monkeypatch):
+    # at the verify-large-d benchmark's draw counts and the default budget, each
+    # suite draws its sectors and decides its closed form in one call, and only
+    # the dense states go in stacks of the general criterion's size
+    seen = []
+    _stack_spies(monkeypatch, seen)
+    run_verify(d, seed=4, draws=draws, starts=2)
+    names = [name for name, _, _ in seen]
+    assert names.count("_draws") == names.count("_theorem_verdicts") == 3
+    assert names.count("_bell_verdicts") == 1
+    for name, items, entries in seen:
+        assert items * entries <= blocks._CHUNK_ENTRIES or items == 1, (name, items)
 
 
 def test_flat_phase_angles_fall_back_alike_stacked_and_alone():
