@@ -19,13 +19,11 @@ from .blocks import (
     bell_zero_discord_check,
     circulant_necessary_conditions,
     circulant_theorem_check,
-    circulant_theorem_verdicts,
     classical_decomposition,
     completely_classical_check,
     extract_blocks,
     generate_zero_discord,
     is_prime,
-    phase_family,
     structural_discord_zero,
     structural_verdicts,
 )
@@ -76,7 +74,6 @@ from .states import (
     ppt_check_commuting,
     project_circulant,
     shift_operator,
-    validate_bell_weights,
     validate_circulant_spec,
     werner_state,
 )
@@ -114,7 +111,6 @@ __all__ = [
     "circulant_necessary_conditions",
     "circulant_state",
     "circulant_theorem_check",
-    "circulant_theorem_verdicts",
     "circulant_to_json",
     "classical_decomposition",
     "commuting_group_invariant_state",
@@ -137,7 +133,6 @@ __all__ = [
     "parse_state",
     "partial_trace",
     "perturb_spec",
-    "phase_family",
     "ppt_check_commuting",
     "project_circulant",
     "random_unitary",
@@ -146,7 +141,6 @@ __all__ = [
     "shift_operator",
     "structural_discord_zero",
     "structural_verdicts",
-    "validate_bell_weights",
     "validate_circulant_spec",
     "von_neumann_entropy",
     "werner_state",

@@ -27,8 +27,8 @@ under a diagonal unitary V = diag(e^{iφ_n}) with φ_0 = 0,
 with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers
 here fit the φ_n from the entry phases and then verify every relation,
 so a valid family is always recognized and any violation yields a
-concrete witness.  :func:`circulant_theorem_verdicts` decides stacks of
-(spec, side) pairs, each verdict equal to the one-pair call.  The
+concrete witness.  One stacked core decides (sector stack, side) pairs,
+each verdict equal to the one-pair :func:`circulant_theorem_check`.  The
 necessary conditions use its scale and φ = 0 stack and fit no φ;
 complete classicality takes its verdicts on both sides unless the
 diagonal decides first.  Nothing is kept per spec; what is kept depends
@@ -43,7 +43,7 @@ Bell-diagonal states additionally admit a weight-space test,
 the classes of one of the d + 1 lines of Z_d × Z_d, p[m, n] =
 π_{(m + nα) mod d} for some α or p[m, n] = π_n; its stacked core takes
 the weights ``verify`` draws unchecked.  Every criterion rejects a
-non-finite tolerance with ``ValueError``.
+non-finite tolerance with :class:`InvalidSpec`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import (_read_only, _require_finite, _require_integer, _require_psd, _require_square,
-                     frobenius, hermitize)
+                     _side_codes, frobenius, hermitize)
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -153,19 +153,17 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     stack of grids.  The grid is a read-only view of ρ, not a copy, and
     the one place the package spells out a side's layout.  A wrong shape
     raises :class:`DimensionError`, a side other than "A" or "B"
-    ``ValueError``.
+    :class:`InvalidSpec`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d * d, d * d):
         raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
     four = rho.reshape(rho.shape[:-2] + (d, d, d, d))  # [..., i, k, j, l] = ρ[i·d+k, j·d+l]
-    if side == "B":
+    if _side_codes([side])[0]:  # side B
         blocks = four.swapaxes(-3, -2)
-    elif side == "A":
+    else:
         n = four.ndim - 4  # [..., k, l, i, j]
         blocks = four.transpose(*range(n), n + 1, n + 3, n, n + 2)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return _read_only(blocks)
 
 
@@ -198,7 +196,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     """
     _require_finite(tol, "tol")
     if len(rhos) != len(sides):
-        raise ValueError(f"got {len(rhos)} states and {len(sides)} sides")
+        raise DimensionError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts, m = [], d * (d + 1) // 2
     for chunk in _chunks(d**4, len(sides)):
         at, n = sides[chunk.start : chunk.stop], len(chunk)
@@ -300,14 +298,6 @@ def _shifts(d: int) -> np.ndarray:
     return _read_only((np.arange(d)[:, None] + np.arange(d)) % d)
 
 
-def _side_codes(sides) -> list[int]:
-    """0 for each side "A" and 1 for each "B"; any other side raises ``ValueError``."""
-    codes = [{"A": 0, "B": 1}.get(side) for side in sides]
-    if None in codes:
-        raise ValueError(f"side must be 'A' or 'B', got {sides[codes.index(None)]!r}")
-    return codes
-
-
 @functools.cache
 def _sector_entries(d: int) -> np.ndarray:
     """entries[c, (k, i, j)]: the flat position in a^(0) of entry (i, j) of slice k of a
@@ -377,21 +367,6 @@ def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, upper, upper.conj() + 0.0], axis=-1)[..., gather] * ref
 
 
-def phase_family(a0: np.ndarray, phi: np.ndarray, side: str) -> list[np.ndarray]:
-    """Build the d sector matrices generated by a^(0) and phase angles φ.
-
-    The inputs are checked as :func:`generate_zero_discord` checks them, the
-    seed's positivity and a prime d aside: a non-square or empty seed, or a φ
-    of another length, raises :class:`DimensionError`, and a non-finite seed
-    or angle :class:`InvalidSpec`.
-    """
-    a0 = np.asarray(_require_square(a0, "a0"), dtype=complex)
-    phi = np.asarray(phi, dtype=float)
-    _require_finite(a0, "a0")
-    _require_finite(phi, "phases")
-    return list(_family_stack(_reference_stack(a0[None], _side_codes([side]))[0], phi))
-
-
 @functools.cache
 def _phase_paths(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The path of each off-diagonal entry (i, j), i < j, of a^(0) through the φ_n (cached, read-only).
@@ -449,19 +424,6 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     return np.arctan2(e.imag, e.real)
 
 
-def circulant_theorem_verdicts(specs, sides, tol: float = DEFAULT_TOL) -> list[StructuralVerdict]:
-    """:func:`circulant_theorem_check` for each pair of ``zip(specs, sides)``, in order.
-
-    The specs share one prime d (a list of several d raises
-    :class:`DimensionError` before any other check) and go in one stack,
-    sides mixed, to :func:`_theorem_verdicts`.  Each verdict equals the
-    one-pair call, bit for bit.
-    """
-    if len({spec.d for spec in specs}) > 1:
-        raise DimensionError("the specs must share one dimension")
-    return _theorem_verdicts(np.array([spec.a for spec in specs]), sides, tol)
-
-
 def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdict]:
     """The theorem for each pair of ``zip(a, sides)``, ``a`` a (n, d, d, d) stack of sector stacks.
 
@@ -469,14 +431,15 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     and that d is prime.  The whole stack takes one gather of its φ = 0
     stacks, one scale per stack and one :func:`_fit_phases` call, and its
     relations are checked in one broadcast; one reduce finds the
-    all-diagonal stacks, which are classical outright.  A failing stack's
-    witness is its lexicographically first violation (in k, i, j); the
-    failing stacks' witnesses are gathered together, one array and one
-    ``tolist`` per field, k, i and j unravelled by ``divmod``.
+    all-diagonal stacks, which are classical outright.  Each verdict equals
+    the one-pair call, bit for bit.  A failing stack's witness is its
+    lexicographically first violation (in k, i, j); the failing stacks'
+    witnesses are gathered together, one array and one ``tolist`` per
+    field, k, i and j unravelled by ``divmod``.
     """
     _require_finite(tol, "tol")
     if len(a) != len(sides):
-        raise ValueError(f"got {len(a)} specs and {len(sides)} sides")
+        raise DimensionError(f"got {len(a)} specs and {len(sides)} sides")
     if not len(a):
         return []
     d = a.shape[-1]
@@ -521,9 +484,9 @@ def circulant_theorem_check(
     Fits phase angles from the sector-matrix entries and verifies the full
     phase-and-shift relation for every sector; all-diagonal specs are
     classical outright.  φ is fitted afresh on every call, so the verdict's
-    array is its own.  This is :func:`circulant_theorem_verdicts` of one pair.
+    array is its own.  This is :func:`_theorem_verdicts` of one pair.
     """
-    return circulant_theorem_verdicts([spec], [side], tol)[0]
+    return _theorem_verdicts(spec.a[None], [side], tol)[0]
 
 
 def circulant_necessary_conditions(
@@ -576,7 +539,7 @@ def _completely_classical(spec: CirculantSpec, tol: float, theorem=None) -> Stru
         witness = {"kind": "nonuniform-diagonal", "entry": [i, i],
                    "got": float(diag[i].real), "want": target}
         return StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
-    theorem = theorem or circulant_theorem_verdicts([spec, spec], "AB", tol)
+    theorem = theorem or _theorem_verdicts(np.stack([spec.a, spec.a]), "AB", tol)
     failing = [v for v in theorem if not v.zero_discord]
     first = failing[0] if failing else theorem[0]
     witness = {**first.witness, "side": first.side} if failing else None
@@ -591,8 +554,8 @@ def completely_classical_check(spec: CirculantSpec, tol: float = DEFAULT_TOL) ->
     the uniform diagonal 1/d² (the side-A relation shifts every sector's
     diagonal, the side-B relation keeps it, so both pin it to a constant),
     and the theorem must pass on side A and on side B, both decided by
-    one :func:`circulant_theorem_verdicts` call, which the precheck's
-    failure skips.  A zero verdict carries side A's phases; a nonzero one
+    one :func:`_theorem_verdicts` call, which the precheck's failure
+    skips.  A zero verdict carries side A's phases; a nonzero one
     the first failing side's witness (with its ``side``) and phases.
     """
     return _completely_classical(spec, tol)

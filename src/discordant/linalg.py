@@ -40,6 +40,14 @@ def _require_integer(value, name: str, lo: int | None = None, hi: int | None = N
         raise InvalidSpec(f"{name} must be an integer{bounds}, got {value!r}")
 
 
+def _side_codes(sides) -> list[int]:
+    """0 for each side "A" and 1 for each "B"; any other side raises :class:`InvalidSpec`."""
+    codes = [{"A": 0, "B": 1}.get(side) for side in sides]
+    if None in codes:
+        raise InvalidSpec(f"side must be 'A' or 'B', got {sides[codes.index(None)]!r}")
+    return codes
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writing turned off: for arrays that are kept and shared between calls."""
     a.flags.writeable = False
@@ -107,19 +115,14 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
     """Trace out one subsystem of a bipartite state on C^dA ⊗ C^dB.
 
     ``side`` names the subsystem traced out: ``"B"`` yields the dA×dA
-    reduced state, ``"A"`` the dB×dB one.
+    reduced state, ``"A"`` the dB×dB one.  ``rho`` must be finite.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dA * dB, dA * dB):
-        raise DimensionError(
-            f"expected a {dA * dB}x{dA * dB} matrix, got shape {rho.shape}"
-        )
+        raise DimensionError(f"expected a {dA * dB}x{dA * dB} matrix, got shape {rho.shape}")
+    _require_finite(rho)
     four = rho.reshape(dA, dB, dA, dB)
-    if side == "B":
-        return np.einsum("ikjk->ij", four)
-    if side == "A":
-        return np.einsum("kikj->ij", four)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return np.einsum(("kikj->ij", "ikjk->ij")[_side_codes([side])[0]], four)
 
 
 def entropy_of_weights(w: np.ndarray) -> float:
@@ -157,7 +160,11 @@ def random_unitary(d: int, rng: np.random.Generator, count: int | None = None) -
     Q's columns take the phases of R's diagonal, which makes Q Haar distributed
     (Mezzadri, Notices AMS 54, 592, 2007).  With ``count``, a stack of that
     many, shape (count, d, d), each bit-identical to the draw from its own G.
+    ``d`` ≥ 1 and ``count`` ≥ 0 are integers.
     """
+    _require_integer(d, "d", 1)
+    if count is not None:
+        _require_integer(count, "count", 0)
     shape = (d, d) if count is None else (count, d, d)
     Q, R = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     r = np.diagonal(R, axis1=-2, axis2=-1)

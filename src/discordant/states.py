@@ -111,19 +111,14 @@ def _require_weights(w: np.ndarray, name: str) -> None:
 
 
 def _bell_weights(w) -> BellWeights:
-    """Coerce a square weight matrix (or :class:`BellWeights`) and validate it."""
+    """Coerce a weight matrix (or :class:`BellWeights`) and check it by :func:`_require_weights`."""
     if not isinstance(w, BellWeights):
         p = np.asarray(w, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionError(f"expected a square weight matrix, got {p.shape}")
         w = BellWeights(p.shape[0], p)
-    validate_bell_weights(w)
-    return w
-
-
-def validate_bell_weights(w: BellWeights) -> None:
-    """Check the weights p by :func:`_require_weights`, named "weights"."""
     _require_weights(w.p, "weights")
+    return w
 
 
 def shift_operator(d: int) -> np.ndarray:
@@ -177,11 +172,8 @@ def project_circulant(rho: np.ndarray, d: int):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
-    flat = _sector_index(d)
-    a = rho.reshape(-1)[flat]
-    projected = np.zeros((d * d, d * d), dtype=complex)
-    projected.reshape(-1)[flat] = a
-    residual = frobenius(rho - projected)
+    a = rho.reshape(-1)[_sector_index(d)]
+    residual = frobenius(rho - _dense_states(a[None])[0])
     if not residual <= CIRCULANT_RESIDUAL_TOL:  # a NaN residual is not circulant either
         return NotCirculant(residual)
     return CirculantSpec(d, a)
@@ -191,11 +183,12 @@ def bell_projector(m: int, n: int, d: int) -> np.ndarray:
     """Rank-1 projector onto the maximally entangled state twisted by (m, n).
 
     The d² projectors are mutually orthogonal and sum to the identity;
-    (m, n) = (0, 0) gives the plain maximally entangled projector.
+    (m, n) = (0, 0) gives the plain maximally entangled projector.  The
+    indices are integers with 0 ≤ m, n ≤ d − 1.
     """
     _require_dimension(d)
-    if not (0 <= m < d and 0 <= n < d):
-        raise IndexError(f"indices ({m}, {n}) out of range for d={d}")
+    _require_integer(m, "m", 0, d - 1)
+    _require_integer(n, "n", 0, d - 1)
     P = np.zeros((d * d, d * d), dtype=complex)
     P.reshape(-1)[_sector_index(d)[n]] = _bell_amplitudes(d)[m] / d
     return P
@@ -266,12 +259,14 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
     P_2 is the maximally entangled projector, P_1 the antisymmetric
     projector (I−F)/2, and P_0 = (I+F)/2 − P_2; each is normalized by its
     trace (d(d+1)/2 − 1, d(d−1)/2 and 1 respectively).  The weights must
-    pass :func:`_require_weights`, named "abc".
+    be three real numbers and pass :func:`_require_weights`, named "abc".
     """
     _require_dimension(d)
-    w = np.array([float(x) for x in abc])
+    try:
+        a, b, c = w = np.array([float(x) for x in abc])
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"abc must be three real numbers, got {abc!r}") from None
     _require_weights(w, "abc")
-    a, b, c = w
     F = flip_operator(d)
     eye = np.eye(d * d, dtype=complex)
     P2 = max_entangled_projector(d)

@@ -25,13 +25,12 @@ from .blocks import (
     _zero_discord_stacks,
     bell_zero_discord_check,
     circulant_necessary_conditions,
-    circulant_theorem_verdicts,
     generate_zero_discord,
     is_prime,
     structural_verdicts,
 )
 from .discord import OptimizerConfig, discord, discord_sides
-from .errors import PrimeRequired
+from .errors import InvalidSpec, PrimeRequired
 from .linalg import _require_finite, _require_integer
 from .serialize import LoadedState
 from .states import (
@@ -76,10 +75,10 @@ def _outcome(zero: bool, dval: float) -> str:
 def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -> dict:
     """The ``analyze`` report: every structural route that applies to ``state``, each side's
     numeric D judged against its general-criterion verdict, and the worst side's outcome.
-    An empty or repeated side list raises ``ValueError``."""
+    An empty or repeated side list raises :class:`InvalidSpec`."""
     sides = list(sides)
     if not sides or len(set(sides)) < len(sides):
-        raise ValueError(f"sides must name each analyzed side once, got {sides}")
+        raise InvalidSpec(f"sides must name each analyzed side once, got {sides}")
     d = state.d
     spec = state.spec if state.spec is not None else project_circulant(state.rho, d)
 
@@ -106,7 +105,7 @@ def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -
 
     if isinstance(spec, CirculantSpec) and is_prime(d):
         # both sides in one stack: the only φ fit, which complete classicality reuses
-        theorem = circulant_theorem_verdicts([spec, spec], "AB", tol)
+        theorem = _theorem_verdicts(np.stack([spec.a, spec.a]), "AB", tol)
         report["circulant_theorem"] = {side: theorem["AB".index(side)].to_json() for side in sides}
         report["necessary_conditions"] = {
             side: circulant_necessary_conditions(spec, side, tol) for side in sides
@@ -124,20 +123,15 @@ def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -
     return report
 
 
-def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian d×d matrix, its real part drawn first (one call draws both parts)."""
-    g = rng.standard_normal((2, d, d))
-    return g[0] + 1j * g[1]
-
-
 def _psd(G: np.ndarray) -> np.ndarray:
     """G·G† + 0.05·I for a matrix G or a stack of them, each product the one a lone G gets."""
     return G @ G.conj().swapaxes(-1, -2) + 0.05 * np.eye(G.shape[-1])
 
 
 def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Dense random positive definite matrix G·G† + 0.05·I (complex Gaussian G)."""
-    return _psd(_gaussian(d, rng))
+    """Random G·G† + 0.05·I, G complex Gaussian with its real part drawn first, in one call."""
+    g = rng.standard_normal((2, d, d))
+    return _psd(g[0] + 1j * g[1])
 
 
 def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,7 +142,8 @@ def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_zero_discord_spec(d: int, side: str, rng: np.random.Generator) -> CirculantSpec:
-    """Random valid circulant spec with vanishing discord on ``side``."""
+    """Random valid circulant spec with vanishing discord on ``side``, at prime d ≤ 32."""
+    _require_dimension(d)
     return generate_zero_discord(random_psd(d, rng), random_phases(d, rng), side)
 
 
@@ -202,11 +197,11 @@ def perturb_spec(
     finite and positive, and at most 1 where the kind applied is ``modulus``.
     """
     if kind not in PERTURBATION_KINDS:
-        raise ValueError(f"kind must be one of {PERTURBATION_KINDS}, got {kind!r}")
+        raise InvalidSpec(f"kind must be one of {PERTURBATION_KINDS}, got {kind!r}")
     if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+        raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
     if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
-        raise ValueError(f"a modulus epsilon must be at most 1, got {epsilon}")
+        raise InvalidSpec(f"a modulus epsilon must be at most 1, got {epsilon}")
     a = spec.a[None].copy()
     kind, k, g = _perturbation(spec.d, kind, rng)
     _perturb(a, kind, [0], [epsilon], [k], None if g is None else g[None])

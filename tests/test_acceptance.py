@@ -13,7 +13,7 @@ from discordant.blocks import (
     bell_zero_discord_check,
     circulant_theorem_check,
     completely_classical_check,
-    phase_family,
+    generate_zero_discord,
     structural_discord_zero,
 )
 from discordant.discord import OptimizerConfig, discord
@@ -231,7 +231,7 @@ def _classical_family(d, rng):
             a0[i, j] = m * np.exp(1j * rng.uniform(-np.pi, np.pi))
             a0[j, i] = np.conj(a0[i, j])
     phi = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, d - 1)])
-    return CirculantSpec(d, phase_family(a0, phi, "A"))
+    return generate_zero_discord(a0, phi, "A")
 
 
 def test_criterion_4_complete_classicality():

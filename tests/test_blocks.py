@@ -24,23 +24,22 @@ from discordant.blocks import (
     _phase_paths,
     _reassembly_bound,
     _shifts,
+    _theorem_verdicts,
     bell_zero_discord_check,
     circulant_necessary_conditions,
     circulant_theorem_check,
-    circulant_theorem_verdicts,
     classical_decomposition,
     completely_classical_check,
     extract_blocks,
     generate_zero_discord,
     is_prime,
-    phase_family,
     structural_discord_zero,
     structural_verdicts,
 )
 from discordant.discord import OptimizerConfig, _screen_table
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
 from discordant.serialize import LoadedState
-from discordant.linalg import fourier_matrix, hermitize, random_unitary
+from discordant.linalg import _side_codes, fourier_matrix, hermitize, random_unitary
 from discordant.states import (
     ZERO_TOL,
     BellWeights,
@@ -463,9 +462,9 @@ def test_structural_verdicts_ignore_memory_layout():
 
 def test_structural_verdicts_rejects_bad_pairs():
     rho = circulant_state(werner_state(3, 0.1))
-    with pytest.raises(ValueError, match="2 states and 1 sides"):
+    with pytest.raises(DimensionError, match="2 states and 1 sides"):
         structural_verdicts([rho, rho], 3, "A")
-    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+    with pytest.raises(InvalidSpec, match="side must be 'A' or 'B'"):
         structural_verdicts([rho, rho], 3, ["A", "C"])
     with pytest.raises(DimensionError):
         structural_verdicts([rho[:4, :4]], 3, "B")
@@ -570,6 +569,13 @@ def test_classical_decomposition_reads_the_verdict_without_a_second_pass(monkeyp
     assert calls == ["extract_blocks", "_norm_grids"]
 
 
+def _phase_family(a0, phi, side):
+    """The d sector matrices of a^(0) and φ on ``side``, unnormalized and unchecked: the
+    cores that generate_zero_discord and verify's draws build every family with."""
+    ref = blocks_module._reference_stack(np.asarray(a0, complex)[None], _side_codes([side]))
+    return blocks_module._family_stack(ref[0], np.asarray(phi, dtype=float))
+
+
 def test_phase_family_relations():
     rng = np.random.default_rng(1)
     d = 3
@@ -578,7 +584,7 @@ def test_phase_family_relations():
     a0 /= d * np.trace(a0).real
     phi = np.array([0.0, 0.9, -1.3])
     for side in ("A", "B"):
-        mats = phase_family(a0, phi, side)
+        mats = _phase_family(a0, phi, side)
         assert len(mats) == d
         np.testing.assert_allclose(mats[0], a0, atol=0)
         for k in range(d):
@@ -612,9 +618,9 @@ def test_phase_family_matches_loop_reference_exactly():
         a0 = random_psd(d, rng)
         for phi in (random_phases(d, rng), np.zeros(d), -np.zeros(d)):
             for side in ("A", "B"):
-                got = phase_family(a0, phi, side)
+                got = _phase_family(a0, phi, side)
                 want = _phase_family_loop(a0, phi, side)
-                assert isinstance(got, list) and len(got) == d
+                assert len(got) == d
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (d, side)
 
@@ -649,7 +655,7 @@ def test_circulant_theorem_round_trip_both_sides():
             a0 = m @ m.conj().T + 0.1 * np.eye(d)
             a0 /= d * np.trace(a0).real
             phi = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, d - 1)])
-            spec = CirculantSpec(d, phase_family(a0, phi, side))
+            spec = CirculantSpec(d, _phase_family(a0, phi, side))
             verdict = circulant_theorem_check(spec, side)
             assert verdict.zero_discord, (d, side)
             assert verdict.criterion == CRITERION_CIRCULANT
@@ -777,7 +783,8 @@ def test_small_entry_family_reads_zero():
         for side in "AB":
             rng = np.random.default_rng([6, d, ord(side)])
             specs = [_small_entry_family(d, side, rng) for _ in range(40)]
-            theorem = circulant_theorem_verdicts(specs, [side] * len(specs))
+            theorem = _theorem_verdicts(np.array([s.a for s in specs]), [side] * len(specs),
+                                        DEFAULT_TOL)
             assert all(v.zero_discord for v in theorem), (d, side)
 
 
@@ -786,7 +793,7 @@ def test_circulant_theorem_identity_phases():
     d = 3
     a0 = np.full((d, d), 1 / (d * d), dtype=complex)
     for side in ("A", "B"):
-        spec = CirculantSpec(d, phase_family(a0, np.zeros(d), side))
+        spec = CirculantSpec(d, _phase_family(a0, np.zeros(d), side))
         verdict = circulant_theorem_check(spec, side)
         assert verdict.zero_discord
         np.testing.assert_allclose(verdict.fitted_phases, 0.0, atol=1e-10)
@@ -799,7 +806,7 @@ def test_circulant_theorem_perturbation_witness():
     a0 = m @ m.conj().T + 0.1 * np.eye(d)
     a0 /= d * np.trace(a0).real
     phi = np.array([0.0, 1.1, -0.4])
-    mats = [x.copy() for x in phase_family(a0, phi, "A")]
+    mats = [x.copy() for x in _phase_family(a0, phi, "A")]
     mats[1][0, 1] *= np.exp(0.2j)  # knock one entry off the required relation
     mats[1][1, 0] = np.conj(mats[1][0, 1])
     spec = CirculantSpec(d, mats)
@@ -826,7 +833,7 @@ def test_circulant_theorem_sparse_pattern():
     a0 = np.diag([0.05, 0.03, 0.04, 0.05, 0.03]).astype(complex)
     a0[0, 1] = a0[1, 0] = 0.02  # single off-diagonal orbit
     phi = np.array([0.0, 0.7, 2.1, -0.9, 0.3])
-    spec = CirculantSpec(d, phase_family(a0, phi, "B"))
+    spec = CirculantSpec(d, _phase_family(a0, phi, "B"))
     verdict = circulant_theorem_check(spec, "B")
     assert verdict.zero_discord
 
@@ -953,7 +960,7 @@ def test_completely_classical_check():
             a0[i, j] = m * np.exp(1j * rng.uniform(-np.pi, np.pi))
             a0[j, i] = np.conj(a0[i, j])
     phi = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, d - 1)])
-    spec = CirculantSpec(d, phase_family(a0, phi, "A"))
+    spec = CirculantSpec(d, _phase_family(a0, phi, "A"))
     verdict = completely_classical_check(spec)
     assert verdict.zero_discord
     assert verdict.side == "both"
@@ -989,7 +996,7 @@ def _constant_modulus_family(d, rng):
     iu = np.triu_indices(d, 1)
     a0[iu] = 0.9 / (d * d * (d - 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi, len(iu[0])))
     a0 = a0 + np.triu(a0, 1).conj().T
-    return CirculantSpec(d, phase_family(a0, random_phases(d, rng), "A"))
+    return CirculantSpec(d, _phase_family(a0, random_phases(d, rng), "A"))
 
 
 def _two_sided_specs(d, rng):
@@ -1005,7 +1012,7 @@ def _two_sided_specs(d, rng):
         # a circulant a^(0): constant diagonal, moduli that depend on the offset j − i
         a0 = (F * rng.uniform(0.2, 1.0, d)) @ F.conj().T
         a0 /= d * np.trace(a0).real
-        specs.append(("circulant-a0", CirculantSpec(d, phase_family(a0, random_phases(d, rng), side))))
+        specs.append(("circulant-a0", CirculantSpec(d, _phase_family(a0, random_phases(d, rng), side))))
     specs += [("constant-modulus", _constant_modulus_family(d, rng)) for _ in range(2)]
     specs += [("zero-" + side, random_zero_discord_spec(d, side, rng)) for side in ("A", "B")]
     specs += [("werner", werner_state(d, 0.05)), ("isotropic", isotropic_state(d, 0.3))]
@@ -1032,7 +1039,7 @@ def test_completely_classical_equals_general_criterion_on_both_sides(d):
 
 def _complete_from_theorem(spec, tol):
     """Complete classicality composed from the public theorem: the uniform-diagonal
-    precheck, then the side A and B verdicts of one stack."""
+    precheck, then the side A and B verdicts of one-pair calls."""
     if (np.abs(spec.a[:, ~np.eye(spec.d, dtype=bool)]) <= ZERO_TOL).all():
         return StructuralVerdict(True, "both", CRITERION_DIAGONAL)
     diag, want = np.diag(spec.a[0]), 1.0 / spec.d**2
@@ -1041,7 +1048,7 @@ def _complete_from_theorem(spec, tol):
         if not abs(x - want) <= tol * scale:
             witness = {"kind": "nonuniform-diagonal", "entry": [i, i], "got": float(x.real), "want": want}
             return StructuralVerdict(False, "both", CRITERION_CIRCULANT, witness=witness)
-    side_a, side_b = circulant_theorem_verdicts([spec, spec], "AB", tol)
+    side_a, side_b = (circulant_theorem_check(spec, side, tol) for side in "AB")
     inner = side_b if side_a.zero_discord else side_a
     if inner.zero_discord:
         return StructuralVerdict(True, "both", CRITERION_CIRCULANT, fitted_phases=side_a.fitted_phases)
@@ -1304,11 +1311,8 @@ def test_generate_zero_discord_rejects_a_non_square_seed():
         generate_zero_discord(np.eye(3)[:2], np.zeros(3), "A")
 
 
-@pytest.mark.parametrize("make", [generate_zero_discord, phase_family],
-                         ids=["generate_zero_discord", "phase_family"])
+@pytest.mark.parametrize("make", [generate_zero_discord], ids=["generate_zero_discord"])
 def test_seed_and_phases_are_checked_alike(make):
-    # phase_family used to end a (2, 3) seed in NumPy's reshape error and to
-    # return NaN sectors for a NaN angle or seed entry
     a0, phi = np.diag([0.5, 0.3, 0.2]).astype(complex), np.array([0.0, 0.4, -1.1])
     for seed in (np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
         with pytest.raises(DimensionError, match="a0 must be square and nonempty"):
@@ -1348,7 +1352,7 @@ def test_phase_angles_must_match_the_dimension():
     for phi in ([0.4], [0.0, 0.4], np.zeros(4), np.zeros((3, 1))):
         for side in "AB":
             with pytest.raises(DimensionError, match="expected 3 phase angles"):
-                phase_family(a0, phi, side)
+                _phase_family(a0, phi, side)
             with pytest.raises(DimensionError, match="expected 3 phase angles"):
                 generate_zero_discord(a0, phi, side)
 
@@ -1358,8 +1362,8 @@ _TOL_ENTRY_POINTS = {
         [circulant_state(spec)] * 2, spec.d, "AB", tol),
     "structural_discord_zero": lambda spec, p, tol: structural_discord_zero(
         circulant_state(spec), spec.d, "A", tol),
-    "circulant_theorem_verdicts": lambda spec, p, tol: circulant_theorem_verdicts(
-        [spec, spec], "AB", tol),
+    "_theorem_verdicts": lambda spec, p, tol: _theorem_verdicts(
+        np.stack([spec.a, spec.a]), "AB", tol),
     "circulant_theorem_check": lambda spec, p, tol: circulant_theorem_check(spec, "B", tol),
     "circulant_necessary_conditions": lambda spec, p, tol: circulant_necessary_conditions(
         spec, "A", tol),
@@ -1515,7 +1519,7 @@ def test_batched_closed_forms_equal_lone_calls(d):
     pairs = [(spec, side) for spec in specs for side in "AB"]
     pairs = [pairs[n] for n in rng.permutation(len(pairs))]
     for tol in (DEFAULT_TOL, 1e-3, -1.0):
-        stacked = circulant_theorem_verdicts([s for s, _ in pairs], [s for _, s in pairs], tol)
+        stacked = _theorem_verdicts(np.array([s.a for s, _ in pairs]), [s for _, s in pairs], tol)
         for (spec, side), verdict in zip(pairs, stacked):
             lone = circulant_theorem_check(CirculantSpec(d, spec.a), side, tol)
             assert json.dumps(verdict.to_json()) == json.dumps(lone.to_json()), (side, tol)
@@ -1535,17 +1539,16 @@ def test_batched_closed_forms_equal_lone_calls(d):
         assert [json.dumps(v.to_json()) for v in stacked] == [json.dumps(v.to_json()) for v in lone]
         if tol == DEFAULT_TOL:
             assert {v.zero_discord for v in stacked} == {True, False}
-    assert circulant_theorem_verdicts([], [], DEFAULT_TOL) == []
+    assert _theorem_verdicts(np.empty((0, d, d, d)), [], DEFAULT_TOL) == []
 
 
 def test_batched_closed_forms_reject_bad_stacks():
-    spec3, spec5 = werner_state(3, 0.1), random_zero_discord_spec(5, "A", np.random.default_rng(0))
-    with pytest.raises(ValueError, match="2 specs and 1 sides"):
-        circulant_theorem_verdicts([spec3, spec3], "A")
-    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-        circulant_theorem_verdicts([spec3, spec3], ["A", "C"])
-    with pytest.raises(DimensionError):
-        circulant_theorem_verdicts([spec3, spec5], "AB")
+    # a side other than A or B breaks the one side rule anywhere in the stack
+    a = werner_state(3, 0.1).a
+    with pytest.raises(DimensionError, match="2 specs and 1 sides"):
+        _theorem_verdicts(np.stack([a, a]), "A", DEFAULT_TOL)
+    with pytest.raises(InvalidSpec, match="side must be 'A' or 'B', got 'C'"):
+        _theorem_verdicts(np.stack([a, a]), ["A", "C"], DEFAULT_TOL)
 
 
 def test_theorem_core_checks_its_stack():
@@ -1554,7 +1557,7 @@ def test_theorem_core_checks_its_stack():
     core = blocks_module._theorem_verdicts
     with pytest.raises(ValueError, match="tol must be finite"):
         core(a, "A", float("nan"))
-    with pytest.raises(ValueError, match="1 specs and 2 sides"):
+    with pytest.raises(DimensionError, match="1 specs and 2 sides"):
         core(a, "AB", DEFAULT_TOL)
     with pytest.raises(DimensionError):
         core(a[:, :2], "A", DEFAULT_TOL)

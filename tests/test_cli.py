@@ -136,7 +136,7 @@ def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
     # whatever side is analyzed, the theorem is asked once, for sides A and B
     # together, and the necessary conditions once per analyzed side
     calls = []
-    for name in ("circulant_theorem_verdicts", "circulant_necessary_conditions"):
+    for name in ("_theorem_verdicts", "circulant_necessary_conditions"):
         call = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda spec, sides, tol, name=name, call=call:
                             calls.append((name, list(sides))) or call(spec, sides, tol))
@@ -145,7 +145,7 @@ def test_analyze_decides_the_theorem_once(capsys, monkeypatch):
         code, out, _ = run_cli(_BELL_ARGV + ["--side", side], capsys)
         assert code == 0 and json.loads(out)["completely_classical"]["zero_discord"] is True
         asked = ["A", "B"] if side == "both" else [side]
-        assert calls == [("circulant_theorem_verdicts", ["A", "B"])] + [
+        assert calls == [("_theorem_verdicts", ["A", "B"])] + [
             ("circulant_necessary_conditions", [s]) for s in asked], side
 
 

@@ -17,8 +17,8 @@ from discordant.linalg import (
     random_unitary,
     von_neumann_entropy,
 )
-from discordant.states import (BellWeights, CirculantSpec, orthogonal_invariant_state,
-                               validate_bell_weights, validate_circulant_spec)
+from discordant.states import (BellWeights, CirculantSpec, bell_diagonal_state,
+                               orthogonal_invariant_state, validate_circulant_spec)
 
 
 def test_entropy_half_half():
@@ -116,7 +116,7 @@ def test_one_message_per_matrix_fault(call, name, fault):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda w: validate_bell_weights(BellWeights(2, np.reshape(w, (2, 2)))), "weights"),
+    (lambda w: bell_diagonal_state(BellWeights(2, np.reshape(w, (2, 2)))), "weights"),
     (lambda w: orthogonal_invariant_state(w[:3], 2), "abc"),
 ], ids=["bell", "orthogonal"])
 @pytest.mark.parametrize("weights, text", [
@@ -136,7 +136,7 @@ def test_entropy_refuses_a_non_hermitian_argument():
 
 
 def test_partial_trace_and_fourier_matrix_reject_bad_arguments():
-    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+    with pytest.raises(InvalidSpec, match="^side must be 'A' or 'B', got 'C'$"):
         partial_trace(np.eye(4) / 4, 2, 2, "C")
     with pytest.raises(DimensionError, match="must be positive"):
         fourier_matrix(0)

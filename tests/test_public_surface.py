@@ -1,0 +1,138 @@
+"""Every public callable rejects a bad side, a bool integer or a non-finite array with a
+package error, never a bare ``ValueError``, ``TypeError`` or ``IndexError``."""
+
+import numpy as np
+import pytest
+
+import discordant as dc
+
+_SPEC = dc.werner_state(3, 0.2)
+_RHO = dc.circulant_state(_SPEC)
+_ZERO = dc.circulant_state(dc.random_zero_discord_spec(3, "A", np.random.default_rng(0)))
+_P = np.full((3, 3), 1 / 9)
+_A, _DMAT = np.eye(3) / 6, (1 - np.eye(3)) / 12
+#: Stands for the parameter's valid array with a NaN entry.
+NAN = object()
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _cfg():
+    return dc.OptimizerConfig(starts=1)
+
+
+#: name: (valid keyword arguments, {parameter: what it is fed}): "C" where a side or a
+#: kind is named, True where an integer goes, NAN where an array goes.
+_TABLE = {
+    "BellWeights": (lambda: dict(d=3, p=_P), {"d": True}),
+    "CirculantSpec": (lambda: dict(d=3, a=_SPEC.a), {"d": True}),
+    "MeasurementBasis": (lambda: dict(d=3, vectors=np.eye(3)), {"d": True}),
+    "OptimizerConfig": (lambda: dict(starts=1, seed=0), {"starts": True, "seed": True}),
+    "analyze": (lambda: dict(state=dc.parse_state({"kind": "werner", "d": 3, "lambda": 0.2}),
+                             sides=["A"], tol=1e-9, cfg=_cfg()), {"sides": "C"}),
+    "bell_diagonal_state": (lambda: dict(w=_P), {"w": NAN}),
+    "bell_projector": (lambda: dict(m=1, n=2, d=3), {"m": True, "n": True, "d": True}),
+    "bell_zero_discord_check": (lambda: dict(w=_P), {"w": NAN}),
+    "check_density_matrix": (lambda: dict(rho=_RHO), {"rho": NAN}),
+    "circulant_necessary_conditions": (lambda: dict(spec=_SPEC, side="A"), {"side": "C"}),
+    "circulant_theorem_check": (lambda: dict(spec=_SPEC, side="A"), {"side": "C"}),
+    "classical_decomposition": (lambda: dict(rho=_ZERO, d=3, side="A"),
+                                {"rho": NAN, "d": True, "side": "C"}),
+    "commuting_group_invariant_state": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
+    "conditional_entropy": (
+        lambda: dict(rho=_RHO, d=3, basis=dc.MeasurementBasis(3, np.eye(3)), side="A"),
+        {"rho": NAN, "d": True, "side": "C"}),
+    "discord": (lambda: dict(rho=_RHO, d=3, side="A", cfg=_cfg()),
+                {"rho": NAN, "d": True, "side": "C"}),
+    "discord_sides": (lambda: dict(rho=_RHO, d=3, sides=["A", "B"], cfg=_cfg()),
+                      {"rho": NAN, "d": True, "sides": "C"}),
+    "extract_blocks": (lambda: dict(rho=_RHO, d=3, side="A"), {"d": True, "side": "C"}),
+    "flip_operator": (lambda: dict(d=3), {"d": True}),
+    "fourier_matrix": (lambda: dict(d=3), {"d": True}),
+    "generate_zero_discord": (lambda: dict(a0=np.eye(3), phases=np.zeros(3), side="A"),
+                              {"a0": NAN, "phases": NAN, "side": "C"}),
+    "is_prime": (lambda: dict(n=3), {"n": True}),
+    "isotropic_state": (lambda: dict(d=3, lam=0.2), {"d": True}),
+    "max_entangled_projector": (lambda: dict(d=3), {"d": True}),
+    "mutual_information": (lambda: dict(rho=_RHO, d=3), {"rho": NAN, "d": True}),
+    "o2_simplex_rows": (lambda: dict(grid=3, every=0, seed=0, starts=1),
+                        {"grid": True, "every": True, "seed": True, "starts": True}),
+    "orthogonal_invariant_state": (lambda: dict(abc=[0.2, 0.5, 0.3], d=2),
+                                   {"abc": NAN, "d": True}),
+    "partial_trace": (lambda: dict(rho=_RHO, dA=3, dB=3, side="A"),
+                      {"rho": NAN, "dA": True, "dB": True, "side": "C"}),
+    "perturb_spec": (lambda: dict(spec=dc.random_zero_discord_spec(3, "A", _rng()),
+                                  kind="modulus", epsilon=0.1, rng=_rng()), {"kind": "C"}),
+    "ppt_check_commuting": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
+    "project_circulant": (lambda: dict(rho=_RHO, d=3), {"d": True}),
+    "random_unitary": (lambda: dict(d=3, rng=_rng(), count=2), {"d": True, "count": True}),
+    "random_zero_discord_spec": (lambda: dict(d=3, side="A", rng=_rng()),
+                                 {"d": True, "side": "C"}),
+    "run_verify": (lambda: dict(d=3, seed=0, draws=1, starts=1),
+                   {"d": True, "seed": True, "draws": True, "starts": True}),
+    "shift_operator": (lambda: dict(d=3), {"d": True}),
+    "structural_discord_zero": (lambda: dict(rho=_RHO, d=3, side="A"),
+                                {"rho": NAN, "d": True, "side": "C"}),
+    "structural_verdicts": (lambda: dict(rhos=[_RHO, _RHO], d=3, sides=["A", "B"]),
+                            {"rhos": NAN, "d": True, "sides": "C"}),
+    "von_neumann_entropy": (lambda: dict(rho=_RHO), {"rho": NAN}),
+    "werner_state": (lambda: dict(d=3, lam=0.2), {"d": True}),
+}
+
+#: Public callables outside the table, none of which checks a side, integer or array of its
+#: own: the errors; records of results, and LoadedState, which parse_state builds checked;
+#: the JSON writers, which write what they are given, and readers, whose fields the
+#: serialize tests break one by one; and the functions of a spec alone, whose stack
+#: validate_circulant_spec checks.  The records CirculantSpec, BellWeights and
+#: MeasurementBasis hold their arrays as given (checked by validate_circulant_spec, the Bell
+#: functions and MeasurementBasis.validate), extract_blocks returns a view that reads no
+#: entry, and project_circulant reports a NaN residual as NotCirculant, so no NAN is fed there.
+_OUTSIDE = {
+    "DimensionError", "DiscordantError", "InvalidMeasurement", "InvalidSpec", "PreconditionError",
+    "PrimeRequired", "DiscordResult", "NotCirculant", "StructuralVerdict", "SuiteResult",
+    "LoadedState", "bell_to_json", "circulant_to_json", "dense_to_json", "load_state_file",
+    "parse_state", "circulant_state", "completely_classical_check", "validate_circulant_spec",
+}
+
+
+def _fed(value, valid):
+    if value is not NAN:
+        return value if value != "C" or isinstance(valid, str) else ["C", *valid[1:]]
+    bad = np.array(valid)
+    bad = bad.astype(complex if np.iscomplexobj(bad) else float)
+    bad.flat[1] = np.nan
+    return bad
+
+
+def _call(name, kwargs):
+    result = getattr(dc, name)(**kwargs)
+    return list(result) if name == "o2_simplex_rows" else result
+
+
+def test_the_table_covers_every_public_callable_once():
+    public = [name for name in dc.__all__ if callable(getattr(dc, name))]
+    assert len(set(dc.__all__)) == len(dc.__all__)
+    assert sorted(public) == sorted([*_TABLE, *_OUTSIDE])
+
+
+@pytest.mark.parametrize("name", list(_TABLE))
+def test_the_table_arguments_are_valid(name):
+    _call(name, _TABLE[name][0]())
+
+
+@pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items() for p in fed])
+def test_a_bad_argument_raises_a_package_error(name, param):
+    make, fed = _TABLE[name]
+    kwargs = make()
+    kwargs[param] = _fed(fed[param], kwargs[param])
+    with pytest.raises(dc.DiscordantError):
+        _call(name, kwargs)
+
+
+def test_orthogonal_weights_must_be_three_numbers():
+    # a string weight used to end in float()'s bare ValueError, two weights in an unpacking one
+    for abc in (("a", 0, 0), (0.5, 0.5)):
+        with pytest.raises(dc.InvalidSpec, match="^abc must be three real numbers, got "):
+            dc.orthogonal_invariant_state(abc, 2)

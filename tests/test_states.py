@@ -23,7 +23,6 @@ from discordant.states import (
     ppt_check_commuting,
     project_circulant,
     shift_operator,
-    validate_bell_weights,
     validate_circulant_spec,
     werner_state,
 )
@@ -151,7 +150,7 @@ def test_bell_projector_basics():
                 P = bell_projector(m, n, d)
                 np.testing.assert_allclose(P @ P, P, atol=1e-12)
                 assert np.trace(P).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidSpec, match="^m must be an integer with 0 ≤ m ≤ 1, got 2$"):
         bell_projector(2, 0, 2)
 
 
@@ -415,7 +414,7 @@ def test_non_finite_weights_and_sectors_are_rejected():
         p = np.full((3, 3), 1 / 9)
         p[0, 0] = bad
         for call in (bell_zero_discord_check, bell_diagonal_state,
-                     lambda q: validate_bell_weights(BellWeights(3, q))):
+                     lambda q: bell_diagonal_state(BellWeights(3, q))):
             with pytest.raises(InvalidSpec, match="finite"):
                 call(p)
         stack = np.array(werner_state(3, 0.2).a)

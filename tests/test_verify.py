@@ -21,7 +21,6 @@ from discordant.states import (
     BellWeights,
     bell_diagonal_state,
     circulant_state,
-    validate_bell_weights,
     validate_circulant_spec,
 )
 from discordant.verify import (
@@ -64,9 +63,9 @@ def test_perturbations_stay_valid_and_break_zero():
 def test_perturb_epsilon_bounds():
     rng = np.random.default_rng(2)
     spec = random_zero_discord_spec(3, "A", rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="finite and positive"):
         perturb_spec(spec, "modulus", 0.0, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="kind must be one of"):
         perturb_spec(spec, "wobble", 0.1, rng)
 
 
@@ -78,12 +77,12 @@ def test_perturb_rejects_epsilon_that_breaks_validity(d, kind):
     rng = np.random.default_rng(5)
     spec = random_zero_discord_spec(d, "A", rng)
     for epsilon in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(InvalidSpec, match="finite and positive"):
             perturb_spec(spec, kind, epsilon, rng)
     modulus = kind == "modulus" or (kind == "phase" and d == 2)  # the d = 2 fallback
     for epsilon in (1.0 + 1e-9, 5.0):
         if modulus:
-            with pytest.raises(ValueError, match="at most 1"):
+            with pytest.raises(InvalidSpec, match="at most 1"):
                 perturb_spec(spec, kind, epsilon, rng)
         else:
             validate_circulant_spec(perturb_spec(spec, kind, epsilon, rng))
@@ -98,11 +97,11 @@ def test_random_bell_families():
             for alpha in (-1, 0, 1, d):
                 p, pi = random_classical_bell(d, alpha, rng)
                 assert p.shape == (d, d)
-                validate_bell_weights(BellWeights(d, p))
+                bell_diagonal_state(BellWeights(d, p))
                 assert pi.sum() == pytest.approx(1 / d, abs=1e-12)
                 q = random_nonclassical_bell(d, rng)
                 assert q.shape == (d, d)
-                validate_bell_weights(BellWeights(d, q))
+                bell_diagonal_state(BellWeights(d, q))
 
 
 def test_nonclassical_bell_draws_return_at_large_d():
@@ -368,11 +367,11 @@ def test_public_generators_keep_rng_contract(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13])
 def test_gaussian_draws_both_parts_in_one_call(d):
-    # one (2, d, d) draw is the stream of a real d×d draw, then an imaginary one
+    # random_psd's one (2, d, d) draw is the stream of a real d×d draw, then an imaginary one
     rng, ref = np.random.default_rng(40 + d), np.random.default_rng(40 + d)
     for _ in range(3):
-        want = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
-        assert verify._gaussian(d, rng).tobytes() == want.tobytes()
+        want = verify._psd(ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d)))
+        assert verify.random_psd(d, rng).tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -609,7 +608,7 @@ def test_analyze_rejects_side_lists_it_cannot_report():
     state = parse_state({"kind": "werner", "d": 2, "lambda": 0.2})
     cfg = OptimizerConfig(starts=1)
     for sides in ([], "", ["A", "A"], "BB"):
-        with pytest.raises(ValueError, match="once"):
+        with pytest.raises(InvalidSpec, match="once"):
             verify.analyze(state, sides, 1e-9, cfg)
     report = verify.analyze(state, "AB", 1e-9, cfg)
     assert report["sides"] == ["A", "B"]
