@@ -24,7 +24,8 @@ under a diagonal unitary V = diag(e^{iφ_n}) with φ_0 = 0,
     side A:  a^(k)_{ij} = e^{i(Ψ_k(i) − Ψ_k(j))} · a^(0)_{i+k, j+k}
     side B:  a^(k)_{ij} = e^{i(Ψ_k(i) − Ψ_k(j))} · a^(0)_{ij}
 
-with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d).  The checkers
+with Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d} (indices mod d), i.e. each sector is
+a^(0), shifted on side A, conjugated by D_k = diag(e^{iΨ_k(i)}).  The checkers
 here fit the φ_n from the entry phases and then verify every relation,
 so a valid family is always recognized and any violation yields a
 concrete witness.  One stacked core decides (sector stack, side) pairs,
@@ -36,8 +37,8 @@ on d alone: the index and weight tables, and the path along which each
 off-diagonal entry of a^(0) relates the φ_n.  At prime d one entry's
 path visits every n once, so it spans on its own; the fit reads φ along
 the path of the entry whose smallest modulus over the sectors is
-largest, so that no tiny entry sets a phase, and a path is still a
-spanning tree, so the fit stays free of 2π wraps.
+largest (the first within 1e-12 relative), so that no tiny entry sets a
+phase, and a path is still a spanning tree, so the fit stays free of 2π wraps.
 Bell-diagonal states additionally admit a weight-space test,
 :func:`bell_zero_discord_check`: discord vanishes iff p is constant on
 the classes of one of the d + 1 lines of Z_d × Z_d, p[m, n] =
@@ -320,51 +321,21 @@ def _reference_stack(a0: np.ndarray, codes: list) -> np.ndarray:
     return ref.reshape(n, d, d, d)
 
 
-@functools.cache
-def _family_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index tables of :func:`_family_stack` (cached, read-only).
-
-    ``windows`` (d − 1, d): row s holds (i + s) mod d, so that the running
-    sums of φ over its rows are Ψ_1 … Ψ_{d−1}.  ``pairs`` (2, M), M = (d − 1)·d(d + 1)/2:
-    the flat positions (k − 1)·d + i and (k − 1)·d + j in those sums of each
-    entry i ≤ j of the slices k ≥ 1, slice by slice, row by row.  ``gather``
-    (d, d, d): where each factor reads [1, e^{iθ} of those M entries, their M
-    conjugates]: 1 on slice 0, the entry itself for i ≤ j, the conjugate of
-    (k, j, i) below.
-    """
-    i, j = np.triu_indices(d)
-    k = np.arange(d - 1)[:, None]
-    pairs = np.stack([(k * d + i).ravel(), (k * d + j).ravel()])
-    m = len(i)
-    at = np.empty((d, d), dtype=np.intp)
-    at[j, i] = np.arange(m) + (d - 1) * m
-    at[i, j] = np.arange(m)  # the diagonal reads its own entry
-    gather = np.concatenate([np.zeros((1, d, d), np.intp), 1 + k[:, :, None] * m + at])
-    return _shifts(d)[:-1], _read_only(pairs), _read_only(gather)
-
-
 def _family_stack(ref: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The phase families of the φ = 0 stacks ``ref`` (…, d, d, d) and angles φ (…, d).
 
-    Slice k of each stack is multiplied by e^{i(Ψ_k(i) − Ψ_k(j))}, with the
-    window sums Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d}; each stack of a broadcast
-    gets the values it gets alone.  Only the entries i ≤ j of the slices
-    k ≥ 1 are exponentiated, and one :func:`_family_tables` gather puts 1 on
-    slice 0 and their conjugates below the diagonal.  That is exact:
-    fl(x − y) = −fl(y − x), cos and sin have exact parity, and adding 0
-    turns the −0 of conj(1 + 0i) back into the +0 of e^{−i·0}.  Each factor
-    is bit for bit the e^{i(Ψ_k(i) − Ψ_k(j))} formed on its own, NaN and all.
+    Slice k is D_k·ref_k·D_k†, D_k = diag(v), v(i) = e^{iΨ_k(i)} with the window
+    sums Ψ_k(i) = Σ_{s<k} φ_{(i+s) mod d}: v_i·ref_ij·conj(v_j) in one broadcast,
+    one exponential per slice and node (v = 1 on slice 0), each stack as it is alone.
+    It equals the paper's e^{i(Ψ_k(i) − Ψ_k(j))}·ref_ij, and is Hermitian, to rounding.
     """
     lead, d = ref.shape[:-3], ref.shape[-1]
     if phi.shape != lead + (d,):
         raise DimensionError(f"expected {d} phase angles, got shape {phi.shape[len(lead):]}")
-    windows, pairs, gather = _family_tables(d)
-    # Ψ_0 = 0 needs no sum, and 0 + φ equals φ up to the sign of a zero, which no factor
-    # keeps: the imaginary part of i·(±0) is +0, and e^{±0} = 1
-    psi = np.add.accumulate(phi[..., windows], axis=-2).reshape(lead + (-1,))[..., pairs]
-    upper = np.exp(1j * (psi[..., 0, :] - psi[..., 1, :]))
-    ones = np.ones(lead + (1,), complex)
-    return np.concatenate([ones, upper, upper.conj() + 0.0], axis=-1)[..., gather] * ref
+    psi = np.zeros(lead + (d, d))
+    psi[..., 1:, :] = np.add.accumulate(phi[..., _shifts(d)[:-1]], axis=-2)
+    v = np.exp(1j * psi)
+    return v[..., :, None] * ref * v[..., None, :].conj()
 
 
 @functools.cache
@@ -395,7 +366,9 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
 
     Each stack reads φ along one :func:`_phase_paths` path, node 0 at 0:
     that of the entry whose smallest modulus over the sectors is largest,
-    so no tiny entry sets a phase.  In a zero-discord family an entry keeps
+    so no tiny entry sets a phase, or the first within 1e-12 relative of it,
+    so that rounding does not pick among tied paths (at d = 3 all tie on
+    the side opposite a zero family).  In a zero-discord family an entry keeps
     one modulus in every sector, so its path is usable whole or not at
     all; a stack whose best path has an entry of modulus ≤ 1e−12 gets
     φ = 0.  The relations are then checked everywhere, so the path decides
@@ -408,7 +381,8 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     # each path's smallest |z|², exact per entry (np.abs rounds some entries differently in a
     # long array than alone, which could break a tie between paths differently in a stack)
     strength = np.minimum.reduce(z.real ** 2 + z.imag ** 2, axis=-1)
-    path = (codes, strength.argmax(axis=1))
+    best = np.maximum.reduce(strength, axis=1)
+    path = (codes, (strength >= (1 - 1e-12) * best[:, None]).argmax(axis=1))
     z = z[rows[:, 0], path[1]]
     arg = np.arctan2(z.imag, z.real)
     delta = arg[:, :-1] - arg[:, 1:]  # φ_{u+s} − φ_u per edge k
@@ -417,7 +391,7 @@ def _fit_phases(a: np.ndarray, sides) -> np.ndarray:
     phi = np.empty((n, d))
     phi[rows, walks[path]] = fit
     phi -= phi[:, :1]
-    phi[np.maximum.reduce(strength, axis=1) <= ZERO_TOL**2] = 0.0
+    phi[best <= ZERO_TOL**2] = 0.0
     # a zero of φ may carry either sign (delta is x − y, not −(y − x)); e^{iφ} drops it,
     # since i·(±0) has imaginary part +0 and e^{±0} = 1
     e = np.exp(1j * phi)

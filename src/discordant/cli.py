@@ -11,8 +11,7 @@ outcome), 1 a ``verify`` suite failed, 2 input error (a value out of its
 bounds, such as ``--starts`` above 256 or a negative ``--tol``, or a state
 path or family flag that would be ignored), 3 an ``analyze`` outcome of
 ``disagree``: a structural zero with numeric D above the nonzero
-threshold.  The environment variable DISCORDANT_SEED overrides ``--seed``
-everywhere.
+threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -43,14 +41,6 @@ from .verify import MAX_GRID, analyze, o2_simplex_rows, run_verify
 #: The inline families and the flags each reads besides --family and --d, all required.
 _FAMILY_FLAGS = {"werner": ("--lambda",), "isotropic": ("--lambda",), "bell": ("--alpha", "--pi"),
                  "orthogonal": ("--abc",)}
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("DISCORDANT_SEED")
-    try:
-        return args.seed if env is None else int(env)
-    except ValueError:
-        raise InvalidSpec(f"DISCORDANT_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -120,7 +110,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = OptimizerConfig(starts=args.starts, seed=_effective_seed(args))
+    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     loaded = _load_input(args, validate=True)
     sides = ["A", "B"] if args.side == "both" else [args.side]
     report = analyze(loaded, sides, args.tol, cfg)
@@ -141,12 +131,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _effective_seed(args)
     results, all_pass = run_verify(
-        args.d, seed=seed, tol=args.tol, draws=args.draws, starts=args.starts
+        args.d, seed=args.seed, tol=args.tol, draws=args.draws, starts=args.starts
     )
     if args.format == "json":
-        report = {"d": args.d, "seed": seed, "pass": all_pass,
+        report = {"d": args.d, "seed": args.seed, "pass": all_pass,
                   "suites": [r.to_json() for r in results]}
         _emit(json.dumps(report), args.output)
     else:
@@ -164,10 +153,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplex(args) -> int:
-    seed = _effective_seed(args)
     lines = ["b,c,separable,zero_discord,numeric_discord"]
     for row in o2_simplex_rows(
-        grid=args.grid, every=args.every, tol=args.tol, seed=seed, starts=args.starts
+        grid=args.grid, every=args.every, tol=args.tol, seed=args.seed, starts=args.starts
     ):
         numeric = "" if row["numeric_discord"] is None else f"{row['numeric_discord']:.12g}"
         lines.append(

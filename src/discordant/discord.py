@@ -69,6 +69,7 @@ class MeasurementBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
+        _require_integer(self.d, "d", 1)
         v = np.asarray(self.vectors, dtype=complex)
         if v.shape != (self.d, self.d):
             raise DimensionError(f"expected shape ({self.d}, {self.d}), got {v.shape}")

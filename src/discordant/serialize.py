@@ -95,20 +95,27 @@ def decode_real_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
+def _require_readable(d, values, name: str) -> None:
+    """Raise :class:`InvalidSpec` unless :func:`parse_state` reads ``d`` and the entries
+    ``values`` of field ``name``: a JSON writer writes no ``true`` or ``NaN`` it would refuse."""
+    _require_dimension(d)
+    _require_finite(values, f"field {name!r}")
+
+
 def circulant_to_json(spec: CirculantSpec) -> dict:
-    return {
-        "kind": "circulant",
-        "d": spec.d,
-        "a": encode_complex_matrix(spec.a),
-    }
+    _require_readable(spec.d, spec.a, "a")
+    return {"kind": "circulant", "d": spec.d, "a": encode_complex_matrix(spec.a)}
 
 
 def dense_to_json(rho: np.ndarray, d: int) -> dict:
+    _require_readable(d, rho, "rho")
     return {"kind": "dense", "d": d, "rho": encode_complex_matrix(rho)}
 
 
 def bell_to_json(d: int, p: np.ndarray) -> dict:
-    return {"kind": "bell", "d": d, "p": np.asarray(p, dtype=float).tolist()}
+    p = np.asarray(p, dtype=float)
+    _require_readable(d, p, "p")
+    return {"kind": "bell", "d": d, "p": p.tolist()}
 
 
 def parse_state(obj: dict, validate: bool = True) -> LoadedState:

@@ -43,6 +43,7 @@ class CirculantSpec:
     a: np.ndarray
 
     def __post_init__(self):
+        _require_integer(self.d, "d", 1)
         try:
             a = np.array(self.a, dtype=complex)  # a copy, so freezing it touches no caller
         except ValueError:  # ragged input
@@ -71,6 +72,7 @@ class BellWeights:
     p: np.ndarray
 
     def __post_init__(self):
+        _require_integer(self.d, "d", 1)
         p = np.asarray(self.p, dtype=float)
         if p.shape != (self.d, self.d):
             raise DimensionError(f"expected shape ({self.d}, {self.d}), got {p.shape}")

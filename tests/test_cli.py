@@ -428,22 +428,22 @@ def test_simplex_deterministic(capsys, tmp_path):
 
 
 def test_seed_env_override(capsys, monkeypatch):
+    # DISCORDANT_SEED once overrode --seed; it is no longer read, and --seed decides
+    argv = ["analyze", "--family", "werner", "--d", "2", "--lambda", "0", "--seed", "5"]
+    want = run_cli(argv, capsys)
     monkeypatch.setenv("DISCORDANT_SEED", "99")
-    code, out, _ = run_cli(
-        ["analyze", "--family", "werner", "--d", "2", "--lambda", "0",
-         "--seed", "5"],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["seed"] == 99
+    assert run_cli(argv, capsys) == want
+    assert want[0] == 0 and json.loads(want[1])["seed"] == 5
 
 
 def test_seed_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("DISCORDANT_SEED", "not-a-number")
-    code, _, err = run_cli(
-        ["analyze", "--family", "werner", "--d", "2", "--lambda", "0"], capsys
-    )
-    assert code == 2
+    # a DISCORDANT_SEED that is no integer, or a negative one, once exited 2
+    argv = ["analyze", "--family", "werner", "--d", "2", "--lambda", "0"]
+    want = run_cli(argv, capsys)
+    for env in ("not-a-number", "-3"):
+        monkeypatch.setenv("DISCORDANT_SEED", env)
+        assert run_cli(argv, capsys) == want, env
+    assert want[0] == 0
 
 
 def test_bell_pi_renormalization(capsys, tmp_path):
@@ -658,9 +658,8 @@ def test_bad_numeric_flags_exit_2(capsys, command, flag):
     (["simplex", "--every", "-1"], lambda: next(verify.o2_simplex_rows(every=-1))),
     (["verify", "--d", "3", "--tol", "inf"], lambda: verify.run_verify(3, tol=float("inf"))),
 ], ids=["starts", "seed", "draws", "grid", "every", "tol-inf"])
-def test_bound_errors_are_the_library_errors(capsys, monkeypatch, argv, library):
+def test_bound_errors_are_the_library_errors(capsys, argv, library):
     # each bound is stated once, in the library; the command line reports its error as it is
-    monkeypatch.delenv("DISCORDANT_SEED", raising=False)
     with pytest.raises(InvalidSpec) as exc:
         library()
     code, out, err = run_cli(argv, capsys)
@@ -729,16 +728,13 @@ def test_analyze_prints_the_library_report(capsys, tmp_path):
         assert (code, out, err) == (0, json.dumps(report) + "\n", ""), (argv, side)
 
 
-@pytest.mark.parametrize("command, env", [
-    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1", "--seed", "-1"], None),
-    (["verify", "--d", "2", "--draws", "1", "--seed", "-1"], None),
-    (["simplex", "--grid", "3", "--seed", "-1"], None),
-    (["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1"], "-3"),
-], ids=["analyze", "verify", "simplex", "env"])
-def test_negative_seed_exits_2(capsys, monkeypatch, command, env):
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "werner", "--d", "2", "--lambda", "0.1", "--seed", "-1"],
+    ["verify", "--d", "2", "--draws", "1", "--seed", "-1"],
+    ["simplex", "--grid", "3", "--seed", "-1"],
+], ids=["analyze", "verify", "simplex"])
+def test_negative_seed_exits_2(capsys, command):
     # NumPy's seeding raised "expected non-negative integer" as a traceback
-    if env is not None:
-        monkeypatch.setenv("DISCORDANT_SEED", env)
     code, out, err = run_cli(command, capsys)
     assert code == 2
     assert out == ""

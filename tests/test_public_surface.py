@@ -26,9 +26,10 @@ def _cfg():
 #: name: (valid keyword arguments, {parameter: what it is fed}): "C" where a side or a
 #: kind is named, True where an integer goes, NAN where an array goes.
 _TABLE = {
-    "BellWeights": (lambda: dict(d=3, p=_P), {"d": True}),
-    "CirculantSpec": (lambda: dict(d=3, a=_SPEC.a), {"d": True}),
-    "MeasurementBasis": (lambda: dict(d=3, vectors=np.eye(3)), {"d": True}),
+    # the records on a 1×1 stack, which a bool d of 1 would fit
+    "BellWeights": (lambda: dict(d=1, p=[[1.0]]), {"d": True}),
+    "CirculantSpec": (lambda: dict(d=1, a=[[[1.0]]]), {"d": True}),
+    "MeasurementBasis": (lambda: dict(d=1, vectors=[[1.0]]), {"d": True}),
     "OptimizerConfig": (lambda: dict(starts=1, seed=0), {"starts": True, "seed": True}),
     "analyze": (lambda: dict(state=dc.parse_state({"kind": "werner", "d": 3, "lambda": 0.2}),
                              sides=["A"], tol=1e-9, cfg=_cfg()), {"sides": "C"}),
@@ -81,14 +82,14 @@ _TABLE = {
     "werner_state": (lambda: dict(d=3, lam=0.2), {"d": True}),
 }
 
-#: Public callables outside the table, none of which checks a side, integer or array of its
-#: own: the errors; records of results, and LoadedState, which parse_state builds checked;
-#: the JSON writers, which write what they are given, and readers, whose fields the
-#: serialize tests break one by one; and the functions of a spec alone, whose stack
-#: validate_circulant_spec checks.  The records CirculantSpec, BellWeights and
-#: MeasurementBasis hold their arrays as given (checked by validate_circulant_spec, the Bell
-#: functions and MeasurementBasis.validate), extract_blocks returns a view that reads no
-#: entry, and project_circulant reports a NaN residual as NotCirculant, so no NAN is fed there.
+#: Public callables outside the table: the errors; records of results, and LoadedState,
+#: which parse_state builds checked; the JSON writers and readers, whose d and fields the
+#: serialize tests break one by one; and the functions of a spec alone, which check no
+#: side, integer or array of their own, and whose stack validate_circulant_spec checks.
+#: The records CirculantSpec, BellWeights and MeasurementBasis hold their arrays as given
+#: (checked by validate_circulant_spec, the Bell functions and MeasurementBasis.validate),
+#: extract_blocks returns a view that reads no entry, and project_circulant reports a NaN
+#: residual as NotCirculant, so no NAN is fed there.
 _OUTSIDE = {
     "DimensionError", "DiscordantError", "InvalidMeasurement", "InvalidSpec", "PreconditionError",
     "PrimeRequired", "DiscordResult", "NotCirculant", "StructuralVerdict", "SuiteResult",

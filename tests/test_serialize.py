@@ -239,3 +239,22 @@ def test_commuting_kind_parses_to_its_circulant_state():
     spec = commuting_group_invariant_state(a0, dmat)
     np.testing.assert_array_equal(loaded.rho, circulant_state(spec))
     np.testing.assert_array_equal(loaded.spec.a, spec.a)
+
+
+def test_writers_refuse_what_parse_state_refuses():
+    # the writers wrote the non-JSON tokens NaN and Infinity, and "d": true, none of
+    # which parse_state reads back
+    spec = werner_state(2, 0.2)
+    rho, p = circulant_state(spec), np.full((2, 2), 0.25)
+    writes = [lambda: circulant_to_json(CirculantSpec(1, [[[1.0]]]))]
+    for bad in (np.nan, np.inf, -np.inf):
+        a, r, q = spec.a.copy(), rho.copy(), p.copy()
+        a[1, 0, 1] = r[0, 3] = q[1, 0] = bad
+        writes += [lambda a=a: circulant_to_json(CirculantSpec(2, a)),
+                   lambda r=r: dense_to_json(r, 2), lambda q=q: bell_to_json(2, q)]
+    for d in (True, 1, MAX_DIMENSION + 1):
+        writes += [lambda d=d: dense_to_json(np.eye(int(d) ** 2), d),
+                   lambda d=d: bell_to_json(d, np.eye(int(d)))]
+    for write in writes:
+        with pytest.raises(InvalidSpec):
+            write()
