@@ -61,8 +61,8 @@ from .errors import (
     PreconditionError,
     PrimeRequired,
 )
-from .linalg import (_read_only, _require_finite, _require_integer, _require_psd, _require_square,
-                     _side_codes, frobenius, hermitize)
+from .linalg import (_array, _read_only, _require_finite, _require_integer, _require_psd,
+                     _require_square, _side_codes, frobenius, hermitize)
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -156,9 +156,7 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     raises :class:`DimensionError`, a side other than "A" or "B"
     :class:`InvalidSpec`.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (d * d, d * d):
-        raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
+    rho = _array(rho, "rho", shape=(..., d * d, d * d))
     four = rho.reshape(rho.shape[:-2] + (d, d, d, d))  # [..., i, k, j, l] = ρ[i·d+k, j·d+l]
     if _side_codes([side])[0]:  # side B
         blocks = four.swapaxes(-3, -2)
@@ -193,18 +191,18 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     of largest relative off-diagonal norm ‖offdiag‖/scale:
     the first in row-major order within 1e-12 relative of the largest, so that
     rounding does not choose among blocks of equal norm.  A state of the wrong
-    shape raises :class:`DimensionError`, a non-finite one :class:`InvalidSpec`.
+    shape raises :class:`DimensionError`, a non-finite one or a ``d`` that is not
+    an integer ≥ 1 :class:`InvalidSpec`; each stack is made an array as it is sliced.
     """
     _require_finite(tol, "tol")
+    _require_integer(d, "d", 1)
     if len(rhos) != len(sides):
         raise DimensionError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts, m = [], d * (d + 1) // 2
     for chunk in _chunks(d**4, len(sides)):
         at, n = sides[chunk.start : chunk.stop], len(chunk)
         # C order fixes _common_bases' order of summation; a C-ordered stack's slice is a view
-        states = np.ascontiguousarray(rhos[chunk.start : chunk.stop], dtype=complex)
-        if states.shape[1:] != (d * d, d * d):
-            raise DimensionError(f"expected shape ({d * d}, {d * d}), got {states.shape[1:]}")
+        states = np.ascontiguousarray(_array(rhos[chunk.start : chunk.stop], "rhos"))
         U, diag = np.empty((n, d, d), complex), np.empty((n, m, d), complex)
         off, scale = np.empty((2, n, m))
         for side in dict.fromkeys(at):
@@ -239,7 +237,7 @@ def structural_discord_zero(
     rho: np.ndarray, d: int, side: str, tol: float = DEFAULT_TOL
 ) -> StructuralVerdict:
     """The general criterion for one state and side: :func:`structural_verdicts` of one."""
-    return structural_verdicts(np.asarray(rho)[None], d, [side], tol)[0]
+    return structural_verdicts(_array(rho, "rho", shape=(d * d, d * d))[None], d, [side], tol)[0]
 
 
 def _norm_grids(blocks: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,8 +415,7 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     if not len(a):
         return []
     d = a.shape[-1]
-    if a.shape[1:] != (d, d, d):
-        raise DimensionError(f"expected a stack of ({d}, {d}, {d}) sector stacks, got {a.shape}")
+    _array(a, "a", shape=(len(a), d, d, d))
     _require_prime(d)
     n = len(a)
     thr = tol * _scales(a)
@@ -558,10 +555,10 @@ def generate_zero_discord(a0: np.ndarray, phases, side: str) -> CirculantSpec:
     passes :func:`circulant_theorem_check` on the chosen side by
     construction.  A bad seed raises :class:`InvalidSpec`.
     """
-    a0 = np.asarray(_require_square(a0, "a0"), dtype=complex)
+    a0 = _require_square(a0, "a0")
     d = a0.shape[0]
     _require_prime(d)
-    phi = np.asarray(phases, dtype=float)
+    phi = _array(phases, "phases", float)
     _require_finite(phi, "phases")
     _require_psd(a0[None], "a0", tol=1e-10)  # looser than a state's: the seed is hermitized
     if np.trace(a0).real <= ZERO_TOL:

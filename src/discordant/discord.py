@@ -3,8 +3,9 @@
 Mutual information, measurement-conditioned entropies, classical
 correlation C (the supremum of extracted information over rank-1
 projective measurements on one side) and discord D = I − C, all in bits.
-The shape of ρ and the measured side are checked where ρ is first
-sliced, by ``partial_trace`` and :func:`~discordant.blocks.extract_blocks`.
+ρ is made an array and its shape checked, by ``linalg._array``, where it is
+first sliced: by ``partial_trace`` for I's marginals and by
+:func:`~discordant.blocks.extract_blocks`, which alone checks the measured side.
 
 One optimizer serves every d.  A measurement is the column basis of a
 unitary U, and C = S(ρ_other) − min_U f(U) with f(U) = Σ_k p_k S(σ_k/p_k)
@@ -38,8 +39,8 @@ import numpy as np
 
 from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
-from .linalg import (_read_only, _require_finite, _require_integer, fourier_matrix, partial_trace,
-                     random_unitary, von_neumann_entropy)
+from .linalg import (_array, _read_only, _require_finite, _require_integer, fourier_matrix,
+                     partial_trace, random_unitary, von_neumann_entropy)
 from .serialize import encode_complex_matrix
 
 #: Measurement outcome weights below this are treated as never occurring.
@@ -70,10 +71,7 @@ class MeasurementBasis:
 
     def __post_init__(self):
         _require_integer(self.d, "d", 1)
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.shape != (self.d, self.d):
-            raise DimensionError(f"expected shape ({self.d}, {self.d}), got {v.shape}")
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", _array(self.vectors, "vectors", shape=(self.d,) * 2))
 
     def validate(self) -> None:
         if not np.isfinite(self.vectors).all():
@@ -247,8 +245,9 @@ def conditional_entropy(
     basis.validate()
     if basis.d != d:
         raise DimensionError(f"expected a basis of dimension {d}, got {basis.d}")
-    _require_finite(rho)
-    f, _ = _objective(_contraction(rho, d, side), basis.vectors[None])
+    R = _contraction(rho, d, side)
+    _require_finite(R)  # R holds every entry of ρ
+    f, _ = _objective(R, basis.vectors[None])
     return float(f[0])
 
 

@@ -59,9 +59,31 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """``M`` as an array; one that is not a nonempty square matrix raises :class:`DimensionError`."""
-    M = np.asarray(M)
+def _array(x, name: str, dtype=complex, shape: tuple | None = None) -> np.ndarray:
+    """``x`` as an array of ``dtype`` (no copy if it is one): the rule for array arguments.
+
+    Ragged nesting raises :class:`DimensionError`, an entry that is not a number
+    :class:`InvalidSpec`, and a shape other than ``shape``, whose leading ``...`` stands
+    for any leading axes, :class:`DimensionError`.
+    """
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        try:
+            np.asarray(x)
+        except ValueError:
+            raise DimensionError(f"{name} is ragged: its nested lists differ in length") from None
+        raise InvalidSpec(f"{name} has an entry that is not a number: {exc}") from None
+    if shape is not None and shape[:1] == (...,):
+        shape = a.shape[: max(a.ndim - len(shape) + 1, 0)] + shape[1:]
+    if shape is not None and a.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
+def _require_square(M, name: str, dtype=complex) -> np.ndarray:
+    """:func:`_array` of ``M``; one not a nonempty square matrix raises :class:`DimensionError`."""
+    M = _array(M, name, dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise DimensionError(f"{name} must be square and nonempty, got shape {M.shape}")
     return M
@@ -97,17 +119,17 @@ def _require_psd(stack: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> 
     return w
 
 
-def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate by :func:`_require_psd`, then check unit trace; return the array.
 
     Raises :class:`InvalidSpec` on violation and :class:`DimensionError`
-    for non-square input.
+    for non-square input; messages name the matrix "rho".
     """
-    rho = np.asarray(_require_square(rho, name), dtype=complex)
-    _require_psd(rho[None], name)
+    rho = _require_square(rho, "rho")
+    _require_psd(rho[None], "rho")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidSpec(f"{name} has trace {tr}, expected 1")
+        raise InvalidSpec(f"rho has trace {tr}, expected 1")
     return rho
 
 
@@ -117,9 +139,7 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
     ``side`` names the subsystem traced out: ``"B"`` yields the dA×dA
     reduced state, ``"A"`` the dB×dB one.  ``rho`` must be finite.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dA * dB, dA * dB):
-        raise DimensionError(f"expected a {dA * dB}x{dA * dB} matrix, got shape {rho.shape}")
+    rho = _array(rho, "rho", shape=(dA * dB, dA * dB))
     _require_finite(rho)
     four = rho.reshape(dA, dB, dA, dB)
     return np.einsum(("kikj->ij", "ikjk->ij")[_side_codes([side])[0]], four)
@@ -141,7 +161,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     entry, a Hermitian defect or an eigenvalue below −1e−10 raises
     :class:`InvalidSpec`, and eigenvalues in [−1e−10, 0) are clipped to 0.
     """
-    rho = np.asarray(_require_square(rho, "rho"), dtype=complex)
+    rho = _require_square(rho, "rho")
     return entropy_of_weights(np.clip(_require_psd(rho[None], "state")[0], 0.0, None))
 
 

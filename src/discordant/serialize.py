@@ -36,7 +36,7 @@ from .states import (
     orthogonal_invariant_state,
     werner_state,
 )
-from .linalg import _require_finite, check_density_matrix
+from .linalg import _array, _require_finite, check_density_matrix
 
 _KIND_FIELDS = {
     "circulant": {"a"},
@@ -77,44 +77,43 @@ def decode_complex_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def decode_real_matrix(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A finite float array of ``shape`` from ints and floats; a bool, string or null raises."""
-    try:
-        arr, entries = np.asarray(obj), [obj]
-        for _ in range(arr.ndim):  # each entry's type, since NumPy reads "0.5" and true as numbers
-            entries = itertools.chain.from_iterable(entries)
-        bad = sorted(t.__name__ for t in set(map(type, entries))
-                     if t is bool or not issubclass(t, (int, float, np.integer, np.floating)))
-        arr = arr if bad else arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"field {name!r} is not real-valued: {exc}") from None
+    """A finite float array of ``shape`` from ints and floats; a bool, string or null raises
+    :class:`InvalidSpec`, ragged nesting or another shape :class:`DimensionError`."""
+    label = f"field {name!r}"
+    arr, entries = _array(obj, label, None), [obj]
+    for _ in range(arr.ndim):  # each entry's type, since NumPy reads "0.5" and true as numbers
+        entries = itertools.chain.from_iterable(entries)
+    bad = sorted(t.__name__ for t in set(map(type, entries))
+                 if t is bool or not issubclass(t, (int, float, np.integer, np.floating)))
     if bad:
-        raise InvalidSpec(f"field {name!r} must be a number or lists of numbers, not {bad[0]}")
-    if arr.shape != shape:
-        raise InvalidSpec(f"field {name!r} must have shape {shape}, got {arr.shape}")
-    _require_finite(arr, f"field {name!r}")
+        raise InvalidSpec(f"{label} must be a number or lists of numbers, not {bad[0]}")
+    arr = _array(arr, label, float, shape)
+    _require_finite(arr, label)
     return arr
 
 
-def _require_readable(d, values, name: str) -> None:
-    """Raise :class:`InvalidSpec` unless :func:`parse_state` reads ``d`` and the entries
-    ``values`` of field ``name``: a JSON writer writes no ``true`` or ``NaN`` it would refuse."""
+def _readable(d, values, name: str, dtype=complex) -> np.ndarray:
+    """``values`` as the array that :func:`parse_state` reads as field ``name`` with ``d``:
+    a JSON writer writes no ``true``, ``NaN`` or shape that parse_state would refuse."""
     _require_dimension(d)
+    shape = {"a": (d, d, d), "rho": (d * d, d * d), "p": (d, d)}[name]
+    values = _array(values, f"field {name!r}", dtype, shape)
     _require_finite(values, f"field {name!r}")
+    return values
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
-    _require_readable(spec.d, spec.a, "a")
-    return {"kind": "circulant", "d": spec.d, "a": encode_complex_matrix(spec.a)}
+    a = _readable(spec.d, spec.a, "a")
+    return {"kind": "circulant", "d": spec.d, "a": encode_complex_matrix(a)}
 
 
 def dense_to_json(rho: np.ndarray, d: int) -> dict:
-    _require_readable(d, rho, "rho")
+    rho = _readable(d, rho, "rho")
     return {"kind": "dense", "d": d, "rho": encode_complex_matrix(rho)}
 
 
 def bell_to_json(d: int, p: np.ndarray) -> dict:
-    p = np.asarray(p, dtype=float)
-    _require_readable(d, p, "p")
+    p = _readable(d, p, "p", float)
     return {"kind": "bell", "d": d, "p": p.tolist()}
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSpec
-from .linalg import (TRACE_TOL, _read_only, _require_finite, _require_integer, _require_psd,
-                     _require_square, frobenius)
+from .errors import InvalidSpec
+from .linalg import (TRACE_TOL, _array, _read_only, _require_finite, _require_integer,
+                     _require_psd, _require_square, frobenius)
 
 #: Entries smaller than this in modulus are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -44,12 +44,7 @@ class CirculantSpec:
 
     def __post_init__(self):
         _require_integer(self.d, "d", 1)
-        try:
-            a = np.array(self.a, dtype=complex)  # a copy, so freezing it touches no caller
-        except ValueError:  # ragged input
-            a = np.empty(0)
-        if a.shape != (self.d,) * 3:
-            raise DimensionError(f"expected {self.d} matrices of shape ({self.d}, {self.d})")
+        a = _array(self.a, "a", shape=(self.d,) * 3).copy(order="K")  # freezing touches no caller
         object.__setattr__(self, "a", _read_only(a))
 
     def trace_sum(self) -> float:
@@ -73,10 +68,7 @@ class BellWeights:
 
     def __post_init__(self):
         _require_integer(self.d, "d", 1)
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.d, self.d):
-            raise DimensionError(f"expected shape ({self.d}, {self.d}), got {p.shape}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _array(self.p, "p", float, (self.d, self.d)))
 
 
 def _require_dimension(d) -> None:
@@ -115,10 +107,8 @@ def _require_weights(w: np.ndarray, name: str) -> None:
 def _bell_weights(w) -> BellWeights:
     """Coerce a weight matrix (or :class:`BellWeights`) and check it by :func:`_require_weights`."""
     if not isinstance(w, BellWeights):
-        p = np.asarray(w, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionError(f"expected a square weight matrix, got {p.shape}")
-        w = BellWeights(p.shape[0], p)
+        p = _require_square(w, "weights", float)
+        w = BellWeights(len(p), p)
     _require_weights(w.p, "weights")
     return w
 
@@ -171,9 +161,7 @@ def project_circulant(rho: np.ndarray, d: int):
     over the cyclic sectors within 1e−10 (Frobenius), else a
     :class:`NotCirculant` carrying the off-sector residual.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise DimensionError(f"expected shape ({d * d}, {d * d}), got {rho.shape}")
+    rho = _array(rho, "rho", shape=(d * d, d * d))
     a = rho.reshape(-1)[_sector_index(d)]
     residual = frobenius(rho - _dense_states(a[None])[0])
     if not residual <= CIRCULANT_RESIDUAL_TOL:  # a NaN residual is not circulant either
@@ -264,10 +252,7 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
     be three real numbers and pass :func:`_require_weights`, named "abc".
     """
     _require_dimension(d)
-    try:
-        a, b, c = w = np.array([float(x) for x in abc])
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"abc must be three real numbers, got {abc!r}") from None
+    a, b, c = w = _array(abc, "abc", float, (3,))
     _require_weights(w, "abc")
     F = flip_operator(d)
     eye = np.eye(d * d, dtype=complex)
@@ -284,11 +269,8 @@ def orthogonal_invariant_state(abc, d: int) -> np.ndarray:
 
 def _commuting_inputs(a, dmat) -> tuple[np.ndarray, np.ndarray]:
     """(a, dmat) as arrays, checked: a square, dmat (d, d), nonnegative, zero on its diagonal."""
-    a = np.asarray(_require_square(a, "a"), dtype=complex)
-    dmat = np.asarray(dmat, dtype=float)
-    d = a.shape[0]
-    if dmat.shape != (d, d):
-        raise DimensionError(f"dmat must have shape ({d}, {d}), got {dmat.shape}")
+    a = _require_square(a, "a")
+    dmat = _array(dmat, "dmat", float, a.shape)
     if np.any(dmat < -ZERO_TOL):
         raise InvalidSpec(f"negative weight {dmat.min():.3e} in dmat")
     if not np.all(np.abs(np.diag(dmat)) <= ZERO_TOL):

@@ -469,9 +469,9 @@ def test_structural_verdicts_rejects_bad_pairs():
         structural_verdicts([rho, rho], 3, ["A", "C"])
     with pytest.raises(DimensionError):
         structural_verdicts([rho[:4, :4]], 3, "B")
-    # the one-pair calls named the stack they make, (1, 4, 4), not the caller's matrix
+    # the one-pair calls name the caller's matrix, not the stack of one they make
     for call in (structural_discord_zero, classical_decomposition):
-        with pytest.raises(DimensionError, match=r"expected shape \(9, 9\), got \(4, 4\)$"):
+        with pytest.raises(DimensionError, match=r"^rho must have shape \(9, 9\), got \(4, 4\)$"):
             call(np.eye(4) / 4, 3, "A")
 
 
@@ -1656,8 +1656,8 @@ def test_bell_check_raises_each_bad_matrix_error():
         "non-finite": (nan, InvalidSpec, "weights has non-finite entries"),
         "negative": (neg, InvalidSpec, "negative weight"),
         "wrong sum": (heavy, InvalidSpec, "weights sum to"),
-        "non-square": (np.full((3, 4), 1 / 12), DimensionError, "square weight matrix"),
-        "flat": (np.full(9, 1 / 9), DimensionError, "square weight matrix"),
+        "non-square": (np.full((3, 4), 1 / 12), DimensionError, "weights must be square"),
+        "flat": (np.full(9, 1 / 9), DimensionError, "weights must be square"),
         "non-prime": (np.full((4, 4), 1 / 16), PrimeRequired, "prime dimension"),
     }
     for kind, (w, error, message) in bad.items():

@@ -108,7 +108,7 @@ def test_conditional_entropy_rejects_bad_basis():
 
 
 def test_measurement_basis_rejects_wrong_shape():
-    with pytest.raises(DimensionError, match=r"expected shape \(2, 2\)"):
+    with pytest.raises(DimensionError, match=r"^vectors must have shape \(2, 2\), got \(3, 3\)$"):
         MeasurementBasis(2, np.eye(3))
 
 

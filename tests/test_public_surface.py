@@ -1,5 +1,6 @@
-"""Every public callable rejects a bad side, a bool integer or a non-finite array with a
-package error, never a bare ``ValueError``, ``TypeError`` or ``IndexError``."""
+"""Every public callable rejects a bad side, a bool integer, and a non-finite, ragged,
+non-numeric or wrong-shaped array with a package error, never a bare ``ValueError``,
+``TypeError`` or ``IndexError``."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ _P = np.full((3, 3), 1 / 9)
 _A, _DMAT = np.eye(3) / 6, (1 - np.eye(3)) / 12
 #: Stands for the parameter's valid array with a NaN entry.
 NAN = object()
+#: Marks an array parameter fed no NaN: the records CirculantSpec, BellWeights and
+#: MeasurementBasis hold their arrays as given (checked by validate_circulant_spec, the Bell
+#: functions and MeasurementBasis.validate), extract_blocks returns a view that reads no
+#: entry, and project_circulant reports a NaN residual as NotCirculant.
+ARRAY = object()
+#: What every array parameter, NAN or ARRAY, is fed besides: ragged nesting, a string, and
+#: its valid array less the last column.
+_FAULTS = {
+    "ragged": lambda valid: [[1.0, 2.0], [3.0]],
+    "string": lambda valid: "abc",
+    "shape": lambda valid: np.asarray(valid)[..., :-1],
+}
 
 
 def _rng():
@@ -24,12 +37,12 @@ def _cfg():
 
 
 #: name: (valid keyword arguments, {parameter: what it is fed}): "C" where a side or a
-#: kind is named, True where an integer goes, NAN where an array goes.
+#: kind is named, True where an integer goes, NAN or ARRAY where an array goes.
 _TABLE = {
     # the records on a 1×1 stack, which a bool d of 1 would fit
-    "BellWeights": (lambda: dict(d=1, p=[[1.0]]), {"d": True}),
-    "CirculantSpec": (lambda: dict(d=1, a=[[[1.0]]]), {"d": True}),
-    "MeasurementBasis": (lambda: dict(d=1, vectors=[[1.0]]), {"d": True}),
+    "BellWeights": (lambda: dict(d=1, p=[[1.0]]), {"d": True, "p": ARRAY}),
+    "CirculantSpec": (lambda: dict(d=1, a=[[[1.0]]]), {"d": True, "a": ARRAY}),
+    "MeasurementBasis": (lambda: dict(d=1, vectors=[[1.0]]), {"d": True, "vectors": ARRAY}),
     "OptimizerConfig": (lambda: dict(starts=1, seed=0), {"starts": True, "seed": True}),
     "analyze": (lambda: dict(state=dc.parse_state({"kind": "werner", "d": 3, "lambda": 0.2}),
                              sides=["A"], tol=1e-9, cfg=_cfg()), {"sides": "C"}),
@@ -49,7 +62,8 @@ _TABLE = {
                 {"rho": NAN, "d": True, "side": "C"}),
     "discord_sides": (lambda: dict(rho=_RHO, d=3, sides=["A", "B"], cfg=_cfg()),
                       {"rho": NAN, "d": True, "sides": "C"}),
-    "extract_blocks": (lambda: dict(rho=_RHO, d=3, side="A"), {"d": True, "side": "C"}),
+    "extract_blocks": (lambda: dict(rho=_RHO, d=3, side="A"),
+                       {"rho": ARRAY, "d": True, "side": "C"}),
     "flip_operator": (lambda: dict(d=3), {"d": True}),
     "fourier_matrix": (lambda: dict(d=3), {"d": True}),
     "generate_zero_discord": (lambda: dict(a0=np.eye(3), phases=np.zeros(3), side="A"),
@@ -67,7 +81,7 @@ _TABLE = {
     "perturb_spec": (lambda: dict(spec=dc.random_zero_discord_spec(3, "A", _rng()),
                                   kind="modulus", epsilon=0.1, rng=_rng()), {"kind": "C"}),
     "ppt_check_commuting": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
-    "project_circulant": (lambda: dict(rho=_RHO, d=3), {"d": True}),
+    "project_circulant": (lambda: dict(rho=_RHO, d=3), {"rho": ARRAY, "d": True}),
     "random_unitary": (lambda: dict(d=3, rng=_rng(), count=2), {"d": True, "count": True}),
     "random_zero_discord_spec": (lambda: dict(d=3, side="A", rng=_rng()),
                                  {"d": True, "side": "C"}),
@@ -86,10 +100,6 @@ _TABLE = {
 #: which parse_state builds checked; the JSON writers and readers, whose d and fields the
 #: serialize tests break one by one; and the functions of a spec alone, which check no
 #: side, integer or array of their own, and whose stack validate_circulant_spec checks.
-#: The records CirculantSpec, BellWeights and MeasurementBasis hold their arrays as given
-#: (checked by validate_circulant_spec, the Bell functions and MeasurementBasis.validate),
-#: extract_blocks returns a view that reads no entry, and project_circulant reports a NaN
-#: residual as NotCirculant, so no NAN is fed there.
 _OUTSIDE = {
     "DimensionError", "DiscordantError", "InvalidMeasurement", "InvalidSpec", "PreconditionError",
     "PrimeRequired", "DiscordResult", "NotCirculant", "StructuralVerdict", "SuiteResult",
@@ -123,7 +133,8 @@ def test_the_table_arguments_are_valid(name):
     _call(name, _TABLE[name][0]())
 
 
-@pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items() for p in fed])
+@pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items()
+                                         for p, v in fed.items() if v is not ARRAY])
 def test_a_bad_argument_raises_a_package_error(name, param):
     make, fed = _TABLE[name]
     kwargs = make()
@@ -132,8 +143,19 @@ def test_a_bad_argument_raises_a_package_error(name, param):
         _call(name, kwargs)
 
 
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items()
+                                         for p, v in fed.items() if v is NAN or v is ARRAY])
+def test_a_bad_array_raises_a_package_error(name, param, fault):
+    kwargs = _TABLE[name][0]()
+    kwargs[param] = _FAULTS[fault](kwargs[param])
+    with pytest.raises(dc.DiscordantError):
+        _call(name, kwargs)
+
+
 def test_orthogonal_weights_must_be_three_numbers():
     # a string weight used to end in float()'s bare ValueError, two weights in an unpacking one
-    for abc in (("a", 0, 0), (0.5, 0.5)):
-        with pytest.raises(dc.InvalidSpec, match="^abc must be three real numbers, got "):
-            dc.orthogonal_invariant_state(abc, 2)
+    with pytest.raises(dc.InvalidSpec, match="^abc has an entry that is not a number: "):
+        dc.orthogonal_invariant_state(("a", 0, 0), 2)
+    with pytest.raises(dc.DimensionError, match=r"^abc must have shape \(3,\), got \(2,\)$"):
+        dc.orthogonal_invariant_state((0.5, 0.5), 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from discordant import serialize
-from discordant.errors import InvalidSpec
+from discordant.errors import DimensionError, InvalidSpec
 from discordant.linalg import check_density_matrix
 from discordant.serialize import (
     bell_to_json,
@@ -79,7 +79,7 @@ def test_unknown_and_missing_fields_rejected():
 
 def test_malformed_descriptions_rejected():
     # a field of the wrong shape, a description that is not an object, a bool lambda
-    with pytest.raises(InvalidSpec, match=r"field 'p' must have shape \(2, 2\)"):
+    with pytest.raises(DimensionError, match=r"field 'p' must have shape \(2, 2\)"):
         parse_state({"kind": "bell", "d": 2, "p": [0.25, 0.25, 0.25, 0.25]})
     for obj in ([{"kind": "werner", "d": 2, "lambda": 0.1}], "werner", None):
         with pytest.raises(InvalidSpec, match="must be an object"):
@@ -141,11 +141,11 @@ def test_deeply_nested_file_is_rejected(tmp_path, as_rho):
 def test_malformed_matrix_entries_rejected():
     obj = circulant_to_json(werner_state(2, 0.2))
     obj["a"][0][0][0] = [1.0]  # a complex entry needs [re, im]
-    with pytest.raises(InvalidSpec, match="field 'a'"):
+    with pytest.raises(DimensionError, match="field 'a' is ragged"):
         parse_state(obj)
     obj2 = circulant_to_json(werner_state(2, 0.2))
     obj2["a"] = obj2["a"][:1]  # wrong sector count
-    with pytest.raises(InvalidSpec, match="field 'a'"):
+    with pytest.raises(DimensionError, match="field 'a' must have shape"):
         parse_state(obj2)
 
 
@@ -257,4 +257,9 @@ def test_writers_refuse_what_parse_state_refuses():
                    lambda d=d: bell_to_json(d, np.eye(int(d)))]
     for write in writes:
         with pytest.raises(InvalidSpec):
+            write()
+    # and a field of a shape that parse_state refuses for the d written with it
+    for write in (lambda: dense_to_json(np.eye(4) / 4, 3),
+                  lambda: bell_to_json(3, np.full((2, 2), 0.25))):
+        with pytest.raises(DimensionError, match=r"^field '(rho|p)' must have shape "):
             write()

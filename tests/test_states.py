@@ -164,9 +164,9 @@ def test_bell_projectors_orthogonal():
 
 
 def test_bell_weights_and_projection_reject_wrong_shapes():
-    with pytest.raises(DimensionError, match=r"expected shape \(2, 2\)"):
+    with pytest.raises(DimensionError, match=r"^p must have shape \(2, 2\), got \(3, 3\)$"):
         BellWeights(2, np.full((3, 3), 1 / 9))
-    with pytest.raises(DimensionError, match=r"expected shape \(4, 4\)"):
+    with pytest.raises(DimensionError, match=r"^rho must have shape \(4, 4\), got \(3, 3\)$"):
         project_circulant(np.eye(3) / 3, 2)
 
 
