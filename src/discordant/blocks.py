@@ -62,7 +62,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import (_array, _read_only, _require_finite, _require_integer, _require_psd,
-                     _require_square, _side_codes, frobenius, hermitize)
+                     _require_square, _sequence, _side_codes, frobenius, hermitize)
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -196,7 +196,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     """
     _require_finite(tol, "tol")
     _require_integer(d, "d", 1)
-    if len(rhos) != len(sides):
+    if len(_sequence(rhos, "rhos")) != len(_sequence(sides, "sides")):
         raise DimensionError(f"got {len(rhos)} states and {len(sides)} sides")
     verdicts, m = [], d * (d + 1) // 2
     for chunk in _chunks(d**4, len(sides)):

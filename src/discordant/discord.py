@@ -40,7 +40,7 @@ import numpy as np
 from .blocks import extract_blocks
 from .errors import DimensionError, InvalidMeasurement
 from .linalg import (_array, _read_only, _require_finite, _require_integer, fourier_matrix,
-                     partial_trace, random_unitary, von_neumann_entropy)
+                     _sequence, partial_trace, random_unitary, von_neumann_entropy)
 from .serialize import encode_complex_matrix
 
 #: Measurement outcome weights below this are treated as never occurring.
@@ -346,7 +346,7 @@ def discord_sides(
     clipped to exactly 0, and C is then reported as I so that D = I − C
     holds exactly in the result.  No side gives no result.
     """
-    if not len(sides):
+    if not len(_sequence(sides, "sides")):
         return []
     info, other = _information(rho, d)
     results = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -48,6 +49,14 @@ def _side_codes(sides) -> list[int]:
     return codes
 
 
+def _sequence(x, name: str):
+    """``x`` if it is a sequence (a list, tuple, string, range or array); anything else, such as
+    None, a dict or a generator, raises :class:`InvalidSpec`.  Its items are not read."""
+    if not isinstance(x, (Sequence, np.ndarray)):
+        raise InvalidSpec(f"{name} must be a sequence, got {type(x).__name__}")
+    return x
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writing turned off: for arrays that are kept and shared between calls."""
     a.flags.writeable = False
@@ -62,18 +71,21 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 def _array(x, name: str, dtype=complex, shape: tuple | None = None) -> np.ndarray:
     """``x`` as an array of ``dtype`` (no copy if it is one): the rule for array arguments.
 
-    Ragged nesting raises :class:`DimensionError`, an entry that is not a number
-    :class:`InvalidSpec`, and a shape other than ``shape``, whose leading ``...`` stands
-    for any leading axes, :class:`DimensionError`.
+    Ragged nesting raises :class:`DimensionError`, an entry that is not a number, or a
+    complex one where ``dtype`` is float, :class:`InvalidSpec`, and a shape other than
+    ``shape``, whose leading ``...`` stands for any leading axes, :class:`DimensionError`.
     """
+    real = dtype is float  # a complex x stays complex: casting would drop its imaginary part
     try:
-        a = np.asarray(x, dtype=dtype)
+        a = np.asarray(x, dtype=complex if real and np.iscomplexobj(x) else dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         try:
             np.asarray(x)
         except ValueError:
             raise DimensionError(f"{name} is ragged: its nested lists differ in length") from None
         raise InvalidSpec(f"{name} has an entry that is not a number: {exc}") from None
+    if real and a.dtype.kind == "c":
+        raise InvalidSpec(f"{name} must be real, got complex entries")
     if shape is not None and shape[:1] == (...,):
         shape = a.shape[: max(a.ndim - len(shape) + 1, 0)] + shape[1:]
     if shape is not None and a.shape != shape:

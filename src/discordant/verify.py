@@ -31,7 +31,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, discord, discord_sides
 from .errors import InvalidSpec, PrimeRequired
-from .linalg import _require_finite, _require_integer
+from .linalg import _require_finite, _require_integer, _sequence
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -76,7 +76,7 @@ def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -
     """The ``analyze`` report: every structural route that applies to ``state``, each side's
     numeric D judged against its general-criterion verdict, and the worst side's outcome.
     An empty or repeated side list raises :class:`InvalidSpec`."""
-    sides = list(sides)
+    sides = list(_sequence(sides, "sides"))
     if not sides or len(set(sides)) < len(sides):
         raise InvalidSpec(f"sides must name each analyzed side once, got {sides}")
     d = state.d

@@ -579,9 +579,10 @@ def test_non_finite_tol_flag_exits_2(capsys):
     # discordant state was declared zero-discord and the run exited 3
     for command in (["analyze", "--family", "isotropic", "--d", "2", "--lambda", "0.5"],
                     ["verify", "--d", "2"], ["simplex"]):
-        code, _, err = run_cli(command + ["--tol", "nan"], capsys)
-        assert code == 2
-        assert "finite" in err
+        for value in ("nan", "inf"):
+            code, _, err = run_cli(command + ["--tol", value], capsys)
+            assert code == 2
+            assert "finite" in err
 
 
 def test_non_finite_abc_flag_exits_2(capsys):

@@ -1,6 +1,7 @@
-"""Every public callable rejects a bad side, a bool integer, and a non-finite, ragged,
-non-numeric or wrong-shaped array with a package error, never a bare ``ValueError``,
-``TypeError`` or ``IndexError``."""
+"""Every public callable rejects a bad side, a bool integer, a container that is no
+sequence, and a non-finite, ragged, non-numeric, wrong-shaped or (where it is real) complex
+array with a package error, never a bare ``ValueError``, ``TypeError``, ``IndexError`` or
+``ComplexWarning``."""
 
 import numpy as np
 import pytest
@@ -108,6 +109,24 @@ _OUTSIDE = {
 }
 
 
+#: The parameters read as real arrays: name: (parameter, valid keyword arguments outside the
+#: table, if any).  Each is fed its valid array plus 0.5j.
+_REAL = {
+    "BellWeights": ("p", None),
+    "bell_diagonal_state": ("w", None),
+    "bell_to_json": ("p", lambda: dict(d=3, p=_P)),
+    "bell_zero_discord_check": ("w", None),
+    "commuting_group_invariant_state": ("dmat", None),
+    "generate_zero_discord": ("phases", None),
+    "orthogonal_invariant_state": ("abc", None),
+    "ppt_check_commuting": ("dmat", None),
+}
+
+#: The container parameters, each fed None and a dict of its valid items.
+_CONTAINERS = [("analyze", "sides"), ("discord_sides", "sides"), ("structural_verdicts", "rhos"),
+               ("structural_verdicts", "sides")]
+
+
 def _fed(value, valid):
     if value is not NAN:
         return value if value != "C" or isinstance(valid, str) else ["C", *valid[1:]]
@@ -153,9 +172,38 @@ def test_a_bad_array_raises_a_package_error(name, param, fault):
         _call(name, kwargs)
 
 
+def test_a_ragged_list_is_named_ragged():
+    ragged = [[0.5, 0.0], [0.5]]
+    for call in (lambda: dc.discord(ragged, 2, "A"),
+                 lambda: dc.structural_discord_zero(ragged, 2, "A"),
+                 lambda: dc.dense_to_json(ragged, 2)):
+        with pytest.raises(dc.DiscordantError, match="is ragged"):
+            call()
+
+
 def test_orthogonal_weights_must_be_three_numbers():
     # a string weight used to end in float()'s bare ValueError, two weights in an unpacking one
     with pytest.raises(dc.InvalidSpec, match="^abc has an entry that is not a number: "):
         dc.orthogonal_invariant_state(("a", 0, 0), 2)
     with pytest.raises(dc.DimensionError, match=r"^abc must have shape \(3,\), got \(2,\)$"):
         dc.orthogonal_invariant_state((0.5, 0.5), 2)
+
+
+@pytest.mark.parametrize("name", list(_REAL))
+def test_a_complex_real_array_raises_a_package_error(name):
+    # the cast to float dropped the imaginary part, with only NumPy's ComplexWarning
+    param, make = _REAL[name]
+    kwargs = (make or _TABLE[name][0])()
+    kwargs[param] = np.asarray(kwargs[param]) + 0.5j
+    with pytest.raises(dc.InvalidSpec, match="must be real, got complex entries$"):
+        _call(name, kwargs)
+
+
+@pytest.mark.parametrize("fault", ["none", "dict"])
+@pytest.mark.parametrize("name, param", _CONTAINERS)
+def test_a_bad_container_raises_a_package_error(name, param, fault):
+    # len(None) and a dict's slice escaped as a bare TypeError
+    kwargs = _TABLE[name][0]()
+    kwargs[param] = None if fault == "none" else dict(enumerate(kwargs[param]))
+    with pytest.raises(dc.InvalidSpec, match=f"^{param} must be a sequence, got "):
+        _call(name, kwargs)
