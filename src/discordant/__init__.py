@@ -10,6 +10,8 @@ The attribute ``discord`` is the function, which shadows the submodule:
 ``importlib.import_module("discordant.discord")`` returns the module.
 """
 
+from types import ModuleType as _ModuleType
+
 from .blocks import (
     CRITERION_BELL,
     CRITERION_CIRCULANT,
@@ -82,66 +84,7 @@ from .verify import (SuiteResult, analyze, o2_simplex_rows, perturb_spec, random
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellWeights",
-    "CirculantSpec",
-    "CRITERION_BELL",
-    "CRITERION_CIRCULANT",
-    "CRITERION_COMMUTATION",
-    "CRITERION_DIAGONAL",
-    "DimensionError",
-    "DiscordResult",
-    "DiscordantError",
-    "InvalidMeasurement",
-    "InvalidSpec",
-    "LoadedState",
-    "MeasurementBasis",
-    "NotCirculant",
-    "OptimizerConfig",
-    "PreconditionError",
-    "PrimeRequired",
-    "StructuralVerdict",
-    "SuiteResult",
-    "analyze",
-    "bell_diagonal_state",
-    "bell_projector",
-    "bell_to_json",
-    "bell_zero_discord_check",
-    "check_density_matrix",
-    "circulant_necessary_conditions",
-    "circulant_state",
-    "circulant_theorem_check",
-    "circulant_to_json",
-    "classical_decomposition",
-    "commuting_group_invariant_state",
-    "completely_classical_check",
-    "conditional_entropy",
-    "dense_to_json",
-    "discord",
-    "discord_sides",
-    "extract_blocks",
-    "flip_operator",
-    "fourier_matrix",
-    "generate_zero_discord",
-    "is_prime",
-    "isotropic_state",
-    "load_state_file",
-    "max_entangled_projector",
-    "mutual_information",
-    "o2_simplex_rows",
-    "orthogonal_invariant_state",
-    "parse_state",
-    "partial_trace",
-    "perturb_spec",
-    "ppt_check_commuting",
-    "project_circulant",
-    "random_unitary",
-    "random_zero_discord_spec",
-    "run_verify",
-    "shift_operator",
-    "structural_discord_zero",
-    "structural_verdicts",
-    "validate_circulant_spec",
-    "von_neumann_entropy",
-    "werner_state",
-]
+#: The import block above is the list of public names: every name it binds, less the
+#: submodules that importing binds as attributes.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -62,7 +62,7 @@ from .errors import (
     PrimeRequired,
 )
 from .linalg import (_array, _read_only, _require_finite, _require_integer, _require_psd,
-                     _require_square, _sequence, _side_codes, frobenius, hermitize)
+                     _require_real, _require_square, _sequence, _side_codes, frobenius, hermitize)
 from .states import ZERO_TOL, CirculantSpec, _bell_weights
 
 #: Default tolerance for structural checks.
@@ -153,9 +153,10 @@ def extract_blocks(rho: np.ndarray, d: int, side: str) -> np.ndarray:
     the first factor).  A stack of states, shape (..., d², d²), gives a
     stack of grids.  The grid is a read-only view of ρ, not a copy, and
     the one place the package spells out a side's layout.  A wrong shape
-    raises :class:`DimensionError`, a side other than "A" or "B"
-    :class:`InvalidSpec`.
+    raises :class:`DimensionError`, a side other than "A" or "B" or a ``d``
+    that is not an integer ≥ 1 :class:`InvalidSpec`.
     """
+    _require_integer(d, "d", 1)
     rho = _array(rho, "rho", shape=(..., d * d, d * d))
     four = rho.reshape(rho.shape[:-2] + (d, d, d, d))  # [..., i, k, j, l] = ρ[i·d+k, j·d+l]
     if _side_codes([side])[0]:  # side B
@@ -194,7 +195,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     shape raises :class:`DimensionError`, a non-finite one or a ``d`` that is not
     an integer ≥ 1 :class:`InvalidSpec`; each stack is made an array as it is sliced.
     """
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     _require_integer(d, "d", 1)
     if len(_sequence(rhos, "rhos")) != len(_sequence(sides, "sides")):
         raise DimensionError(f"got {len(rhos)} states and {len(sides)} sides")
@@ -409,7 +410,7 @@ def _theorem_verdicts(a: np.ndarray, sides, tol: float) -> list[StructuralVerdic
     witnesses are gathered together, one array and one ``tolist`` per
     field, k, i and j unravelled by ``divmod``.
     """
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     if len(a) != len(sides):
         raise DimensionError(f"got {len(a)} specs and {len(sides)} sides")
     if not len(a):
@@ -473,7 +474,7 @@ def circulant_necessary_conditions(
     "failures"}`` on every call; each failure is ``{"condition", "n",
     "entry": [i, j], "got", "want"}``, in (n, i, j) order.
     """
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     _require_prime(spec.d)
     codes = _side_codes([side])
     a, d = spec.a, spec.d
@@ -498,7 +499,7 @@ def circulant_necessary_conditions(
 def _completely_classical(spec: CirculantSpec, tol: float, theorem=None) -> StructuralVerdict:
     """:func:`completely_classical_check`, reading ``theorem`` (the spec's theorem verdicts
     on sides A and B, fitted here if None) only when the diagonal does not decide."""
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     _require_prime(spec.d)
     a, d = spec.a, spec.d
     if _diagonal_flags(a):
@@ -627,7 +628,7 @@ def bell_zero_discord_check(w, tol: float = DEFAULT_TOL) -> StructuralVerdict:
     None); the last line reports ``line`` "n" and ``alpha`` None.  The
     recovered π values come with either.
     """
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     return _bell_verdicts(_bell_weights(w).p[None], tol)[0]
 
 

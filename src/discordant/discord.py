@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import extract_blocks
-from .errors import DimensionError, InvalidMeasurement
+from .errors import DimensionError, InvalidMeasurement, InvalidSpec
 from .linalg import (_array, _read_only, _require_finite, _require_integer, fourier_matrix,
                      _sequence, partial_trace, random_unitary, von_neumann_entropy)
 from .serialize import encode_complex_matrix
@@ -99,6 +99,16 @@ class OptimizerConfig:
         _require_integer(self.seed, "seed", 0)
 
 
+def _config(cfg) -> OptimizerConfig:
+    """``cfg``, or ``OptimizerConfig()`` for None: the rule for a ``cfg`` argument, which
+    raises :class:`InvalidSpec` for anything else."""
+    if cfg is None:
+        return OptimizerConfig()
+    if not isinstance(cfg, OptimizerConfig):
+        raise InvalidSpec(f"cfg must be an OptimizerConfig or None, got {type(cfg).__name__}")
+    return cfg
+
+
 @dataclass
 class DiscordResult:
     """Mutual information, classical correlation and discord for one side.
@@ -130,6 +140,7 @@ def _information(rho: np.ndarray, d: int) -> tuple[float, dict]:
 
     ``partial_trace(…, side)`` traces ``side`` out and leaves the other one.
     """
+    _require_integer(d, "d", 1)  # ahead of partial_trace, which would name it dA
     other = {side: von_neumann_entropy(partial_trace(rho, d, d, side)) for side in ("A", "B")}
     return other["B"] + other["A"] - von_neumann_entropy(rho), other
 
@@ -296,7 +307,7 @@ def _start_bases(d: int, cfg: OptimizerConfig, Rs: np.ndarray, rng) -> np.ndarra
     return kick @ table[best]
 
 
-def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
+def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig):
     """Steepest descent of f on U(d) along geodesics U ← exp(μΩ)U, all starts at once.
 
     The ``len(sides) × cfg.starts`` bases descend as one stack, and each
@@ -308,7 +319,6 @@ def _optimize(rho: np.ndarray, d: int, sides, cfg: OptimizerConfig | None):
     decrease a step can still promise, is at most ``F_TOL``.  Returns
     (min f, best basis, converged starts) per side.
     """
-    cfg = cfg or OptimizerConfig()
     R = np.stack([_contraction(rho, d, side) for side in sides])
     U = _start_bases(d, cfg, R, np.random.default_rng(cfg.seed))
     f, omega = _objective(R, U)
@@ -344,8 +354,10 @@ def discord_sides(
 
     Each side gets the result ``discord`` gives it alone.  |D| ≤ 1e−9 is
     clipped to exactly 0, and C is then reported as I so that D = I − C
-    holds exactly in the result.  No side gives no result.
+    holds exactly in the result.  No side gives no result.  ``cfg`` goes
+    through :func:`_config`.
     """
+    cfg = _config(cfg)
     if not len(_sequence(sides, "sides")):
         return []
     info, other = _information(rho, d)

@@ -101,12 +101,18 @@ def _require_square(M, name: str, dtype=complex) -> np.ndarray:
     return M
 
 
+def _require_real(x, name: str, positive: bool = False) -> None:
+    """Raise :class:`InvalidSpec` unless ``x`` is a real number, not a bool, that is finite
+    (and > 0 with ``positive``): the rule for scalar arguments such as ``tol``."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise InvalidSpec(f"{name} must be a real number, got {x!r}")
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        raise InvalidSpec(f"{name} must be finite{' and positive' if positive else ''}, got {x}")
+
+
 def _require_finite(x, name: str = "rho") -> None:
-    """Raise :class:`InvalidSpec` unless ``x``, a real number or an array, is finite."""
-    if isinstance(x, numbers.Real):
-        if not math.isfinite(x):
-            raise InvalidSpec(f"{name} must be finite, got {x}")
-    elif not np.isfinite(x).all():
+    """Raise :class:`InvalidSpec` unless the array ``x`` is finite."""
+    if not np.isfinite(x).all():
         raise InvalidSpec(f"{name} has non-finite entries")
 
 
@@ -151,6 +157,8 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
     ``side`` names the subsystem traced out: ``"B"`` yields the dA×dA
     reduced state, ``"A"`` the dB×dB one.  ``rho`` must be finite.
     """
+    _require_integer(dA, "dA", 1)
+    _require_integer(dB, "dB", 1)
     rho = _array(rho, "rho", shape=(dA * dB, dA * dB))
     _require_finite(rho)
     four = rho.reshape(dA, dB, dA, dB)

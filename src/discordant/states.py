@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .linalg import (TRACE_TOL, _array, _read_only, _require_finite, _require_integer,
-                     _require_psd, _require_square, frobenius)
+                     _require_psd, _require_real, _require_square, frobenius)
 
 #: Entries smaller than this in modulus are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -161,6 +161,7 @@ def project_circulant(rho: np.ndarray, d: int):
     over the cyclic sectors within 1e−10 (Frobenius), else a
     :class:`NotCirculant` carrying the off-sector residual.
     """
+    _require_integer(d, "d", 1)
     rho = _array(rho, "rho", shape=(d * d, d * d))
     a = rho.reshape(-1)[_sector_index(d)]
     residual = frobenius(rho - _dense_states(a[None])[0])
@@ -206,7 +207,7 @@ def _bell_amplitudes(d: int) -> np.ndarray:
 def _lambda_family(d: int, lam: float) -> tuple[np.ndarray, float]:
     """(a, base) of a λ family, d and λ checked: base = (1−λ)/d² and every a^(n) = base·I."""
     _require_dimension(d)
-    _require_finite(lam, "lambda")
+    _require_real(lam, "lambda")
     base = (1.0 - lam) / d**2
     return np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0), base
 

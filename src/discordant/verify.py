@@ -4,8 +4,12 @@
 one state.  The suites cross-check the two zero-discord routes against
 each other on freshly generated families: closed-form checkers against
 the general block-commutation test, and both against the numeric
-measurement-optimization oracle, judged by :func:`analyze`'s outcome
-rule.  They power the ``verify`` command and the acceptance tests.
+measurement-optimization oracle.  There a structural zero must read
+``agree`` under :func:`analyze`'s outcome rule, and a perturbed draw fails
+only at D = 0: its D is an upper bound, so a small one is no evidence
+against the nonzero, but D = 0 says the optimizer reached a measurement
+of discord ≤ ``ZERO_CLIP``.  They power the ``verify`` command and the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .blocks import (
     is_prime,
     structural_verdicts,
 )
-from .discord import OptimizerConfig, discord, discord_sides
+from .discord import OptimizerConfig, _config, discord, discord_sides
 from .errors import InvalidSpec, PrimeRequired
-from .linalg import _require_finite, _require_integer, _sequence
+from .linalg import _require_integer, _require_real, _sequence
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -72,14 +76,15 @@ def _outcome(zero: bool, dval: float) -> str:
     return "agree" if dval >= NUMERIC_NONZERO_TOL else "inconclusive"
 
 
-def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig) -> dict:
+def analyze(state: LoadedState, sides: list, tol: float, cfg: OptimizerConfig | None) -> dict:
     """The ``analyze`` report: every structural route that applies to ``state``, each side's
     numeric D judged against its general-criterion verdict, and the worst side's outcome.
-    An empty or repeated side list raises :class:`InvalidSpec`."""
+    An empty or repeated side list raises :class:`InvalidSpec`; ``cfg`` goes through
+    :func:`~discordant.discord._config`."""
     sides = list(_sequence(sides, "sides"))
     if not sides or len(set(sides)) < len(sides):
         raise InvalidSpec(f"sides must name each analyzed side once, got {sides}")
-    d = state.d
+    d, cfg = state.d, _config(cfg)
     spec = state.spec if state.spec is not None else project_circulant(state.rho, d)
 
     report: dict = {
@@ -198,8 +203,7 @@ def perturb_spec(
     """
     if kind not in PERTURBATION_KINDS:
         raise InvalidSpec(f"kind must be one of {PERTURBATION_KINDS}, got {kind!r}")
-    if not 0 < epsilon < np.inf:
-        raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
+    _require_real(epsilon, "epsilon", positive=True)
     if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
         raise InvalidSpec(f"a modulus epsilon must be at most 1, got {epsilon}")
     a = spec.a[None].copy()
@@ -360,7 +364,7 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
     if not is_prime(d):
         raise PrimeRequired(f"verification suites require a prime dimension, got d={d}")
     _require_integer(draws, "draws", 1)
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     # made here so that a bad ``starts`` is rejected at every d, not only
     # where the numeric suite runs
     cfg = OptimizerConfig(starts=starts, seed=seed)
@@ -393,8 +397,8 @@ def run_verify(d: int, seed: int = 0, tol: float = DEFAULT_TOL, draws: int = 20,
         sides, a, _ = _draws(d, range(6), rngs[4], lambda t: t >= 3, low=0.05)
         for t, (side, rho) in enumerate(zip(sides, _dense_states(a))):
             dval = discord(rho, d, side, replace(cfg, seed=seed + t)).discord
-            suite.record(_outcome(t < 3, dval) == "agree", "draw {}: D={:.2e} {}",
-                         t, dval, "not ~0" if t < 3 else "not >0")
+            suite.record(_outcome(True, dval) == "agree" if t < 3 else dval > 0,
+                         "draw {}: D={:.2e} {}", t, dval, "not ~0" if t < 3 else "not >0")
     results.append(suite)
 
     all_pass = all(r.failed == 0 for r in results)
@@ -419,7 +423,7 @@ def o2_simplex_rows(
     """
     _require_integer(grid, "grid", 1, MAX_GRID)
     _require_integer(every, "every", 0)
-    _require_finite(tol, "tol")
+    _require_real(tol, "tol")
     cfg = OptimizerConfig(starts=starts, seed=seed)
     values = np.linspace(0.0, 1.0, grid).tolist()
     points = ((b, c) for b in values for c in values if 1.0 - b - c >= -1e-12)

@@ -1436,6 +1436,17 @@ def test_nonfinite_tolerance_is_rejected(entry, tol):
     call(spec, p, -1.0)
 
 
+@pytest.mark.parametrize("tol", ["x", None, True, [0.1]])
+@pytest.mark.parametrize("entry", list(_TOL_ENTRY_POINTS))
+def test_a_tolerance_that_is_no_real_number_is_rejected(entry, tol):
+    # a string or None escaped as a bare TypeError, and a list was broadcast into the thresholds
+    rng = np.random.default_rng(24)
+    spec = perturb_spec(random_zero_discord_spec(3, "A", rng), "modulus", 0.1, rng)
+    p, _ = random_classical_bell(3, 1, rng)
+    with pytest.raises(InvalidSpec, match="^tol must be a real number, got "):
+        _TOL_ENTRY_POINTS[entry](spec, p, tol)
+
+
 def _closed_form_specs(d, rng):
     """Zero on A and on B, one per perturbation kind, a classical Bell and an all-diagonal spec."""
     specs = [random_zero_discord_spec(d, side, rng) for side in ("A", "B")]

@@ -98,26 +98,58 @@ def test_the_routes_equal_the_oracle_on_quarter_turn_families():
     assert seen == {True, False}
 
 
+def _perturbed(spec, k, delta) -> CirculantSpec:
+    """``spec`` with δ on the larger part of a^(k)_01, and on a^(k)_10 to keep a^(k) Hermitian.
+
+    This changes the entry's modulus, which no φ absorbs (a δ across the entry would turn its
+    phase, which φ absorbs to within δ²/|a^(k)_01|), so the state is nonzero."""
+    a = spec.a.copy()
+    z = a[k, 0, 1]
+    step = (delta * (np.sign(z.real) or 1.0) if abs(z.real) >= abs(z.imag)
+            else 1j * delta * np.sign(z.imag))
+    a[k, 0, 1] += step
+    a[k, 1, 0] += np.conj(step)
+    return CirculantSpec(spec.d, a)
+
+
+def _perturbed_cases(dimensions=DIMENSIONS):
+    """(d, side, kind, k, spec) for every non-diagonal case at k = 1 and k = d − 1."""
+    for d, side, kind, spec in _cases():
+        if kind != "diagonal" and d in dimensions:
+            for k in sorted({1, d - 1}):
+                yield d, side, kind, k, spec
+
+
+def _reads(spec, side) -> tuple[bool, bool]:
+    """The zero verdicts of the theorem and of the general criterion on ``side``."""
+    return (circulant_theorem_check(spec, side).zero_discord,
+            structural_discord_zero(circulant_state(spec), spec.d, side).zero_discord)
+
+
 @pytest.mark.parametrize("delta, reads_zero", [(2.0**-20, False), (2.0**-45, True)],
                          ids=["2^-20", "2^-45"])
 def test_a_hermitian_perturbation_reads_by_its_size(delta, reads_zero):
-    # δ on the larger part of a^(k)_01, and on a^(k)_10 to keep a^(k) Hermitian, at k = 1 and
-    # k = d − 1, changes the entry's modulus, which no φ absorbs (a δ across the entry would
-    # turn its phase, which φ absorbs to within δ²/|a^(k)_01|).  The state is then nonzero,
-    # and both routes see 2^-20 (9.5e-7) and neither 2^-45 (2.8e-14), at tol = 1e-9
-    for d, side, kind, spec in _cases():
-        if kind == "diagonal":
-            continue
-        for k in {1, d - 1}:
-            a = spec.a.copy()
-            z = a[k, 0, 1]
-            step = (delta * (np.sign(z.real) or 1.0) if abs(z.real) >= abs(z.imag)
-                    else 1j * delta * np.sign(z.imag))
-            a[k, 0, 1] += step
-            a[k, 1, 0] += np.conj(step)
-            perturbed = CirculantSpec(d, a)
-            rho = circulant_state(perturbed)
-            assert not _exact_zero(rho, d, side), (d, side, kind, k)
-            theorem = circulant_theorem_check(perturbed, side).zero_discord
-            general = structural_discord_zero(rho, d, side).zero_discord
-            assert (theorem, general) == (reads_zero, reads_zero), (d, side, kind, k)
+    # at k = 1 and k = d − 1 both routes see 2^-20 (9.5e-7) and neither 2^-45 (2.8e-14), at
+    # tol = 1e-9
+    for d, side, kind, k, spec in _perturbed_cases():
+        perturbed = _perturbed(spec, k, delta)
+        assert not _exact_zero(circulant_state(perturbed), d, side), (d, side, kind, k)
+        assert _reads(perturbed, side) == (reads_zero, reads_zero), (d, side, kind, k)
+
+
+def test_the_detection_floor_of_each_route():
+    # the floor is the first e at which δ = 2^-e reads zero.  The theorem compares entries
+    # against tol = 1e-9, which lies between 2^-30 and 2^-29, so its floor is 30 everywhere;
+    # the general criterion measures a block's Frobenius norm, and its floor is never lower.
+    # The printed ranges are the band two exact routes may differ in
+    floors = {}
+    for d, side, kind, k, spec in _perturbed_cases((3, 5)):
+        reads = {e: _reads(_perturbed(spec, k, 2.0**-e), side) for e in range(28, 37)}
+        theorem, general = (min([e for e, zero in reads.items() if zero[r]], default=None)
+                            for r in (0, 1))
+        assert theorem == 30, (d, side, kind, k, reads)
+        assert general is not None and theorem <= general <= 36, (d, side, kind, k, reads)
+        for route, floor in (("theorem", theorem), ("general", general)):
+            floors.setdefault((route, d, side), []).append(floor)
+    for (route, d, side), found in sorted(floors.items()):
+        print(f"[floor] {route} d={d} side={side}: e = {min(found)}…{max(found)}")

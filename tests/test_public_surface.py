@@ -1,7 +1,8 @@
-"""Every public callable rejects a bad side, a bool integer, a container that is no
+"""Every public callable rejects a bad side, a bool or float integer, a real scalar that is
+no finite real number, a ``cfg`` that is no ``OptimizerConfig``, a container that is no
 sequence, and a non-finite, ragged, non-numeric, wrong-shaped or (where it is real) complex
-array with a package error, never a bare ``ValueError``, ``TypeError``, ``IndexError`` or
-``ComplexWarning``."""
+array with a package error, never a bare ``ValueError``, ``TypeError``, ``IndexError``,
+``AttributeError`` or ``ComplexWarning``."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ NAN = object()
 #: functions and MeasurementBasis.validate), extract_blocks returns a view that reads no
 #: entry, and project_circulant reports a NaN residual as NotCirculant.
 ARRAY = object()
+#: Mark a real scalar, such as ``tol``, and a ``cfg``.
+REAL, CFG = object(), object()
+#: What each scalar parameter is fed besides, by its mark: an integer (True, for it is also
+#: fed a bool) two floats of an integer's value, a real scalar a string, None, a bool and a
+#: list, and a cfg an empty dict, a dict of its fields and a string (None means the default).
+_SCALARS = {True: [3.0, np.float64(3.0)], REAL: ["x", None, True, [0.1]],
+            CFG: [{}, {"starts": 1}, "fast"]}
 #: What every array parameter, NAN or ARRAY, is fed besides: ragged nesting, a string, and
 #: its valid array less the last column.
 _FAULTS = {
@@ -38,7 +46,8 @@ def _cfg():
 
 
 #: name: (valid keyword arguments, {parameter: what it is fed}): "C" where a side or a
-#: kind is named, True where an integer goes, NAN or ARRAY where an array goes.
+#: kind is named, True where an integer goes, NAN or ARRAY where an array goes, REAL or CFG
+#: where a real scalar or a cfg goes.
 _TABLE = {
     # the records on a 1×1 stack, which a bool d of 1 would fit
     "BellWeights": (lambda: dict(d=1, p=[[1.0]]), {"d": True, "p": ARRAY}),
@@ -46,23 +55,26 @@ _TABLE = {
     "MeasurementBasis": (lambda: dict(d=1, vectors=[[1.0]]), {"d": True, "vectors": ARRAY}),
     "OptimizerConfig": (lambda: dict(starts=1, seed=0), {"starts": True, "seed": True}),
     "analyze": (lambda: dict(state=dc.parse_state({"kind": "werner", "d": 3, "lambda": 0.2}),
-                             sides=["A"], tol=1e-9, cfg=_cfg()), {"sides": "C"}),
+                             sides=["A"], tol=1e-9, cfg=_cfg()),
+                {"sides": "C", "tol": REAL, "cfg": CFG}),
     "bell_diagonal_state": (lambda: dict(w=_P), {"w": NAN}),
     "bell_projector": (lambda: dict(m=1, n=2, d=3), {"m": True, "n": True, "d": True}),
-    "bell_zero_discord_check": (lambda: dict(w=_P), {"w": NAN}),
+    "bell_zero_discord_check": (lambda: dict(w=_P), {"w": NAN, "tol": REAL}),
     "check_density_matrix": (lambda: dict(rho=_RHO), {"rho": NAN}),
-    "circulant_necessary_conditions": (lambda: dict(spec=_SPEC, side="A"), {"side": "C"}),
-    "circulant_theorem_check": (lambda: dict(spec=_SPEC, side="A"), {"side": "C"}),
+    "circulant_necessary_conditions": (lambda: dict(spec=_SPEC, side="A"),
+                                       {"side": "C", "tol": REAL}),
+    "circulant_theorem_check": (lambda: dict(spec=_SPEC, side="A"), {"side": "C", "tol": REAL}),
     "classical_decomposition": (lambda: dict(rho=_ZERO, d=3, side="A"),
-                                {"rho": NAN, "d": True, "side": "C"}),
+                                {"rho": NAN, "d": True, "side": "C", "tol": REAL}),
     "commuting_group_invariant_state": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
+    "completely_classical_check": (lambda: dict(spec=_SPEC), {"tol": REAL}),
     "conditional_entropy": (
         lambda: dict(rho=_RHO, d=3, basis=dc.MeasurementBasis(3, np.eye(3)), side="A"),
         {"rho": NAN, "d": True, "side": "C"}),
     "discord": (lambda: dict(rho=_RHO, d=3, side="A", cfg=_cfg()),
-                {"rho": NAN, "d": True, "side": "C"}),
+                {"rho": NAN, "d": True, "side": "C", "cfg": CFG}),
     "discord_sides": (lambda: dict(rho=_RHO, d=3, sides=["A", "B"], cfg=_cfg()),
-                      {"rho": NAN, "d": True, "sides": "C"}),
+                      {"rho": NAN, "d": True, "sides": "C", "cfg": CFG}),
     "extract_blocks": (lambda: dict(rho=_RHO, d=3, side="A"),
                        {"rho": ARRAY, "d": True, "side": "C"}),
     "flip_operator": (lambda: dict(d=3), {"d": True}),
@@ -70,42 +82,43 @@ _TABLE = {
     "generate_zero_discord": (lambda: dict(a0=np.eye(3), phases=np.zeros(3), side="A"),
                               {"a0": NAN, "phases": NAN, "side": "C"}),
     "is_prime": (lambda: dict(n=3), {"n": True}),
-    "isotropic_state": (lambda: dict(d=3, lam=0.2), {"d": True}),
+    "isotropic_state": (lambda: dict(d=3, lam=0.2), {"d": True, "lam": REAL}),
     "max_entangled_projector": (lambda: dict(d=3), {"d": True}),
     "mutual_information": (lambda: dict(rho=_RHO, d=3), {"rho": NAN, "d": True}),
     "o2_simplex_rows": (lambda: dict(grid=3, every=0, seed=0, starts=1),
-                        {"grid": True, "every": True, "seed": True, "starts": True}),
+                        {"grid": True, "every": True, "seed": True, "starts": True, "tol": REAL}),
     "orthogonal_invariant_state": (lambda: dict(abc=[0.2, 0.5, 0.3], d=2),
                                    {"abc": NAN, "d": True}),
     "partial_trace": (lambda: dict(rho=_RHO, dA=3, dB=3, side="A"),
                       {"rho": NAN, "dA": True, "dB": True, "side": "C"}),
     "perturb_spec": (lambda: dict(spec=dc.random_zero_discord_spec(3, "A", _rng()),
-                                  kind="modulus", epsilon=0.1, rng=_rng()), {"kind": "C"}),
+                                  kind="modulus", epsilon=0.1, rng=_rng()),
+                     {"kind": "C", "epsilon": REAL}),
     "ppt_check_commuting": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
     "project_circulant": (lambda: dict(rho=_RHO, d=3), {"rho": ARRAY, "d": True}),
     "random_unitary": (lambda: dict(d=3, rng=_rng(), count=2), {"d": True, "count": True}),
     "random_zero_discord_spec": (lambda: dict(d=3, side="A", rng=_rng()),
                                  {"d": True, "side": "C"}),
     "run_verify": (lambda: dict(d=3, seed=0, draws=1, starts=1),
-                   {"d": True, "seed": True, "draws": True, "starts": True}),
+                   {"d": True, "seed": True, "draws": True, "starts": True, "tol": REAL}),
     "shift_operator": (lambda: dict(d=3), {"d": True}),
     "structural_discord_zero": (lambda: dict(rho=_RHO, d=3, side="A"),
-                                {"rho": NAN, "d": True, "side": "C"}),
+                                {"rho": NAN, "d": True, "side": "C", "tol": REAL}),
     "structural_verdicts": (lambda: dict(rhos=[_RHO, _RHO], d=3, sides=["A", "B"]),
-                            {"rhos": NAN, "d": True, "sides": "C"}),
+                            {"rhos": NAN, "d": True, "sides": "C", "tol": REAL}),
     "von_neumann_entropy": (lambda: dict(rho=_RHO), {"rho": NAN}),
-    "werner_state": (lambda: dict(d=3, lam=0.2), {"d": True}),
+    "werner_state": (lambda: dict(d=3, lam=0.2), {"d": True, "lam": REAL}),
 }
 
 #: Public callables outside the table: the errors; records of results, and LoadedState,
 #: which parse_state builds checked; the JSON writers and readers, whose d and fields the
 #: serialize tests break one by one; and the functions of a spec alone, which check no
-#: side, integer or array of their own, and whose stack validate_circulant_spec checks.
+#: side, integer, scalar or array of their own, and whose stack validate_circulant_spec checks.
 _OUTSIDE = {
     "DimensionError", "DiscordantError", "InvalidMeasurement", "InvalidSpec", "PreconditionError",
     "PrimeRequired", "DiscordResult", "NotCirculant", "StructuralVerdict", "SuiteResult",
     "LoadedState", "bell_to_json", "circulant_to_json", "dense_to_json", "load_state_file",
-    "parse_state", "circulant_state", "completely_classical_check", "validate_circulant_spec",
+    "parse_state", "circulant_state", "validate_circulant_spec",
 }
 
 
@@ -153,11 +166,24 @@ def test_the_table_arguments_are_valid(name):
 
 
 @pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items()
-                                         for p, v in fed.items() if v is not ARRAY])
+                                         for p, v in fed.items() if v not in (ARRAY, REAL, CFG)])
 def test_a_bad_argument_raises_a_package_error(name, param):
     make, fed = _TABLE[name]
     kwargs = make()
     kwargs[param] = _fed(fed[param], kwargs[param])
+    with pytest.raises(dc.DiscordantError):
+        _call(name, kwargs)
+
+
+@pytest.mark.parametrize("name, param, bad", [
+    pytest.param(n, p, bad, id=f"{n}-{p}-{bad!r}") for n, (_, fed) in _TABLE.items()
+    for p, v in fed.items() if v in _SCALARS for bad in _SCALARS[v]])
+def test_a_bad_scalar_raises_a_package_error(name, param, bad):
+    # a float d passed the shape test, (9.0, 9.0) == (9, 9), and failed in reshape; a string
+    # tol or a dict cfg escaped as a bare TypeError or AttributeError; tol=[0.1] was broadcast
+    # into the thresholds, and epsilon=True perturbed by 1
+    kwargs = _TABLE[name][0]()
+    kwargs[param] = bad
     with pytest.raises(dc.DiscordantError):
         _call(name, kwargs)
 
@@ -170,6 +196,39 @@ def test_a_bad_array_raises_a_package_error(name, param, fault):
     kwargs[param] = _FAULTS[fault](kwargs[param])
     with pytest.raises(dc.DiscordantError):
         _call(name, kwargs)
+
+
+def test_a_float_dimension_is_named_by_the_callers_parameter():
+    # mutual_information and discord reach partial_trace, whose parameters are dA and dB
+    for call in (lambda: dc.discord(_RHO, 3.0, "A"), lambda: dc.mutual_information(_RHO, 3.0),
+                 lambda: dc.project_circulant(_RHO, 3.0)):
+        with pytest.raises(dc.InvalidSpec, match=r"^d must be an integer with d ≥ 1, got 3\.0$"):
+            call()
+    with pytest.raises(dc.InvalidSpec, match=r"^dB must be an integer with dB ≥ 1, got 3\.0$"):
+        dc.partial_trace(_RHO, 3, 3.0, "A")
+
+
+def test_a_real_scalar_that_is_no_number_is_named():
+    for call, name in ((lambda bad: dc.structural_verdicts([_RHO], 3, "A", bad), "tol"),
+                       (lambda bad: dc.werner_state(3, bad), "lambda"),
+                       (lambda bad: dc.perturb_spec(_SPEC, "modulus", bad, _rng()), "epsilon")):
+        with pytest.raises(dc.InvalidSpec, match=f"^{name} must be a real number, got 'x'$"):
+            call("x")
+
+
+def test_cfg_none_is_the_default_config():
+    state = dc.parse_state({"kind": "werner", "d": 2, "lambda": 0.2})
+    assert dc.analyze(state, ["A"], 1e-9, None)["seed"] == dc.OptimizerConfig().seed
+    default = dc.discord(_RHO, 3, "A", dc.OptimizerConfig()).to_json()
+    assert dc.discord(_RHO, 3, "A", None).to_json() == default
+    with pytest.raises(dc.InvalidSpec, match="^cfg must be an OptimizerConfig or None, got dict$"):
+        dc.discord(_RHO, 3, "A", {})
+
+
+def test_the_public_constants_are_the_criterion_names():
+    # with the table's callables this pins __all__, which __init__ computes from its imports
+    assert sorted(n for n in dc.__all__ if not callable(getattr(dc, n))) == [
+        "CRITERION_BELL", "CRITERION_CIRCULANT", "CRITERION_COMMUTATION", "CRITERION_DIAGONAL"]
 
 
 def test_a_ragged_list_is_named_ragged():
