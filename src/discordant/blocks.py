@@ -180,7 +180,7 @@ def structural_verdicts(rhos, d: int, sides, tol: float = DEFAULT_TOL) -> list[S
     Zero iff every block has ‖offdiag(U†B_ijU)‖_F ≤ tol·max(1, ‖B_ij‖_F) in
     the U of :func:`_common_bases`, the eigenbasis of one generic Hermitian
     combination of the blocks, i.e. iff the blocks are normal and commute.
-    Each state must be Hermitian, as every validated one is (to
+    Each state must be Hermitian, as every checked one is (to
     ``HERMITICITY_TOL``), for only the blocks with i ≤ j are read (see
     :func:`_norm_grids`).  Pairs go in input order in stacks of at most
     ``_CHUNK_ENTRIES`` dense entries (one state if larger), the criterion's only

@@ -27,14 +27,7 @@ from .blocks import DEFAULT_TOL, _bell_labels
 from .discord import OptimizerConfig
 from .errors import DiscordantError, InvalidSpec
 from .linalg import _require_finite
-from .serialize import (
-    LoadedState,
-    bell_to_json,
-    circulant_to_json,
-    dense_to_json,
-    load_state_file,
-    parse_state,
-)
+from .serialize import _parse, _read, bell_to_json, circulant_to_json, dense_to_json, parse_state
 from .states import _require_dimension
 from .verify import MAX_GRID, analyze, o2_simplex_rows, run_verify
 
@@ -52,8 +45,8 @@ def _parse_floats(text: str, name: str) -> list[float]:
     return values
 
 
-def _family_state(args, given: list[str], validate: bool) -> LoadedState:
-    """Parse the schema dict that the inline family flags describe; ``given`` names those set."""
+def _family_state(args, given: list[str]) -> dict:
+    """The schema dict that the inline family flags describe; ``given`` names those set."""
     if args.d is None:
         raise InvalidSpec("--d is required with --family")
     d = args.d
@@ -78,24 +71,24 @@ def _family_state(args, given: list[str], validate: bool) -> LoadedState:
         if abs(total - 1.0) > 1e-6:
             raise InvalidSpec(f"π values give total weight {total:.6f}, expected 1 (Σπ = 1/d)")
         obj["p"] = (p / total).tolist()
-    return parse_state(obj, validate)
+    return obj
 
 
-def _load_input(args, validate: bool) -> LoadedState:
-    """The state of a path or of ``--family`` flags; a flag that would be ignored is an error."""
+def _load_input(args) -> dict:
+    """The schema dict of a path or of ``--family`` flags; refuses a flag it would ignore."""
     flags = {"--family": args.family, "--d": args.d, "--lambda": args.lam, "--abc": args.abc,
              "--alpha": args.alpha, "--pi": args.pi}
     given = [flag for flag, value in flags.items() if value is not None]
     if args.input:
         if given:
             raise InvalidSpec(f"a state path takes no family flags, got {', '.join(given)}")
-        return load_state_file(args.input, validate=validate)
+        return _read(args.input)
     if args.family:
         unread = [flag for flag in given
                   if flag not in ("--family", "--d", *_FAMILY_FLAGS[args.family])]
         if unread:
             raise InvalidSpec(f"family {args.family!r} does not read {', '.join(unread)}")
-        return _family_state(args, given, validate)
+        return _family_state(args, given)
     raise InvalidSpec("provide a state JSON path or --family flags")
 
 
@@ -111,7 +104,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    loaded = _load_input(args, validate=True)
+    loaded = parse_state(_load_input(args))
     sides = ["A", "B"] if args.side == "both" else [args.side]
     report = analyze(loaded, sides, args.tol, cfg)
     _emit(json.dumps(report), args.output)
@@ -119,7 +112,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build(args) -> int:
-    loaded = _load_input(args, validate=False)
+    loaded = _parse(_load_input(args))  # by the schema alone: build emits raw assembly
     if args.dense or loaded.spec is None:
         obj = dense_to_json(loaded.rho, loaded.d)
     elif loaded.kind == "bell":

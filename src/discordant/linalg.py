@@ -110,6 +110,12 @@ def _require_real(x, name: str, positive: bool = False) -> None:
         raise InvalidSpec(f"{name} must be finite{' and positive' if positive else ''}, got {x}")
 
 
+def _require_generator(rng) -> None:
+    """Raise :class:`InvalidSpec` unless ``rng`` is a :class:`numpy.random.Generator`."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidSpec(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+
+
 def _require_finite(x, name: str = "rho") -> None:
     """Raise :class:`InvalidSpec` unless the array ``x`` is finite."""
     if not np.isfinite(x).all():
@@ -123,15 +129,17 @@ def _require_psd(stack: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> 
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():  # zero the non-finite matrices, which fail anyway
         stack = np.where(finite[:, None, None], stack, 0.0)
-    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    defect = np.linalg.norm(stack - stack.conj().swapaxes(1, 2), axis=(1, 2))
-    skew = defect > tol * scale
+    # both norms over the largest power of two ≤ max(1, |entry|): exact, and they stay finite
+    inv = np.ldexp(1.0, 1 - np.frexp(np.abs(stack).max(axis=(1, 2), initial=1.0))[1])
+    scaled = stack * inv[:, None, None]
+    defect = np.linalg.norm(scaled - scaled.conj().swapaxes(1, 2), axis=(1, 2))
+    skew = defect > tol * np.maximum(inv, np.linalg.norm(scaled, axis=(1, 2)))
     w = np.linalg.eigvalsh(hermitize(stack))
     bad = ~finite | skew | (w[:, 0] < EIG_FLOOR)
     if bad.any():
         k = int(np.argmax(bad))
         fault = ("has non-finite entries" if not finite[k] else
-                 f"is not Hermitian (defect {defect[k]:.3e})" if skew[k] else
+                 f"is not Hermitian (defect {defect[k] / inv[k]:.3e})" if skew[k] else
                  f"has negative eigenvalue {w[k, 0]:.3e}")
         raise InvalidSpec(f"{name.format(k)} {fault}")
     return w
@@ -205,6 +213,7 @@ def random_unitary(d: int, rng: np.random.Generator, count: int | None = None) -
     _require_integer(d, "d", 1)
     if count is not None:
         _require_integer(count, "count", 0)
+    _require_generator(rng)
     shape = (d, d) if count is None else (count, d, d)
     Q, R = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     r = np.diagonal(R, axis1=-2, axis2=-1)

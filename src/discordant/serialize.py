@@ -14,6 +14,7 @@ The single ingestion schema (complex numbers as [re, im] pairs):
 
 Unknown fields are rejected; numbers must be JSON numbers (not
 booleans or strings), are parsed as 64-bit floats and must be finite.
+:func:`parse_state` also checks each kind's invariants; the CLI's ``build`` alone skips them.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .errors import InvalidSpec
 from .states import (
     BellWeights,
     CirculantSpec,
+    _dense_states,
+    _lambda_sectors,
     _require_dimension,
     bell_diagonal_state,
-    circulant_state,
     commuting_group_invariant_state,
-    isotropic_state,
     orthogonal_invariant_state,
-    werner_state,
+    validate_circulant_spec,
 )
 from .linalg import _array, _require_finite, check_density_matrix
 
@@ -117,13 +118,9 @@ def bell_to_json(d: int, p: np.ndarray) -> dict:
     return {"kind": "bell", "d": d, "p": p.tolist()}
 
 
-def parse_state(obj: dict, validate: bool = True) -> LoadedState:
-    """Build a :class:`LoadedState` from a schema dict.
-
-    With ``validate`` (the default) the resulting state must satisfy its
-    family invariants (PSD, trace, weight constraints); schema violations
-    raise :class:`InvalidSpec` either way.
-    """
+def _parse(obj: dict) -> LoadedState:
+    """:func:`parse_state` by the schema alone: a state that breaks its kind's invariants is
+    built all the same, unless its constructor (bell, commuting, orthogonal) checks them."""
     if not isinstance(obj, dict):
         raise InvalidSpec(f"state description must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -142,35 +139,45 @@ def parse_state(obj: dict, validate: bool = True) -> LoadedState:
     if kind == "orthogonal":
         abc = decode_real_matrix(obj["abc"], (3,), "abc")
         return LoadedState("orthogonal", d, orthogonal_invariant_state(abc, d))
-
     if kind == "dense":
-        rho = decode_complex_matrix(obj["rho"], (d * d, d * d), "rho")
-        if validate:
-            check_density_matrix(rho)
-        return LoadedState("dense", d, rho)
+        return LoadedState("dense", d, decode_complex_matrix(obj["rho"], (d * d, d * d), "rho"))
 
-    # Bell and commuting specs are checked as they are built.
-    weights, check = None, validate
+    weights = None
     if kind == "circulant":
         spec = CirculantSpec(d, decode_complex_matrix(obj["a"], (d, d, d), "a"))
     elif kind == "bell":
         weights = BellWeights(d, decode_real_matrix(obj["p"], (d, d), "p"))
-        spec, check = bell_diagonal_state(weights), False
+        spec = bell_diagonal_state(weights)
     elif kind == "commuting":
         a0 = decode_complex_matrix(obj["a0"], (d, d), "a0")
         dmat = decode_real_matrix(obj["dmat"], (d, d), "dmat")
-        spec, check = commuting_group_invariant_state(a0, dmat), False
+        spec = commuting_group_invariant_state(a0, dmat)
     else:  # werner / isotropic
-        build = werner_state if kind == "werner" else isotropic_state
-        spec = build(d, float(decode_real_matrix(obj["lambda"], (), "lambda")), validate=False)
-    return LoadedState(kind, d, circulant_state(spec, validate=check), spec=spec, weights=weights)
+        lam = float(decode_real_matrix(obj["lambda"], (), "lambda"))
+        spec = CirculantSpec(d, _lambda_sectors(kind, d, lam))
+    return LoadedState(kind, d, _dense_states(spec.a[None])[0], spec=spec, weights=weights)
 
 
-def load_state_file(path: str, validate: bool = True) -> LoadedState:
-    """Parse a state JSON file."""
+def parse_state(obj: dict) -> LoadedState:
+    """The :class:`LoadedState` of a schema dict, which must satisfy the schema and its kind's
+    invariants (PSD, trace, weights); a violation raises :class:`InvalidSpec`."""
+    loaded = _parse(obj)
+    if loaded.kind == "dense":
+        check_density_matrix(loaded.rho)
+    elif loaded.kind in ("circulant", "werner", "isotropic"):
+        validate_circulant_spec(loaded.spec)
+    return loaded
+
+
+def _read(path: str):
+    """The JSON value of the file at ``path``; text that is not JSON raises :class:`InvalidSpec`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
-    return parse_state(obj, validate=validate)
+
+
+def load_state_file(path: str) -> LoadedState:
+    """Parse a state JSON file by :func:`parse_state`."""
+    return parse_state(_read(path))

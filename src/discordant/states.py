@@ -135,14 +135,10 @@ def max_entangled_projector(d: int) -> np.ndarray:
     return bell_projector(0, 0, d)
 
 
-def circulant_state(spec: CirculantSpec, validate: bool = True) -> np.ndarray:
-    """Assemble the dense d²×d² matrix of a circulant spec.
-
-    With ``validate`` (the default) the sector-matrix invariants are enforced first
-    and violations raise :class:`InvalidSpec`.
-    """
-    if validate:
-        validate_circulant_spec(spec)
+def circulant_state(spec: CirculantSpec) -> np.ndarray:
+    """The dense d²×d² matrix of a circulant spec, which must first pass
+    :func:`validate_circulant_spec`."""
+    validate_circulant_spec(spec)
     return _dense_states(spec.a[None])[0]
 
 
@@ -204,44 +200,44 @@ def _bell_amplitudes(d: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * i / d)[i[:, None, None] * (i[:, None] - i) % d])
 
 
-def _lambda_family(d: int, lam: float) -> tuple[np.ndarray, float]:
-    """(a, base) of a λ family, d and λ checked: base = (1−λ)/d² and every a^(n) = base·I."""
+def _lambda_sectors(kind: str, d: int, lam: float) -> np.ndarray:
+    """The unchecked sector stack of ``kind`` "werner" or "isotropic"; d and λ are checked."""
     _require_dimension(d)
     _require_real(lam, "lambda")
     base = (1.0 - lam) / d**2
-    return np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0), base
+    a = np.repeat(np.eye(d, dtype=complex)[None] * base, d, axis=0)
+    if kind == "werner":
+        a[0] = np.eye(d, dtype=complex) * (lam / d + base)
+        i, k = np.arange(d), np.arange(1, d)[:, None]
+        a[k, i, (i + k) % d] = a[k, (i + k) % d, i] = lam / d
+    else:
+        a[0] = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
+    return a
 
 
-def _checked_spec(a: np.ndarray, validate: bool = True) -> CirculantSpec:
-    """The spec of the stack ``a``, checked by :func:`validate_circulant_spec` with ``validate``."""
+def _checked_spec(a: np.ndarray) -> CirculantSpec:
+    """The spec of the stack ``a``, checked by :func:`validate_circulant_spec`."""
     spec = CirculantSpec(a.shape[0], a)
-    if validate:
-        validate_circulant_spec(spec)
+    validate_circulant_spec(spec)
     return spec
 
 
-def werner_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
+def werner_state(d: int, lam: float) -> CirculantSpec:
     """Flip-symmetric circulant family with mixing parameter ``lam``.
 
     a^(0) = (λ/d + (1−λ)/d²)·I; for k ≥ 1, a^(k) carries (1−λ)/d² on the
     diagonal and λ/d at every position (i, i±k mod d).  For d = 2 this is
     exactly (1−λ)/d²·I⊗I + (λ/d)·F with F the swap; for larger d it is the
     Hermitian sector-diagonal family with the same one-parameter footprint
-    (the swap itself mixes sectors and is not circulant).  With
-    ``validate`` (default) a non-PSD result raises :class:`InvalidSpec`.
+    (the swap itself mixes sectors and is not circulant).  A result that
+    fails :func:`validate_circulant_spec` raises :class:`InvalidSpec`.
     """
-    a, base = _lambda_family(d, lam)
-    a[0] = np.eye(d, dtype=complex) * (lam / d + base)
-    i, k = np.arange(d), np.arange(1, d)[:, None]
-    a[k, i, (i + k) % d] = a[k, (i + k) % d, i] = lam / d
-    return _checked_spec(a, validate)
+    return _checked_spec(_lambda_sectors("werner", d, lam))
 
 
-def isotropic_state(d: int, lam: float, validate: bool = True) -> CirculantSpec:
-    """(1−λ)/d²·I⊗I + λ·(maximally entangled projector), as a circulant spec."""
-    a, base = _lambda_family(d, lam)
-    a[0] = np.full((d, d), lam / d, dtype=complex) + np.eye(d) * base
-    return _checked_spec(a, validate)
+def isotropic_state(d: int, lam: float) -> CirculantSpec:
+    """(1−λ)/d²·I⊗I + λ·(maximally entangled projector), as a checked circulant spec."""
+    return _checked_spec(_lambda_sectors("isotropic", d, lam))
 
 
 def orthogonal_invariant_state(abc, d: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from .blocks import (
 )
 from .discord import OptimizerConfig, _config, discord, discord_sides
 from .errors import InvalidSpec, PrimeRequired
-from .linalg import _require_integer, _require_real, _sequence
+from .linalg import _require_generator, _require_integer, _require_real, _sequence
 from .serialize import LoadedState
 from .states import (
     CirculantSpec,
@@ -149,6 +149,7 @@ def random_phases(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_zero_discord_spec(d: int, side: str, rng: np.random.Generator) -> CirculantSpec:
     """Random valid circulant spec with vanishing discord on ``side``, at prime d ≤ 32."""
     _require_dimension(d)
+    _require_generator(rng)
     return generate_zero_discord(random_psd(d, rng), random_phases(d, rng), side)
 
 
@@ -206,6 +207,7 @@ def perturb_spec(
     _require_real(epsilon, "epsilon", positive=True)
     if epsilon > 1 and (kind == "modulus" or kind == "phase" and spec.d == 2):
         raise InvalidSpec(f"a modulus epsilon must be at most 1, got {epsilon}")
+    _require_generator(rng)
     a = spec.a[None].copy()
     kind, k, g = _perturbation(spec.d, kind, rng)
     _perturb(a, kind, [0], [epsilon], [k], None if g is None else g[None])
@@ -296,7 +298,7 @@ def _theorem_and_general(d: int, draws: int, rng, tol: float, perturbed):
     dense states are built by one scatter per sub-chunk of as many as one
     stack of the general criterion holds, each decided by one
     :func:`structural_verdicts` call.  Neither the seeds nor the states
-    are validated: :func:`generate_zero_discord` from a ``_psd`` seed and
+    are checked: :func:`generate_zero_discord` from a ``_psd`` seed and
     :func:`perturb_spec` make valid specs by construction, as the tests pin.
     """
     for chunk in _chunks(d**3, draws):

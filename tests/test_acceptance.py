@@ -69,7 +69,7 @@ def test_criterion_1_werner_isotropic_classification():
     for name, build in (("werner", werner_state), ("isotropic", isotropic_state)):
         for d in (2, 3):
             for lam in (0.0, 0.2):
-                rho = circulant_state(build(d, lam), validate=True)
+                rho = circulant_state(build(d, lam))
                 want_zero = lam == 0.0
                 for side in ("A", "B"):
                     got = structural_discord_zero(rho, d, side).zero_discord
@@ -150,7 +150,7 @@ def test_criterion_2_x_state_conditions():
     rng = np.random.default_rng(2)
     failures = []
     for i, (spec, conditions) in enumerate(_draw_x_states(rng, 1000)):
-        rho = circulant_state(spec, validate=True)
+        rho = circulant_state(spec)
         verdict = structural_discord_zero(rho, 2, "A").zero_discord
         if verdict != conditions:
             failures.append((i, "structural-vs-conditions", verdict, conditions))
@@ -243,7 +243,7 @@ def test_criterion_4_complete_classicality():
             spec = _classical_family(d, rng)
             if not completely_classical_check(spec).zero_discord:
                 failures.append((d, rep, "classical-rejected"))
-            rho = circulant_state(spec, validate=True)
+            rho = circulant_state(spec)
             for side in ("A", "B"):
                 D = discord(rho, d, side, _cfg(d)).discord
                 if D > NUMERIC_ZERO:
@@ -255,7 +255,7 @@ def test_criterion_4_complete_classicality():
             broken = CirculantSpec(d, [m / total for m in mats])
             if completely_classical_check(broken).zero_discord:
                 failures.append((d, rep, "broken-accepted"))
-            rho_b = circulant_state(broken, validate=True)
+            rho_b = circulant_state(broken)
             for side in ("A", "B"):
                 D = discord(rho_b, d, side, _cfg(d)).discord
                 if D < NUMERIC_NONZERO:

@@ -38,12 +38,14 @@ from discordant.blocks import (
 )
 from discordant.discord import OptimizerConfig, _screen_table
 from discordant.errors import DimensionError, InvalidSpec, PreconditionError, PrimeRequired
-from discordant.serialize import LoadedState
+from discordant.serialize import LoadedState, _parse
 from discordant.linalg import _side_codes, fourier_matrix, hermitize, random_unitary
 from discordant.states import (
     ZERO_TOL,
     BellWeights,
     CirculantSpec,
+    _dense_states,
+    _lambda_sectors,
     _sector_index,
     bell_diagonal_state,
     circulant_state,
@@ -106,7 +108,7 @@ def test_extract_blocks_product_state():
 
 def test_extract_blocks_x_state_layout():
     rho = circulant_state(
-        x_state_spec(0.4, 0.1, 0.3, 0.2, 0.05, 0.02j), validate=True
+        x_state_spec(0.4, 0.1, 0.3, 0.2, 0.05, 0.02j)
     )
     dec = extract_blocks(rho, 2, "A")
     np.testing.assert_allclose(dec[0, 0], np.diag([0.4, 0.2]), atol=0)
@@ -126,7 +128,7 @@ def test_structural_zero_on_diagonal_state():
 
 
 def test_structural_nonzero_on_werner():
-    rho = circulant_state(werner_state(2, 0.5, validate=False), validate=False)
+    rho = _parse({"kind": "werner", "d": 2, "lambda": 0.5}).rho
     for side in ("A", "B"):
         verdict = structural_discord_zero(rho, 2, side)
         assert not verdict.zero_discord
@@ -136,17 +138,17 @@ def test_structural_nonzero_on_werner():
 
 def test_structural_x_state_three_conditions():
     # zero on side A exactly when a00=b11, a11=b00, |a01|=|b01|
-    zero = circulant_state(classical_x_spec(), validate=True)
+    zero = circulant_state(classical_x_spec())
     assert structural_discord_zero(zero, 2, "A").zero_discord
     assert not structural_discord_zero(zero, 2, "B").zero_discord  # b00 ≠ a00 here
 
     broken_diag = circulant_state(
-        x_state_spec(0.31, 0.2, 0.2, 0.29, 0.1, 0.1), validate=True
+        x_state_spec(0.31, 0.2, 0.2, 0.29, 0.1, 0.1)
     )
     assert not structural_discord_zero(broken_diag, 2, "A").zero_discord
 
     broken_mod = circulant_state(
-        x_state_spec(0.3, 0.2, 0.2, 0.3, 0.1, 0.05), validate=True
+        x_state_spec(0.3, 0.2, 0.2, 0.3, 0.1, 0.05)
     )
     assert not structural_discord_zero(broken_mod, 2, "A").zero_discord
 
@@ -692,7 +694,7 @@ def test_circulant_theorem_round_trip_both_sides():
                 atol=1e-9,
             )
             # the general commutation route agrees
-            rho = circulant_state(spec, validate=True)
+            rho = circulant_state(spec)
             assert structural_discord_zero(rho, d, side).zero_discord
 
 
@@ -931,7 +933,7 @@ def test_necessary_conditions_match_loop_reference():
     rng = np.random.default_rng(23)
     checked = 0
     for d in (2, 3, 5, 13):
-        specs = [werner_state(d, 0.2, validate=False)]
+        specs = [CirculantSpec(d, _lambda_sectors("werner", d, 0.2))]
         for gen_side in ("A", "B"):
             spec = random_zero_discord_spec(d, gen_side, rng)
             sparse = [m.copy() for m in spec.a]
@@ -964,7 +966,7 @@ def test_generate_zero_discord_contract():
     for side in ("A", "B"):
         spec = generate_zero_discord(a0, phi, side)
         assert abs(spec.trace_sum() - 1.0) < 1e-12
-        rho = circulant_state(spec, validate=True)
+        rho = circulant_state(spec)
         assert structural_discord_zero(rho, d, side).zero_discord
         assert circulant_theorem_check(spec, side).zero_discord
 
@@ -1072,7 +1074,7 @@ def _two_sided_specs(d, rng):
 def test_completely_classical_equals_general_criterion_on_both_sides(d):
     rng = np.random.default_rng(40 + d)
     for label, spec in _two_sided_specs(d, rng):
-        rho = circulant_state(spec, validate=True)
+        rho = circulant_state(spec)
         sides = {side: structural_discord_zero(rho, d, side).zero_discord for side in ("A", "B")}
         verdict = completely_classical_check(spec)
         assert verdict.zero_discord == (sides["A"] and sides["B"]), (d, label, sides)
@@ -1108,7 +1110,7 @@ def _complete_from_theorem(spec, tol):
 
 def _analyze_closed_forms(spec, side, tol, monkeypatch):
     """The closed-form keys of the ``analyze`` report for ``spec`` (its numeric part stubbed out)."""
-    loaded = LoadedState("circulant", spec.d, circulant_state(spec, validate=False), spec=spec)
+    loaded = LoadedState("circulant", spec.d, _dense_states(spec.a[None])[0], spec=spec)
     monkeypatch.setattr(verify_module, "discord_sides", lambda rho, d, sides, cfg: [])
     sides = ["A", "B"] if side == "both" else [side]
     report = json.loads(json.dumps(analyze(loaded, sides, tol, OptimizerConfig())))
@@ -1234,7 +1236,7 @@ def test_bell_classical_state_is_structurally_zero_both_sides():
     pi = rng.dirichlet(np.ones(d)) / d
     m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     p = pi[(m + n * 2) % d]
-    rho = circulant_state(bell_diagonal_state(BellWeights(d, p)), validate=True)
+    rho = circulant_state(bell_diagonal_state(BellWeights(d, p)))
     for side in ("A", "B"):
         assert structural_discord_zero(rho, d, side).zero_discord
 
@@ -1251,7 +1253,7 @@ def test_classical_decomposition_diagonal():
 
 
 def test_classical_decomposition_x_state():
-    rho = circulant_state(classical_x_spec(), validate=True)
+    rho = circulant_state(classical_x_spec())
     parts = classical_decomposition(rho, 2, "A")
     recon = sum(
         p * np.kron(np.outer(v, v.conj()), sigma) for p, v, sigma in parts
@@ -1265,14 +1267,14 @@ def test_classical_decomposition_x_state():
 
 
 def test_classical_decomposition_side_b():
-    rho = circulant_state(classical_x_spec(), validate=True).conj()
+    rho = circulant_state(classical_x_spec()).conj()
     # conjugating swaps nothing structurally here; build a genuine side-B
     # classical state instead via the generator
     rng = np.random.default_rng(8)
     m = rng.random((3, 3)) + 1j * rng.random((3, 3))
     a0 = m @ m.conj().T + 0.2 * np.eye(3)
     spec = generate_zero_discord(a0, np.array([0.0, 0.5, -0.8]), "B")
-    rho = circulant_state(spec, validate=True)
+    rho = circulant_state(spec)
     parts = classical_decomposition(rho, 3, "B")
     recon = sum(
         p * np.kron(sigma, np.outer(v, v.conj())) for p, v, sigma in parts
@@ -1281,7 +1283,7 @@ def test_classical_decomposition_side_b():
 
 
 def test_classical_decomposition_requires_zero_discord():
-    rho = circulant_state(werner_state(2, -0.5), validate=True)
+    rho = circulant_state(werner_state(2, -0.5))
     with pytest.raises(PreconditionError):
         classical_decomposition(rho, 2, "A")
 

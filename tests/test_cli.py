@@ -3,6 +3,7 @@
 import importlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,47 @@ def test_build_werner_boundary_emits(capsys, tmp_path):
     # analyzing it fails validation
     code, _, err = run_cli(["analyze", str(state_path)], capsys)
     assert code == 2
+
+
+#: kind: (d, fields of a schema-valid state that breaks the kind's invariants, whether build
+#: emits it, and the message of its first fault).  build parses by the schema alone, so it
+#: emits the kinds whose constructor checks nothing; the others refuse as they are built.
+_BROKEN = {
+    "circulant": (2, {"a": encode_complex_matrix([np.eye(2) / 4, [[0.25, 0.5], [0.5, 0.25]]])},
+                  True, "a^(1) has negative eigenvalue -2.500e-01"),
+    "werner": (2, {"lambda": 1}, True, "a^(1) has negative eigenvalue -5.000e-01"),
+    "isotropic": (3, {"lambda": 1.5}, True, "a^(0) has negative eigenvalue -5.556e-02"),
+    "dense": (2, {"rho": encode_complex_matrix(np.diag([1.2, -0.2, 0, 0]))}, True,
+              "rho has negative eigenvalue -2.000e-01"),
+    "bell": (2, {"p": [[0.5, 0.3], [0.3, -0.1]]}, False, "negative weight -1.000e-01 in weights"),
+    "commuting": (2, {"a0": encode_complex_matrix(np.eye(2) / 4), "dmat": [[0, 0.6], [-0.1, 0]]},
+                  False, "negative weight -1.000e-01 in dmat"),
+    "orthogonal": (2, {"abc": [1.2, -0.2, 0]}, False, "negative weight -2.000e-01 in abc"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BROKEN))
+def test_build_emits_only_the_kinds_built_unchecked(capsys, tmp_path, kind):
+    d, fields, built, message = _BROKEN[kind]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": kind, "d": d, **fields}))
+    code, out, err = run_cli(["build", str(path)], capsys)
+    if built:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d"] == d
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert run_cli(["analyze", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_a_huge_lambda_is_refused_without_a_warning(capsys, tmp_path):
+    # the PSD check's norms overflowed, a RuntimeWarning that the warning policy made a crash
+    path = tmp_path / "state.json"
+    path.write_text('{"kind": "werner", "d": 2, "lambda": 1e200}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: a^(1) has negative eigenvalue -7.500e+199\n")
 
 
 def test_build_orthogonal_dense(capsys, tmp_path):

@@ -153,7 +153,7 @@ def test_classical_correlation_bell_pair():
 
 
 def test_classical_x_state_has_zero_discord():
-    rho = circulant_state(classical_x_spec(), validate=True)
+    rho = circulant_state(classical_x_spec())
     res = discord(rho, 2, "A", CFG2)
     assert res.discord == 0.0
     assert res.classical_correlation == pytest.approx(
@@ -169,14 +169,14 @@ def test_pure_state_discord_is_entanglement_entropy():
 
 
 def test_werner_half_is_discordant():
-    rho = circulant_state(werner_state(2, -0.5), validate=True)
+    rho = circulant_state(werner_state(2, -0.5))
     res = discord(rho, 2, "A", CFG2)
     assert res.discord > 1e-3
     assert res.classical_correlation <= res.mutual_information + 1e-9
 
 
 def test_discord_deterministic():
-    rho = circulant_state(werner_state(3, 0.2), validate=True)
+    rho = circulant_state(werner_state(3, 0.2))
     r1 = discord(rho, 3, "A", CFG3)
     r2 = discord(rho, 3, "A", CFG3)
     assert r1.discord == r2.discord
@@ -188,7 +188,7 @@ def test_discord_deterministic():
 
 def test_discord_local_unitary_invariance():
     rng = np.random.default_rng(9)
-    rho = circulant_state(werner_state(2, 0.25), validate=True)
+    rho = circulant_state(werner_state(2, 0.25))
     U = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     rotated = U @ rho @ U.conj().T
     d1 = discord(rho, 2, "A", CFG2).discord
@@ -252,8 +252,8 @@ def test_optimizer_beats_bloch_scan_at_d2():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     dense = m @ m.conj().T
     states = [
-        circulant_state(werner_state(2, 0.3), validate=True),
-        circulant_state(classical_x_spec(), validate=True),
+        circulant_state(werner_state(2, 0.3)),
+        circulant_state(classical_x_spec()),
         dense / np.trace(dense).real,
     ]
     for rho in states:

@@ -1,6 +1,7 @@
 """Linear-algebra kernel: traces, entropies, unitaries; package exports."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ def test_entropy_refuses_a_non_hermitian_argument():
         von_neumann_entropy(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
+def test_huge_entries_keep_the_hermitian_test():
+    # both Frobenius norms overflowed with a RuntimeWarning, and inf > inf let this pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match=r"^rho is not Hermitian \(defect 1\.414e\+200\)$"):
+            check_density_matrix(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        with pytest.raises(InvalidSpec, match=r"^rho has trace \(4e\+200\+0j\), expected 1$"):
+            check_density_matrix(np.eye(4) * 1e200)
+        assert von_neumann_entropy(np.eye(2) * 1e160) < 0
+
+
 def test_partial_trace_and_fourier_matrix_reject_bad_arguments():
     with pytest.raises(InvalidSpec, match="^side must be 'A' or 'B', got 'C'$"):
         partial_trace(np.eye(4) / 4, 2, 2, "C")
@@ -159,10 +171,11 @@ def test_fourier_matrix_unitary():
         assert F[1, 1] == pytest.approx(np.exp(2j * np.pi / d) / np.sqrt(d), abs=1e-12)
 
 
-class _Replay:
-    """Stands in for a Generator: ``standard_normal`` hands out the given arrays in turn."""
+class _Replay(np.random.Generator):
+    """A Generator whose ``standard_normal`` hands out the given arrays in turn."""
 
     def __init__(self, *arrays):
+        super().__init__(np.random.PCG64())
         self.arrays = list(arrays)
 
     def standard_normal(self, shape):

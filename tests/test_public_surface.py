@@ -1,8 +1,8 @@
 """Every public callable rejects a bad side, a bool or float integer, a real scalar that is
-no finite real number, a ``cfg`` that is no ``OptimizerConfig``, a container that is no
-sequence, and a non-finite, ragged, non-numeric, wrong-shaped or (where it is real) complex
-array with a package error, never a bare ``ValueError``, ``TypeError``, ``IndexError``,
-``AttributeError`` or ``ComplexWarning``."""
+no finite real number, a ``cfg`` that is no ``OptimizerConfig``, an ``rng`` that is no NumPy
+``Generator``, a container that is no sequence, and a non-finite, ragged, non-numeric,
+wrong-shaped or (where it is real) complex array with a package error, never a bare
+``ValueError``, ``TypeError``, ``IndexError``, ``AttributeError`` or ``ComplexWarning``."""
 
 import numpy as np
 import pytest
@@ -21,13 +21,14 @@ NAN = object()
 #: functions and MeasurementBasis.validate), extract_blocks returns a view that reads no
 #: entry, and project_circulant reports a NaN residual as NotCirculant.
 ARRAY = object()
-#: Mark a real scalar, such as ``tol``, and a ``cfg``.
-REAL, CFG = object(), object()
+#: Mark a real scalar, such as ``tol``, a ``cfg`` and an ``rng``.
+REAL, CFG, RNG = object(), object(), object()
 #: What each scalar parameter is fed besides, by its mark: an integer (True, for it is also
 #: fed a bool) two floats of an integer's value, a real scalar a string, None, a bool and a
-#: list, and a cfg an empty dict, a dict of its fields and a string (None means the default).
+#: list, a cfg an empty dict, a dict of its fields and a string (None means the default), and
+#: an rng None, a seed and a string.
 _SCALARS = {True: [3.0, np.float64(3.0)], REAL: ["x", None, True, [0.1]],
-            CFG: [{}, {"starts": 1}, "fast"]}
+            CFG: [{}, {"starts": 1}, "fast"], RNG: [None, 5, "seed"]}
 #: What every array parameter, NAN or ARRAY, is fed besides: ragged nesting, a string, and
 #: its valid array less the last column.
 _FAULTS = {
@@ -47,7 +48,7 @@ def _cfg():
 
 #: name: (valid keyword arguments, {parameter: what it is fed}): "C" where a side or a
 #: kind is named, True where an integer goes, NAN or ARRAY where an array goes, REAL or CFG
-#: where a real scalar or a cfg goes.
+#: where a real scalar, a cfg or an rng goes.
 _TABLE = {
     # the records on a 1×1 stack, which a bool d of 1 would fit
     "BellWeights": (lambda: dict(d=1, p=[[1.0]]), {"d": True, "p": ARRAY}),
@@ -93,12 +94,13 @@ _TABLE = {
                       {"rho": NAN, "dA": True, "dB": True, "side": "C"}),
     "perturb_spec": (lambda: dict(spec=dc.random_zero_discord_spec(3, "A", _rng()),
                                   kind="modulus", epsilon=0.1, rng=_rng()),
-                     {"kind": "C", "epsilon": REAL}),
+                     {"kind": "C", "epsilon": REAL, "rng": RNG}),
     "ppt_check_commuting": (lambda: dict(a=_A, dmat=_DMAT), {"a": NAN, "dmat": NAN}),
     "project_circulant": (lambda: dict(rho=_RHO, d=3), {"rho": ARRAY, "d": True}),
-    "random_unitary": (lambda: dict(d=3, rng=_rng(), count=2), {"d": True, "count": True}),
+    "random_unitary": (lambda: dict(d=3, rng=_rng(), count=2),
+                       {"d": True, "rng": RNG, "count": True}),
     "random_zero_discord_spec": (lambda: dict(d=3, side="A", rng=_rng()),
-                                 {"d": True, "side": "C"}),
+                                 {"d": True, "side": "C", "rng": RNG}),
     "run_verify": (lambda: dict(d=3, seed=0, draws=1, starts=1),
                    {"d": True, "seed": True, "draws": True, "starts": True, "tol": REAL}),
     "shift_operator": (lambda: dict(d=3), {"d": True}),
@@ -166,7 +168,8 @@ def test_the_table_arguments_are_valid(name):
 
 
 @pytest.mark.parametrize("name, param", [(n, p) for n, (_, fed) in _TABLE.items()
-                                         for p, v in fed.items() if v not in (ARRAY, REAL, CFG)])
+                                         for p, v in fed.items()
+                                         if v not in (ARRAY, REAL, CFG, RNG)])
 def test_a_bad_argument_raises_a_package_error(name, param):
     make, fed = _TABLE[name]
     kwargs = make()
@@ -214,6 +217,17 @@ def test_a_real_scalar_that_is_no_number_is_named():
                        (lambda bad: dc.perturb_spec(_SPEC, "modulus", bad, _rng()), "epsilon")):
         with pytest.raises(dc.InvalidSpec, match=f"^{name} must be a real number, got 'x'$"):
             call("x")
+
+
+def test_an_rng_that_is_no_generator_is_named():
+    # each escaped as a bare AttributeError; a legacy RandomState was taken by duck typing
+    for call in (lambda rng: dc.random_unitary(3, rng),
+                 lambda rng: dc.random_zero_discord_spec(3, "A", rng),
+                 lambda rng: dc.perturb_spec(_SPEC, "modulus", 0.1, rng)):
+        for rng, name in ((None, "NoneType"), (np.random.RandomState(0), "RandomState")):
+            with pytest.raises(dc.InvalidSpec,
+                               match=f"^rng must be a numpy.random.Generator, got {name}$"):
+                call(rng)
 
 
 def test_cfg_none_is_the_default_config():

@@ -1,6 +1,7 @@
 """JSON codec: round-trips and strict schema validation."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from discordant.states import (
     MAX_DIMENSION,
     BellWeights,
     CirculantSpec,
+    _lambda_sectors,
     bell_diagonal_state,
     circulant_state,
     commuting_group_invariant_state,
@@ -121,7 +123,7 @@ def test_d_must_be_integer_at_least_two():
 def test_d_above_the_bound_is_rejected_before_building(kind, monkeypatch):
     # d = 10**10 raised NumPy's "array is too big" and d = 10**20 "Maximum
     # allowed dimension exceeded", both uncaught; d = 33 built a state
-    monkeypatch.setattr(serialize, f"{kind}_state", None)  # a call would raise TypeError
+    monkeypatch.setattr(serialize, "_lambda_sectors", None)  # a call would raise TypeError
     for d in (MAX_DIMENSION + 1, 10**10, 10**20):
         with pytest.raises(InvalidSpec, match=f"2 ≤ d ≤ {MAX_DIMENSION}"):
             parse_state({"kind": kind, "d": d, "lambda": 0.1})
@@ -149,13 +151,13 @@ def test_malformed_matrix_entries_rejected():
         parse_state(obj2)
 
 
-def test_validation_flag_controls_psd_check():
-    raw = werner_state(2, 1.0, validate=False)  # not PSD
+def test_only_the_schema_parse_skips_the_psd_check():
+    raw = serialize._parse({"kind": "werner", "d": 2, "lambda": 1.0}).spec  # not PSD
     obj = circulant_to_json(raw)
-    loaded = parse_state(obj, validate=False)
+    loaded = serialize._parse(obj)
     assert loaded.d == 2
     with pytest.raises(InvalidSpec):
-        parse_state(obj, validate=True)
+        parse_state(obj)
 
 
 def test_load_state_file(tmp_path):
@@ -219,11 +221,11 @@ def test_non_finite_matrix_entries_rejected_on_parse():
 
 
 def test_family_constructors_reject_non_finite_parameters():
-    for build in (werner_state, isotropic_state):
+    unchecked = (partial(_lambda_sectors, kind) for kind in ("werner", "isotropic"))
+    for build in (werner_state, isotropic_state, *unchecked):
         for lam in (NAN, INF):
-            for validate in (True, False):
-                with pytest.raises(InvalidSpec, match="finite"):
-                    build(3, lam, validate=validate)
+            with pytest.raises(InvalidSpec, match="finite"):
+                build(3, lam)
     with pytest.raises(InvalidSpec, match="finite"):
         orthogonal_invariant_state((NAN, 0.5, 0.5), 2)
 

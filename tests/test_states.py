@@ -8,10 +8,13 @@ import pytest
 from discordant.blocks import bell_zero_discord_check
 from discordant.errors import DimensionError, InvalidSpec
 from discordant.linalg import check_density_matrix, partial_trace
+from discordant.serialize import _parse
 from discordant.states import (
     BellWeights,
     CirculantSpec,
     NotCirculant,
+    _dense_states,
+    _lambda_sectors,
     bell_diagonal_state,
     bell_projector,
     circulant_state,
@@ -74,7 +77,7 @@ def test_flip_operator_swaps_tensor_factors():
 
 def test_x_state_dense_layout():
     rho = circulant_state(
-        x_state_spec(0.4, 0.1, 0.3, 0.2, 0.05 + 0.02j, 0.07j), validate=True
+        x_state_spec(0.4, 0.1, 0.3, 0.2, 0.05 + 0.02j, 0.07j)
     )
     np.testing.assert_allclose(np.diag(rho), [0.4, 0.3, 0.2, 0.1], atol=0)
     assert rho[0, 3] == 0.05 + 0.02j
@@ -92,7 +95,7 @@ def test_d3_sector_placement():
     np.fill_diagonal(a[2], 1 / 9)
     a[1][0, 2] = 0.01
     a[1][2, 0] = 0.01
-    rho = circulant_state(CirculantSpec(3, a), validate=True)
+    rho = circulant_state(CirculantSpec(3, a))
     assert rho[1, 6] == 0.01
     assert rho[6, 1] == 0.01
 
@@ -109,7 +112,7 @@ def test_sector_block_diagonality():
     total = sum(np.trace(m).real for m in mats)
     mats = [m / total for m in mats]
     spec = CirculantSpec(3, mats)
-    rho = circulant_state(spec, validate=True)
+    rho = circulant_state(spec)
     back = project_circulant(rho, 3)
     assert isinstance(back, CirculantSpec)
     for got, want in zip(back.a, spec.a):
@@ -181,7 +184,7 @@ def test_bell_diagonal_state_matches_projector_mixture():
     for d in (2, 3, 5):
         p = rng.dirichlet(np.ones(d * d)).reshape(d, d)
         spec = bell_diagonal_state(BellWeights(d, p))
-        rho = circulant_state(spec, validate=True)
+        rho = circulant_state(spec)
         ref = sum(
             p[m, n] * bell_projector(m, n, d) for m in range(d) for n in range(d)
         )
@@ -194,7 +197,7 @@ def test_bell_diagonal_state_matches_projector_mixture():
 
 def test_werner_d2_matches_flip_form():
     for lam in (0.2, -0.5):
-        rho = circulant_state(werner_state(2, lam), validate=True)
+        rho = circulant_state(werner_state(2, lam))
         ref = (1 - lam) / 4 * np.eye(4) + lam / 2 * flip_operator(2)
         np.testing.assert_allclose(rho, ref, atol=1e-14)
 
@@ -203,20 +206,20 @@ def test_werner_validation_range():
     # λ=1 at d=2 is not PSD; raw assembly still works for serialization.
     with pytest.raises(InvalidSpec):
         werner_state(2, 1.0)
-    raw = werner_state(2, 1.0, validate=False)
+    raw = _parse({"kind": "werner", "d": 2, "lambda": 1.0}).spec
     np.testing.assert_allclose(
         np.linalg.eigvalsh(raw.a[0]), [0.5, 0.5], atol=1e-14
     )
     # boundary of the PSD range is accepted
-    check_density_matrix(circulant_state(werner_state(2, 1 / 3), validate=False))
-    check_density_matrix(circulant_state(werner_state(3, 0.25), validate=False))
+    check_density_matrix(_parse({"kind": "werner", "d": 2, "lambda": 1 / 3}).rho)
+    check_density_matrix(_parse({"kind": "werner", "d": 3, "lambda": 0.25}).rho)
 
 
 def test_isotropic_oracles():
-    rho = circulant_state(isotropic_state(3, 0.5), validate=True)
+    rho = circulant_state(isotropic_state(3, 0.5))
     np.testing.assert_allclose(np.diag(rho)[[0, 4, 8]], [2 / 9] * 3, atol=1e-14)
     np.testing.assert_allclose(
-        circulant_state(isotropic_state(3, 1.0), validate=True),
+        circulant_state(isotropic_state(3, 1.0)),
         max_entangled_projector(3),
         atol=1e-14,
     )
@@ -245,9 +248,9 @@ def test_lambda_families_match_their_formulas_bit_for_bit(lam):
     # tobytes, not ==: a negative background lays -0.0 off the diagonal, and
     # the same values with other zero signs would compare equal
     for d in range(2, 14):
-        for build, werner in ((werner_state, True), (isotropic_state, False)):
-            got = build(d, lam, validate=False).a.tobytes()
-            assert got == _family_loop(d, lam, werner).tobytes(), (build.__name__, d)
+        for kind, werner in (("werner", True), ("isotropic", False)):
+            got = _lambda_sectors(kind, d, lam).tobytes()
+            assert got == _family_loop(d, lam, werner).tobytes(), (kind, d)
 
 
 def test_orthogonal_invariant_state():
@@ -273,7 +276,7 @@ def test_commuting_group_invariant_state():
     a = np.array([[0.1, 0.05], [0.05, 0.1]], dtype=complex)
     dmat = np.array([[0.0, 0.4], [0.4, 0.0]])
     spec = commuting_group_invariant_state(a, dmat)
-    rho = circulant_state(spec, validate=True)
+    rho = circulant_state(spec)
     np.testing.assert_allclose(np.diag(rho), [0.1, 0.4, 0.4, 0.1], atol=1e-14)
     assert rho[0, 3] == 0.05
     assert ppt_check_commuting(a, dmat)
@@ -331,7 +334,7 @@ def _place_loop(stack, d):
 def test_sector_layout_matches_loop_oracle(d):
     rng = np.random.default_rng(d)
     stack = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
-    rho = circulant_state(CirculantSpec(d, stack), validate=False)
+    rho = _dense_states(stack[None])[0]
     assert _same_bits(rho, _place_loop(stack, d))
 
     positions = [_sector_positions(d, n) for n in range(d)]

@@ -19,8 +19,8 @@ from discordant.serialize import parse_state
 from discordant.states import (
     MAX_DIMENSION,
     BellWeights,
+    _dense_states,
     bell_diagonal_state,
-    circulant_state,
     validate_circulant_spec,
 )
 from discordant.verify import (
@@ -258,7 +258,7 @@ def _bell_suite_by_draw(d, draws, rng, tol):
                          f"draw {t}: random weights accepted")
             continue
         p = random_classical_bell(d, t // 2 % d, rng)[0]
-        rho = circulant_state(bell_diagonal_state(p), validate=False)
+        rho = _dense_states(bell_diagonal_state(p).a[None])[0]
         states.append(rho.tobytes())
         zero = bell_zero_discord_check(p, tol).zero_discord
         a, b = (structural_discord_zero(rho, d, side, tol).zero_discord for side in "AB")
@@ -486,6 +486,20 @@ def test_benchmark_items_take_one_round_per_suite(d, draws, monkeypatch):
         assert items * entries <= blocks._CHUNK_ENTRIES or items == 1, (name, items)
 
 
+class _Drawn(np.random.Generator):
+    """A Generator whose ``integers`` draws ``k`` and ``standard_normal`` a copy of ``g``."""
+
+    def __init__(self, k, g):
+        super().__init__(np.random.PCG64())
+        self.k, self.g = k, g
+
+    def integers(self, lo, hi):
+        return self.k
+
+    def standard_normal(self, size):
+        return self.g.copy()
+
+
 def test_flat_phase_angles_fall_back_alike_stacked_and_alone():
     # angles with g − g[0] within 1e-12 of 0 fall back to 0 … d − 1; no rng draw
     # reaches that branch, so a stub generator hands each call its sector and angles
@@ -498,7 +512,7 @@ def test_flat_phase_angles_fall_back_alike_stacked_and_alone():
     verify._perturb(a, "phase", range(4), epsilons, sectors, np.array(angles))
     for row, spec, g, k, epsilon in zip(a, specs, angles, sectors, epsilons):
         def stub():
-            return SimpleNamespace(integers=lambda lo, hi: k, standard_normal=lambda size: g.copy())
+            return _Drawn(k, g)
         want = perturb_spec(spec, "phase", epsilon, stub())
         assert row.tobytes() == want.a.tobytes()
         assert row.tobytes() == _lone_perturbation(spec, "phase", epsilon, stub()).tobytes()
